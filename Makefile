@@ -12,6 +12,10 @@
 #   make bench CACHE=.repro-cache   ... with the on-disk cell cache
 #   make perf                  repro.bench quick tier -> BENCH_<ts>.json
 #   make perf-compare          quick tier + diff against the committed baseline
+#   make perfbench             the scenario benchmark's own tests, then one
+#                              short seed-0 run per workload; a seed-0 digest
+#                              mismatch against perfbench/digests.json fails
+#                              (mirrors the CI perfbench job)
 #   make runtime-check         golden-digest equivalence + warn-only perf
 #                              compare (mirrors the CI runtime-equivalence job)
 #   make runtime-goldens       re-pin tests/runtime/goldens.json (intentional
@@ -38,7 +42,7 @@
 #                              query agreement (mirrors the CI job)
 #   make lint                  ruff check (byte-compilation fallback)
 #   make ci                    lint + test + scenario smoke + warn-only perf
-#                              compare (mirrors CI)
+#                              compare + perfbench digest gate (mirrors CI)
 #   make clean                 remove caches and stale bytecode
 
 PYTHON ?= python
@@ -49,7 +53,7 @@ BASELINE ?= benchmarks/baselines/quick.json
 
 BENCH_ENV = $(if $(JOBS),REPRO_JOBS=$(JOBS)) $(if $(CACHE),REPRO_CACHE_DIR=$(CACHE))
 
-.PHONY: test kernel kernel-check bench perf perf-compare scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
+.PHONY: test kernel kernel-check bench perf perf-compare perfbench scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
 
 # Port the distributed smoke tier binds its campaign schedulers on.
 DIST_PORT ?= 7641
@@ -81,6 +85,22 @@ perf-compare:
 	@REPORT=$$(PYTHONPATH=src $(PYTHON) -m repro.bench --quick) && \
 	PYTHONPATH=src $(PYTHON) -m repro.bench compare $(BASELINE) $$REPORT \
 		--threshold $(BENCH_THRESHOLD) --warn-only --fail-on-digest
+
+# The end-to-end gate: perfbench drives registered scenarios through
+# run_scenario and exits non-zero when a row digest differs from the warm-up
+# pass or, at seed 0, from perfbench/digests.json.  Two timed seconds per
+# workload keep the run short; the timings are not compared here.  The
+# workload list is read from perfbench itself, so every workload it defines
+# is gated.
+perfbench:
+	$(PYTHON) -m pytest perfbench/tests -q
+	@workloads=$$(cd perfbench && $(PYTHON) -c "from workloads import WORKLOADS; print(*WORKLOADS)") && \
+	test -n "$$workloads" && \
+	for workload in $$workloads; do \
+		echo "perfbench: $$workload"; \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 0 --seconds 2 --trace 0 \
+			|| exit 1; \
+	done
 
 # Prove the unified runtime is bit-identical to the pinned goldens
 # (tests/runtime/goldens.json), then measure the kernel speed against the
@@ -180,8 +200,9 @@ ci:
 	$(MAKE) test
 	$(MAKE) scenario-smoke
 	$(MAKE) perf-compare
+	$(MAKE) perfbench
 
 clean:
-	rm -rf .pytest_cache .benchmarks .repro-cache .store-smoke
+	rm -rf .pytest_cache .benchmarks .repro-cache .store-smoke .perfbench-work
 	find . -name __pycache__ -type d -exec rm -rf {} +
 	find . -name "*.py[co]" -delete

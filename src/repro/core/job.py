@@ -72,10 +72,15 @@ class Job:
             raise ValueError(f"job {self.name!r}: negative release date")
         if self.weight < 0:
             raise ValueError(f"job {self.name!r}: negative weight")
-        if self.due_date is not None and self.due_date < self.release_date:
+        self._check_due(self.release_date)
+
+    def _check_due(self, release: float) -> None:
+        """Raise unless the due date, if any, is at or after ``release``."""
+
+        if self.due_date is not None and self.due_date < release:
             raise ValueError(
                 f"job {self.name!r}: due date {self.due_date} before release "
-                f"date {self.release_date}"
+                f"date {release}"
             )
 
     # -- interface -------------------------------------------------------

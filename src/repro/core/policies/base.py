@@ -109,35 +109,41 @@ class MoldableAllocator:
             return job.nbproc
         if not isinstance(job, MoldableJob):
             raise SchedulerError(f"cannot allocate job of type {type(job)!r}")
-        upper = min(job.max_procs, machine_count)
-        if job.min_procs > upper:
+        # The candidates are read straight from the profile tuple:
+        # ``runtimes[k - 1]`` for ``min_procs <= k <= upper`` is in range by
+        # construction, so the per-call range check of ``job.runtime(k)`` is
+        # skipped.  The float expressions are those of the per-k definition,
+        # so the chosen allocation is bit-identical.
+        runtimes = job.runtimes
+        lo = job.min_procs
+        upper = min(len(runtimes), machine_count)
+        if lo > upper:
             raise SchedulerError(
-                f"moldable job {job.name!r} needs at least {job.min_procs} "
+                f"moldable job {job.name!r} needs at least {lo} "
                 f"processors, platform only has {machine_count}"
             )
-        candidates = range(job.min_procs, upper + 1)
         if self.strategy == "sequential":
-            return job.min_procs
+            return lo
         if self.strategy == "min_runtime":
-            return min(candidates, key=lambda k: (job.runtime(k), k))
+            # Smallest (runtime, k) pair: the fastest allocation, ties to
+            # the smallest processor count.
+            return min(zip(runtimes[lo - 1 : upper], range(lo, upper + 1)))[1]
         if self.strategy == "best_efficiency":
             # Largest allocation whose efficiency is still at least the one
             # of the minimal allocation (i.e. no efficiency loss at all).
-            base_eff = job.runtime(job.min_procs) * job.min_procs
-            best = job.min_procs
-            for k in candidates:
-                if k * job.runtime(k) <= base_eff * (1 + 1e-9):
-                    best = k
-            return best
+            limit = runtimes[lo - 1] * lo * (1 + 1e-9)
+            for k in range(upper, lo - 1, -1):
+                if k * runtimes[k - 1] <= limit:
+                    return k
+            return lo
         # bounded_efficiency: largest allocation keeping parallel efficiency
         # (relative to the minimal allocation) above the threshold.
-        base_work = job.runtime(job.min_procs) * job.min_procs
-        best = job.min_procs
-        for k in candidates:
-            efficiency = base_work / (k * job.runtime(k))
-            if efficiency >= self.efficiency_threshold - 1e-12:
-                best = k
-        return best
+        base_work = runtimes[lo - 1] * lo
+        threshold = self.efficiency_threshold - 1e-12
+        for k in range(upper, lo - 1, -1):
+            if base_work / (k * runtimes[k - 1]) >= threshold:
+                return k
+        return lo
 
     def freeze(self, jobs: Sequence[Job], machine_count: int) -> List[Tuple[Job, int]]:
         """Allocate every job, returning (job, nbproc) pairs."""

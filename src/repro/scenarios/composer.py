@@ -379,8 +379,8 @@ def _run_offline(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:
     return metrics
 
 
-def _cluster_online_record(spec: ScenarioSpec, seed: int) -> Tuple[Any, List[Any], int]:
-    """Drive the cluster simulator for one cell: (record, jobs, machine_count)."""
+def _cluster_online_record(spec: ScenarioSpec, seed: int) -> Any:
+    """Drive the cluster simulator for one cell and return its record."""
 
     from repro.core.policies.base import MoldableAllocator
     from repro.simulation.cluster_sim import ClusterSimulator
@@ -408,12 +408,16 @@ def _cluster_online_record(spec: ScenarioSpec, seed: int) -> Tuple[Any, List[Any
         allocator=MoldableAllocator(allocator) if allocator else None,
         policy_switches=switches,
     )
-    return simulator.run(jobs), jobs, machine_count
+    return simulator.run(jobs)
 
 
 def _run_cluster_online(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:
-    result, jobs, machine_count = _cluster_online_record(spec, seed)
-    metrics = _ratio_metrics(result.schedule, jobs, machine_count)
+    result = _cluster_online_record(spec, seed)
+    # The simulator already scored its schedule against these jobs on this
+    # platform; the record is the single source of the cell's criteria and
+    # ratios (same keys and floats as a ``_ratio_metrics`` recompute).
+    metrics: Dict[str, Any] = dict(result.criteria.as_dict())
+    metrics.update(result.ratios.as_dict())
     metrics["policy_name"] = result.policy
     metrics["trace_events"] = len(result.trace)
     return metrics
@@ -641,8 +645,7 @@ def build_simulation_record(
     cell_seed = effective.seed if seed is None else int(seed)
     model = effective.model
     if model == "cluster-online":
-        record, _jobs, _machine_count = _cluster_online_record(effective, cell_seed)
-        return record
+        return _cluster_online_record(effective, cell_seed)
     if model == "grid-centralized":
         record, _grid, _bags = _grid_centralized_record(effective, cell_seed)
         return record

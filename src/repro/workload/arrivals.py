@@ -15,7 +15,6 @@ generators below assign release dates to an existing list of jobs (returning
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from typing import List, Optional, Sequence, Union
 
@@ -32,10 +31,32 @@ def _rng(random_state: RandomState) -> np.random.Generator:
     return np.random.default_rng(random_state)
 
 
-def _with_release(job: Job, release_date: float) -> Job:
-    """Return a copy of ``job`` with the given release date."""
+def _finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
-    return dataclasses.replace(job, release_date=float(max(0.0, release_date)))
+
+def _with_release(job: Job, release_date: float) -> Job:
+    """Return a copy of ``job`` with the given release date.
+
+    The input job was validated when it was built, and a release date can
+    only break one of its invariants (``due_date >= release_date``), so the
+    copy re-checks that one instead of re-running ``__post_init__``.  A
+    shallow copy of the instance dict also keeps the memoised profile bounds
+    (``_best_runtime`` & co.), which do not depend on the release date.
+    Negative dates are clamped to 0; a non-finite date is rejected.
+    """
+
+    release = float(release_date)
+    _finite(f"job {job.name!r}: release date", release)
+    release = max(0.0, release)
+    job._check_due(release)
+    cls = type(job)
+    copy = cls.__new__(cls)
+    state = copy.__dict__
+    state.update(job.__dict__)
+    state["release_date"] = release
+    return copy
 
 
 def offline_arrivals(jobs: Sequence[Job]) -> List[Job]:
@@ -63,10 +84,12 @@ def poisson_arrivals(
     if (rate is None) == (mean_interarrival is None):
         raise ValueError("specify exactly one of rate / mean_interarrival")
     if rate is not None:
+        _finite("rate", rate)
         if rate <= 0:
             raise ValueError("rate must be > 0")
         mean_interarrival = 1.0 / rate
     assert mean_interarrival is not None
+    _finite("mean_interarrival", mean_interarrival)
     if mean_interarrival <= 0:
         raise ValueError("mean_interarrival must be > 0")
     rng = _rng(random_state)
@@ -91,6 +114,7 @@ def bursty_arrivals(
 
     if burst_size < 1:
         raise ValueError("burst_size must be >= 1")
+    _finite("burst_gap", burst_gap)
     if burst_gap < 0:
         raise ValueError("burst_gap must be >= 0")
     rng = _rng(random_state)
@@ -123,6 +147,13 @@ def diurnal_arrivals(
     which is exact and stays deterministic for a fixed seed.
     """
 
+    for name, value in (
+        ("mean_interarrival", mean_interarrival),
+        ("period", period),
+        ("peak_to_trough", peak_to_trough),
+        ("phase", phase),
+    ):
+        _finite(name, value)
     if mean_interarrival <= 0:
         raise ValueError("mean_interarrival must be > 0")
     if period <= 0:
@@ -163,6 +194,7 @@ def scaled_load_arrivals(
     on-line instances with a controlled load factor.
     """
 
+    _finite("target_utilization", target_utilization)
     if not 0 < target_utilization:
         raise ValueError("target_utilization must be > 0")
     if machine_count < 1:

@@ -18,10 +18,11 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-from repro.core.job import Job, MoldableJob, ParametricSweep
-from repro.core.speedup import AmdahlSpeedup, make_runtime_table
+from repro.core.job import Job, ParametricSweep
+from repro.core.speedup import AmdahlSpeedup, runtime_profile_array
 from repro.workload.arrivals import poisson_arrivals
 from repro.workload.parametric import generate_parametric_bags
+from repro.workload.table import JobTable
 
 RandomState = Union[int, np.random.Generator, None]
 
@@ -127,25 +128,26 @@ def community_workload(
         raise ValueError("n_jobs must be >= 0")
     rng = _rng(random_state)
     lo, hi = profile.runtime_range
-    jobs: List[Job] = []
+    # The draw loop stays scalar: per-job draw order is part of the
+    # reproducibility contract.  The profiles are collected into one
+    # JobTable, validated in a few vectorized passes and materialized with
+    # their bound caches seeded.
+    names: List[str] = []
+    profiles: List[np.ndarray] = []
     for i in range(n_jobs):
         seq = float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
         if rng.random() < profile.sequential_fraction:
-            runtimes = [seq]
+            runtimes = np.array([seq])
         else:
             max_procs = min(profile.max_parallelism, machine_count)
             max_procs = int(rng.integers(2, max_procs + 1)) if max_procs >= 2 else 1
             s_lo, s_hi = profile.serial_fraction_range
             model = AmdahlSpeedup(float(rng.uniform(s_lo, s_hi)))
-            runtimes = make_runtime_table(seq, max_procs, model)
-        jobs.append(
-            MoldableJob(
-                name=f"{profile.name}-{i:05d}",
-                runtimes=runtimes,
-                owner=profile.name,
-                weight=1.0,
-            )
-        )
+            runtimes = runtime_profile_array(seq, max_procs, model)
+        names.append(f"{profile.name}-{i:05d}")
+        profiles.append(runtimes)
+    table = JobTable.from_profiles(names, profiles, owners=[profile.name] * n_jobs)
+    jobs: List[Job] = table.to_jobs()
     if online:
         jobs = poisson_arrivals(
             jobs, mean_interarrival=profile.mean_interarrival, random_state=rng

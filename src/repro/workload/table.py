@@ -6,10 +6,11 @@ O(max_procs) python loop for profile validation plus three more O(max_procs)
 scans the first time the bounds (:func:`~repro.core.bounds.min_work` et al.)
 are queried.  A :class:`JobTable` stores the whole workload column-wise --
 one CSR matrix of runtime profiles plus flat numpy columns for release
-dates, weights and minimal allocations -- validates it in a handful of
-vectorized passes, computes every derived bound column at once, and only
-*materializes* :class:`~repro.core.job.MoldableJob` objects at the runtime
-boundary (with their memo caches pre-seeded from the columns).
+dates, weights and minimal allocations, plus a list of owners -- validates
+it in a handful of vectorized passes, computes every derived bound column at
+once, and only *materializes* :class:`~repro.core.job.MoldableJob` objects
+at the runtime boundary (with their memo caches pre-seeded from the
+columns).
 
 Bit-for-bit contract
 --------------------
@@ -60,6 +61,7 @@ class JobTable:
         "release",
         "weight",
         "min_procs",
+        "owners",
         "data",
         "ptr",
         "_best_runtime",
@@ -75,11 +77,13 @@ class JobTable:
         min_procs: "np.ndarray",
         data: "np.ndarray",
         ptr: "np.ndarray",
+        owners: Optional[List[Optional[str]]] = None,
     ) -> None:
         self.names = names
         self.release = release
         self.weight = weight
         self.min_procs = min_procs
+        self.owners = owners if owners is not None else [None] * len(names)
         self.data = data
         self.ptr = ptr
         self._best_runtime: Optional[np.ndarray] = None
@@ -95,6 +99,7 @@ class JobTable:
         *,
         weights: Optional[Sequence[float]] = None,
         release_dates: Optional[Sequence[float]] = None,
+        owners: Optional[Sequence[Optional[str]]] = None,
         validate: bool = True,
     ) -> "JobTable":
         """Build a table from per-job runtime profiles (``min_procs`` = 1)."""
@@ -103,6 +108,8 @@ class JobTable:
             raise ValueError("weights and names must have the same length")
         if release_dates is not None and len(release_dates) != len(names):
             raise ValueError("release_dates and names must have the same length")
+        if owners is not None and len(owners) != len(names):
+            raise ValueError("owners and names must have the same length")
         n = len(names)
         arrays = [_as_profile(p) for p in profiles]
         if len(arrays) != n:
@@ -124,7 +131,15 @@ class JobTable:
             if weights is not None
             else np.ones(n, dtype=float)
         )
-        table = cls(list(names), release, weight, np.ones(n, dtype=np.int64), data, ptr)
+        table = cls(
+            list(names),
+            release,
+            weight,
+            np.ones(n, dtype=np.int64),
+            data,
+            ptr,
+            list(owners) if owners is not None else None,
+        )
         if validate:
             table._validate()
         return table
@@ -135,6 +150,7 @@ class JobTable:
 
         n = len(jobs)
         names: List[str] = []
+        owners: List[Optional[str]] = []
         arrays: List[np.ndarray] = []
         release = np.empty(n, dtype=float)
         weight = np.empty(n, dtype=float)
@@ -143,6 +159,7 @@ class JobTable:
             if not isinstance(job, MoldableJob):
                 raise TypeError(f"JobTable only holds moldable jobs, got {type(job)!r}")
             names.append(job.name)
+            owners.append(job.owner)
             arrays.append(np.array(job.runtimes, dtype=float))
             release[i] = job.release_date
             weight[i] = job.weight
@@ -151,7 +168,7 @@ class JobTable:
         ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lengths, out=ptr[1:])
         data = np.concatenate(arrays) if n else np.empty(0, dtype=float)
-        return cls(names, release, weight, min_procs, data, ptr)
+        return cls(names, release, weight, min_procs, data, ptr, owners)
 
     # -- validation --------------------------------------------------------
     def _scalar_raise(self, row: int) -> None:
@@ -269,6 +286,7 @@ class JobTable:
         release = self.release.tolist()
         weight = self.weight.tolist()
         min_procs = self.min_procs.tolist()
+        owners = self.owners
         flat = self.data.tolist()
         bounds = self.ptr.tolist()
         jobs: List[MoldableJob] = []
@@ -280,7 +298,7 @@ class JobTable:
             d["release_date"] = release[i]
             d["weight"] = weight[i]
             d["due_date"] = None
-            d["owner"] = None
+            d["owner"] = owners[i]
             d["runtimes"] = tuple(flat[bounds[i] : bounds[i + 1]])
             d["min_procs"] = min_procs[i]
             d["enforce_monotony"] = True

@@ -243,3 +243,108 @@ def test_generator_routes_through_table_with_primed_memos():
             for k, p in enumerate(job.runtimes)
             if k + 1 >= job.min_procs
         )
+
+
+# ---------------------------------------------------------------------------
+# Owners column and the community generator routed through the table.
+# ---------------------------------------------------------------------------
+
+
+def test_owners_round_trip_through_to_jobs():
+    names, profiles, weights, releases = _random_profiles(11, 12)
+    owners = [None if i % 3 == 0 else f"community-{i % 4}" for i in range(12)]
+    table = JobTable.from_profiles(
+        names, profiles, weights=weights, release_dates=releases, owners=owners
+    )
+    jobs = table.to_jobs()
+    assert [job.owner for job in jobs] == owners
+    # from_jobs keeps them too, so the table round-trips completely.
+    again = JobTable.from_jobs(jobs).to_jobs()
+    assert [job.owner for job in again] == owners
+    for job, ref in zip(again, jobs):
+        assert job.__dict__ == ref.__dict__
+
+
+def test_owners_default_to_none_and_length_is_checked():
+    jobs = JobTable.from_profiles(["a", "b"], [[2.0], [3.0]]).to_jobs()
+    assert [job.owner for job in jobs] == [None, None]
+    with pytest.raises(ValueError, match="owners"):
+        JobTable.from_profiles(["a", "b"], [[2.0], [3.0]], owners=["x"])
+
+
+def _reference_community_workload(profile, n_jobs, machine_count, rng, online):
+    """The per-job construction community_workload used before the table."""
+
+    import dataclasses
+    import math
+
+    from repro.core.speedup import AmdahlSpeedup, make_runtime_table
+
+    lo, hi = profile.runtime_range
+    jobs = []
+    for i in range(n_jobs):
+        seq = float(math.exp(rng.uniform(math.log(lo), math.log(hi))))
+        if rng.random() < profile.sequential_fraction:
+            runtimes = [seq]
+        else:
+            max_procs = min(profile.max_parallelism, machine_count)
+            max_procs = int(rng.integers(2, max_procs + 1)) if max_procs >= 2 else 1
+            s_lo, s_hi = profile.serial_fraction_range
+            model = AmdahlSpeedup(float(rng.uniform(s_lo, s_hi)))
+            runtimes = make_runtime_table(seq, max_procs, model)
+        jobs.append(
+            MoldableJob(
+                name=f"{profile.name}-{i:05d}",
+                runtimes=runtimes,
+                owner=profile.name,
+                weight=1.0,
+            )
+        )
+    if online:
+        ordered = sorted(jobs, key=lambda j: j.name)
+        gaps = rng.exponential(profile.mean_interarrival, size=len(ordered))
+        jobs = [
+            dataclasses.replace(job, release_date=float(max(0.0, t)))
+            for job, t in zip(ordered, np.cumsum(gaps))
+        ]
+    return jobs
+
+
+@pytest.mark.parametrize("online", [False, True])
+@pytest.mark.parametrize("machine_count", [1, 16, 64])
+def test_community_workload_matches_per_job_construction(online, machine_count):
+    from repro.workload.communities import COMMUNITY_PROFILES, community_workload
+
+    for seed, (name, profile) in enumerate(sorted(COMMUNITY_PROFILES.items())):
+        got = community_workload(
+            name, 40, machine_count, random_state=seed, online=online
+        )
+        expected = _reference_community_workload(
+            profile, 40, machine_count, np.random.default_rng(seed), online
+        )
+        assert len(got) == len(expected)
+        for job, ref in zip(got, expected):
+            assert type(job) is MoldableJob
+            assert job.owner == ref.owner == name
+            _assert_same_state(job, ref)
+
+
+def _assert_same_state(job, ref):
+    ref.best_runtime()
+    ref.min_work()
+    ref._profile_non_increasing()
+    assert job.__dict__ == ref.__dict__
+
+
+def test_community_workload_shares_the_rng_stream_like_before():
+    """A shared generator ends in the same state (full_ciment_workload relies
+    on the per-community draws chaining through one stream)."""
+
+    from repro.workload.communities import COMMUNITY_PROFILES, community_workload
+
+    profile = COMMUNITY_PROFILES["astrophysics"]
+    rng_a, rng_b = np.random.default_rng(5), np.random.default_rng(5)
+    for n_jobs in (0, 7, 25):
+        community_workload(profile, n_jobs, 32, random_state=rng_a)
+        _reference_community_workload(profile, n_jobs, 32, rng_b, True)
+    assert rng_a.random() == rng_b.random()
