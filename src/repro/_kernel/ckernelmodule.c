@@ -396,8 +396,12 @@ static PyObject *
 core_push_internal(KernelCore *self, double time, PyObject *callback,
                    long priority, PyObject *label)
 {
-    if (time < 0.0) {
-        PyErr_SetString(PyExc_ValueError, "cannot schedule an event at a negative time");
+    if (!(time >= 0.0 && time < Py_HUGE_VAL)) {
+        /* NaN fails every comparison: it would never match the run loop's
+         * same-time batch test and would hang it. */
+        PyErr_SetString(PyExc_ValueError, time < 0.0
+                        ? "cannot schedule an event at a negative time"
+                        : "cannot schedule an event at a non-finite time");
         return NULL;
     }
     CEvent *ev = cevent_alloc();
@@ -535,7 +539,9 @@ core_schedule_at(KernelCore *self, PyObject *const *args, Py_ssize_t nargs, PyOb
         Py_DECREF(now_obj);
         return NULL;
     }
-    return core_push_internal(self, t > self->now ? t : self->now, callback,
+    /* Clamp to now like the pure tier's max(time, now), which keeps NaN so
+     * that the push rejects it. */
+    return core_push_internal(self, t > self->now || isnan(t) ? t : self->now, callback,
                               priority, label);
 }
 

@@ -481,6 +481,8 @@ class ParametricSweep(Job):
         super().__post_init__()
         if self.n_runs < 1:
             raise ValueError(f"job {self.name!r}: n_runs must be >= 1")
+        if not math.isfinite(self.run_time):
+            raise ValueError(f"job {self.name!r}: run_time must be finite")
         if self.run_time <= 0:
             raise ValueError(f"job {self.name!r}: run_time must be > 0")
 

@@ -11,6 +11,7 @@ links can also be considered by uniform or unrelated processors").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +42,8 @@ class Machine:
     memory_gb: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.speed):
+            raise ValueError(f"machine {self.name!r}: speed must be finite")
         if self.speed <= 0:
             raise ValueError(f"machine {self.name!r}: speed must be > 0")
         if self.cores < 1:

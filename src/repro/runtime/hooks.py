@@ -22,7 +22,6 @@ never as new event loops.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bounds import min_work
@@ -37,7 +36,6 @@ from repro.runtime.lifecycle import ClusterNode, RuntimeHook
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _Run:
     """One elementary run of a multi-parametric bag.
 
@@ -46,45 +44,51 @@ class _Run:
     more often than runs are created.
     """
 
-    bag: ParametricSweep
-    index: int
-    name: str = ""
+    __slots__ = ("bag", "index", "name")
 
-    def __post_init__(self) -> None:
-        if not self.name:
-            self.name = f"{self.bag.name}#{self.index}"
+    def __init__(self, bag: ParametricSweep, index: int) -> None:
+        self.bag = bag
+        self.index = index
+        self.name = f"{bag.name}#{index}"
 
 
 class GridServer:
-    """The central server holding the multi-parametric grid jobs."""
+    """The central server holding the multi-parametric grid jobs.
+
+    Runs leave in bag order, and a killed run goes back to the head of the
+    queue.  The queue is kept in two parts: killed runs wait in a head deque
+    (``appendleft``/``popleft``), and fresh runs are built one at a time, in
+    bag order, only when the head deque is empty.  That is the order a single
+    deque of every run would give, without building a busy grid's tens of
+    thousands of runs up front.
+    """
 
     def __init__(self, bags: Sequence[ParametricSweep]) -> None:
         names = [b.name for b in bags]
         if len(set(names)) != len(names):
             raise ValueError("duplicate bag names")
         self.bags = list(bags)
-        # Deque: runs leave from the head (next_run) and killed runs come
-        # back to the head (resubmit); both are O(1) instead of the O(n)
-        # list pop(0)/insert(0, ...).
-        self.pending: Deque[_Run] = deque()
         self.completed: Dict[str, int] = {b.name: 0 for b in bags}
         self.launches = 0
         self.kills = 0
         self.bag_completion: Dict[str, Optional[float]] = {b.name: None for b in bags}
-        for bag in self.bags:
-            for index in range(bag.n_runs):
-                self.pending.append(_Run(bag, index))
+        self._resubmitted: Deque[_Run] = deque()
+        self._fresh = (_Run(bag, index) for bag in self.bags for index in range(bag.n_runs))
+        self._unissued = sum(b.n_runs for b in self.bags)
 
     def next_run(self) -> Optional[_Run]:
-        if not self.pending:
+        if self._resubmitted:
+            return self._resubmitted.popleft()
+        if not self._unissued:
             return None
-        return self.pending.popleft()
+        self._unissued -= 1
+        return next(self._fresh)
 
     def resubmit(self, run: _Run) -> None:
         """A killed run goes back to the head of the queue ("submit it once again")."""
 
         self.kills += 1
-        self.pending.appendleft(run)
+        self._resubmitted.appendleft(run)
 
     def complete(self, run: _Run, now: float) -> None:
         self.completed[run.bag.name] += 1
@@ -93,7 +97,62 @@ class GridServer:
 
     @property
     def remaining_runs(self) -> int:
-        return len(self.pending)
+        return len(self._resubmitted) + self._unissued
+
+
+class _BestEffortLaunch:
+    """One best-effort run on one cluster, from launch to completion or kill.
+
+    Its bound methods are the pool's ``on_preempt`` callback (:meth:`kill`)
+    and the kernel's completion callback (:meth:`complete`), so a launch
+    costs one small object instead of a state dict and two closures.  A
+    kill only sets ``cancelled``: the completion event still fires, as a
+    no-op, so the kernel's event count does not depend on kills.
+    """
+
+    __slots__ = ("hook", "node", "run", "lease_name", "duration", "cancelled")
+
+    def __init__(self, hook: "BestEffortHook", node: ClusterNode, run: _Run) -> None:
+        self.hook = hook
+        self.node = node
+        self.run = run
+        self.lease_name = f"be:{run.name}"
+        self.duration = run.bag.run_time / node.speed
+        self.cancelled = False
+
+    def kill(self, _processors: Tuple[int, ...]) -> None:
+        # Killed by a local job: resubmit and cancel the completion.
+        self.cancelled = True
+        hook = self.hook
+        runtime = hook.runtime
+        now = runtime.sim.now
+        name = self.run.name
+        cluster = self.node.trace_name
+        runtime.trace.record(now, "kill", name, cluster=cluster)
+        hook.server.resubmit(self.run)
+        runtime.trace.record(now, "resubmit", name, cluster=cluster)
+        # The resubmitted run may find room on another cluster that
+        # currently has no pending event: wake them all up.
+        runtime.sim.schedule(
+            0.0,
+            hook.fill_all,
+            priority=2,
+            label="refill after kill" if runtime.trace_labels else "",
+        )
+
+    def complete(self) -> None:
+        if self.cancelled:
+            return
+        hook = self.hook
+        node = self.node
+        runtime = hook.runtime
+        now = runtime.sim.now
+        node.pool.release(self.lease_name)
+        node.work += self.duration
+        runtime.trace.record(now, "complete", self.run.name,
+                             cluster=node.trace_name, info="best-effort")
+        hook.server.complete(self.run, now)
+        hook.fill(node)
 
 
 class BestEffortHook(RuntimeHook):
@@ -122,6 +181,10 @@ class BestEffortHook(RuntimeHook):
     def after_try_start(self, node: ClusterNode) -> None:
         self.fill(node)
 
+    def fill_all(self) -> None:
+        for node in self.runtime.node_list:
+            self.fill(node)
+
     def fill(self, node: ClusterNode) -> None:
         """Give every idle processor of the cluster a best-effort run."""
 
@@ -129,52 +192,25 @@ class BestEffortHook(RuntimeHook):
         sim = runtime.sim
         trace = runtime.trace
         labels = runtime.trace_labels
+        server = self.server
         pool = node.pool
-        while pool.free_count(sim.now) > 0:
-            run = self.server.next_run()
+        now = sim.now
+        while pool.free_count(now) > 0:
+            run = server.next_run()
             if run is None:
                 return
-            lease_name = f"be:{run.name}"
-            state = {"cancelled": False}
-
-            def on_preempt(_procs, run=run, state=state, node=node) -> None:
-                # Killed by a local job: resubmit and cancel the completion.
-                state["cancelled"] = True
-                trace.record(sim.now, "kill", run.name, cluster=node.trace_name)
-                self.server.resubmit(run)
-                trace.record(sim.now, "resubmit", run.name, cluster=node.trace_name)
-                # The resubmitted run may find room on another cluster that
-                # currently has no pending event: wake them all up.
-                sim.schedule(
-                    0.0,
-                    lambda: [self.fill(n) for n in runtime.node_list],
-                    priority=2,
-                    label="refill after kill" if labels else "",
-                )
-
+            launch = _BestEffortLaunch(self, node, run)
             processors = pool.try_acquire(
-                lease_name, 1, now=sim.now, preemptible=True, on_preempt=on_preempt
+                launch.lease_name, 1, now=now, preemptible=True,
+                on_preempt=launch.kill,
             )
             if processors is None:
                 return
-            self.server.launches += 1
-            trace.record(sim.now, "start", run.name,
+            server.launches += 1
+            trace.record(now, "start", run.name,
                          cluster=node.trace_name, processors=processors,
                          info="best-effort")
-            duration = run.bag.run_time / node.speed
-
-            def complete(run=run, lease_name=lease_name, state=state,
-                         node=node, duration=duration) -> None:
-                if state["cancelled"]:
-                    return
-                node.pool.release(lease_name)
-                node.work += duration
-                trace.record(sim.now, "complete", run.name,
-                             cluster=node.trace_name, info="best-effort")
-                self.server.complete(run, sim.now)
-                self.fill(node)
-
-            sim.schedule(duration, complete,
+            sim.schedule(launch.duration, launch.complete,
                          label=f"complete {run.name}" if labels else "")
 
 
@@ -201,6 +237,12 @@ class LoadExchangeHook(RuntimeHook):
         self.data_volume_per_work_unit = data_volume_per_work_unit
         self.migrations = 0
         self.migrated_jobs: List[str] = []
+        #: Each node's total compute rate, summed once per run on first use
+        #: (machines are frozen and a cluster's machine tuple never changes).
+        self._rates: Dict[ClusterNode, float] = {}
+
+    def on_run_start(self) -> None:
+        self._rates = {}
 
     def on_submit(self, node: ClusterNode, job: Job) -> None:
         self.maybe_exchange(node)
@@ -209,8 +251,11 @@ class LoadExchangeHook(RuntimeHook):
         self.maybe_exchange(node)
 
     def relative_load(self, node: ClusterNode) -> float:
+        rate = self._rates.get(node)
+        if rate is None:
+            rate = self._rates[node] = node.cluster.total_compute_rate
         queued = sum(min_work(j) for j in node.queue)
-        return (queued + node.work) / node.cluster.total_compute_rate
+        return (queued + node.work) / rate
 
     def maybe_exchange(self, node: ClusterNode) -> None:
         if not self.enabled:

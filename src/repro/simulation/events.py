@@ -74,6 +74,12 @@ class Event:
         return f"<Event t={self.time:g} prio={self.priority} seq={self.seq}{label}{state}>"
 
 
+_INF = float("inf")
+
+#: Message of the ``ValueError`` raised for a NaN or infinite event time
+#: (shared by both kernel tiers).
+NON_FINITE_TIME = "cannot schedule an event at a non-finite time"
+
 #: A heap entry; the unique ``seq`` guarantees tuple comparison never
 #: reaches the Event payload.
 _Entry = Tuple[float, int, int, Event]
@@ -97,8 +103,12 @@ class EventQueue:
         priority: int = 0,
         label: str = "",
     ) -> Event:
-        if time < 0:
-            raise ValueError("cannot schedule an event at a negative time")
+        if not 0.0 <= time < _INF:
+            # NaN fails every comparison: it would never match the run
+            # loop's ``== now`` batch test and would hang it.
+            if time < 0:
+                raise ValueError("cannot schedule an event at a negative time")
+            raise ValueError(NON_FINITE_TIME)
         seq = self._seq
         self._seq = seq + 1
         event = Event(time, priority, seq, callback, label)

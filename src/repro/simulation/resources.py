@@ -135,7 +135,10 @@ class ProcessorPool:
             raise ValueError(f"lease {name!r} already active")
         if nbproc < 1:
             raise ValueError("nbproc must be >= 1")
-        free = self.free_processors(now)
+        reserved = bool(self.reservations)
+        # Without reservations the free-list itself is the candidate list:
+        # read it in place instead of copying it on every acquire.
+        free = self.free_processors(now) if reserved else self._free
         if len(free) < nbproc and allow_preemption and not preemptible:
             # Kill best-effort leases until enough processors are free.
             missing = nbproc - len(free)
@@ -154,26 +157,22 @@ class ProcessorPool:
                     self.release(lease.name)
                     if lease.on_preempt is not None:
                         lease.on_preempt(lease.processors)
-                free = self.free_processors(now)
+                free = self.free_processors(now) if reserved else self._free
         if len(free) < nbproc:
             return None
         chosen = tuple(free[:nbproc])
-        self._take_free(chosen, contiguous=not self.reservations)
+        if reserved:
+            self._take_free(chosen)
+        else:
+            # Lowest-index selection: the chosen processors are the head.
+            del self._free[:nbproc]
         self._busy.update(chosen)
         self._leases[name] = _Lease(name, chosen, preemptible, on_preempt)
         return chosen
 
-    def _take_free(self, processors: Sequence[int], *, contiguous: bool = False) -> None:
-        """Remove ``processors`` from the sorted free-list.
+    def _take_free(self, processors: Sequence[int]) -> None:
+        """Remove ``processors`` from the sorted free-list."""
 
-        ``contiguous`` marks the common case where the processors are the
-        current head of the list (lowest-index selection without
-        reservations), which removes them as one front slice.
-        """
-
-        if contiguous:
-            del self._free[: len(processors)]
-            return
         free = self._free
         for p in processors:
             # Bisect would also work, but the list is typically short-lived

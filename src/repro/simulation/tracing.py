@@ -1,16 +1,22 @@
 """Execution traces of the simulators.
 
-A :class:`Trace` is an append-only list of :class:`TraceEvent` records
+A :class:`Trace` is an append-only sequence of :class:`TraceEvent` records
 (submission, start, completion, kill, resubmission, ...).  The grid metrics
 (best-effort kill counts, per-community usage, ...) are computed from traces,
 and the traces can be exported to CSV-style records or converted into a
 :class:`repro.core.allocation.Schedule` for Gantt rendering.
+
+Storage is columnar: :meth:`Trace.record` appends the six fields of an event
+to one flat list, and :class:`TraceEvent` objects are built only when the
+trace is read (iteration, queries, exports).  A busy grid records tens of
+thousands of events per simulation and most callers only ask for
+``len(trace)``, so recording must not pay for an object per event.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 EVENT_KINDS = (
     "submit",
@@ -27,6 +33,9 @@ EVENT_KINDS = (
 
 #: Internal set for O(1) kind validation on the per-event hot path.
 _EVENT_KIND_SET = frozenset(EVENT_KINDS)
+
+#: Fields per event in :class:`Trace`'s flat storage, in ``TraceEvent`` order.
+_WIDTH = 6
 
 #: Process-wide trace tap picked up by every Trace constructed afterwards.
 _TRACE_TAP: Optional[Callable[["TraceEvent"], None]] = None
@@ -53,6 +62,14 @@ def get_trace_tap() -> Optional[Callable[["TraceEvent"], None]]:
     return _TRACE_TAP
 
 
+def _check(time: float, kind: str) -> None:
+    if kind not in _EVENT_KIND_SET:
+        raise ValueError(f"unknown trace event kind {kind!r}")
+    # ``not >=`` so that NaN is refused along with negative times.
+    if not time >= 0:
+        raise ValueError(f"trace event time must be >= 0, got {time!r}")
+
+
 class TraceEvent:
     """One timestamped event of a simulation.
 
@@ -71,10 +88,7 @@ class TraceEvent:
         processors: Tuple[int, ...] = (),
         info: str = "",
     ) -> None:
-        if kind not in _EVENT_KIND_SET:
-            raise ValueError(f"unknown trace event kind {kind!r}")
-        if time < 0:
-            raise ValueError("trace event with negative time")
+        _check(time, kind)
         self.time = time
         self.kind = kind
         self.job = job
@@ -101,12 +115,16 @@ class TraceEvent:
 
 
 class Trace:
-    """Append-only list of simulation events with query helpers."""
+    """Append-only sequence of simulation events with query helpers.
 
-    __slots__ = ("_events", "tap")
+    Events are stored as one flat list, six fields per event; every read
+    builds fresh :class:`TraceEvent` objects from it.
+    """
+
+    __slots__ = ("_flat", "tap")
 
     def __init__(self, tap: Optional[Callable[[TraceEvent], None]] = None) -> None:
-        self._events: List[TraceEvent] = []
+        self._flat: list = []
         self.tap = tap if tap is not None else _TRACE_TAP
 
     def record(
@@ -118,34 +136,32 @@ class Trace:
         cluster: Optional[str] = None,
         processors: Sequence[int] = (),
         info: str = "",
-    ) -> TraceEvent:
-        event = TraceEvent(
-            time=time,
-            kind=kind,
-            job=job,
-            cluster=cluster,
-            processors=tuple(processors),
-            info=info,
-        )
-        self._events.append(event)
+    ) -> None:
+        # Both tests inline on the hot path; _check raises with the message.
+        if kind not in _EVENT_KIND_SET or not time >= 0:
+            _check(time, kind)
+        processors = tuple(processors)
+        self._flat.extend((time, kind, job, cluster, processors, info))
         if self.tap is not None:
-            self.tap(event)
-        return event
+            self.tap(TraceEvent(time, kind, job, cluster, processors, info))
 
     # -- queries -------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._events)
+    def _rows(self) -> Iterator[Tuple]:
+        flat = self._flat
+        return zip(*(flat[field::_WIDTH] for field in range(_WIDTH)))
 
-    def __iter__(self):
-        return iter(self._events)
+    def __len__(self) -> int:
+        return len(self._flat) // _WIDTH
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return (TraceEvent(*row) for row in self._rows())
 
     def events(self, kind: Optional[str] = None, job: Optional[str] = None) -> List[TraceEvent]:
-        out = self._events
-        if kind is not None:
-            out = [e for e in out if e.kind == kind]
-        if job is not None:
-            out = [e for e in out if e.job == job]
-        return list(out)
+        return [
+            TraceEvent(*row)
+            for row in self._rows()
+            if (kind is None or row[1] == kind) and (job is None or row[2] == job)
+        ]
 
     def count(self, kind: str, job: Optional[str] = None) -> int:
         return len(self.events(kind, job))
@@ -153,11 +169,11 @@ class Trace:
     def completion_time(self, job: str) -> Optional[float]:
         """Time of the *last* completion event of ``job`` (None if never completed)."""
 
-        times = [e.time for e in self._events if e.kind == "complete" and e.job == job]
+        times = [e.time for e in self.events("complete", job)]
         return max(times) if times else None
 
     def first_start(self, job: str) -> Optional[float]:
-        times = [e.time for e in self._events if e.kind == "start" and e.job == job]
+        times = [e.time for e in self.events("start", job)]
         return min(times) if times else None
 
     def kills(self, job: Optional[str] = None) -> int:
@@ -170,7 +186,7 @@ class Trace:
 
         open_intervals: Dict[Tuple[str, Optional[str]], Tuple[float, int]] = {}
         intervals: List[Tuple[str, float, float, int]] = []
-        for event in self._events:
+        for event in self:
             if cluster is not None and event.cluster != cluster:
                 continue
             key = (event.job, event.cluster)
@@ -207,7 +223,7 @@ class Trace:
                 "processors": list(e.processors),
                 "info": e.info,
             }
-            for e in self._events
+            for e in self
         ]
 
     def flat_records(self) -> List[Dict[str, object]]:
@@ -229,7 +245,7 @@ class Trace:
                 "processors": " ".join(map(str, e.processors)),
                 "info": e.info,
             }
-            for e in self._events
+            for e in self
         ]
 
     def to_csv(self) -> str:

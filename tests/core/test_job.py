@@ -189,6 +189,13 @@ class TestParametricSweep:
         with pytest.raises(ValueError):
             ParametricSweep(name="s", n_runs=1, run_time=0.0)
 
+    @pytest.mark.parametrize("run_time", [math.nan, math.inf, -math.inf])
+    def test_non_finite_run_time_rejected(self, run_time):
+        # ``nan <= 0`` is False: without a finiteness check a NaN run time
+        # would give every best-effort run a NaN duration.
+        with pytest.raises(ValueError, match="run_time must be finite"):
+            ParametricSweep(name="s", n_runs=1, run_time=run_time)
+
 
 class TestHelpers:
     def test_validate_jobs_rejects_duplicates(self):

@@ -1,5 +1,7 @@
 """Unit tests of machines, clusters, grids and the CIMENT platform."""
 
+import math
+
 import pytest
 
 from repro.platform.ciment import ciment_grid, ciment_processor_counts
@@ -28,6 +30,11 @@ class TestMachine:
             Machine("n0", memory_gb=0.0)
         with pytest.raises(ValueError):
             Machine("n0").effective_runtime(-1.0)
+
+    @pytest.mark.parametrize("speed", [math.nan, math.inf])
+    def test_non_finite_speed_rejected(self, speed):
+        with pytest.raises(ValueError, match="speed must be finite"):
+            Machine("n0", speed=speed)
 
 
 class TestInterconnect:

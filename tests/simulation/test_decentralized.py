@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.job import MoldableJob, RigidJob
+from repro.platform.cluster import Cluster
 from repro.platform.generators import homogeneous_cluster
 from repro.platform.grid import GridLink, LightGrid
 from repro.simulation.decentralized import DecentralizedGridSimulator
@@ -52,6 +53,20 @@ class TestDecentralizedGridSimulator:
         assert result.migrations > 0
         assert len(result.schedules["idle"]) > 0
         assert result.trace.count("migrate") == result.migrations
+
+    def test_compute_rates_summed_once_per_node_per_run(self, monkeypatch):
+        summed = []
+        rate = Cluster.total_compute_rate
+        monkeypatch.setattr(
+            Cluster, "total_compute_rate",
+            property(lambda cluster: summed.append(cluster.name) or rate.fget(cluster)),
+        )
+        simulator = DecentralizedGridSimulator(two_cluster_grid(), imbalance_threshold=1.0)
+        for _ in range(2):
+            summed.clear()
+            result = simulator.run(overloaded_submissions(24, seed=2))
+            assert result.migrations > 0
+            assert sorted(summed) == ["busy", "idle"]
 
     def test_exchange_disabled_keeps_everything_local(self):
         grid = two_cluster_grid()
