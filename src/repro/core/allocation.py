@@ -14,6 +14,7 @@ the job model), which the test-suite and the simulators use extensively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -139,11 +140,7 @@ class Schedule:
         if job.name in self._entries:
             raise ValueError(f"job {job.name!r} already scheduled")
         processors = tuple(map(int, processors))
-        for p in processors:
-            if not 0 <= p < self.machine_count:
-                raise ValueError(
-                    f"processor index {p} outside platform of size {self.machine_count}"
-                )
+        self._check_processors(processors)
         if runtime is None:
             runtime = job.runtime(len(processors))
         entry = ScheduledJob(job=job, start=start, allocation=Allocation(processors, runtime))
@@ -153,12 +150,19 @@ class Schedule:
     def add_scheduled(self, entry: ScheduledJob) -> None:
         if entry.job.name in self._entries:
             raise ValueError(f"job {entry.job.name!r} already scheduled")
-        for p in entry.processors:
+        self._check_processors(entry.allocation.processors)
+        self._entries[entry.job.name] = entry
+
+    def _check_processors(self, processors: Tuple[int, ...]) -> None:
+        """Raise unless every index lies in ``[0, machine_count)``."""
+
+        if processors and 0 <= min(processors) and max(processors) < self.machine_count:
+            return
+        for p in processors:
             if not 0 <= p < self.machine_count:
                 raise ValueError(
                     f"processor index {p} outside platform of size {self.machine_count}"
                 )
-        self._entries[entry.job.name] = entry
 
     def remove(self, job_name: str) -> ScheduledJob:
         return self._entries.pop(job_name)
@@ -249,27 +253,32 @@ class Schedule:
         """
 
         entries = sorted(self._entries.values(), key=lambda e: e.start)
+        reservations = self.reservations
+        counts: List[int] = []
         for entry in entries:
             job = entry.job
+            processors = entry.allocation.processors
+            nbproc = len(processors)
+            counts.append(nbproc)
             if check_release_dates and entry.start < job.release_date - 1e-9:
                 raise ScheduleError(
                     f"job {job.name!r} starts at {entry.start} before its "
                     f"release date {job.release_date}"
                 )
-            if isinstance(job, RigidJob) and entry.nbproc != job.nbproc:
+            if isinstance(job, RigidJob) and nbproc != job.nbproc:
                 raise ScheduleError(
-                    f"rigid job {job.name!r} scheduled on {entry.nbproc} "
+                    f"rigid job {job.name!r} scheduled on {nbproc} "
                     f"processors, requires {job.nbproc}"
                 )
             if isinstance(job, MoldableJob):
-                if not job.min_procs <= entry.nbproc <= job.max_procs:
+                if not job.min_procs <= nbproc <= job.max_procs:
                     raise ScheduleError(
-                        f"moldable job {job.name!r} scheduled on {entry.nbproc} "
+                        f"moldable job {job.name!r} scheduled on {nbproc} "
                         f"processors, admissible range is "
                         f"[{job.min_procs}, {job.max_procs}]"
                     )
-            for reservation in self.reservations:
-                for p in entry.processors:
+            for reservation in reservations:
+                for p in processors:
                     if reservation.blocks(p, entry.start, entry.completion):
                         raise ScheduleError(
                             f"job {job.name!r} overlaps reservation "
@@ -284,12 +293,10 @@ class Schedule:
         # any overlap implies an *adjacent* overlap.  The slow per-pair loop
         # below only re-runs when a violation was detected, to produce the
         # same diagnostic as before.
-        counts = [entry.nbproc for entry in entries]
-        total = sum(counts)
         procs = np.fromiter(
-            (p for entry in entries for p in entry.processors),
+            chain.from_iterable([entry.allocation.processors for entry in entries]),
             dtype=np.int64,
-            count=total,
+            count=sum(counts),
         )
         starts = np.repeat(np.array([entry.start for entry in entries]), counts)
         ends = np.repeat(np.array([entry.completion for entry in entries]), counts)

@@ -34,7 +34,7 @@ from typing import Iterable, List, Sequence, Tuple
 from repro.core.job import Job, MoldableJob, ParametricSweep, RigidJob, DivisibleJob
 
 
-def _min_runtime(job: Job) -> float:
+def min_runtime(job: Job) -> float:
     """Best achievable runtime of a job (critical-path style bound)."""
 
     if isinstance(job, MoldableJob):
@@ -48,7 +48,9 @@ def _min_runtime(job: Job) -> float:
     raise TypeError(f"unsupported job type {type(job)!r}")
 
 
-def _min_work(job: Job) -> float:
+def min_work(job: Job) -> float:
+    """Smallest achievable work (processor-time area) of a job."""
+
     if isinstance(job, MoldableJob):
         return job.min_work()
     if isinstance(job, RigidJob):
@@ -60,16 +62,57 @@ def _min_work(job: Job) -> float:
     raise TypeError(f"unsupported job type {type(job)!r}")
 
 
-def min_runtime(job: Job) -> float:
-    """Public alias of the per-job critical-path bound."""
+# The bounds below share one list of per-job ``(min_runtime, min_work)``
+# pairs, so a report asking for all of them computes each pair once
+# (:func:`criteria_lower_bounds`).  Every sum is python's ``sum()`` over
+# the jobs in the same order as the per-bound definition, so the floats do
+# not depend on which entry point computed them.
 
-    return _min_runtime(job)
+
+def _job_bounds(jobs: Iterable[Job]) -> List[Tuple[float, float]]:
+    return [(min_runtime(job), min_work(job)) for job in jobs]
 
 
-def min_work(job: Job) -> float:
-    """Public alias of the per-job minimal-work bound."""
+def _makespan_lb(jobs: List[Job], bounds: List[Tuple[float, float]], machine_count: int) -> float:
+    if not jobs:
+        return 0.0
+    critical = max(p for p, _ in bounds)
+    area = sum(w for _, w in bounds) / machine_count
+    release = max(job.release_date + p for job, (p, _) in zip(jobs, bounds))
+    return max(critical, area, release)
 
-    return _min_work(job)
+
+def _completion_lbs(
+    jobs: List[Job], bounds: List[Tuple[float, float]], machine_count: int
+) -> List[Tuple[Job, float]]:
+    keys = [(w / max(job.weight, 1e-12), job.name) for job, (_, w) in zip(jobs, bounds)]
+    out: List[Tuple[Job, float]] = []
+    elapsed = 0.0
+    for i in sorted(range(len(jobs)), key=keys.__getitem__):
+        job = jobs[i]
+        p, w = bounds[i]
+        elapsed += w / machine_count
+        out.append((job, max(elapsed, job.release_date + p)))
+    return out
+
+
+def _sum_completion_lb(
+    jobs: List[Job], bounds: List[Tuple[float, float]], machine_count: int
+) -> float:
+    keys = [(w, job.name) for job, (_, w) in zip(jobs, bounds)]
+    total = 0.0
+    elapsed = 0.0
+    for i in sorted(range(len(jobs)), key=keys.__getitem__):
+        p, w = bounds[i]
+        elapsed += w / machine_count
+        total += max(elapsed, jobs[i].release_date + p)
+    return total
+
+
+def _stretch_lb(bounds: List[Tuple[float, float]]) -> float:
+    if not bounds:
+        return 0.0
+    return sum(p for p, _ in bounds) / len(bounds)
 
 
 def makespan_lower_bound(jobs: Iterable[Job], machine_count: int) -> float:
@@ -78,12 +121,7 @@ def makespan_lower_bound(jobs: Iterable[Job], machine_count: int) -> float:
     if machine_count < 1:
         raise ValueError("machine_count must be >= 1")
     jobs = list(jobs)
-    if not jobs:
-        return 0.0
-    critical = max(_min_runtime(j) for j in jobs)
-    area = sum(_min_work(j) for j in jobs) / machine_count
-    release = max(j.release_date + _min_runtime(j) for j in jobs)
-    return max(critical, area, release)
+    return _makespan_lb(jobs, _job_bounds(jobs), machine_count)
 
 
 def completion_time_lower_bounds(
@@ -104,17 +142,7 @@ def completion_time_lower_bounds(
     if machine_count < 1:
         raise ValueError("machine_count must be >= 1")
     jobs = list(jobs)
-    order = sorted(
-        jobs,
-        key=lambda j: (_min_work(j) / max(j.weight, 1e-12), j.name),
-    )
-    bounds: List[Tuple[Job, float]] = []
-    elapsed = 0.0
-    for job in order:
-        elapsed += _min_work(job) / machine_count
-        bound = max(elapsed, job.release_date + _min_runtime(job))
-        bounds.append((job, bound))
-    return bounds
+    return _completion_lbs(jobs, _job_bounds(jobs), machine_count)
 
 
 def weighted_completion_lower_bound(jobs: Iterable[Job], machine_count: int) -> float:
@@ -127,22 +155,34 @@ def sum_completion_lower_bound(jobs: Iterable[Job], machine_count: int) -> float
     """Lower bound on ``sum_j C_j`` (unweighted)."""
 
     jobs = list(jobs)
-    order = sorted(jobs, key=lambda j: (_min_work(j), j.name))
-    total = 0.0
-    elapsed = 0.0
-    for job in order:
-        elapsed += _min_work(job) / machine_count
-        total += max(elapsed, job.release_date + _min_runtime(job))
-    return total
+    return _sum_completion_lb(jobs, _job_bounds(jobs), machine_count)
 
 
 def stretch_lower_bound(jobs: Iterable[Job]) -> float:
     """Trivial lower bound on the mean stretch: each job needs at least ``p_j^min``."""
 
+    return _stretch_lb(_job_bounds(jobs))
+
+
+def criteria_lower_bounds(
+    jobs: Iterable[Job], machine_count: int
+) -> Tuple[float, float, float, float]:
+    """The four bounds above from one pass over the jobs.
+
+    Returns ``(makespan, weighted_completion, sum_completion, mean_stretch)``
+    lower bounds, equal to the four single-bound functions.
+    """
+
+    if machine_count < 1:
+        raise ValueError("machine_count must be >= 1")
     jobs = list(jobs)
-    if not jobs:
-        return 0.0
-    return sum(_min_runtime(j) for j in jobs) / len(jobs)
+    bounds = _job_bounds(jobs)
+    return (
+        _makespan_lb(jobs, bounds, machine_count),
+        sum(job.weight * c for job, c in _completion_lbs(jobs, bounds, machine_count)),
+        _sum_completion_lb(jobs, bounds, machine_count),
+        _stretch_lb(bounds),
+    )
 
 
 def divisible_makespan_lower_bound(

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import abc
 import math
+from bisect import bisect_left
 from typing import List, Sequence, Tuple
-
-import numpy as np
 
 from repro.core.allocation import Schedule
 from repro.core.job import Job, MoldableJob, RigidJob
@@ -177,16 +176,23 @@ def list_schedule_rigid(
     simultaneously free (and, optionally, after its release date).  This is
     the classical Graham-style list algorithm generalised to multiprocessor
     tasks; it is the packing backend of most policies in this package.
+
+    Each job takes the ``nbproc`` processors that come first in
+    ``(free time, index)`` order, and its ``processors`` tuple lists them in
+    that order.  The free list is kept as *runs*: ``times`` holds the
+    distinct free times in ascending order and ``runs[i]`` the processors
+    free at ``times[i]``, in ascending index order.  Reading the runs front
+    to back is exactly the stable sort of the per-processor free times, so
+    a job takes a prefix of the front runs and its completion time is
+    bisected back in (merged into an equal-time run).  A job costs
+    O(nbproc + runs) list work instead of a sort of all ``machine_count``
+    times; the start and completion floats are the same values.
     """
 
     if machine_count < 1:
         raise ValueError("machine_count must be >= 1")
-    # The free-list lives in a float64 array: picking the nbproc earliest
-    # processors is one stable argsort (ties broken by index, exactly like
-    # the former sort of (time, index) pairs) instead of a python keyed
-    # sort per job.  The times themselves stay bit-identical -- the array
-    # only stores and compares the same float64 values.
-    free_at = np.full(machine_count, float(start_time))
+    times: List[float] = [float(start_time)]
+    runs: List[List[int]] = [list(range(machine_count))]
     schedule = Schedule(machine_count)
     for job, nbproc in allocations:
         if nbproc < 1 or nbproc > machine_count:
@@ -196,14 +202,47 @@ def list_schedule_rigid(
             )
         runtime = job.runtime(nbproc)
         # Earliest time at which `nbproc` processors are simultaneously
-        # free: the nbproc smallest availability times.
-        order = np.argsort(free_at, kind="stable")
-        chosen_idx = order[:nbproc]
-        start = max(float(free_at[order[nbproc - 1]]), start_time)
+        # free: the time of the run the nbproc-th processor comes from.
+        chosen: List[int] = []
+        need = nbproc
+        taken = 0
+        while True:
+            run = runs[taken]
+            if need < len(run):
+                chosen += run[:need]
+                del run[:need]
+                ready = times[taken]
+                break
+            chosen += run
+            need -= len(run)
+            taken += 1
+            if not need:
+                ready = times[taken - 1]
+                break
+        if taken:
+            del times[:taken]
+            del runs[:taken]
+        start = max(ready, start_time)
         if respect_release_dates:
             start = max(start, job.release_date)
-        free_at[chosen_idx] = start + runtime
-        schedule.add(job, start, chosen_idx.tolist(), runtime)
+        end = float(start + runtime)
+        freed = sorted(chosen)
+        if end == end:
+            pos = bisect_left(times, end)
+            merge = pos < len(times) and times[pos] == end
+        else:
+            # NaN sorts last in the stable order, after every number.
+            pos = len(times)
+            merge = pos > 0 and times[-1] != times[-1]
+            pos -= merge
+        if merge:
+            run = runs[pos]
+            run += freed
+            run.sort()
+        else:
+            times.insert(pos, end)
+            runs.insert(pos, freed)
+        schedule.add(job, start, chosen, runtime)
     return schedule
 
 

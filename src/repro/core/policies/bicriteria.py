@@ -26,7 +26,15 @@ Implementation notes
   considered once the current batch start has passed its release date
   (the on-line setting of section 4.4, "independent on-line moldable jobs").
 * Each admitted batch is scheduled with a pluggable off-line makespan policy
-  (default: the MRT algorithm of section 4.1).
+  (default: the built-in deadline-aware procedure; see ``offline``).
+* The WSPT key and each job's ``(min_runtime, min_work)`` bounds never
+  change, so the jobs are sorted into WSPT order once per :meth:`schedule`
+  and every batch is a single walk over the pending jobs: a job not yet
+  released, or one that does not fit the deadline or the remaining area,
+  stays pending (in order); any other job joins the batch.
+* The batches are merged into one schedule, which is validated once at the
+  end (release dates excluded, as for a batch alone).  That covers every
+  batch on its own, plus overlaps between batches.
 """
 
 from __future__ import annotations
@@ -99,62 +107,80 @@ class BiCriteriaScheduler(ReleaseDateScheduler):
         self.last_batches = []
         if not jobs:
             return Schedule(machine_count)
-        remaining: List[Job] = sorted(jobs, key=lambda j: (j.release_date, j.name))
+        # Jobs are visited as indices into ``by_release``; ``pending`` holds
+        # the unscheduled ones in WSPT order (see the implementation notes).
+        by_release = sorted(jobs, key=lambda j: (j.release_date, j.name))
+        bounds = [(min_runtime(job), min_work(job)) for job in by_release]
+        if self.initial_deadline is not None:
+            deadline = self.initial_deadline
+        else:
+            deadline = max(min([runtime for runtime, _ in bounds]), 1e-9)
+        now = by_release[0].release_date
+        wspt = [
+            (area / max(job.weight, 1e-12), job.name)
+            for job, (_, area) in zip(by_release, bounds)
+        ]
+        pending = sorted(range(len(by_release)), key=wspt.__getitem__)
         result = Schedule(machine_count)
-        now = min(j.release_date for j in remaining)
-        deadline = self._first_deadline(remaining)
-        # The per-job bounds and the WSPT selection key never change across
-        # batches; computing them once per schedule() (instead of once per
-        # job per batch) takes the selection off the sweep's hot path.
-        bounds_cache = {job: (min_runtime(job), min_work(job)) for job in remaining}
-        wspt_keys = {
-            job: (area / max(job.weight, 1e-12), job.name)
-            for job, (_, area) in bounds_cache.items()
-        }
-        batch_index = 0
         guard = 0
         max_batches = 4 * len(jobs) + 64  # generous; deadlines double so this is never hit
-        while remaining:
+        while pending:
             guard += 1
             if guard > max_batches:
                 raise SchedulerError("bi-criteria scheduler did not converge")
-            ready = [j for j in remaining if j.release_date <= now + 1e-12]
-            if not ready:
-                now = min(j.release_date for j in remaining)
+            # Greedy maximum-weight selection: released jobs in WSPT order are
+            # admitted while their best runtime fits in the deadline and the
+            # admitted area stays within ``deadline * machine_count``.
+            horizon = now + 1e-12
+            limit = deadline + 1e-12
+            budget = deadline * machine_count + 1e-9
+            used = 0.0
+            released = False
+            selected: List[int] = []
+            rest: List[int] = []
+            for i in pending:
+                if not by_release[i].release_date <= horizon:
+                    rest.append(i)
+                    continue
+                released = True
+                runtime, area = bounds[i]
+                if runtime > limit or used + area > budget:
+                    rest.append(i)
+                    continue
+                selected.append(i)
+                used += area
+            if not released:
+                now = min(by_release[i].release_date for i in pending)
                 continue
-            selected = self._select(
-                ready, machine_count, deadline, keys=wspt_keys, bounds=bounds_cache
-            )
             if not selected:
                 # No released job fits in the current deadline: double it and
                 # retry (the guard above bounds the number of doublings).
                 deadline *= 2.0
                 continue
-            # Jobs hash and compare by their (unique) name, so the set-based
-            # sweep removes exactly the elements list.remove() would.
-            selected_set = set(selected)
-            remaining = [j for j in remaining if j not in selected_set]
-            batch_schedule = self._schedule_batch(selected, machine_count, now, deadline)
-            batch_schedule.validate(check_release_dates=False)
-            # In-place union (same entries, same insertion order as the
-            # previous result.merge(batch_schedule), without re-copying the
-            # accumulated schedule on every batch).
+            pending = rest
+            batch = [by_release[i] for i in selected]
+            batch_schedule = self._schedule_batch(batch, machine_count, now, deadline)
+            # In-place union: the same entries, in the same order, as merging
+            # the batch schedules one after the other.
             for entry in batch_schedule:
                 result.add_scheduled(entry)
             if batch_schedule.reservations:
                 result.reservations = result.reservations + batch_schedule.reservations
             batch_makespan = batch_schedule.makespan()
-            record = BatchRecord(
-                index=batch_index,
-                start=now,
-                deadline=deadline,
-                jobs=[j.name for j in selected],
-                makespan=batch_makespan,
+            self.last_batches.append(
+                BatchRecord(
+                    index=len(self.last_batches),
+                    start=now,
+                    deadline=deadline,
+                    jobs=[j.name for j in batch],
+                    makespan=batch_makespan,
+                )
             )
-            self.last_batches.append(record)
             now = max(batch_makespan, now)
             deadline *= 2.0
-            batch_index += 1
+        # One check of the whole result covers every batch on its own (same
+        # entries, same reservations) and the overlaps between batches.
+        result.validate(check_release_dates=False)
         return result
 
     # -- helpers ---------------------------------------------------------------
@@ -176,7 +202,7 @@ class BiCriteriaScheduler(ReleaseDateScheduler):
         from repro.core.job import MoldableJob, RigidJob  # local: avoid import cycle noise
         from repro.core.policies.base import list_schedule_rigid
 
-        allocations: List[Tuple[Job, int]] = []
+        keyed: List[Tuple[float, str, Job, int]] = []
         for job in selected:
             if isinstance(job, RigidJob):
                 nbproc = job.nbproc
@@ -193,53 +219,10 @@ class BiCriteriaScheduler(ReleaseDateScheduler):
                     )
             else:
                 raise SchedulerError(f"cannot schedule job of type {type(job)!r}")
-            allocations.append((job, nbproc))
-        allocations.sort(key=lambda t: (-t[0].runtime(t[1]), t[0].name))
-        return list_schedule_rigid(allocations, machine_count, start_time=now)
-
-    def _first_deadline(self, jobs: Sequence[Job]) -> float:
-        if self.initial_deadline is not None:
-            return self.initial_deadline
-        smallest = min(min_runtime(j) for j in jobs)
-        return max(smallest, 1e-9)
-
-    def _select(
-        self,
-        ready: Sequence[Job],
-        machine_count: int,
-        deadline: float,
-        *,
-        keys: "Optional[dict]" = None,
-        bounds: "Optional[dict]" = None,
-    ) -> List[Job]:
-        """Greedy maximum-weight selection of jobs fitting in ``deadline``.
-
-        Jobs are taken in WSPT order (minimal work divided by weight); a job
-        is admitted while its best runtime fits in the deadline and the total
-        admitted area stays within ``deadline * machine_count``.  ``keys`` /
-        ``bounds`` optionally supply the precomputed per-job WSPT sort keys
-        and ``(min_runtime, min_work)`` pairs.
-        """
-
-        if keys is not None:
-            order = sorted(ready, key=keys.__getitem__)
-        else:
-            order = sorted(
-                ready, key=lambda j: (min_work(j) / max(j.weight, 1e-12), j.name)
-            )
-        budget = deadline * machine_count
-        used = 0.0
-        selected: List[Job] = []
-        for job in order:
-            if bounds is not None:
-                runtime, area = bounds[job]
-            else:
-                runtime = min_runtime(job)
-                area = min_work(job)
-            if runtime > deadline + 1e-12:
-                continue
-            if used + area > budget + 1e-9:
-                continue
-            selected.append(job)
-            used += area
-        return selected
+            keyed.append((-job.runtime(nbproc), job.name, job, nbproc))
+        # LPT order; job names are unique, so the (runtime, name) prefix
+        # decides every comparison.
+        keyed.sort()
+        return list_schedule_rigid(
+            [(job, nbproc) for _, _, job, nbproc in keyed], machine_count, start_time=now
+        )

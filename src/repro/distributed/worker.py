@@ -84,7 +84,11 @@ REPLY_TIMEOUT = 30.0
 
 
 def default_worker_id() -> str:
-    return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
+    # An inproc:// fleet runs a thousand workers in one process, so the
+    # random suffix alone must keep ids apart: two workers sharing an id
+    # evict each other's connection (and requeue its cells) on every
+    # reconnect.  48 bits make a collision among 1000 workers ~2e-9 likely.
+    return f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:12]}"
 
 
 class AsyncWorker:

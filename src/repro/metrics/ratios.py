@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 from repro.core.allocation import Schedule
-from repro.core.bounds import (
-    makespan_lower_bound,
-    performance_ratio,
-    stretch_lower_bound,
-    sum_completion_lower_bound,
-    weighted_completion_lower_bound,
-)
+from repro.core.bounds import criteria_lower_bounds, performance_ratio
 from repro.core.criteria import (
     makespan,
     mean_stretch,
@@ -83,14 +77,11 @@ def schedule_ratios(
     jobs = list(jobs) if jobs is not None else schedule.jobs
     machine_count = machine_count or schedule.machine_count
 
+    cmax_lb, wc_lb, sc_lb, stretch_lb = criteria_lower_bounds(jobs, machine_count)
     cmax = makespan(schedule)
-    cmax_lb = makespan_lower_bound(jobs, machine_count)
     wc = weighted_completion_time(schedule)
-    wc_lb = weighted_completion_lower_bound(jobs, machine_count)
     sc = sum_completion_times(schedule)
-    sc_lb = sum_completion_lower_bound(jobs, machine_count)
     stretch = mean_stretch(schedule)
-    stretch_lb = stretch_lower_bound(jobs)
 
     return RatioReport(
         n_jobs=len(jobs),

@@ -26,7 +26,6 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from repro.core.job import Job, MoldableJob, RigidJob
-from repro.core.speedup import AmdahlSpeedup, PowerLawSpeedup, runtime_profile_array
 from repro.workload.table import JobTable
 
 RandomState = Union[int, np.random.Generator, None]
@@ -64,6 +63,10 @@ class WorkloadConfig:
             raise ValueError("weight_scheme must be 'unit', 'work' or 'random'")
         if not 0.0 <= self.sequential_fraction <= 1.0:
             raise ValueError("sequential_fraction must be in [0, 1]")
+        for label in ("serial_fraction_range", "power_alpha_range"):
+            lo, hi = getattr(self, label)
+            if not 0.0 <= lo <= hi <= 1.0:
+                raise ValueError(f"{label} must satisfy 0 <= lo <= hi <= 1, got ({lo}, {hi})")
 
 
 def _runtimes(rng: np.random.Generator, n: int, runtime_range: Tuple[float, float]) -> np.ndarray:
@@ -115,6 +118,67 @@ def generate_rigid_jobs(
     return jobs
 
 
+#: Profile families drawn by :func:`generate_moldable_jobs`.
+_SEQUENTIAL, _AMDAHL, _POWER = 0, 1, 2
+
+
+def _check_drawn(params: "np.ndarray", mask: "np.ndarray", message: str) -> None:
+    """Vectorised ``0 <= param <= 1`` over the drawn speedup parameters."""
+
+    drawn = params[mask]
+    if not ((drawn >= 0.0) & (drawn <= 1.0)).all():
+        raise ValueError(message)
+
+
+def _moldable_profiles(
+    seqs: "np.ndarray",
+    kinds: "np.ndarray",
+    params: "np.ndarray",
+    lengths: "np.ndarray",
+) -> Tuple["np.ndarray", "np.ndarray"]:
+    """Every drawn runtime profile as one CSR block ``(data, ptr)``.
+
+    Row *i* equals ``runtime_profile_array(seqs[i], lengths[i], model)`` for
+    its Amdahl or power-law model, and ``[seqs[i]]`` for a sequential job.
+    Amdahl speedups are computed elementwise with the model's expression;
+    power laws use python's ``k ** alpha`` (libm ``pow``), not ``np.power``,
+    whose SIMD paths may round the last ulp differently.  Dividing by a
+    speedup of exactly 1.0 leaves a sequential runtime unchanged.
+    """
+
+    n = lengths.shape[0]
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    starts = np.repeat(ptr[:-1], lengths)
+    karr = (np.arange(1, int(ptr[-1]) + 1, dtype=np.int64) - starts).astype(float)
+    kind_el = np.repeat(kinds, lengths)
+    speed = np.ones(karr.shape[0])
+    amdahl = kind_el == _AMDAHL
+    if amdahl.any():
+        f = np.repeat(params, lengths)[amdahl]
+        speed[amdahl] = 1.0 / (f + (1.0 - f) / karr[amdahl])
+    power_rows = np.flatnonzero(kinds == _POWER)
+    if power_rows.shape[0]:
+        ks = [float(k) for k in range(1, int(lengths.max()) + 1)]
+        powers: List[float] = []
+        for alpha, length in zip(params[power_rows].tolist(), lengths[power_rows].tolist()):
+            powers.extend(map(alpha.__rpow__, ks[:length]))
+        speed[kind_el == _POWER] = powers
+    data = np.repeat(seqs, lengths) / np.maximum(speed, 1e-12)
+    # Monotony repair, as the per-profile running minimum, only on the rows
+    # with an increase (the fold leaves a non-increasing row unchanged).
+    if data.shape[0] > 1:
+        rises = data[1:] > data[:-1]
+        inner = ptr[1:-1]
+        rises[inner[inner < data.shape[0]] - 1] = False
+        if rises.any():
+            rows = np.unique(np.searchsorted(ptr, np.flatnonzero(rises) + 1, side="right") - 1)
+            for i in rows.tolist():
+                row = data[ptr[i] : ptr[i + 1]]
+                np.minimum.accumulate(row, out=row)
+    return data, ptr
+
+
 def generate_moldable_jobs(
     n_jobs: int,
     machine_count: int,
@@ -131,34 +195,40 @@ def generate_moldable_jobs(
     rng = _rng(random_state)
     cap = min(config.max_procs or machine_count, machine_count)
     runtimes = _runtimes(rng, n_jobs, config.runtime_range)
-    # Struct-of-arrays fast path: the RNG draw loop below is kept scalar --
-    # per-job draw *order* is part of the reproducibility contract -- but
-    # profiles are built as float64 arrays and collected into one JobTable,
-    # which validates the whole batch in a few vectorized passes and
-    # materializes MoldableJob objects with their bound caches pre-seeded
-    # (bit-identical to constructing each job individually).
-    names: List[str] = []
-    profiles: List[np.ndarray] = []
+    # The RNG draw loop stays scalar -- the per-job draw *order* is part of
+    # the reproducibility contract -- and only records what each job drew.
+    # The profiles are then built together as one CSR block and validated
+    # by one JobTable, which materializes MoldableJob objects with their
+    # bound caches pre-seeded (bit-identical to one job at a time).
+    kinds: List[int] = []
+    params: List[float] = []
+    lengths: List[int] = []
     weights: List[float] = []
-    for i in range(n_jobs):
-        seq = float(runtimes[i])
-        if rng.random() < config.sequential_fraction:
-            profile = np.array([seq])
+    random, uniform, integers = rng.random, rng.uniform, rng.integers
+    for seq in runtimes.tolist():
+        if random() < config.sequential_fraction:
+            kinds.append(_SEQUENTIAL)
+            params.append(0.0)
+            lengths.append(1)
         else:
-            if rng.random() < 0.5:
+            if random() < 0.5:
                 lo, hi = config.serial_fraction_range
-                model = AmdahlSpeedup(float(rng.uniform(lo, hi)))
+                kinds.append(_AMDAHL)
             else:
                 lo, hi = config.power_alpha_range
-                model = PowerLawSpeedup(float(rng.uniform(lo, hi)))
-            max_procs = int(rng.integers(2, cap + 1)) if cap >= 2 else 1
-            profile = runtime_profile_array(seq, max_procs, model)
-        names.append(f"{name_prefix}-{i:05d}")
-        profiles.append(profile)
+                kinds.append(_POWER)
+            params.append(float(uniform(lo, hi)))
+            lengths.append(int(integers(2, cap + 1)) if cap >= 2 else 1)
         weights.append(_weight(rng, config.weight_scheme, seq))
-    if not names:
+    if not n_jobs:
         return []
-    return JobTable.from_profiles(names, profiles, weights=weights).to_jobs()
+    kind_col = np.array(kinds, dtype=np.int8)
+    param_col = np.array(params)
+    _check_drawn(param_col, kind_col == _AMDAHL, "serial_fraction must be in [0, 1]")
+    _check_drawn(param_col, kind_col == _POWER, "alpha must be in [0, 1]")
+    data, ptr = _moldable_profiles(runtimes, kind_col, param_col, np.array(lengths, dtype=np.int64))
+    names = [f"{name_prefix}-{i:05d}" for i in range(n_jobs)]
+    return JobTable.from_csr(names, data, ptr, weights=weights).to_jobs()
 
 
 def generate_mixed_jobs(

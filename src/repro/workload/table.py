@@ -52,8 +52,8 @@ class JobTable:
     Parameters mirror the per-job fields of :class:`MoldableJob`; profiles
     are ragged, so they are stored CSR-style in ``data`` (concatenated
     float64 runtimes) indexed by ``ptr`` (``ptr[i]:ptr[i+1]`` is job *i*'s
-    profile).  Use :meth:`from_profiles` / :meth:`from_jobs` instead of the
-    raw constructor.
+    profile).  Use :meth:`from_profiles`, :meth:`from_csr` or
+    :meth:`from_jobs` instead of the raw constructor.
     """
 
     __slots__ = (
@@ -104,23 +104,53 @@ class JobTable:
     ) -> "JobTable":
         """Build a table from per-job runtime profiles (``min_procs`` = 1)."""
 
+        n = len(names)
+        arrays = [_as_profile(p) for p in profiles]
+        if len(arrays) != n:
+            raise ValueError("profiles and names must have the same length")
+        lengths = np.fromiter((a.shape[0] for a in arrays), dtype=np.int64, count=n)
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lengths, out=ptr[1:])
+        data = np.concatenate(arrays) if n else np.empty(0, dtype=float)
+        return cls.from_csr(
+            names,
+            data,
+            ptr,
+            weights=weights,
+            release_dates=release_dates,
+            owners=owners,
+            validate=validate,
+        )
+
+    @classmethod
+    def from_csr(
+        cls,
+        names: Sequence[str],
+        data: "np.ndarray",
+        ptr: "np.ndarray",
+        *,
+        weights: Optional[Sequence[float]] = None,
+        release_dates: Optional[Sequence[float]] = None,
+        owners: Optional[Sequence[Optional[str]]] = None,
+        validate: bool = True,
+    ) -> "JobTable":
+        """Build a table from profiles already laid out CSR-style (``min_procs`` = 1).
+
+        ``data[ptr[i]:ptr[i+1]]`` is job *i*'s non-empty runtime profile.
+        """
+
+        n = len(names)
+        if ptr.shape[0] != n + 1 or ptr[0] != 0 or ptr[-1] != data.shape[0]:
+            raise ValueError("ptr must hold len(names) + 1 offsets from 0 to len(data)")
+        empty = np.flatnonzero(ptr[1:] <= ptr[:-1])
+        if empty.shape[0]:
+            raise ValueError(f"job {names[int(empty[0])]!r}: empty runtime profile")
         if weights is not None and len(weights) != len(names):
             raise ValueError("weights and names must have the same length")
         if release_dates is not None and len(release_dates) != len(names):
             raise ValueError("release_dates and names must have the same length")
         if owners is not None and len(owners) != len(names):
             raise ValueError("owners and names must have the same length")
-        n = len(names)
-        arrays = [_as_profile(p) for p in profiles]
-        if len(arrays) != n:
-            raise ValueError("profiles and names must have the same length")
-        lengths = np.fromiter((a.shape[0] for a in arrays), dtype=np.int64, count=n)
-        if n and lengths.min() < 1:
-            i = int(np.argmin(lengths))
-            raise ValueError(f"job {names[i]!r}: empty runtime profile")
-        ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(lengths, out=ptr[1:])
-        data = np.concatenate(arrays) if n else np.empty(0, dtype=float)
         release = (
             np.asarray(release_dates, dtype=float)
             if release_dates is not None

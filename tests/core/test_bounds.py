@@ -104,3 +104,71 @@ def test_makespan_bound_never_exceeds_list_schedule(n_jobs, machines, seed):
     jobs = generate_rigid_jobs(n_jobs, machines, random_state=seed)
     schedule = ListScheduler("lpt").schedule(jobs, machines)
     assert bounds.makespan_lower_bound(jobs, machines) <= schedule.makespan() + 1e-9
+
+
+# The single-dispatch bounds against their per-call definitions: each bound
+# re-queried ``min_runtime``/``min_work`` per job and summed in job order.
+
+
+def _reference_bounds(jobs, m):
+    mr, mw = bounds.min_runtime, bounds.min_work
+    cmax = 0.0
+    if jobs:
+        cmax = max(
+            max(mr(j) for j in jobs),
+            sum(mw(j) for j in jobs) / m,
+            max(j.release_date + mr(j) for j in jobs),
+        )
+    elapsed, terms = 0.0, []
+    for job in sorted(jobs, key=lambda j: (mw(j) / max(j.weight, 1e-12), j.name)):
+        elapsed += mw(job) / m
+        terms.append(job.weight * max(elapsed, job.release_date + mr(job)))
+    wc = sum(terms)
+    elapsed, sc = 0.0, 0.0
+    for job in sorted(jobs, key=lambda j: (mw(j), j.name)):
+        elapsed += mw(job) / m
+        sc += max(elapsed, job.release_date + mr(job))
+    stretch = sum(mr(j) for j in jobs) / len(jobs) if jobs else 0.0
+    return cmax, wc, sc, stretch
+
+
+def _mixed_jobs(seed, n):
+    import random
+
+    rnd = random.Random(seed)
+    jobs = []
+    for i in range(n):
+        kind = rnd.randrange(4)
+        common = dict(name=f"j{i:03d}", release_date=rnd.choice([0.0, rnd.uniform(0, 30)]),
+                      weight=rnd.choice([0.0, 1.0, rnd.uniform(0.1, 9)]))
+        if kind == 0:
+            k = rnd.randint(1, 6)
+            jobs.append(MoldableJob(runtimes=[10.0 / j ** 0.7 for j in range(1, k + 1)], **common))
+        elif kind == 1:
+            jobs.append(RigidJob(nbproc=rnd.randint(1, 4), duration=rnd.uniform(0.5, 9), **common))
+        elif kind == 2:
+            jobs.append(ParametricSweep(n_runs=rnd.randint(1, 9), run_time=rnd.uniform(1, 3), **common))
+        else:
+            jobs.append(DivisibleJob(load=rnd.uniform(1, 40), **common))
+    return jobs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_bounds_match_their_per_call_definitions(seed):
+    jobs = _mixed_jobs(seed, seed * 7)
+    m = 1 + seed % 5
+    want = _reference_bounds(jobs, m)
+    assert bounds.criteria_lower_bounds(jobs, m) == want
+    assert (
+        bounds.makespan_lower_bound(jobs, m),
+        bounds.weighted_completion_lower_bound(jobs, m),
+        bounds.sum_completion_lower_bound(jobs, m),
+        bounds.stretch_lower_bound(jobs),
+    ) == want
+
+
+def test_criteria_lower_bounds_checks_its_inputs():
+    with pytest.raises(ValueError):
+        bounds.criteria_lower_bounds([], 0)
+    with pytest.raises(TypeError):
+        bounds.criteria_lower_bounds([object()], 2)

@@ -87,6 +87,32 @@ class TestBitIdentity:
         assert result.rows == []
 
 
+def _wait_for(predicate, timeout=20.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+def _sole_holder_of_a_cell(scheduler, pid):
+    """True when worker process ``pid`` alone holds some unfinished cell."""
+
+    with scheduler._lock:
+        campaign = scheduler._campaign
+        if campaign is None:
+            return False
+        for worker_id, conn in scheduler._conns.items():
+            if worker_id.rsplit("-", 2)[1] != str(pid):
+                continue
+            for position in conn.assignments:
+                attempts = campaign.running.get(position, ())
+                if position not in campaign.done and all(a.conn is conn for a in attempts):
+                    return True
+    return False
+
+
 class TestWorkerLoss:
     def test_sigkilled_worker_mid_sweep_is_retried(self):
         grid = {"slot": list(range(16))}  # x4 reps = 64 cells, ~50ms each
@@ -100,10 +126,13 @@ class TestWorkerLoss:
         for outcome in stream:
             outcomes.append(outcome)
             if len(outcomes) == 8:
-                # Every worker is busy mid-cell at this point: killing one
-                # strands its in-flight cell, which must be requeued.
+                # Kill worker 0 only once it holds a cell no other attempt
+                # covers: that cell is stranded and must be requeued.  (On a
+                # loaded host worker 0 may still be between cells here.)
                 stats = executor.scheduler.stats
-                os.kill(executor.processes[0].pid, signal.SIGKILL)
+                pid = executor.processes[0].pid
+                assert _wait_for(lambda: _sole_holder_of_a_cell(executor.scheduler, pid))
+                os.kill(pid, signal.SIGKILL)
         assert len(outcomes) == 64
         rows = [dict(outcome.metrics) for outcome in outcomes]
         expected = [{"slot": row["slot"], "seed_used": row["seed_used"]}

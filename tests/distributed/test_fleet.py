@@ -67,6 +67,12 @@ class TestThousandWorkerFleet:
         ) as scheduler:
             for _ in range(1000):
                 scheduler.spawn_local_worker(inline=True)
+            # Start the campaign only once the whole fleet has joined: on a
+            # loaded host the cells could otherwise drain before the last
+            # workers connect.
+            deadline = time.monotonic() + 60.0
+            while scheduler.stats.workers_joined < 1000 and time.monotonic() < deadline:
+                time.sleep(0.01)
             outcomes = list(scheduler.run_campaign(fn, cells, version="fleet-v1"))
             stats = scheduler.stats
 
@@ -106,6 +112,13 @@ class TestThousandWorkerFleet:
         assert stats.journal_hits == 450
         assert stats.results == 150
         assert stats.evictions == 0
+
+
+def test_default_worker_ids_stay_unique_across_a_fleet():
+    from repro.distributed.worker import default_worker_id
+
+    ids = [default_worker_id() for _ in range(20_000)]
+    assert len(set(ids)) == len(ids)
 
 
 class TestWorkStealingTwoPhase:

@@ -196,6 +196,18 @@ def test_negative_release_and_weight_messages_match_scalar():
 def test_empty_profile_rejected():
     with pytest.raises(ValueError, match="empty runtime profile"):
         JobTable.from_profiles(["e"], [[]])
+    with pytest.raises(ValueError, match="job 'b': empty runtime profile"):
+        JobTable.from_csr(["a", "b"], np.array([3.0, 2.0]), np.array([0, 2, 2]))
+
+
+def test_from_csr_checks_its_offsets():
+    data = np.array([4.0, 2.0, 5.0])
+    for ptr in ([0, 2], [1, 2, 3], [0, 2, 4]):
+        with pytest.raises(ValueError, match="offsets"):
+            JobTable.from_csr(["a", "b"], data, np.array(ptr))
+    table = JobTable.from_csr(["a", "b"], data, np.array([0, 2, 3]))
+    same = JobTable.from_profiles(["a", "b"], [[4.0, 2.0], [5.0]])
+    assert [j.runtimes for j in table.to_jobs()] == [j.runtimes for j in same.to_jobs()]
 
 
 def test_tolerated_jitter_accepted_but_flagged_not_monotone():

@@ -28,6 +28,32 @@ class TestWorkloadConfig:
         with pytest.raises(ValueError):
             WorkloadConfig(sequential_fraction=2.0)
 
+    @pytest.mark.parametrize("field", ["serial_fraction_range", "power_alpha_range"])
+    @pytest.mark.parametrize(
+        "bounds", [(-0.1, 0.5), (0.2, 1.5), (0.6, 0.3), (-1.0, -0.5), (float("nan"), 0.5)]
+    )
+    def test_speedup_parameter_ranges_checked_at_the_boundary(self, field, bounds):
+        with pytest.raises(ValueError, match=field):
+            WorkloadConfig(**{field: bounds})
+
+    @pytest.mark.parametrize("bounds", [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.3, 0.3)])
+    def test_speedup_parameter_ranges_accept_closed_unit_interval(self, bounds):
+        config = WorkloadConfig(serial_fraction_range=bounds, power_alpha_range=bounds)
+        jobs = generate_moldable_jobs(30, 8, config=config, random_state=0)
+        assert len(jobs) == 30
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("serial_fraction_range", "serial_fraction"), ("power_alpha_range", "alpha")],
+    )
+    def test_drawn_speedup_parameters_checked_too(self, field, message):
+        # A config mutated after construction slips past __post_init__; the
+        # generator's vectorised check on the drawn values still refuses it.
+        config = WorkloadConfig()
+        setattr(config, field, (1.5, 2.0))
+        with pytest.raises(ValueError, match=f"{message} must be in \\[0, 1\\]"):
+            generate_moldable_jobs(40, 8, config=config, random_state=1)
+
 
 class TestRigidGenerator:
     def test_reproducible_with_seed(self):
