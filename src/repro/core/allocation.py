@@ -2,9 +2,9 @@
 
 A :class:`Schedule` is the common output format of every Parallel-Task policy
 in :mod:`repro.core.policies` and the common input of every criterion in
-:mod:`repro.core.criteria`.  It stores one :class:`ScheduledJob` per job:
-the start time, the set of processor indices used, and the resulting
-completion time.
+:mod:`repro.core.criteria`.  It stores one row per job in flat columns
+(:class:`ScheduleColumns`) and builds :class:`ScheduledJob` objects only when
+it is read entry by entry.
 
 The class knows how to *validate* itself (no processor runs two jobs at the
 same time, release dates and reservations are respected, allocations match
@@ -14,12 +14,28 @@ the job model), which the test-suite and the simulators use extensively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import mul, sub
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.job import Job, MoldableJob, RigidJob
+
+
+def _check_allocation(processors: Sequence[int], runtime: float) -> None:
+    """Raise ``ValueError`` unless ``processors`` can run a job for ``runtime``."""
+
+    if not processors:
+        raise ValueError("empty allocation")
+    if len(processors) > 1 and len(set(processors)) != len(processors):
+        raise ValueError("duplicate processors in allocation")
+    if runtime <= 0:
+        raise ValueError("runtime must be > 0")
+
+
+def _check_start(name: str, start: float) -> None:
+    if start < 0:
+        raise ValueError(f"job {name!r}: negative start time")
 
 
 @dataclass(frozen=True)
@@ -30,12 +46,7 @@ class Allocation:
     runtime: float
 
     def __post_init__(self) -> None:
-        if not self.processors:
-            raise ValueError("empty allocation")
-        if len(set(self.processors)) != len(self.processors):
-            raise ValueError("duplicate processors in allocation")
-        if self.runtime <= 0:
-            raise ValueError("runtime must be > 0")
+        _check_allocation(self.processors, self.runtime)
 
     @property
     def nbproc(self) -> int:
@@ -55,8 +66,7 @@ class ScheduledJob:
     allocation: Allocation
 
     def __post_init__(self) -> None:
-        if self.start < 0:
-            raise ValueError(f"job {self.job.name!r}: negative start time")
+        _check_start(self.job.name, self.start)
 
     @property
     def completion(self) -> float:
@@ -71,11 +81,11 @@ class ScheduledJob:
         return self.allocation.processors
 
     def overlaps(self, other: "ScheduledJob") -> bool:
-        """True when the two placements overlap in time *and* share a processor."""
+        """True when they overlap in time (as :meth:`Schedule.validate` sees it) on a processor."""
 
-        if self.completion <= other.start + 1e-12:
+        if other.start >= self.completion - 1e-9:
             return False
-        if other.completion <= self.start + 1e-12:
+        if self.start >= other.completion - 1e-9:
             return False
         return bool(set(self.processors) & set(other.processors))
 
@@ -103,11 +113,33 @@ class Reservation:
         return not (end <= self.start + 1e-12 or start >= self.end - 1e-12)
 
 
+class ScheduleColumns(NamedTuple):
+    """A :class:`Schedule`'s own storage, one row per job in insertion order.
+
+    Row ``i`` runs ``jobs[i]`` from ``starts[i]`` to ``ends[i] = starts[i] +
+    runtimes[i]`` on ``processors[offsets[i]:offsets[i + 1]]``.  The fields
+    are the schedule's live lists, not copies: readers must not mutate them
+    (hence ``Sequence``); only :class:`Schedule` methods append rows.
+    """
+
+    jobs: Sequence[Job]
+    starts: Sequence[float]
+    runtimes: Sequence[float]
+    ends: Sequence[float]
+    processors: Sequence[int]
+    offsets: Sequence[int]
+
+    def nbprocs(self) -> List[int]:
+        offsets = self.offsets
+        return list(map(sub, offsets[1:], offsets))
+
+
 class Schedule:
     """A complete schedule on ``machine_count`` identical processors.
 
-    The container is mutable while a policy builds it (via :meth:`add`) and
-    is usually validated once at the end with :meth:`validate`.
+    The container is mutable while a policy builds it (via :meth:`add` and
+    :meth:`extend`) and is usually validated once at the end with
+    :meth:`validate`.  Rows live in flat columns (:attr:`columns`).
     """
 
     def __init__(
@@ -120,7 +152,8 @@ class Schedule:
             raise ValueError("machine_count must be >= 1")
         self.machine_count = machine_count
         self.reservations: Tuple[Reservation, ...] = tuple(reservations)
-        self._entries: Dict[str, ScheduledJob] = {}
+        self._rows: Dict[str, int] = {}
+        self._cols = ScheduleColumns([], [], [], [], [], [0])
 
     # -- construction ----------------------------------------------------
     def add(
@@ -129,56 +162,81 @@ class Schedule:
         start: float,
         processors: Sequence[int],
         runtime: Optional[float] = None,
-    ) -> ScheduledJob:
+    ) -> None:
         """Place ``job`` at ``start`` on ``processors``.
 
         ``runtime`` defaults to ``job.runtime(len(processors))`` which is the
         correct value for rigid and moldable jobs; simulators that model
-        heterogeneous speeds pass the effective runtime explicitly.
+        heterogeneous speeds pass the effective runtime explicitly.  Bad
+        rows raise what :class:`Allocation` and :class:`ScheduledJob` raise.
         """
 
-        if job.name in self._entries:
+        rows = self._rows
+        if job.name in rows:
             raise ValueError(f"job {job.name!r} already scheduled")
-        processors = tuple(map(int, processors))
-        self._check_processors(processors)
+        processors = list(map(int, processors))
+        nbproc = len(processors)
+        if not (processors and 0 <= min(processors) and max(processors) < self.machine_count):
+            self._check_processors(processors)
         if runtime is None:
-            runtime = job.runtime(len(processors))
-        entry = ScheduledJob(job=job, start=start, allocation=Allocation(processors, runtime))
-        self._entries[job.name] = entry
-        return entry
+            runtime = job.runtime(nbproc)
+        _check_allocation(processors, runtime)
+        _check_start(job.name, start)
+        jobs, starts, runtimes, ends, flat, offsets = self._cols
+        rows[job.name] = len(jobs)
+        jobs.append(job)
+        starts.append(start)
+        runtimes.append(runtime)
+        ends.append(start + runtime)
+        flat += processors
+        offsets.append(len(flat))
 
-    def add_scheduled(self, entry: ScheduledJob) -> None:
-        if entry.job.name in self._entries:
-            raise ValueError(f"job {entry.job.name!r} already scheduled")
-        self._check_processors(entry.allocation.processors)
-        self._entries[entry.job.name] = entry
+    def extend(self, other: "Schedule", *, processor_offset: int = 0) -> None:
+        """Append the rows of ``other``, processors moved up by ``processor_offset``.
 
-    def _check_processors(self, processors: Tuple[int, ...]) -> None:
-        """Raise unless every index lies in ``[0, machine_count)``."""
+        Raises like :meth:`add` on a scheduled job or an out-of-range
+        processor, before appending anything.
+        """
 
-        if processors and 0 <= min(processors) and max(processors) < self.machine_count:
-            return
+        src = other._cols
+        procs = src.processors
+        if processor_offset:
+            procs = [p + processor_offset for p in procs]
+        rows = self._rows
+        if not rows.keys().isdisjoint(other._rows) or (
+            procs and not (0 <= min(procs) and max(procs) < self.machine_count)
+        ):
+            offsets = src.offsets
+            for i, job in enumerate(src.jobs):
+                if job.name in rows:
+                    raise ValueError(f"job {job.name!r} already scheduled")
+                self._check_processors(procs[offsets[i]:offsets[i + 1]])
+        jobs, starts, runtimes, ends, flat, offsets = self._cols
+        rows.update(zip(other._rows, range(len(jobs), len(jobs) + len(src.jobs))))
+        for column, block in zip((jobs, starts, runtimes, ends), src):
+            column += block
+        offsets += [len(flat) + o for o in src.offsets[1:]]
+        flat += procs
+
+    def _check_processors(self, processors: Sequence[int]) -> None:
+        """Raise for the first index outside ``[0, machine_count)``."""
+
         for p in processors:
             if not 0 <= p < self.machine_count:
                 raise ValueError(
                     f"processor index {p} outside platform of size {self.machine_count}"
                 )
 
-    def remove(self, job_name: str) -> ScheduledJob:
-        return self._entries.pop(job_name)
-
     def shift(self, delta: float) -> "Schedule":
         """Return a copy of the schedule with every start time shifted by ``delta``."""
 
+        starts = [start + delta for start in self._cols.starts]
+        for job, start in zip(self._cols.jobs, starts):
+            _check_start(job.name, start)
         out = Schedule(self.machine_count, reservations=self.reservations)
-        for entry in self._entries.values():
-            out.add_scheduled(
-                ScheduledJob(
-                    job=entry.job,
-                    start=entry.start + delta,
-                    allocation=entry.allocation,
-                )
-            )
+        out.extend(self)
+        out._cols.starts[:] = starts
+        out._cols.ends[:] = [s + r for s, r in zip(starts, self._cols.runtimes)]
         return out
 
     def merge(self, other: "Schedule") -> "Schedule":
@@ -187,45 +245,54 @@ class Schedule:
         if other.machine_count != self.machine_count:
             raise ValueError("cannot merge schedules on different platform sizes")
         out = Schedule(self.machine_count, reservations=self.reservations + other.reservations)
-        for entry in self._entries.values():
-            out.add_scheduled(entry)
-        for entry in other._entries.values():
-            out.add_scheduled(entry)
+        out.extend(self)
+        out.extend(other)
         return out
 
     # -- accessors -------------------------------------------------------
+    @property
+    def columns(self) -> ScheduleColumns:
+        """The rows as flat columns, in insertion order (read-only)."""
+
+        return self._cols
+
+    def _entry(self, row: int) -> ScheduledJob:
+        jobs, starts, runtimes, _, flat, offsets = self._cols
+        processors = tuple(flat[offsets[row]:offsets[row + 1]])
+        return ScheduledJob(jobs[row], starts[row], Allocation(processors, runtimes[row]))
+
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def __contains__(self, job_name: str) -> bool:
-        return job_name in self._entries
+        return job_name in self._rows
 
     def __getitem__(self, job_name: str) -> ScheduledJob:
-        return self._entries[job_name]
+        return self._entry(self._rows[job_name])
 
-    def __iter__(self):
-        return iter(self._entries.values())
+    def __iter__(self) -> Iterator[ScheduledJob]:
+        return map(self._entry, range(len(self._rows)))
 
     @property
     def jobs(self) -> List[Job]:
-        return [entry.job for entry in self._entries.values()]
+        return list(self._cols.jobs)
 
     @property
     def entries(self) -> List[ScheduledJob]:
-        return list(self._entries.values())
+        return list(self)
 
     def completion_times(self) -> Dict[str, float]:
-        return {name: e.completion for name, e in self._entries.items()}
+        return dict(zip(self._rows, self._cols.ends))
 
     def makespan(self) -> float:
         """Latest completion time, 0 for an empty schedule."""
 
-        if not self._entries:
-            return 0.0
-        return max(e.completion for e in self._entries.values())
+        ends = self._cols.ends
+        return max(ends) if ends else 0.0
 
     def total_work(self) -> float:
-        return sum(e.allocation.work for e in self._entries.values())
+        cols = self._cols
+        return sum(map(mul, cols.nbprocs(), cols.runtimes))
 
     def utilization(self, horizon: Optional[float] = None) -> float:
         """Fraction of the processor-time area actually used up to ``horizon``."""
@@ -233,9 +300,10 @@ class Schedule:
         horizon = self.makespan() if horizon is None else horizon
         if horizon <= 0:
             return 0.0
+        cols = self._cols
         used = 0.0
-        for e in self._entries.values():
-            used += e.nbproc * max(0.0, min(e.completion, horizon) - min(e.start, horizon))
+        for nbproc, start, end in zip(cols.nbprocs(), cols.starts, cols.ends):
+            used += nbproc * max(0.0, min(end, horizon) - min(start, horizon))
         return used / (self.machine_count * horizon)
 
     # -- validation ------------------------------------------------------
@@ -252,17 +320,16 @@ class Schedule:
         * (optionally) no job starts before its release date.
         """
 
-        entries = sorted(self._entries.values(), key=lambda e: e.start)
+        cols = self._cols
+        jobs, starts, _, ends, processors, offsets = cols
+        nbprocs = cols.nbprocs()
+        order = sorted(range(len(jobs)), key=starts.__getitem__)
         reservations = self.reservations
-        counts: List[int] = []
-        for entry in entries:
-            job = entry.job
-            processors = entry.allocation.processors
-            nbproc = len(processors)
-            counts.append(nbproc)
-            if check_release_dates and entry.start < job.release_date - 1e-9:
+        for i in order:
+            job, start, nbproc = jobs[i], starts[i], nbprocs[i]
+            if check_release_dates and start < job.release_date - 1e-9:
                 raise ScheduleError(
-                    f"job {job.name!r} starts at {entry.start} before its "
+                    f"job {job.name!r} starts at {start} before its "
                     f"release date {job.release_date}"
                 )
             if isinstance(job, RigidJob) and nbproc != job.nbproc:
@@ -278,47 +345,44 @@ class Schedule:
                         f"[{job.min_procs}, {job.max_procs}]"
                     )
             for reservation in reservations:
-                for p in processors:
-                    if reservation.blocks(p, entry.start, entry.completion):
+                for p in processors[offsets[i]:offsets[i + 1]]:
+                    if reservation.blocks(p, start, ends[i]):
                         raise ScheduleError(
                             f"job {job.name!r} overlaps reservation "
                             f"{reservation.label!r} on processor {p}"
                         )
-        if not entries:
+        if not jobs:
             return
         # Overlap detection: one vectorized per-processor sweep over all
         # (processor, start, completion) slots at once.  Sorting slots by
         # (processor, start) and comparing adjacent same-processor pairs is
         # the classical interval argument: with intervals sorted by start,
-        # any overlap implies an *adjacent* overlap.  The slow per-pair loop
-        # below only re-runs when a violation was detected, to produce the
-        # same diagnostic as before.
-        procs = np.fromiter(
-            chain.from_iterable([entry.allocation.processors for entry in entries]),
-            dtype=np.int64,
-            count=sum(counts),
-        )
-        starts = np.repeat(np.array([entry.start for entry in entries]), counts)
-        ends = np.repeat(np.array([entry.completion for entry in entries]), counts)
-        order = np.lexsort((starts, procs))
-        p_sorted = procs[order]
-        s_sorted = starts[order]
-        e_sorted = ends[order]
+        # any overlap implies an *adjacent* overlap.  The stable lexsort
+        # keeps equal slots in row order, as a walk by start time does.  The
+        # slow per-pair loop below only runs when a violation was detected,
+        # to name the first overlapping pair.
+        procs = np.array(processors, dtype=np.int64)
+        slot_starts = np.repeat(np.array(starts), nbprocs)
+        slot_ends = np.repeat(np.array(ends), nbprocs)
+        slots = np.lexsort((slot_starts, procs))
+        p_sorted = procs[slots]
+        s_sorted = slot_starts[slots]
+        e_sorted = slot_ends[slots]
         same = p_sorted[1:] == p_sorted[:-1]
         if bool((same & (s_sorted[1:] < e_sorted[:-1] - 1e-9)).any()):
-            per_proc: Dict[int, List[ScheduledJob]] = {}
-            for entry in entries:
-                for p in entry.processors:
-                    per_proc.setdefault(p, []).append(entry)
-            for p, plist in per_proc.items():
-                plist.sort(key=lambda e: e.start)
-                for prev, nxt in zip(plist, plist[1:]):
-                    if nxt.start < prev.completion - 1e-9:
+            per_proc: Dict[int, List[int]] = {}
+            for i in order:
+                for p in processors[offsets[i]:offsets[i + 1]]:
+                    per_proc.setdefault(p, []).append(i)
+            for p, rows in per_proc.items():
+                rows.sort(key=starts.__getitem__)
+                for prev, nxt in zip(rows, rows[1:]):
+                    if starts[nxt] < ends[prev] - 1e-9:
                         raise ScheduleError(
-                            f"jobs {prev.job.name!r} and {nxt.job.name!r} overlap "
+                            f"jobs {jobs[prev].name!r} and {jobs[nxt].name!r} overlap "
                             f"on processor {p} "
-                            f"([{prev.start}, {prev.completion}) vs "
-                            f"[{nxt.start}, {nxt.completion}))"
+                            f"([{starts[prev]}, {ends[prev]}) vs "
+                            f"[{starts[nxt]}, {ends[nxt]}))"
                         )
             raise AssertionError(
                 "vectorized overlap sweep flagged a violation the per-pair "
@@ -340,29 +404,26 @@ class Schedule:
         if makespan == 0:
             return "(empty schedule)"
         scale = width / makespan
-        rows = []
-        labels = {}
         letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
-        for i, name in enumerate(sorted(self._entries)):
-            labels[name] = letters[i % len(letters)]
-        for p in range(self.machine_count):
-            row = ["."] * width
-            for entry in self._entries.values():
-                if p not in entry.processors:
-                    continue
-                lo = int(entry.start * scale)
-                hi = max(lo + 1, int(entry.completion * scale))
+        names = sorted(self._rows)
+        labels = {name: letters[i % len(letters)] for i, name in enumerate(names)}
+        chart = [["."] * width for _ in range(self.machine_count)]
+        cols = self._cols
+        for i, (job, start, end) in enumerate(zip(cols.jobs, cols.starts, cols.ends)):
+            lo = int(start * scale)
+            hi = max(lo + 1, int(end * scale))
+            for p in cols.processors[cols.offsets[i]:cols.offsets[i + 1]]:
                 for x in range(lo, min(hi, width)):
-                    row[x] = labels[entry.job.name]
-            rows.append(f"P{p:03d} |" + "".join(row) + "|")
-        legend = ", ".join(f"{labels[n]}={n}" for n in sorted(self._entries))
+                    chart[p][x] = labels[job.name]
+        rows = [f"P{p:03d} |" + "".join(row) + "|" for p, row in enumerate(chart)]
+        legend = ", ".join(f"{labels[n]}={n}" for n in names)
         return "\n".join(rows) + "\n" + legend
 
     def to_records(self) -> List[Dict[str, object]]:
         """Export as a list of plain dicts (for CSV / JSON dumps)."""
 
         records = []
-        for entry in sorted(self._entries.values(), key=lambda e: (e.start, e.job.name)):
+        for entry in sorted(self, key=lambda e: (e.start, e.job.name)):
             records.append(
                 {
                     "job": entry.job.name,

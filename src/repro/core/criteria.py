@@ -24,14 +24,27 @@ experiment harness stores for each simulation run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
-from repro.core.allocation import Schedule
+from repro.core.allocation import Schedule, ScheduleColumns
+from repro.core.job import MoldableJob
 
 
 # ---------------------------------------------------------------------------
 # Elementary criteria
 # ---------------------------------------------------------------------------
+# Each is a python ``sum``/``max``/loop over the schedule's columns, in row order.
+
+
+def _flows(cols: ScheduleColumns) -> List[float]:
+    return [end - job.release_date for job, end in zip(cols.jobs, cols.ends)]
+
+
+def _tardiness(cols: ScheduleColumns) -> List[float]:
+    return [
+        0.0 if job.due_date is None else max(0.0, end - job.due_date)
+        for job, end in zip(cols.jobs, cols.ends)
+    ]
 
 
 def makespan(schedule: Schedule) -> float:
@@ -43,7 +56,7 @@ def makespan(schedule: Schedule) -> float:
 def sum_completion_times(schedule: Schedule) -> float:
     """``sum_j C_j`` -- proportional to the average completion time."""
 
-    return sum(e.completion for e in schedule)
+    return sum(schedule.columns.ends)
 
 
 def mean_completion_time(schedule: Schedule) -> float:
@@ -55,13 +68,15 @@ def mean_completion_time(schedule: Schedule) -> float:
 def weighted_completion_time(schedule: Schedule) -> float:
     """``sum_j w_j C_j`` -- the criterion of Figure 2 (top)."""
 
-    return sum(e.job.weight * e.completion for e in schedule)
+    cols = schedule.columns
+    return sum([job.weight * end for job, end in zip(cols.jobs, cols.ends)])
 
 
 def flow_times(schedule: Schedule) -> Dict[str, float]:
     """Per-job flow time (a.k.a. response time) ``C_j - r_j``."""
 
-    return {e.job.name: e.completion - e.job.release_date for e in schedule}
+    cols = schedule.columns
+    return {job.name: flow for job, flow in zip(cols.jobs, _flows(cols))}
 
 
 def mean_stretch(schedule: Schedule) -> float:
@@ -75,29 +90,27 @@ def mean_stretch(schedule: Schedule) -> float:
 
     if len(schedule) == 0:
         return 0.0
-    return sum(flow_times(schedule).values()) / len(schedule)
+    return sum_stretch(schedule) / len(schedule)
 
 
 def sum_stretch(schedule: Schedule) -> float:
-    return sum(flow_times(schedule).values())
+    return sum(_flows(schedule.columns))
 
 
 def max_stretch(schedule: Schedule) -> float:
     """Maximum of ``C_j - r_j`` -- "the longest waiting time for a user"."""
 
-    flows = flow_times(schedule)
-    return max(flows.values()) if flows else 0.0
+    flows = _flows(schedule.columns)
+    return max(flows) if flows else 0.0
 
 
-def _reference_time(entry) -> float:
-    """Smallest possible processing time of a job, used to normalise stretches."""
+def _normalized_flows(cols: ScheduleColumns) -> List[float]:
+    """``(C_j - r_j) / p_j^min``: best runtime if moldable, else the scheduled one."""
 
-    job = entry.job
-    try:
-        best = job.best_runtime()  # MoldableJob
-    except AttributeError:
-        best = entry.allocation.runtime
-    return max(best, 1e-12)
+    return [
+        flow / max(job.best_runtime() if isinstance(job, MoldableJob) else runtime, 1e-12)
+        for job, runtime, flow in zip(cols.jobs, cols.runtimes, _flows(cols))
+    ]
 
 
 def mean_normalized_stretch(schedule: Schedule) -> float:
@@ -106,19 +119,13 @@ def mean_normalized_stretch(schedule: Schedule) -> float:
     if len(schedule) == 0:
         return 0.0
     total = 0.0
-    for entry in schedule:
-        total += (entry.completion - entry.job.release_date) / _reference_time(entry)
+    for value in _normalized_flows(schedule.columns):
+        total += value
     return total / len(schedule)
 
 
 def max_normalized_stretch(schedule: Schedule) -> float:
-    worst = 0.0
-    for entry in schedule:
-        worst = max(
-            worst,
-            (entry.completion - entry.job.release_date) / _reference_time(entry),
-        )
-    return worst
+    return max([0.0, *_normalized_flows(schedule.columns)])
 
 
 def throughput(schedule: Schedule, horizon: Optional[float] = None) -> float:
@@ -132,33 +139,30 @@ def throughput(schedule: Schedule, horizon: Optional[float] = None) -> float:
     horizon = schedule.makespan() if horizon is None else horizon
     if horizon <= 0:
         return 0.0
-    done = sum(1 for e in schedule if e.completion <= horizon + 1e-12)
+    done = sum(1 for end in schedule.columns.ends if end <= horizon + 1e-12)
     return done / horizon
 
 
 def tardiness(schedule: Schedule) -> Dict[str, float]:
     """Per-job tardiness ``max(0, C_j - d_j)`` (0 when no due date is set)."""
 
-    out = {}
-    for entry in schedule:
-        due = entry.job.due_date
-        out[entry.job.name] = 0.0 if due is None else max(0.0, entry.completion - due)
-    return out
+    cols = schedule.columns
+    return {job.name: late for job, late in zip(cols.jobs, _tardiness(cols))}
 
 
 def total_tardiness(schedule: Schedule) -> float:
-    return sum(tardiness(schedule).values())
+    return sum(_tardiness(schedule.columns))
 
 
 def max_tardiness(schedule: Schedule) -> float:
-    values = tardiness(schedule).values()
+    values = _tardiness(schedule.columns)
     return max(values) if values else 0.0
 
 
 def late_job_count(schedule: Schedule) -> int:
     """Number of late tasks (tardiness > 0)."""
 
-    return sum(1 for t in tardiness(schedule).values() if t > 1e-12)
+    return sum(1 for t in _tardiness(schedule.columns) if t > 1e-12)
 
 
 def normalized_makespan(schedule: Schedule) -> float:

@@ -378,7 +378,6 @@ class MalleableJob(MoldableJob):
         # the caller did not provide one explicitly (the default profile is
         # the placeholder [1.0]).
         if tuple(self.runtimes) == (1.0,):
-            max_procs = max(len(self.runtimes), 1)
             self.runtimes = [self.total_work / max(1e-12, self.rate(1))]
         super().__post_init__()
 

@@ -54,12 +54,10 @@ class PlannedPolicy(SchedulingPolicy):
         self._plan = {}
 
     def _replan(self, queue: Sequence[Job], machine_count: int) -> None:
-        schedule = self.scheduler.schedule(list(queue), machine_count)
-        entries = sorted(schedule, key=lambda e: (e.start, e.job.name))
-        self._plan = {
-            entry.job.name: (rank, entry.allocation.nbproc)
-            for rank, entry in enumerate(entries)
-        }
+        cols = self.scheduler.schedule(list(queue), machine_count).columns
+        jobs, starts, nbprocs = cols.jobs, cols.starts, cols.nbprocs()
+        order = sorted(range(len(jobs)), key=lambda i: (starts[i], jobs[i].name))
+        self._plan = {jobs[i].name: (rank, nbprocs[i]) for rank, i in enumerate(order)}
 
     def select(self, queue: Sequence[Job], free: int, now: float, machine_count: int):
         key = tuple(sorted(job.name for job in queue))

@@ -160,10 +160,9 @@ class BiCriteriaScheduler(ReleaseDateScheduler):
             pending = rest
             batch = [by_release[i] for i in selected]
             batch_schedule = self._schedule_batch(batch, machine_count, now, deadline)
-            # In-place union: the same entries, in the same order, as merging
+            # In-place union: the same rows, in the same order, as merging
             # the batch schedules one after the other.
-            for entry in batch_schedule:
-                result.add_scheduled(entry)
+            result.extend(batch_schedule)
             if batch_schedule.reservations:
                 result.reservations = result.reservations + batch_schedule.reservations
             batch_makespan = batch_schedule.makespan()

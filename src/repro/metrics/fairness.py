@@ -32,14 +32,15 @@ def community_usage(schedule: Schedule) -> Dict[str, Dict[str, float]]:
     """
 
     stats: Dict[str, Dict[str, float]] = {}
-    for entry in schedule:
-        owner = entry.job.owner or "(unowned)"
+    cols = schedule.columns
+    for job, runtime, end, nbproc in zip(cols.jobs, cols.runtimes, cols.ends, cols.nbprocs()):
+        owner = job.owner or "(unowned)"
         bucket = stats.setdefault(
             owner, {"jobs": 0.0, "work": 0.0, "mean_flow": 0.0, "max_flow": 0.0}
         )
-        flow = entry.completion - entry.job.release_date
+        flow = end - job.release_date
         bucket["jobs"] += 1
-        bucket["work"] += entry.allocation.work
+        bucket["work"] += nbproc * runtime
         bucket["mean_flow"] += flow
         bucket["max_flow"] = max(bucket["max_flow"], flow)
     for bucket in stats.values():

@@ -45,14 +45,10 @@ def digest_of(payload: Any) -> str:
 def schedule_payload(schedule: Any) -> List[Any]:
     """Repr-exact serialization of a :class:`~repro.core.allocation.Schedule`."""
 
+    jobs, starts, runtimes, _, processors, offsets = schedule.columns
     return [
-        (
-            entry.job.name,
-            repr(entry.start),
-            list(entry.processors),
-            repr(entry.allocation.runtime),
-        )
-        for entry in schedule
+        (job.name, repr(start), processors[lo:hi], repr(runtime))
+        for job, start, runtime, lo, hi in zip(jobs, starts, runtimes, offsets, offsets[1:])
     ]
 
 

@@ -151,18 +151,22 @@ class SimulationRecord:
         accounting.
         """
 
-        records = [
-            RunRecord(
-                name=entry.job.name,
-                cluster=cluster or None,
-                start=entry.start,
-                runtime=entry.allocation.runtime,
-                processors=entry.processors,
-                owner=entry.job.owner,
+        records = []
+        for cluster, schedule in self.schedules.items():
+            jobs, starts, runtimes, _, processors, offsets = schedule.columns
+            records.extend(
+                RunRecord(
+                    name=job.name,
+                    cluster=cluster or None,
+                    start=start,
+                    runtime=runtime,
+                    processors=tuple(processors[lo:hi]),
+                    owner=job.owner,
+                )
+                for job, start, runtime, lo, hi in zip(
+                    jobs, starts, runtimes, offsets, offsets[1:]
+                )
             )
-            for cluster, schedule in self.schedules.items()
-            for entry in schedule
-        ]
         open_runs: Dict[Tuple[str, Optional[str]], Tuple[float, Tuple[int, ...]]] = {}
         for event in self.trace:
             if event.info != "best-effort":

@@ -521,8 +521,8 @@ def _run_grid_centralized(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:
         ],
         "owners_ok": {
             cluster.name: all(
-                entry.job.owner == cluster.community
-                for entry in result.local_schedules[cluster.name]
+                job.owner == cluster.community
+                for job in result.local_schedules[cluster.name].columns.jobs
             )
             for cluster in grid
         },

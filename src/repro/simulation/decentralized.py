@@ -117,13 +117,7 @@ class DecentralizedGridSimulator:
         union = Schedule(self.grid.processor_count)
         offset = 0
         for node in nodes:
-            for entry in node.schedule:
-                union.add(
-                    entry.job,
-                    entry.start,
-                    [p + offset for p in entry.processors],
-                    entry.allocation.runtime,
-                )
+            union.extend(node.schedule, processor_offset=offset)
             offset += node.machine_count
         fairness = fairness_report(
             union,

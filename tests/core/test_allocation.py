@@ -45,6 +45,20 @@ class TestScheduledJob:
         assert not a.overlaps(c)   # back to back is not an overlap
         assert not a.overlaps(d)   # different processor
 
+    def test_overlap_tolerance_matches_validate(self):
+        # Touching within validate's 1e-9 slack is not an overlap, for
+        # either the pair or the schedule holding it.
+        first, second = rigid("first", 1, 1.0), rigid("second", 1, 1.0)
+        schedule = Schedule(1)
+        schedule.add(first, 0.0, [0])
+        schedule.add(second, 1.0 - 5e-10, [0])
+        assert schedule.is_valid()
+        assert not schedule["first"].overlaps(schedule["second"])
+        assert not schedule["second"].overlaps(schedule["first"])
+        a = ScheduledJob(first, 0.0, Allocation((0,), 1.0))
+        b = ScheduledJob(second, 1.0 - 5e-10, Allocation((0,), 1.0))
+        assert not a.overlaps(b) and not b.overlaps(a)
+
 
 class TestScheduleBasics:
     def test_add_and_makespan(self):
