@@ -28,6 +28,11 @@
 #                              (coroutine fleet, no sockets or forks)
 #   make distributed-stress    stealing/speculation stress smoke: 32-worker
 #                              inproc fleet, 1s speculation delay
+#   make smoke-digest-check SUMMARY=file.json
+#                              run the serial smoke tier and fail on any
+#                              per-scenario digest that differs from the
+#                              summary (the three distributed targets above
+#                              and their CI jobs end with it)
 #   make store-smoke           serial + inproc campaigns into one columnar
 #                              store, then SQL compare + validate (mirrors
 #                              the CI store-smoke job; falls back to the
@@ -53,10 +58,12 @@ BASELINE ?= benchmarks/baselines/quick.json
 
 BENCH_ENV = $(if $(JOBS),REPRO_JOBS=$(JOBS)) $(if $(CACHE),REPRO_CACHE_DIR=$(CACHE))
 
-.PHONY: test kernel kernel-check bench perf perf-compare perfbench scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
+.PHONY: test kernel kernel-check bench perf perf-compare perfbench scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress smoke-digest-check store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
 
 # Port the distributed smoke tier binds its campaign schedulers on.
 DIST_PORT ?= 7641
+# Where the distributed smoke targets write their summaries for the gate.
+SMOKE_DIR ?= .smoke-digests
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -131,8 +138,9 @@ distributed-smoke:
 	@PYTHONPATH=src $(PYTHON) -m repro.distributed worker tcp://127.0.0.1:$(DIST_PORT) --max-idle 10 & \
 	PYTHONPATH=src $(PYTHON) -m repro.distributed worker tcp://127.0.0.1:$(DIST_PORT) --max-idle 10 & \
 	PYTHONPATH=src $(PYTHON) -m repro.scenarios run --all --smoke \
-		--executor tcp://127.0.0.1:$(DIST_PORT); \
-	STATUS=$$?; wait; exit $$STATUS
+		--executor tcp://127.0.0.1:$(DIST_PORT) --output $(SMOKE_DIR)/tcp.json; \
+	STATUS=$$?; wait; test $$STATUS -eq 0 || exit $$STATUS
+	$(MAKE) smoke-digest-check SUMMARY=$(SMOKE_DIR)/tcp.json
 
 # The same smoke tier over inproc:// comms: the scheduler and a coroutine
 # worker fleet share one process and event loop -- no sockets, no forks --
@@ -140,14 +148,32 @@ distributed-smoke:
 # same.  Mirrors the CI distributed-smoke inproc matrix leg.
 distributed-smoke-inproc:
 	PYTHONPATH=src $(PYTHON) -m repro.scenarios run --all --smoke \
-		--executor inproc://
+		--executor inproc:// --output $(SMOKE_DIR)/inproc.json
+	$(MAKE) smoke-digest-check SUMMARY=$(SMOKE_DIR)/inproc.json
 
 # Stress leg: a 32-worker inproc fleet with an aggressive 1s speculation
 # delay, so stealing AND speculative re-execution actually fire while the
 # digests are checked (mirrors the CI distributed-stress job).
 distributed-stress:
 	PYTHONPATH=src $(PYTHON) -m repro.distributed run --all --smoke \
-		--comm inproc --workers 32 --speculation-delay 1
+		--comm inproc --workers 32 --speculation-delay 1 \
+		--output $(SMOKE_DIR)/stress.json
+	$(MAKE) smoke-digest-check SUMMARY=$(SMOKE_DIR)/stress.json
+
+# The digest gate of the distributed smoke legs: rows are bit-identical to
+# serial by contract, so every scenario of SUMMARY (a --output summary of a
+# smoke run) must carry the digest a serial smoke run writes next to it,
+# and both must list the same scenarios.
+smoke-digest-check:
+	@test -n "$(SUMMARY)" || { echo "usage: make smoke-digest-check SUMMARY=file.json"; exit 2; }
+	PYTHONPATH=src $(PYTHON) -m repro.scenarios run --all --smoke \
+		--output $(SUMMARY:.json=.serial.json)
+	@$(PYTHON) -c 'import json, sys; \
+	digests = [{s["name"]: s.get("digest") for s in json.load(open(p))["scenarios"]} for p in sys.argv[1:]]; \
+	bad = sorted(n for n in digests[0].keys() | digests[1].keys() if digests[0].get(n) is None or digests[0].get(n) != digests[1].get(n)); \
+	[print(f"digest mismatch: {n}: {digests[0].get(n)} != serial {digests[1].get(n)}") for n in bad]; \
+	print(f"{len(digests[1]) - len(bad)}/{len(digests[1])} scenario digest(s) match serial"); \
+	sys.exit(1 if bad else 0)' $(SUMMARY) $(SUMMARY:.json=.serial.json)
 
 # Land the same smoke campaigns twice -- once serial, once over inproc://
 # comms -- in ONE columnar store, then prove the two campaigns are
@@ -203,6 +229,6 @@ ci:
 	$(MAKE) perfbench
 
 clean:
-	rm -rf .pytest_cache .benchmarks .repro-cache .store-smoke .perfbench-work
+	rm -rf .pytest_cache .benchmarks .repro-cache .store-smoke .perfbench-work .smoke-digests
 	find . -name __pycache__ -type d -exec rm -rf {} +
 	find . -name "*.py[co]" -delete

@@ -12,14 +12,16 @@ layer (:mod:`repro.distributed.comm`): ``tcp://`` sockets for real fleets
 on one host or across a cluster, ``inproc://`` channels for socketless
 in-process fleets -- a thousand simulated workers in one process.
 
-Scheduling is pull-based with prefetch leases, plus **work stealing** (idle
+Scheduling is pull-based with guided leases (each reply carries an equal
+share of what is queued; the worker drains it in one hop), plus **work
+stealing** (idle
 workers steal the queued tail of loaded workers' leases) and **speculative
 re-execution** (straggler cells are duplicated onto idle workers; the first
 result wins and the losers are cancelled).  Both ride on the runtime's
 duplicate-result idempotence -- results are keyed by position and every
 cell carries its own deterministic seed -- so they change the wall clock,
-never the rows.  Fault tolerance is retry-based (dead workers' in-flight
-cells are requeued under a bounded budget) and campaigns are resumable
+never the rows.  Fault tolerance is retry-based (a dead worker's lease is
+requeued, and the cell it was running is charged against a bounded budget) and campaigns are resumable
 through an append-only JSONL journal
 (:class:`~repro.distributed.campaign.CampaignJournal`).
 

@@ -19,7 +19,7 @@
 
 Addresses are scheme-prefixed comm addresses (``tcp://HOST:PORT``,
 ``inproc://NAME``; see :mod:`repro.distributed.comm`), and the scheduling
-knobs of the runtime -- prefetch leases, work stealing, speculative
+knobs of the runtime -- guided leases, work stealing, speculative
 re-execution -- are exposed as flags on ``scheduler`` and ``run``.
 
 ``scheduler`` and ``run`` accept the same scenario selection as
@@ -92,9 +92,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "campaigns run (0 picks a free port; the URL goes to stderr)",
     )
     common.add_argument(
-        "--prefetch", type=int, default=2, metavar="N",
-        help="assignments per task reply; extras form the worker's stealable "
-             "lease (default: 2)",
+        "--prefetch", type=int, default=None, metavar="N",
+        help="cap on the assignments of one task reply, which otherwise carries "
+             "ceil(pending / connected workers) cells; the worker drains the "
+             "lease in one hop and its tail stays stealable (default: no cap)",
     )
     common.add_argument(
         "--no-steal", action="store_true",

@@ -19,8 +19,9 @@ The shape follows ``distributed/comm/core.py`` from early dask
 backends registered per scheme, and every error funnelled into a small
 exception family so callers can write one ``except CommError`` clause.
 
-All ``Comm`` methods are coroutines and must be driven from an asyncio
-event loop; the inproc backend additionally supports *cross-loop* use
+All ``Comm`` methods except :meth:`Comm.send_sync` are coroutines and must
+be driven from an asyncio event loop; ``send_sync`` may be called from any
+thread.  The inproc backend additionally supports *cross-loop* use
 (connecting from one thread's loop to a listener owned by another), which
 is what lets a synchronous worker join an in-process scheduler.
 """
@@ -56,6 +57,15 @@ class Comm(ABC):
     @abstractmethod
     async def send(self, message: Mapping[str, Any]) -> None:
         """Write one message envelope; raises :class:`CommClosedError` if gone."""
+
+    @abstractmethod
+    def send_sync(self, message: Mapping[str, Any]) -> None:
+        """Write one envelope from any thread, returning once it is sent.
+
+        Frames keep their order with every other send on the comm.  The
+        worker's drain loop uses it to stream each result before the next
+        cell starts.
+        """
 
     @abstractmethod
     async def recv(self) -> Dict[str, Any]:

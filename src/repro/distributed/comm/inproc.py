@@ -117,6 +117,10 @@ class InProcComm(core.Comm):
         self.peer = peer
 
     async def send(self, message: Mapping[str, Any]) -> None:
+        self.send_sync(message)
+
+    def send_sync(self, message: Mapping[str, Any]) -> None:
+        # The channel is thread-safe, so any thread can put the frame.
         blob = protocol.dump_frame(message)  # same guard as the wire
         if self._closed:
             raise core.CommClosedError(f"comm to {self.peer} is closed")

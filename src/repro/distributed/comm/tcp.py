@@ -25,6 +25,7 @@ class TCPComm(core.Comm):
         self._reader = reader
         self._writer = writer
         self._send_lock = asyncio.Lock()  # frames must never interleave
+        self._loop = asyncio.get_running_loop()  # the loop owning the stream
         self._closed = False
         try:
             peer = writer.get_extra_info("peername")
@@ -32,11 +33,16 @@ class TCPComm(core.Comm):
         except (OSError, IndexError, TypeError):
             self.peer = "tcp://?"
 
-    async def send(self, message: Mapping[str, Any]) -> None:
+    def _frame(self, message: Mapping[str, Any]) -> bytes:
         blob = protocol.dump_frame(message)
-        frame = protocol.pack_header(len(blob)) + blob
         if self._closed:
             raise protocol.ConnectionClosed(f"comm to {self.peer} is closed")
+        return protocol.pack_header(len(blob)) + blob
+
+    async def send(self, message: Mapping[str, Any]) -> None:
+        await self._send_frame(self._frame(message))
+
+    async def _send_frame(self, frame: bytes) -> None:
         try:
             async with self._send_lock:
                 self._writer.write(frame)
@@ -46,6 +52,26 @@ class TCPComm(core.Comm):
             raise protocol.ConnectionClosed(
                 f"peer {self.peer} went away while sending: {error}"
             ) from error
+
+    def send_sync(self, message: Mapping[str, Any]) -> None:
+        frame = self._frame(message)
+        try:
+            on_loop = asyncio.get_running_loop() is self._loop
+        except RuntimeError:
+            on_loop = False
+        if on_loop:
+            # The loop's own thread cannot wait for itself; a whole frame
+            # handed to the transport is written in order all the same.
+            if self._writer.is_closing():
+                self._closed = True
+                raise protocol.ConnectionClosed(f"comm to {self.peer} is closed")
+            self._writer.write(frame)
+            return
+        try:
+            done = asyncio.run_coroutine_threadsafe(self._send_frame(frame), self._loop)
+        except RuntimeError as error:  # the loop is closed
+            raise protocol.ConnectionClosed(f"comm to {self.peer} is closed") from error
+        done.result()
 
     async def recv(self) -> Dict[str, Any]:
         if self._closed:

@@ -23,11 +23,14 @@ selection goes through :func:`repro.experiments.executors.resolve_executor`:
 
 Each ``map`` call runs one campaign: start a
 :class:`~repro.distributed.scheduler.Scheduler` (work stealing and
-speculative re-execution are **on** by default here, with a prefetch of 2 to
-give stealing a backlog to feed on), raise the local fleet -- forked
-processes for ``tcp://``, event-loop coroutines for ``inproc://``, either
-babysat so a dead worker costs a retry, not the sweep -- stream the ordered
-outcomes, then tear everything down.  With ``journal=`` (or
+speculative re-execution are **on** by default here, and leases are
+uncapped guided shares -- ``ceil(pending / connected workers)`` cells per
+reply, drained by the worker in one thread hop), register the campaign,
+then raise the local fleet -- forked processes for ``tcp://``, event-loop
+coroutines for ``inproc://``, either babysat so a dead worker costs a retry
+of the cell it was running, not the sweep -- stream the ordered outcomes,
+then tear everything down.  The campaign exists before any worker asks, so
+no first request is answered ``idle``.  With ``journal=`` (or
 ``REPRO_JOURNAL=``) pointing at a JSONL file, completed cells are journaled
 as they finish and a restarted campaign re-executes only the incomplete
 ones.  After each campaign the scheduler's counters are published on
@@ -40,7 +43,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
-from typing import Callable, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Generator, Iterator, List, Optional, Sequence, Union
 
 from repro.distributed.campaign import CampaignJournal
 from repro.distributed.comm import core as comm_core
@@ -87,9 +90,10 @@ class DistributedExecutor(Executor):
     prefetch / steal / speculate / speculation_delay / max_speculative:
         Scheduling knobs, forwarded to the :class:`Scheduler`.  Unlike the
         raw scheduler's conservative pull-of-one default, the executor
-        defaults to ``prefetch=2`` with stealing and speculation enabled:
-        outcomes are keyed by position and each cell carries its own seed,
-        so these change the wall clock, never the rows.
+        defaults to ``prefetch=None`` -- no cap on the guided lease of
+        ``ceil(pending / connected workers)`` cells -- with stealing and
+        speculation enabled: outcomes are keyed by position and each cell
+        carries its own seed, so these change the wall clock, never the rows.
     start_method:
         ``multiprocessing`` start method for self-spawned ``tcp://``
         workers.  ``None`` prefers ``fork`` where available, keeping cell
@@ -115,7 +119,7 @@ class DistributedExecutor(Executor):
         heartbeat_timeout: float = 10.0,
         max_retries: int = 3,
         stall_timeout: Optional[float] = 120.0,
-        prefetch: int = 2,
+        prefetch: Optional[int] = None,
         steal: bool = True,
         speculate: bool = True,
         speculation_delay: float = 5.0,
@@ -126,8 +130,8 @@ class DistributedExecutor(Executor):
         comm_core.validate_address(address)  # fail early, with the friendly message
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if prefetch < 1:
-            raise ValueError("prefetch must be >= 1")
+        if prefetch is not None and prefetch < 1:
+            raise ValueError("prefetch must be >= 1 (or None for no cap)")
         self.address = address
         self.scheme = comm_core.split_address(address)[0]
         self.workers = workers
@@ -188,7 +192,11 @@ class DistributedExecutor(Executor):
             self.scheduler = scheduler
             stop = threading.Event()
             babysitter: Optional[threading.Thread] = None
+            outcomes: Optional[Generator[CellOutcome, None, None]] = None
             try:
+                # Registered before the fleet: a worker's first request
+                # finds work instead of an idle reply and its sleep.
+                outcomes = scheduler.run_campaign(fn, cells)  # type: ignore[assignment]
                 if self.workers:
                     count = min(self.workers, len(cells))
                     if self.scheme == "inproc":
@@ -214,8 +222,10 @@ class DistributedExecutor(Executor):
                             daemon=True,
                         )
                     babysitter.start()
-                yield from scheduler.run_campaign(fn, cells)
+                yield from outcomes
             finally:
+                if outcomes is not None:
+                    outcomes.close()
                 stop.set()
                 if babysitter is not None:
                     babysitter.join(timeout=2.0)

@@ -23,24 +23,33 @@ Message vocabulary (all envelopes carry ``"op"``):
 op             direction  meaning
 =============  =========  ==================================================
 ``hello``      w -> s     register; carries ``worker`` (the worker's id)
-``welcome``    s -> w     registration ack; carries ``heartbeat_interval``
+``welcome``    s -> w     registration ack; carries ``heartbeat_interval``,
+                          ``prefetch`` (the lease cap, ``null`` for none)
                           and ``telemetry`` (whether the scheduler wants
                           span capture + forwarding)
 ``request``    w -> s     pull work (also refreshes the heartbeat)
-``task``       s -> w     a cell assignment: ``campaign``, ``index``,
-                          ``attempt``, ``cell`` payload, optional ``extra``
-                          prefetched assignments, plus ``fn`` payload the
-                          first time this connection sees the campaign
+``task``       s -> w     a lease: the first assignment's ``campaign``,
+                          ``index``, ``attempt``, ``cell`` payload, then
+                          optional ``extra`` assignments -- ``ceil(pending /
+                          connected workers)`` in all, capped by
+                          ``prefetch`` -- plus ``fn`` payload the first
+                          time this connection sees the campaign
 ``idle``       s -> w     no work right now; retry after ``delay`` seconds
 ``result``     w -> s     a finished cell: ``campaign``, ``index``,
-                          ``attempt``, ``outcome`` payload (no ack)
+                          ``attempt``, ``outcome`` payload (no ack); sent
+                          before the worker starts the next lease entry,
+                          so a lost worker is charged only for its head
 ``heartbeat``  w -> s     I-am-alive while executing a long cell (no ack)
 ``revoke``     s -> w     give still-queued assignments ``indices`` of
                           ``campaign`` back (an idle worker wants to steal)
 ``revoked``    w -> s     steal confirmation: ``indices`` were still queued
                           and dropped, ``kept`` had already started
 ``cancel``     s -> w     assignment (``index``, ``attempt``) lost the
-                          speculative race; skip it / don't bother replying
+                          speculative race; skip it or drop its result
+``discarded``  w -> s     answer to a ``cancel`` once the worker is done
+                          with the entry (skipped, or run and its result
+                          dropped): ``campaign``, ``index``, ``attempt``;
+                          sent before the next lease entry starts (no ack)
 ``telemetry``  w -> s     batched local telemetry events: ``worker``,
                           ``events`` (list of ``{topic, seq, time,
                           payload}``), ``dropped`` (local overflow count);

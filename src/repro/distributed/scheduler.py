@@ -10,10 +10,15 @@ not a thousand OS threads.
 
 Scheduling model:
 
-* **pull-based with prefetch leases**: workers request work; the reply
-  carries up to ``prefetch`` assignments, the extras forming the worker's
-  *lease* (a local backlog it executes without further round trips).  The
-  scheduler tracks every lease.
+* **pull-based with guided leases**: workers request work; the reply
+  carries ``ceil(pending / connected workers)`` assignments, capped by
+  ``prefetch`` when set -- guided self-scheduling, so early leases are large
+  and amortise the round trip while later ones shrink as the queue drains.
+  The reply forms the worker's *lease*, a local backlog it drains in order,
+  sending each result before it starts the next cell.  The scheduler tracks
+  every lease, and the head of one is the cell its worker is running: an
+  entry leaves the lease only when the worker's frame for it (``result``,
+  ``discarded`` after a cancel, or ``revoked``) arrives.
 * **work stealing**: when the global queue is dry, an idle worker's request
   triggers a steal from the tail of the most-loaded worker's lease.  The
   steal is two-phase: the victim gets a ``revoke`` push and answers with a
@@ -22,10 +27,12 @@ Scheduling model:
   requeued and handed to idle workers.  Stealing therefore never duplicates
   an execution -- a cell runs twice only when speculation chooses to.
 * **speculative re-execution**: when queue and leases are all dry but cells
-  are still executing, a straggler cell older than ``speculation_delay`` is
-  duplicated onto the idle worker.  The first result wins; every other
-  live attempt gets a ``cancel`` push and its late result is counted as a
-  duplicate.  Correctness rides on the duplicate-result idempotence the
+  are still executing, a straggler -- a lease head that has been running
+  for longer than ``speculation_delay``; cells queued behind it have not
+  started and never qualify -- is duplicated onto the idle worker.  The
+  first result wins; every other live attempt gets a ``cancel`` push, which
+  its worker answers with ``discarded`` (or, if it finished first, a late
+  result counted as a duplicate).  Correctness rides on the duplicate-result idempotence the
   runtime always had: results are keyed by position, and each cell carries
   its own deterministic seed, so *which* attempt wins cannot change a row.
 * **ordered streaming**: :meth:`run_campaign` yields outcomes in submission
@@ -34,11 +41,12 @@ Scheduling model:
   :class:`~repro.experiments.executors.SerialExecutor` rows under stealing
   and speculation alike.
 * **fault tolerance**: a dropped connection or a missed-heartbeat eviction
-  requeues the worker's in-flight cells at the *front* of the queue, unless
-  another live (speculative) attempt already covers them; past a bounded
-  per-cell retry budget the cell is failed with a ``WorkerLostError``
-  outcome that the harness surfaces as
-  :class:`~repro.experiments.harness.CellExecutionError`.
+  requeues the worker's lease at the *front* of the queue, unless another
+  live (speculative) attempt already covers a cell.  Only the lease head --
+  the cell that was running -- is charged a retry; the cells queued behind
+  it never started and go back free.  Past a bounded per-cell retry budget
+  the cell is failed with a ``WorkerLostError`` outcome that the harness
+  surfaces as :class:`~repro.experiments.harness.CellExecutionError`.
 * **resumability**: with a
   :class:`~repro.distributed.campaign.CampaignJournal` attached, completed
   cells are appended as they stream in and journaled cells of a restarted
@@ -162,6 +170,8 @@ class _Assignment:
     position: int
     attempt: int
     conn: "_WorkerConn"
+    #: The speculation clock: stamped at assignment and restarted when the
+    #: cell becomes its worker's lease head, i.e. when the worker starts it.
     assigned_at: float
     speculative: bool = False
     #: A revoke asking for this cell back is in flight; it stays the
@@ -179,8 +189,10 @@ class _WorkerConn:
     #: Live assignments keyed by position (a worker never holds two
     #: attempts of the same cell).
     assignments: Dict[int, _Assignment] = field(default_factory=dict)
-    #: Positions in dispatch order; the head is (probably) executing, the
-    #: tail is the stealable backlog.
+    #: Positions in dispatch order; the head is the cell the worker is
+    #: running (see :meth:`Scheduler._drop_from_lease`), the tail is the
+    #: stealable backlog it has not started.  A cancelled entry stays until
+    #: the worker answers ``discarded``, without an entry in ``assignments``.
     lease: Deque[int] = field(default_factory=deque)
     fn_campaign: Optional[str] = None  # campaign the fn payload was sent for
     evicted: bool = False
@@ -232,8 +244,9 @@ class Scheduler:
         A worker silent for longer than this is evicted and its in-flight
         cells requeued.  Must comfortably exceed ``heartbeat_interval``.
     max_retries:
-        How many times a cell may be requeued after worker losses before it
-        is failed with a ``WorkerLostError`` outcome.
+        How many times a cell may be lost with its worker -- lost while it
+        was running, at the head of the worker's lease -- before it is failed
+        with a ``WorkerLostError`` outcome.
     journal:
         Optional :class:`CampaignJournal` (or path): completed cells are
         appended, journaled cells are replayed on restart.
@@ -241,8 +254,10 @@ class Scheduler:
         When set, :meth:`run_campaign` raises :class:`CampaignStalled` if
         cells are pending but no worker has been connected for this long.
     prefetch:
-        Assignments per ``task`` reply (1 = classic pull-of-one; larger
-        values amortise round trips and create the leases stealing feeds on).
+        Upper bound on the assignments of one ``task`` reply, which otherwise
+        carries ``ceil(pending / connected workers)`` cells; ``None`` lifts
+        the cap.  The default 1 is the classic pull-of-one; larger leases
+        amortise round trips and create the backlog stealing feeds on.
     steal:
         Let idle workers steal queued-but-unstarted cells from the most
         loaded worker's lease when the global queue is dry.
@@ -274,7 +289,7 @@ class Scheduler:
         max_retries: int = 3,
         journal: Union[None, str, CampaignJournal] = None,
         stall_timeout: Optional[float] = None,
-        prefetch: int = 1,
+        prefetch: Optional[int] = 1,
         steal: bool = True,
         speculate: bool = True,
         speculation_delay: float = 5.0,
@@ -285,8 +300,8 @@ class Scheduler:
             raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if prefetch < 1:
-            raise ValueError("prefetch must be >= 1")
+        if prefetch is not None and prefetch < 1:
+            raise ValueError("prefetch must be >= 1 (or None for no cap)")
         if speculation_delay <= 0:
             raise ValueError("speculation_delay must be > 0")
         if max_speculative < 0:
@@ -448,16 +463,29 @@ class Scheduler:
         *,
         version: Optional[str] = None,
     ) -> Iterator[CellOutcome]:
-        """Execute ``fn`` over ``cells``, yielding outcomes in submission order.
+        """Register a campaign of ``fn`` over ``cells``; return its ordered stream.
 
-        ``version`` keys the journal entries; it defaults to
-        :func:`~repro.experiments.harness.run_fingerprint` of the wrapped
-        run function, mirroring the result-cache versioning.
+        The campaign is registered before this returns, so a fleet raised
+        afterwards finds work on its first request.  The stream yields
+        outcomes in submission order; exhausting or closing it (or dropping
+        it) ends the campaign.  ``version`` keys the journal entries; it
+        defaults to :func:`~repro.experiments.harness.run_fingerprint` of the
+        wrapped run function, mirroring the result-cache versioning.
         """
 
         cells = list(cells)
         if not cells:
-            return
+            return iter(())
+        stream = self._campaign_stream(fn, cells, version)
+        next(stream)  # run up to the registration, inside the try/finally
+        return stream
+
+    def _campaign_stream(
+        self,
+        fn: Callable[[Cell], CellOutcome],
+        cells: List[Cell],
+        version: Optional[str],
+    ) -> Iterator[CellOutcome]:
         if version is None:
             version = self._fingerprint(fn)
         campaign = _Campaign(
@@ -491,6 +519,7 @@ class Scheduler:
             journal_hits=len(campaign.done),
         )
         try:
+            yield None  # type: ignore[misc]  # consumed by run_campaign
             for position in range(len(cells)):
                 with self._lock:
                     while position not in campaign.results:
@@ -656,6 +685,10 @@ class Scheduler:
                     await self._handle_result(conn, message)
                 elif op == "revoked":
                     self._handle_revoked(conn, message)
+                elif op == "discarded":
+                    index = int(message.get("index", -1))  # type: ignore[arg-type]
+                    with self._lock:
+                        self._drop_from_lease(conn, index)
                 elif op == "telemetry":
                     self._handle_telemetry(conn, message)
                 elif op == "heartbeat":
@@ -800,6 +833,16 @@ class Scheduler:
 
     # -- assignment: queue, steal, speculate --------------------------------
 
+    def _lease_size(self, campaign: _Campaign) -> int:
+        """Cells for the next ``task`` reply (lock held).
+
+        Guided self-scheduling: an equal share ``ceil(pending / connected
+        workers)`` of what is still queued, capped by ``prefetch`` when set.
+        """
+
+        size = -(-len(campaign.pending) // max(1, len(self._conns)))
+        return size if self.prefetch is None else min(size, self.prefetch)
+
     def _assign(
         self, campaign: _Campaign, conn: _WorkerConn, position: int, *, speculative: bool
     ) -> Dict[str, object]:
@@ -823,6 +866,30 @@ class Scheduler:
             "cell": protocol.encode_payload(campaign.cells[position]),
         }
 
+    @staticmethod
+    def _drop_from_lease(conn: _WorkerConn, position: int) -> None:
+        """Remove ``position`` from ``conn``'s lease (lock held).
+
+        Called when the worker's frame for the entry arrives -- its
+        ``result``, its ``discarded`` notice after a cancel, or a ``revoked``
+        confirmation.  The worker sends that frame before it pops the next
+        entry, so when the head goes the new head has just started, and its
+        speculation clock restarts now.
+        """
+
+        lease = conn.lease
+        if not lease:
+            return
+        was_head = lease[0] == position
+        try:
+            lease.remove(position)
+        except ValueError:
+            return
+        if was_head and lease:
+            head = conn.assignments.get(lease[0])
+            if head is not None:
+                head.assigned_at = time.monotonic()
+
     def _request_steal(
         self, campaign: _Campaign, thief: _WorkerConn
     ) -> Optional[Tuple[_WorkerConn, Dict[str, object]]]:
@@ -837,11 +904,8 @@ class Scheduler:
         """
 
         def stealable(conn: _WorkerConn) -> List[int]:
-            return [
-                position
-                for position in list(conn.lease)[1:]
-                if not conn.assignments[position].revoking
-            ]
+            tail = (conn.assignments.get(position) for position in list(conn.lease)[1:])
+            return [a.position for a in tail if a is not None and not a.revoking]
 
         # Candidate victims come from the live assignments, not the fleet:
         # with thousands of mostly-idle workers, the scan must be bounded by
@@ -860,7 +924,9 @@ class Scheduler:
                 victim, candidates = candidate, tail
         if victim is None or not candidates:
             return None
-        count = min(self.prefetch, max(1, (len(candidates) + 1) // 2))
+        count = (len(candidates) + 1) // 2  # the larger half
+        if self.prefetch is not None:
+            count = min(count, self.prefetch)
         wanted = candidates[-count:]
         for position in wanted:
             victim.assignments[position].revoking = True
@@ -895,13 +961,10 @@ class Scheduler:
                 return
             requeue: List[int] = []
             for position in removed:
+                self._drop_from_lease(conn, position)
                 assignment = conn.assignments.pop(position, None)
                 if assignment is None:
                     continue
-                try:
-                    conn.lease.remove(position)
-                except ValueError:
-                    pass
                 live = campaign.running.get(position)
                 if live is not None:
                     live = [a for a in live if a is not assignment]
@@ -939,7 +1002,12 @@ class Scheduler:
     def _speculative_candidate(
         self, campaign: _Campaign, conn: _WorkerConn
     ) -> Optional[int]:
-        """The oldest straggler cell worth duplicating onto ``conn`` (lock held)."""
+        """The oldest straggler cell worth duplicating onto ``conn`` (lock held).
+
+        Only attempts at the head of their worker's lease count: a cell
+        queued behind it has not started, however long ago it was leased,
+        and duplicating it would let both copies run.
+        """
 
         if self.max_speculative < 1:
             return None
@@ -950,7 +1018,14 @@ class Scheduler:
                 continue
             if not attempts or len(attempts) > self.max_speculative:
                 continue
-            oldest = min(a.assigned_at for a in attempts)
+            started = [
+                a.assigned_at
+                for a in attempts
+                if a.conn.lease and a.conn.lease[0] == position
+            ]
+            if not started:
+                continue
+            oldest = min(started)
             if now - oldest < self.speculation_delay:
                 continue
             if best is None or oldest < best[0]:
@@ -967,7 +1042,8 @@ class Scheduler:
             campaign = self._campaign
             batch: List[Dict[str, object]] = []
             if campaign is not None and not conn.evicted:
-                while len(batch) < self.prefetch and campaign.pending:
+                size = self._lease_size(campaign)
+                while len(batch) < size and campaign.pending:
                     position = campaign.pending.popleft()
                     if position in campaign.done or position in conn.assignments:
                         continue
@@ -1042,11 +1118,7 @@ class Scheduler:
             campaign = self._campaign
             # This connection's bookkeeping for the cell is settled either way.
             assignment = conn.assignments.pop(position, None)
-            if assignment is not None:
-                try:
-                    conn.lease.remove(position)
-                except ValueError:
-                    pass
+            self._drop_from_lease(conn, position)
             if (
                 campaign is None
                 or campaign.campaign_id != message.get("campaign")
@@ -1067,11 +1139,10 @@ class Scheduler:
             for loser in campaign.running.pop(position, []):
                 if loser is assignment:
                     continue
+                # The entry stays in the loser's lease until the worker
+                # answers the cancel with ``discarded``: until then it may
+                # be running, and the cells behind it have not started.
                 loser.conn.assignments.pop(position, None)
-                try:
-                    loser.conn.lease.remove(position)
-                except ValueError:
-                    pass
                 self.stats.cancels += 1
                 cancels.append(
                     (
@@ -1106,14 +1177,25 @@ class Scheduler:
     # -- connection loss ----------------------------------------------------
 
     def _forget_connection(self, conn: _WorkerConn) -> None:
-        """Drop a dead connection and requeue (or fail) its in-flight cells."""
+        """Drop a dead connection and requeue (or fail) its lease.
+
+        Only the lease head -- the cell the worker was running when it died
+        -- is charged against the retry budget: the worker sends each result
+        before it starts the next cell, so every entry behind the head never
+        started and goes back to the queue free.  A head that lost a
+        speculative race (cancelled, but not yet answered ``discarded``) is
+        settled, so nothing is charged.
+        """
 
         with self._lock:
             if self._conns.get(conn.worker_id) is conn:
                 del self._conns[conn.worker_id]
             workers = len(self._conns)
             lost_before = self.stats.worker_lost_failures
-            positions = list(conn.lease)
+            # A cancelled entry still heading the lease is settled; the
+            # worker died finishing it, and nothing behind it had started.
+            head = conn.lease[0] if conn.lease else None
+            positions = [p for p in conn.lease if p in conn.assignments]
             for position in conn.assignments:
                 if position not in positions:
                     positions.append(position)
@@ -1140,6 +1222,9 @@ class Scheduler:
                         campaign.running[position] = live
                         continue
                     del campaign.running[position]
+                if position != head:
+                    requeue.append(position)
+                    continue
                 losses = campaign.loss_retries.get(position, 0) + 1
                 campaign.loss_retries[position] = losses
                 if losses > self.max_retries:

@@ -6,26 +6,33 @@ scheduler (:mod:`repro.distributed.scheduler`):
 * connect and ``hello``, read the ``welcome`` (which advertises the
   heartbeat interval);
 * loop: ``request`` work; a ``task`` reply may carry several assignments
-  (the *lease* -- prefetched cells executed locally without further round
-  trips), an ``idle`` reply means sleep briefly and re-request;
+  (the *lease*, a guided share of the scheduler's queue), an ``idle`` reply
+  means sleep briefly and re-request;
+* a lease is run by one *drain loop* in one thread hop (``run_in_executor``;
+  ``inline=True`` runs the same loop on the event loop thread).  It pops
+  each entry under a lock, checks cancellation before and after the cell,
+  and sends the result (telemetry first) with the comm's synchronous send
+  before it pops the next one -- so the head of the scheduler's view of the
+  lease is the running cell.  It is bound to its own connection's
+  backlog and stops at the next cell once that comm is closed;
 * pushed frames arrive at any time: ``revoke`` asks for lease entries back
-  for an idle worker to steal -- the worker drops the ones still queued and
-  confirms with a ``revoked`` frame (cells it already started stay its own,
-  which is what keeps stealing duplicate-free); ``cancel`` marks an
-  assignment that lost a speculative race (its result is not worth
-  sending);
+  for an idle worker to steal -- the worker drops, under the drain's lock,
+  the ones not yet popped and confirms with a ``revoked`` frame (cells it
+  already started stay its own, which is what keeps stealing
+  duplicate-free); ``cancel`` marks an assignment that lost a speculative
+  race: the drain skips it (or drops its result) and answers ``discarded``
+  instead, so every lease entry gets exactly one frame back;
 * a heartbeat task keeps ``heartbeat`` frames flowing on the same comm
-  while a cell executes (cells run in a thread via ``run_in_executor``, so
-  the event loop -- and with it heartbeats and cancellation -- stays live
-  during long cells);
+  while the drain runs (the event loop -- and with it heartbeats, revokes
+  and cancellation -- stays live during long cells);
 * when the ``welcome`` advertises ``telemetry``, the worker times each
   cell's deserialize / execute / serialize phases plus its own idle waits
-  with monotonic spans on a private local bus, and a pump task batches
-  those events into additive ``telemetry`` frames on the same comm (before
-  each result, and periodically while idle).  The scheduler re-publishes
-  them under ``worker.<id>.*`` topics; see
-  :meth:`Scheduler._handle_telemetry`.  Telemetry frames are fire-and-
-  forget metadata: results and digests are identical with them on or off.
+  with monotonic spans on a private local bus; the drain forwards them in
+  an additive ``telemetry`` frame before each result, and a pump task
+  covers idle periods.  The scheduler re-publishes them under
+  ``worker.<id>.*`` topics; see :meth:`Scheduler._handle_telemetry`.
+  Telemetry frames are fire-and-forget metadata: results and digests are
+  identical with them on or off.
 
 The cell function travels pickled inside the first ``task`` of each
 campaign and is cached for the campaign's duration, so it must either be
@@ -52,6 +59,7 @@ from __future__ import annotations
 import asyncio
 import os
 import socket
+import threading
 import time
 import uuid
 from collections import deque
@@ -79,7 +87,7 @@ TELEMETRY_BUFFER = 4096
 #: How long a worker waits for the scheduler's reply to a work request (or
 #: the welcome) before declaring the connection -- or its host -- dead.
 #: Replies are immediate in a healthy system; only the worker's own cell
-#: execution is slow, and requests are only sent between cells.
+#: execution is slow, and requests are only sent between leases.
 REPLY_TIMEOUT = 30.0
 
 
@@ -118,17 +126,20 @@ class AsyncWorker:
         #: Span capture + forwarding: None follows the scheduler's welcome
         #: advertisement (on iff the scheduler has a bus), False forces off.
         self.telemetry = telemetry
-        #: Execute cells inline on the event loop instead of a thread.  Only
+        #: Drain leases inline on the event loop instead of a thread.  Only
         #: sensible for simulated fleets with cheap cells: it skips the
-        #: executor hop but blocks the loop for the cell's duration.
+        #: executor hop but blocks the loop for the lease's duration.
         self.inline = inline
         self.cells_executed = 0
         self.cells_cancelled = 0
         self.cells_revoked = 0
         self.events_forwarded = 0
         self._last_useful = time.monotonic()
-        # Per-connection state (reset by _serve).
+        # Per-connection state (reset by _serve).  The drain pops the
+        # backlog and revoke filters it, both under _backlog_lock.
         self._backlog: Deque[Dict[str, Any]] = deque()
+        self._backlog_lock = threading.Lock()
+        self._draining = False
         self._cancelled: Set[Tuple[str, int, int]] = set()
         self._fn: Tuple[Optional[str], Optional[Callable[[Cell], CellOutcome]]] = (None, None)
         self._idle_delay: Optional[float] = None
@@ -172,6 +183,7 @@ class AsyncWorker:
 
     async def _serve(self, comm: Comm) -> None:
         self._backlog = deque()
+        self._draining = False
         self._cancelled = set()
         self._fn = (None, None)
         self._idle_delay = None
@@ -211,7 +223,7 @@ class AsyncWorker:
         try:
             while True:
                 if self._backlog:
-                    await self._execute(comm, self._backlog.popleft())
+                    await self._drain_lease(comm)
                     continue
                 idle_started = time.monotonic() if self._spans.enabled else None
                 pulled = await self._pull(comm, reader)
@@ -276,43 +288,22 @@ class AsyncWorker:
                 if "fn" in message:
                     self._fn = (campaign, protocol.decode_payload(str(message["fn"])))
                 entries = [message] + list(message.get("extra") or [])
-                for entry in entries:
-                    self._backlog.append(
+                with self._backlog_lock:
+                    self._backlog.extend(
                         {
                             "campaign": campaign,
                             "index": int(entry.get("index", -1)),
                             "attempt": int(entry.get("attempt", 0)),
                             "cell": entry.get("cell"),
                         }
+                        for entry in entries
                     )
                 self._wake.set()
             elif op == "idle":
                 self._idle_delay = float(message.get("delay", 0.05))
                 self._wake.set()
             elif op == "revoke":
-                campaign = str(message.get("campaign"))
-                requested = [int(index) for index in (message.get("indices") or [])]
-                drop = set(requested)
-                removed: Set[int] = set()
-                kept_backlog: Deque[Dict[str, Any]] = deque()
-                for entry in self._backlog:
-                    if entry["campaign"] == campaign and entry["index"] in drop:
-                        removed.add(entry["index"])
-                    else:
-                        kept_backlog.append(entry)
-                self._backlog = kept_backlog
-                self.cells_revoked += len(removed)
-                # Confirm what was actually still queued; anything already
-                # started (or finished) stays this worker's.
-                await comm.send(
-                    {
-                        "op": "revoked",
-                        "worker": self.worker_id,
-                        "campaign": campaign,
-                        "indices": sorted(removed),
-                        "kept": [i for i in requested if i not in removed],
-                    }
-                )
+                await comm.send(self._revoke(message))
             elif op == "cancel":
                 self._cancelled.add(
                     (
@@ -323,6 +314,33 @@ class AsyncWorker:
                 )
             else:
                 raise protocol.ProtocolError(f"unexpected op {op!r} from scheduler")
+
+    def _revoke(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Drop the revoked entries not yet popped; build the confirmation."""
+
+        campaign = str(message.get("campaign"))
+        requested = [int(index) for index in (message.get("indices") or [])]
+        drop = set(requested)
+        removed: Set[int] = set()
+        with self._backlog_lock:  # the drain cannot pop meanwhile
+            kept_backlog = []
+            for entry in self._backlog:
+                if entry["campaign"] == campaign and entry["index"] in drop:
+                    removed.add(entry["index"])
+                else:
+                    kept_backlog.append(entry)
+            self._backlog.clear()
+            self._backlog.extend(kept_backlog)
+        self.cells_revoked += len(removed)
+        # Confirm what was actually still queued; anything already started
+        # (or finished) stays this worker's.
+        return {
+            "op": "revoked",
+            "worker": self.worker_id,
+            "campaign": campaign,
+            "indices": sorted(removed),
+            "kept": [i for i in requested if i not in removed],
+        }
 
     async def _heartbeat(self, comm: Comm, interval: float) -> None:
         try:
@@ -337,16 +355,18 @@ class AsyncWorker:
     async def _telemetry_pump(self, comm: Comm, interval: float) -> None:
         """Periodically relay locally-buffered telemetry to the scheduler.
 
-        :meth:`_execute` also forwards right before each result frame, so
-        per-cell spans always reach the scheduler before the campaign can
-        complete; this task covers idle periods and the long tail.  On
-        cancellation (connection teardown) it attempts one final drain.
+        The drain loop forwards right before each result frame, so per-cell
+        spans always reach the scheduler before the campaign can complete;
+        this task covers idle periods and the long tail, and stays quiet
+        while a drain runs so the frames keep their order.  On cancellation
+        (connection teardown) it attempts one final drain.
         """
 
         try:
             while True:
                 await asyncio.sleep(interval)
-                await self._forward_telemetry(comm)
+                if not self._draining:
+                    await self._forward_telemetry(comm)
         except asyncio.CancelledError:
             try:
                 await self._forward_telemetry(comm)
@@ -359,68 +379,110 @@ class AsyncWorker:
     async def _forward_telemetry(self, comm: Comm) -> None:
         """Send one bounded ``telemetry`` frame if any events are queued."""
 
+        frame = self._telemetry_frame()
+        if frame is not None:
+            await comm.send(frame)
+
+    def _telemetry_frame(self) -> Optional[Dict[str, Any]]:
         subscription = self._telemetry_sub
         if subscription is None:
-            return
+            return None
         events = subscription.poll(TELEMETRY_BATCH)
         if not events:
-            return
+            return None
         self.events_forwarded += len(events)
-        await comm.send(
-            {
-                "op": "telemetry",
-                "worker": self.worker_id,
-                "events": [event.as_dict() for event in events],
-                "dropped": subscription.dropped,
-            }
-        )
+        return {
+            "op": "telemetry",
+            "worker": self.worker_id,
+            "events": [event.as_dict() for event in events],
+            "dropped": subscription.dropped,
+        }
 
     # -- cell execution -----------------------------------------------------
 
-    async def _execute(self, comm: Comm, item: Dict[str, Any]) -> None:
-        campaign = item["campaign"]
-        key = (campaign, item["index"], item["attempt"])
-        if key in self._cancelled:
-            self._cancelled.discard(key)
-            self.cells_cancelled += 1
-            return
-        spans = self._spans
-        with spans.span("cell.deserialize", campaign=campaign, index=item["index"]):
-            cell: Cell = protocol.decode_payload(str(item["cell"]))
-        fn_campaign, fn = self._fn
-        if fn_campaign != campaign or fn is None:
-            raise protocol.ProtocolError(
-                f"task for campaign {campaign} arrived without a cell function"
-            )
-        with spans.span("cell.execute", campaign=campaign, index=item["index"]):
+    async def _drain_lease(self, comm: Comm) -> None:
+        """Run the whole backlog in one thread hop (or inline)."""
+
+        backlog = self._backlog
+        self._draining = True
+        try:
             if self.inline:
-                outcome = self._call(fn, cell)
+                self._drain(comm, backlog)
             else:
-                outcome = await asyncio.get_running_loop().run_in_executor(
-                    None, self._call, fn, cell
+                await asyncio.get_running_loop().run_in_executor(
+                    None, self._drain, comm, backlog
                 )
-        self.cells_executed += 1
-        self._mark_useful()
-        if key in self._cancelled:
-            # The speculative race was lost while the cell executed; the
-            # result is settled elsewhere and not worth a frame.
-            self._cancelled.discard(key)
-            self.cells_cancelled += 1
-            return
-        with spans.span("cell.serialize", campaign=campaign, index=item["index"]):
-            encoded = protocol.encode_payload(outcome)
-        # Telemetry first: the frames are ordered, so this cell's spans are
-        # already scheduler-side when the result lands (a campaign can tear
-        # the scheduler down the instant its last result arrives).
-        await self._forward_telemetry(comm)
-        await comm.send(
+        finally:
+            self._draining = False
+
+    def _drain(self, comm: Comm, backlog: Deque[Dict[str, Any]]) -> None:
+        """Execute ``backlog`` entry by entry, streaming each result.
+
+        Bound to one connection: once ``comm`` is closed it stops at the
+        next cell, leaving the rest of the backlog untouched.
+        """
+
+        cancelled = self._cancelled
+        spans = self._spans
+        while True:
+            with self._backlog_lock:
+                if not backlog:
+                    return
+                if comm.closed:
+                    raise protocol.ConnectionClosed("connection closed mid-lease")
+                item = backlog.popleft()
+            campaign = item["campaign"]
+            key = (campaign, item["index"], item["attempt"])
+            if key in cancelled:
+                self._discard(comm, item)
+                continue
+            with spans.span("cell.deserialize", campaign=campaign, index=item["index"]):
+                cell: Cell = protocol.decode_payload(str(item["cell"]))
+            fn_campaign, fn = self._fn
+            if fn_campaign != campaign or fn is None:
+                raise protocol.ProtocolError(
+                    f"task for campaign {campaign} arrived without a cell function"
+                )
+            with spans.span("cell.execute", campaign=campaign, index=item["index"]):
+                outcome = self._call(fn, cell)
+            self.cells_executed += 1
+            self._mark_useful()
+            if key in cancelled:
+                # The speculative race was lost while the cell executed; the
+                # result is settled elsewhere and not worth sending.
+                self._discard(comm, item)
+                continue
+            with spans.span("cell.serialize", campaign=campaign, index=item["index"]):
+                encoded = protocol.encode_payload(outcome)
+            # Telemetry first: the frames are ordered, so this cell's spans are
+            # already scheduler-side when the result lands (a campaign can tear
+            # the scheduler down the instant its last result arrives).
+            frame = self._telemetry_frame()
+            if frame is not None:
+                comm.send_sync(frame)
+            comm.send_sync(
+                {
+                    "op": "result",
+                    "worker": self.worker_id,
+                    "campaign": campaign,
+                    "index": item["index"],
+                    "attempt": item["attempt"],
+                    "outcome": encoded,
+                }
+            )
+
+    def _discard(self, comm: Comm, item: Dict[str, Any]) -> None:
+        """Answer a cancelled entry with ``discarded`` instead of a result."""
+
+        self._cancelled.discard((item["campaign"], item["index"], item["attempt"]))
+        self.cells_cancelled += 1
+        comm.send_sync(
             {
-                "op": "result",
+                "op": "discarded",
                 "worker": self.worker_id,
-                "campaign": campaign,
+                "campaign": item["campaign"],
                 "index": item["index"],
                 "attempt": item["attempt"],
-                "outcome": encoded,
             }
         )
 

@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.distributed import DistributedExecutor
+from repro.distributed import DistributedExecutor, Scheduler
 from repro.experiments.grid import CellFunction, expand_grid
 from repro.experiments.harness import CellExecutionError, run_experiment
 from repro.scenarios.composer import rows_digest
@@ -155,6 +155,40 @@ class TestWorkerLoss:
         assert error.seed == 77
         assert error.error_type == "WorkerLostError"
         assert "retry budget" in str(error)
+
+    def test_cell_leased_behind_a_worker_killer_is_not_charged(self):
+        # n=4 may sit in the lease of every worker n=3 kills; only the cell
+        # a worker was running when it died may spend the retry budget.
+        executor = fast_executor(workers=2, max_retries=2)
+        result = run_experiment("poison", worker_killing_cell, {"n": [1, 2, 3, 4]},
+                                repetitions=1, base_seed=77, executor=executor,
+                                capture_errors=True)
+        (error,) = result.errors
+        assert error.cell.params_dict == {"n": 3}
+        assert error.error_type == "WorkerLostError"
+        assert [row["n_squared"] for row in result.rows] == [1, 4, 16]
+
+
+class TestCampaignRegistration:
+    def test_campaign_is_registered_before_the_fleet_is_raised(self, monkeypatch):
+        # A worker whose first request beats the campaign is told to idle and
+        # sleeps IDLE_DELAY; registering first makes that impossible.
+        spawn = Scheduler.spawn_local_worker
+        registered = []
+
+        def checked_spawn(scheduler, **kwargs):
+            registered.append(scheduler._campaign is not None)
+            return spawn(scheduler, **kwargs)
+
+        monkeypatch.setattr(Scheduler, "spawn_local_worker", checked_spawn)
+        fn = CellFunction(seeded_metrics)
+        for campaign in range(20):
+            cells = expand_grid({"a": [1, 2], "b": [campaign]}, repetitions=1,
+                                base_seed=campaign)
+            executor = DistributedExecutor("inproc://", workers=2, stall_timeout=30.0)
+            outcomes = list(executor.map(fn, cells))
+            assert [o.metrics for o in outcomes] == [fn(cell).metrics for cell in cells]
+        assert len(registered) >= 40 and all(registered)
 
 
 class TestJournalResume:

@@ -19,12 +19,13 @@ the scheduler's own event loop, no sockets or forks.  The contracts:
 
 from __future__ import annotations
 
+import asyncio
 import os
 import time
 
 import pytest
 
-from repro.distributed import DistributedExecutor, Scheduler
+from repro.distributed import DistributedExecutor, Scheduler, protocol
 from repro.distributed.scheduler import _Campaign, _WorkerConn
 from repro.experiments.grid import CellFunction, expand_grid
 
@@ -214,6 +215,72 @@ class TestWorkStealingTwoPhase:
         assert scheduler._request_steal(campaign, thief) is None
 
 
+def slow_first_metrics(seed, i):
+    if i == 0:
+        time.sleep(0.5)  # the worker holding cell 0 keeps a stealable tail
+    return {"i": i, "value": seed % 1009}
+
+
+class _CaptureComm:
+    def __init__(self):
+        self.sent = []
+
+    async def send(self, message):
+        self.sent.append(message)
+
+
+class TestGuidedLeases:
+    """A task reply carries ceil(pending / workers) cells, capped by prefetch."""
+
+    @staticmethod
+    def lease_of(pending, workers, prefetch):
+        cells = expand_grid({"i": list(range(pending))}, repetitions=1, base_seed=7)
+        scheduler, campaign = TestWorkStealingTwoPhase.scheduler_with_campaign(
+            cells, prefetch=prefetch, telemetry=False
+        )
+        campaign.pending.extend(range(pending))
+        conns = [
+            _WorkerConn(worker_id=f"w{k}", comm=_CaptureComm(), last_seen=0.0)
+            for k in range(workers)
+        ]
+        scheduler._conns = {conn.worker_id: conn for conn in conns}
+        asyncio.run(scheduler._handle_request(conns[0]))
+        (reply,) = conns[0].comm.sent
+        assert reply["op"] == "task"
+        return [reply["index"]] + [entry["index"] for entry in reply.get("extra", [])]
+
+    def test_a_reply_carries_an_equal_share_of_the_queue(self):
+        assert self.lease_of(10, 4, None) == [0, 1, 2]
+
+    def test_prefetch_caps_the_share(self):
+        assert self.lease_of(10, 4, 2) == [0, 1]
+
+    def test_a_lone_uncapped_worker_takes_every_pending_cell(self):
+        assert self.lease_of(10, 1, None) == list(range(10))
+
+    def test_an_uncapped_steal_takes_half_the_stealable_tail(self):
+        cells = expand_grid({"i": list(range(8))}, repetitions=1, base_seed=7)
+        scheduler, campaign = TestWorkStealingTwoPhase.scheduler_with_campaign(
+            cells, prefetch=None
+        )
+        victim = _WorkerConn(worker_id="victim", comm=None, last_seen=0.0)
+        thief = _WorkerConn(worker_id="thief", comm=None, last_seen=0.0)
+        for position in range(8):
+            scheduler._assign(campaign, victim, position, speculative=False)
+        _, message = scheduler._request_steal(campaign, thief)
+        # Stealable tail [1..7]: its larger half, from the end.
+        assert message["indices"] == [4, 5, 6, 7]
+
+    def test_stealing_rebalances_a_slow_lease_end_to_end(self):
+        cells = expand_grid({"i": list(range(8))}, repetitions=1, base_seed=11)
+        fn = CellFunction(slow_first_metrics)
+        executor = DistributedExecutor("inproc://", workers=2, stall_timeout=30.0)
+        assert executor.prefetch is None
+        outcomes = list(executor.map(fn, cells))
+        assert [o.metrics for o in outcomes] == [fn(cell).metrics for cell in cells]
+        assert executor.last_stats.steals >= 1
+
+
 class TestSpeculation:
     def test_straggler_selection_respects_delay_and_attempt_cap(self):
         cells = expand_grid({"i": [0, 1]}, repetitions=1, base_seed=7)
@@ -260,3 +327,95 @@ class TestSpeculation:
         assert streamed_in < 2.0, f"speculation did not rescue the straggler ({streamed_in:.1f}s)"
         assert executor.last_stats.speculations >= 1
         assert os.path.exists(marker)
+
+
+def always_slow_first_metrics(seed, i):
+    if i == 0:
+        time.sleep(1.2)  # every attempt of cell 0 is slow
+    return {"i": i, "value": seed % 1009}
+
+
+class TestSpeculationClock:
+    """Only a lease head -- a started cell -- can be a straggler."""
+
+    @staticmethod
+    def busy_and_idle(count):
+        cells = expand_grid({"i": list(range(count))}, repetitions=1, base_seed=7)
+        scheduler, campaign = TestWorkStealingTwoPhase.scheduler_with_campaign(
+            cells, speculate=True, speculation_delay=0.5, prefetch=None,
+            telemetry=False,
+        )
+        busy = _WorkerConn(worker_id="busy", comm=_CaptureComm(), last_seen=0.0)
+        idle = _WorkerConn(worker_id="idle", comm=_CaptureComm(), last_seen=0.0)
+        for position in range(count):
+            scheduler._assign(campaign, busy, position, speculative=False)
+        for attempt in busy.assignments.values():
+            attempt.assigned_at -= 1.0  # the whole lease was handed out long ago
+        return cells, scheduler, campaign, busy, idle
+
+    def test_cells_queued_behind_the_head_are_never_duplicated(self):
+        _, scheduler, campaign, busy, idle = self.busy_and_idle(3)
+        assert scheduler._speculative_candidate(campaign, idle) == 0
+        scheduler._assign(campaign, idle, 0, speculative=True)
+        third = _WorkerConn(worker_id="third", comm=None, last_seen=0.0)
+        # 0 is at its attempt cap; 1 and 2 are old but not started.
+        assert scheduler._speculative_candidate(campaign, third) is None
+
+    def test_the_next_head_starts_its_clock_when_the_worker_reaches_it(self):
+        cells, scheduler, campaign, busy, idle = self.busy_and_idle(3)
+        outcome = CellFunction(fleet_metrics)(cells[0])
+        asyncio.run(scheduler._handle_result(busy, {
+            "op": "result", "campaign": "c1", "index": 0, "attempt": 1,
+            "outcome": protocol.encode_payload(outcome),
+        }))
+        assert list(busy.lease) == [1, 2]
+        assert scheduler._speculative_candidate(campaign, idle) is None  # just started
+        busy.assignments[1].assigned_at -= 1.0
+        assert scheduler._speculative_candidate(campaign, idle) == 1
+
+    def test_a_cancelled_head_holds_the_lease_until_discarded(self):
+        cells, scheduler, campaign, busy, idle = self.busy_and_idle(3)
+        scheduler._assign(campaign, idle, 0, speculative=True)
+        outcome = CellFunction(fleet_metrics)(cells[0])
+        asyncio.run(scheduler._handle_result(idle, {
+            "op": "result", "campaign": "c1", "index": 0, "attempt": 2,
+            "outcome": protocol.encode_payload(outcome),
+        }))
+        (cancel,) = busy.comm.sent
+        assert cancel["op"] == "cancel" and cancel["index"] == 0
+        # The busy worker may still be running 0, so 1 has not started.
+        assert list(busy.lease) == [0, 1, 2]
+        assert scheduler._speculative_candidate(campaign, idle) is None
+        # Lost now, it is charged nothing: 0 is settled, 1 and 2 never ran.
+        scheduler._forget_connection(busy)
+        assert list(campaign.pending) == [1, 2]
+        assert campaign.loss_retries == {} and scheduler.stats.retries == 0
+
+    def test_discarded_promotes_the_next_head(self):
+        cells, scheduler, campaign, busy, idle = self.busy_and_idle(3)
+        scheduler._assign(campaign, idle, 0, speculative=True)
+        outcome = CellFunction(fleet_metrics)(cells[0])
+        asyncio.run(scheduler._handle_result(idle, {
+            "op": "result", "campaign": "c1", "index": 0, "attempt": 2,
+            "outcome": protocol.encode_payload(outcome),
+        }))
+        with scheduler._lock:
+            scheduler._drop_from_lease(busy, 0)  # what a ``discarded`` frame does
+        assert list(busy.lease) == [1, 2]
+        scheduler._forget_connection(busy)
+        # 1 was running when the worker died: it alone is charged.
+        assert list(campaign.pending) == [1, 2]
+        assert campaign.loss_retries == {1: 1} and scheduler.stats.retries == 1
+
+    def test_no_unstarted_cell_is_speculated_without_stealing(self):
+        cells = expand_grid({"i": list(range(6))}, repetitions=1, base_seed=11)
+        fn = CellFunction(always_slow_first_metrics)
+        executor = DistributedExecutor(
+            "inproc://", workers=3, steal=False, speculation_delay=0.3,
+            stall_timeout=30.0,
+        )
+        outcomes = list(executor.map(fn, cells))
+        assert [o.metrics for o in outcomes] == [fn(cell).metrics for cell in cells]
+        # Cell 0 is the only started straggler; the cells leased behind it
+        # are older than the delay but must not be duplicated.
+        assert executor.last_stats.speculations == 1
