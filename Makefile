@@ -33,18 +33,17 @@
 #                              per-scenario digest that differs from the
 #                              summary (the three distributed targets above
 #                              and their CI jobs end with it)
-#   make store-smoke           serial + inproc campaigns into one columnar
-#                              store, then SQL compare + validate (mirrors
-#                              the CI store-smoke job; falls back to the
-#                              pure-python engine without duckdb/pyarrow)
+#   make store-smoke           serial + inproc campaigns into one campaign
+#                              store, then compare + validate (mirrors the
+#                              CI store-smoke job)
 #   make dashboard-smoke       run a campaign under a live dashboard with
 #                              concurrent pollers, check every endpoint and
 #                              prove the row digest identical to a serial,
 #                              unobserved baseline (mirrors the CI job)
 #   make telemetry-smoke       record a 4-worker tcp fleet with the flight
 #                              recorder, assert digest parity vs serial,
-#                              forwarded worker.* rows landed, and SQL/py
-#                              query agreement (mirrors the CI job)
+#                              forwarded worker.* rows landed and a
+#                              non-empty phase attribution (mirrors the CI job)
 #   make lint                  ruff check (byte-compilation fallback)
 #   make ci                    lint + test + scenario smoke + warn-only perf
 #                              compare + perfbench digest gate (mirrors CI)
@@ -176,11 +175,9 @@ smoke-digest-check:
 	sys.exit(1 if bad else 0)' $(SUMMARY) $(SUMMARY:.json=.serial.json)
 
 # Land the same smoke campaigns twice -- once serial, once over inproc://
-# comms -- in ONE columnar store, then prove the two campaigns are
-# cell-for-cell identical with the SQL compare and re-check the paper's
-# ratio bounds with the validation queries.  --engine auto uses DuckDB/
-# Parquet when the [analytics] extra is installed and the pure-python
-# JSONL twin otherwise, so the target works in a bare checkout too.
+# comms -- in ONE campaign store, then prove the two campaigns are
+# cell-for-cell identical with the compare query and re-check the paper's
+# ratio bounds with the validation rules.  Needs no optional dependency.
 STORE_DIR ?= .store-smoke
 STORE_SCENARIOS ?= fig2.bicriteria mix.rigid-moldable
 
@@ -206,8 +203,8 @@ dashboard-smoke:
 # The distributed telemetry pipeline end to end: a recorded 4-worker tcp
 # fleet must yield the same digest as an unobserved serial run, forwarded
 # worker.* span events must land in the flight-recorder store, and the
-# phase-attribution query must agree across the SQL and python engines.
-# Mirrors the CI telemetry-smoke job.
+# phase-attribution query must be non-empty.  Mirrors the CI
+# telemetry-smoke job.
 telemetry-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.telemetry smoke --workers 4 --comm tcp
 

@@ -46,7 +46,7 @@ def run_fig1_cell(seed):
                 "processors": cluster.processor_count,
                 "interconnect": cluster.interconnect.name,
                 "utilization": result.utilization[cluster.name],
-                "local_makespan": result.local_criteria[cluster.name].makespan,
+                "local_makespan": result.cluster_criteria[cluster.name].makespan,
             }
             for cluster in grid
         ],

@@ -61,12 +61,12 @@ def run_best_effort_cell(seed, grid_jobs):
     result = simulator.run(local, bags if grid_jobs else [])
     return {
         "utilization": {c.name: result.utilization[c.name] for c in grid},
-        "local_makespan": {c.name: result.local_criteria[c.name].makespan for c in grid},
+        "local_makespan": {c.name: result.cluster_criteria[c.name].makespan for c in grid},
         # Per-job (start, completion) times: the non-disturbance fingerprint.
         "local_fingerprint": {
             cluster.name: {
                 entry.job.name: [entry.start, entry.completion]
-                for entry in result.local_schedules[cluster.name]
+                for entry in result.schedules[cluster.name]
             }
             for cluster in grid
         },

@@ -25,7 +25,6 @@ used by several policies.
 from __future__ import annotations
 
 import abc
-import math
 from bisect import bisect_left
 from typing import List, Sequence, Tuple
 
@@ -243,49 +242,6 @@ def list_schedule_rigid(
             times.insert(pos, end)
             runs.insert(pos, freed)
         schedule.add(job, start, chosen, runtime)
-    return schedule
-
-
-def earliest_start_schedule(
-    allocations: Sequence[Tuple[Job, int]],
-    machine_count: int,
-    *,
-    start_time: float = 0.0,
-    respect_release_dates: bool = True,
-) -> Schedule:
-    """List scheduling where, at every step, the job that can start earliest goes first.
-
-    Unlike :func:`list_schedule_rigid` (which respects the list order
-    strictly) this kernel re-sorts the remaining jobs by their earliest
-    feasible start time; it is used by the conservative-backfilling baseline.
-    """
-
-    remaining = list(allocations)
-    free_at = [start_time] * machine_count
-    schedule = Schedule(machine_count)
-
-    def earliest_start(job: Job, nbproc: int) -> Tuple[float, Tuple[int, ...]]:
-        order = sorted(range(machine_count), key=lambda p: (free_at[p], p))
-        chosen = tuple(order[:nbproc])
-        start = max(free_at[p] for p in chosen)
-        if respect_release_dates:
-            start = max(start, job.release_date)
-        return max(start, start_time), chosen
-
-    while remaining:
-        best_idx = None
-        best_start = math.inf
-        best_procs: Tuple[int, ...] = ()
-        for idx, (job, nbproc) in enumerate(remaining):
-            start, procs = earliest_start(job, nbproc)
-            if start < best_start - 1e-12:
-                best_idx, best_start, best_procs = idx, start, procs
-        assert best_idx is not None
-        job, nbproc = remaining.pop(best_idx)
-        runtime = job.runtime(nbproc)
-        for p in best_procs:
-            free_at[p] = best_start + runtime
-        schedule.add(job, best_start, best_procs, runtime)
     return schedule
 
 

@@ -13,9 +13,6 @@ smallest-first) live here; the schedule-constructing policies of
 :mod:`repro.core.policies` are adapted to the same protocol by
 :class:`repro.core.policies.adapter.PlannedPolicy`, and every policy is
 constructible by name through :mod:`repro.core.policies.registry`.
-
-Historically this protocol was ``repro.simulation.cluster_sim.QueuePolicy``;
-that import path is kept as a deprecated shim.
 """
 
 from __future__ import annotations

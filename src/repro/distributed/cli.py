@@ -174,7 +174,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _run_scenarios(args: argparse.Namespace, executor: DistributedExecutor) -> int:
-    from repro.scenarios.cli import _open_store, _resolve_out, run_specs, select_specs
+    from repro.scenarios.cli import _open_store, run_specs, select_specs
     from repro.scenarios.spec import SpecError
 
     specs = select_specs(args.names, args.all, args.tag)
@@ -183,7 +183,6 @@ def _run_scenarios(args: argparse.Namespace, executor: DistributedExecutor) -> i
             print("no scenarios matched", file=sys.stderr)
         return 2
     try:
-        out = _resolve_out(args)
         sink = _open_store(args)
     except SpecError as error:
         print(error, file=sys.stderr)
@@ -207,7 +206,7 @@ def _run_scenarios(args: argparse.Namespace, executor: DistributedExecutor) -> i
             output=args.output,
             schema="repro.distributed/1",
             sink=sink,
-            out=out,
+            out=args.out,
             out_format=args.out_format,
         )
     if recorder is not None:

@@ -63,7 +63,6 @@ import asyncio
 import threading
 import time
 import uuid
-import warnings
 from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -100,8 +99,7 @@ class SchedulerStats:
     :meth:`to_payload` is the single snapshot format consumed by the CLI
     stderr summary, the dashboard's stats endpoint and the tests; it pairs
     the raw counters with derived rates so consumers never re-implement the
-    arithmetic.  :meth:`counters` is the plain name-to-count mapping, and
-    :meth:`as_dict` survives as a deprecated alias of it.
+    arithmetic.  :meth:`counters` is the plain name-to-count mapping.
     """
 
     workers_joined: int = 0
@@ -146,17 +144,6 @@ class SchedulerStats:
             "counters": counters,
             "rates": rates,
         }
-
-    def as_dict(self) -> Dict[str, int]:
-        """Deprecated alias of :meth:`counters`."""
-
-        warnings.warn(
-            "SchedulerStats.as_dict() is deprecated; use counters() for the "
-            "raw counts or to_payload() for the versioned snapshot",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.counters()
 
     def add(self, other: "SchedulerStats") -> None:
         for key, value in other.counters().items():

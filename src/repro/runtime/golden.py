@@ -85,11 +85,11 @@ def centralized_result_payload(result: Any) -> Dict[str, Any]:
         "runs_completed": dict(sorted(result.runs_completed.items())),
         "utilization": {k: repr(v) for k, v in sorted(result.utilization.items())},
         "schedules": {
-            name: schedule_payload(s) for name, s in sorted(result.local_schedules.items())
+            name: schedule_payload(s) for name, s in sorted(result.schedules.items())
         },
         "criteria": {
             name: {k: repr(v) for k, v in c.as_dict().items()}
-            for name, c in sorted(result.local_criteria.items())
+            for name, c in sorted(result.cluster_criteria.items())
         },
         "trace": trace_payload(result.trace),
     }

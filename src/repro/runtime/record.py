@@ -7,11 +7,9 @@ the full event trace and the horizon; organisation-specific sections (Figure
 2 ratios, best-effort bag statistics, migration and fairness accounting) are
 filled in by the simulator that produced it and default to empty.
 
-``mode`` tells which organisation produced the record.  Thin *compat
-properties* reproduce the attribute surface of the three legacy result
-dataclasses (``SimulationResult``, ``GridSimulationResult``,
-``DecentralizedResult``) so existing callers migrate incrementally; those
-legacy names are now aliases of this class.
+``mode`` tells which organisation produced the record.  A few derived
+properties (``schedule``, ``criteria``, ``makespan``, ...) give the
+single-cluster and best-effort views of the per-cluster sections.
 
 :class:`RunRecord` is the uniform per-execution view: one completed job run
 (name, cluster, start, runtime, processors), the row type the reporting
@@ -220,7 +218,7 @@ class SimulationRecord:
                 out["fairness_on_work"] = self.fairness.fairness_on_work
         return out
 
-    # -- compat: legacy SimulationResult surface ----------------------------
+    # -- derived views ----------------------------------------------------
     @property
     def schedule(self) -> Schedule:
         """The single-cluster schedule (single-cluster records only)."""
@@ -252,15 +250,6 @@ class SimulationRecord:
         if self.mode == MODE_CLUSTER:
             return next(iter(self.cluster_criteria.values())).makespan
         return max((s.makespan() for s in self.schedules.values()), default=0.0)
-
-    # -- compat: legacy GridSimulationResult surface ------------------------
-    @property
-    def local_schedules(self) -> Dict[str, Schedule]:
-        return self.schedules
-
-    @property
-    def local_criteria(self) -> Dict[str, CriteriaReport]:
-        return self.cluster_criteria
 
     @property
     def total_runs_completed(self) -> int:

@@ -19,8 +19,7 @@ Exit codes: 0 on success, 1 when any scenario fails to run, 2 on usage
 errors (unknown scenario names, bad axis syntax).
 
 Exports go through ``--out PATH`` (format inferred from the suffix, or
-forced with ``--format csv|jsonl|parquet``); the old ``--csv PATH`` spelling
-still works but emits a :class:`DeprecationWarning`.
+forced with ``--format csv|jsonl|parquet``).
 """
 
 from __future__ import annotations
@@ -144,10 +143,6 @@ def _add_export_arguments(parser: argparse.ArgumentParser) -> None:
         help="force the --out format instead of inferring it from the suffix",
     )
     parser.add_argument(
-        "--csv", type=Path, default=None, metavar="PATH",
-        help="(deprecated) alias for --out PATH --format csv",
-    )
-    parser.add_argument(
         "--store", type=Path, default=None, metavar="DIR",
         help="stream every completed cell into this campaign store directory "
              "(query it with python -m repro.store)",
@@ -156,20 +151,6 @@ def _add_export_arguments(parser: argparse.ArgumentParser) -> None:
         "--campaign", default=None, metavar="NAME",
         help="campaign label inside --store (default: 'default')",
     )
-
-
-def _resolve_out(args: argparse.Namespace) -> Optional[Path]:
-    """Merge ``--out`` with the deprecated ``--csv`` alias (warns when used)."""
-
-    from repro.store.api import deprecated_csv_flag
-
-    csv_path = deprecated_csv_flag(args.csv)
-    if csv_path is not None:
-        if args.out is not None:
-            raise SpecError("--csv is an alias for --out; give only one of them")
-        args.out_format = "csv"
-        return csv_path
-    return args.out
 
 
 def _open_store(args: argparse.Namespace) -> Optional[Any]:
@@ -354,7 +335,6 @@ def run_specs(
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         executor = _executor(args.jobs)
-        out = _resolve_out(args)
         sink = _open_store(args)
     except (ValueError, SpecError) as error:
         print(error, file=sys.stderr)
@@ -380,7 +360,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     with serve_dashboard(args.dashboard):
         return run_specs(
             specs, smoke=args.smoke, executor=executor, output=args.output,
-            sink=sink, out=out, out_format=args.out_format,
+            sink=sink, out=args.out, out_format=args.out_format,
         )
 
 
@@ -391,7 +371,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec = registry.get(args.name)
         axes = _parse_axes(args.axis)
         executor = _executor(args.jobs)
-        out = _resolve_out(args)
         sink = _open_store(args)
     except (KeyError, SpecError, ValueError) as error:
         print(error, file=sys.stderr)
@@ -428,11 +407,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             grouped_rows.append(row)
         print(ascii_table(grouped_rows, title=f"means by {args.group_by}"))
     print(f"digest {rows_digest(result.rows)[:12]}, elapsed {result.elapsed_seconds:.2f}s")
-    if out is not None:
+    if args.out is not None:
         from repro.store.api import write_rows
 
-        write_rows(result.rows, out, fmt=args.out_format)
-        print(f"rows written to {out}")
+        write_rows(result.rows, args.out, fmt=args.out_format)
+        print(f"rows written to {args.out}")
     return 0
 
 

@@ -513,8 +513,8 @@ def _run_grid_centralized(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:
             {
                 "cluster": cluster.name,
                 "community": cluster.community,
-                "local_jobs": result.local_criteria[cluster.name].n_jobs,
-                "local_makespan_h": result.local_criteria[cluster.name].makespan,
+                "local_jobs": result.cluster_criteria[cluster.name].n_jobs,
+                "local_makespan_h": result.cluster_criteria[cluster.name].makespan,
                 "utilization": result.utilization[cluster.name],
             }
             for cluster in grid
@@ -522,14 +522,14 @@ def _run_grid_centralized(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:
         "owners_ok": {
             cluster.name: all(
                 job.owner == cluster.community
-                for job in result.local_schedules[cluster.name].columns.jobs
+                for job in result.schedules[cluster.name].columns.jobs
             )
             for cluster in grid
         },
     }
     for cluster in grid:
         metrics[f"utilization.{cluster.name}"] = result.utilization[cluster.name]
-        metrics[f"local_makespan.{cluster.name}"] = result.local_criteria[cluster.name].makespan
+        metrics[f"local_makespan.{cluster.name}"] = result.cluster_criteria[cluster.name].makespan
     return metrics
 
 
@@ -703,8 +703,6 @@ def run_scenario(
     cache: Any = None,
     sink: Any = None,
     listener: Any = None,
-    progress: Optional[Callable[[str], None]] = None,
-    on_row: Optional[Callable[[Dict[str, Any]], None]] = None,
     capture_errors: bool = False,
 ) -> ExperimentResult:
     """Run a scenario's sweep through the experiment harness.
@@ -716,13 +714,9 @@ def run_scenario(
     hand-wired :func:`run_experiment` call would produce.  ``sink`` is an
     optional :class:`~repro.store.api.RowSink` (or campaign-store directory)
     every completed cell streams into, whatever the executor.  ``listener``
-    is an optional :class:`~repro.telemetry.listener.SweepListener`;
-    ``progress=`` / ``on_row=`` are deprecated shims around it.
+    is an optional :class:`~repro.telemetry.listener.SweepListener`.
     """
 
-    from repro.telemetry import listener_with_callbacks
-
-    listener = listener_with_callbacks(listener, progress, on_row)
     effective = spec.smoke_spec() if smoke else spec
     if overrides:
         effective = effective.with_overrides(overrides)

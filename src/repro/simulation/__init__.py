@@ -34,13 +34,10 @@ from repro.simulation.tracing import Trace, TraceEvent
 #: this package's kernel modules -- a direct import here would be circular).
 _LAZY = {
     "ClusterSimulator": "repro.simulation.cluster_sim",
-    "SimulationResult": "repro.simulation.cluster_sim",
     "compare_policies": "repro.simulation.cluster_sim",
     "CentralizedGridSimulator": "repro.simulation.grid_sim",
-    "GridSimulationResult": "repro.simulation.grid_sim",
     "GridServer": "repro.simulation.grid_sim",
     "DecentralizedGridSimulator": "repro.simulation.decentralized",
-    "DecentralizedResult": "repro.simulation.decentralized",
 }
 
 __all__ = [
@@ -56,11 +53,8 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "ClusterSimulator",
-    "SimulationResult",
     "CentralizedGridSimulator",
-    "GridSimulationResult",
     "DecentralizedGridSimulator",
-    "DecentralizedResult",
 ]
 
 

@@ -9,20 +9,16 @@ to start on the free processors.
 Since the unified-runtime refactor the simulator is a *configuration* of
 :class:`repro.runtime.lifecycle.SchedulingRuntime` -- one strict node, no
 hooks -- rather than its own event loop, and the result is the unified
-:class:`repro.runtime.record.SimulationRecord` (``SimulationResult`` is a
-compat alias).  Any policy registered in
+:class:`repro.runtime.record.SimulationRecord`.  Any policy registered in
 :mod:`repro.core.policies.registry` can drive the cluster by name::
 
     ClusterSimulator(64, policy="bicriteria").run(jobs)
 
-The queue-policy classes that historically lived here moved to
-:mod:`repro.core.policies.online`; deprecated import shims below keep the
-old paths working.
+The queue-policy classes live in :mod:`repro.core.policies.online`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.core.criteria import CriteriaReport
@@ -34,9 +30,6 @@ from repro.metrics.ratios import schedule_ratios
 from repro.platform.cluster import Cluster
 from repro.runtime.lifecycle import ClusterNode, RuntimeConfig, SchedulingRuntime
 from repro.runtime.record import MODE_CLUSTER, SimulationRecord
-
-#: Unified result model; the historical name is kept as an alias.
-SimulationResult = SimulationRecord
 
 _CLUSTER_CONFIG = RuntimeConfig(
     strict_select=True,
@@ -127,47 +120,3 @@ def compare_policies(
         simulator = ClusterSimulator(machine_count, policy=name)
         results[name] = simulator.run(jobs)
     return results
-
-
-# ---------------------------------------------------------------------------
-# Deprecated import shims (the policy classes moved to core.policies.online)
-# ---------------------------------------------------------------------------
-
-_MOVED = {
-    "QueuePolicy": "SchedulingPolicy",
-    "FifoPolicy": "FifoPolicy",
-    "BackfillPolicy": "BackfillPolicy",
-    "SmallestFirstPolicy": "SmallestFirstPolicy",
-}
-
-
-def __getattr__(name: str):
-    if name in _MOVED:
-        import repro.core.policies.online as online
-
-        warnings.warn(
-            f"repro.simulation.cluster_sim.{name} moved to "
-            f"repro.core.policies.online.{_MOVED[name]}",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(online, _MOVED[name])
-    if name == "QUEUE_POLICIES":
-        from repro.core.policies.online import (
-            BackfillPolicy,
-            FifoPolicy,
-            SmallestFirstPolicy,
-        )
-
-        warnings.warn(
-            "repro.simulation.cluster_sim.QUEUE_POLICIES is deprecated; use "
-            "repro.core.policies.registry.make_policy / policy_names instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            "fifo": FifoPolicy,
-            "backfill": BackfillPolicy,
-            "smallest-first": SmallestFirstPolicy,
-        }
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

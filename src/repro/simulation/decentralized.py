@@ -35,9 +35,6 @@ from repro.runtime.lifecycle import ClusterNode, RuntimeConfig, SchedulingRuntim
 from repro.core.policies.registry import PolicySpec, resolve_cluster_policies
 from repro.runtime.record import MODE_DECENTRALIZED, SimulationRecord
 
-#: Unified result model; the historical name is kept as an alias.
-DecentralizedResult = SimulationRecord
-
 _DECENTRALIZED_CONFIG = RuntimeConfig(
     track_work=True,
     release_work_on_complete=True,

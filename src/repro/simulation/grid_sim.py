@@ -43,9 +43,6 @@ from repro.runtime.hooks import GridServer  # noqa: F401  (compat re-export)
 from repro.runtime.lifecycle import ClusterNode, RuntimeConfig, SchedulingRuntime
 from repro.runtime.record import MODE_CENTRALIZED, SimulationRecord
 
-#: Unified result model; the historical name is kept as an alias.
-GridSimulationResult = SimulationRecord
-
 _CENTRALIZED_CONFIG = RuntimeConfig(
     preempt_best_effort=True,
     local_info="local",

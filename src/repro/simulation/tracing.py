@@ -227,7 +227,7 @@ class Trace:
         ]
 
     def flat_records(self) -> List[Dict[str, object]]:
-        """JSON/SQL-safe flat rows: scalar columns only, one row per event.
+        """JSON-safe flat rows: scalar columns only, one row per event.
 
         This is the shape the unified results API persists -- processors are
         space-joined, a missing cluster is the empty string -- so trace rows

@@ -1,20 +1,19 @@
-"""Columnar campaign store: the unified results API and SQL analytics layer.
+"""Campaign store: the unified results API and its named queries.
 
 The package has four layers, importable a la carte:
 
 * :mod:`repro.store.api` -- the :class:`RowSink`/:class:`RowSource`
   protocols every row store implements, plus :func:`write_rows`, the single
   export entry point behind the CLIs' ``--out`` flags.
-* :mod:`repro.store.columnar` -- :class:`CampaignStore`, Parquet (or JSONL
-  fallback) partitions published through an atomic manifest.
-* :mod:`repro.store.queries` / :mod:`repro.store.analytics` -- named SQL
-  queries over a DuckDB view of the store, each with a pure-python twin.
+* :mod:`repro.store.columnar` -- :class:`CampaignStore`, JSONL partitions
+  published through an atomic manifest.
+* :mod:`repro.store.queries` -- named pure-python queries over the stored
+  records.
 * :mod:`repro.store.validate` -- the paper's ratio bounds as validation
-  queries; :mod:`repro.store.ingest` -- legacy journal/CSV import.
+  rules; :mod:`repro.store.ingest` -- legacy journal/CSV import.
 
-Only the standard library and numpy are required; duckdb and pyarrow are
-the optional ``[analytics]`` extra and every entry point degrades to a
-pure-python path without them.
+Only the standard library and numpy are required; pyarrow is the optional
+``[analytics]`` extra, needed only to export or import ``.parquet`` files.
 """
 
 from repro.store.api import (

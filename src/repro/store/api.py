@@ -16,7 +16,7 @@ module defines the single contract they all speak now:
 * :func:`write_rows` -- the one export entry point behind every CLI
   ``--out`` flag: CSV, JSONL or Parquet, inferred from the file suffix.
 
-All three row stores (cache, journal and the columnar
+All three row stores (cache, journal and the campaign
 :class:`~repro.store.columnar.CampaignStore`) implement both protocols and
 share the :func:`~repro.experiments.cache.encode_replayable` /
 :func:`~repro.experiments.cache.decode_replayed` codec, so a row replayed
@@ -26,9 +26,8 @@ from any of them is bit-identical to a freshly computed one.
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.experiments.grid import Cell, CellOutcome
 
@@ -162,6 +161,43 @@ def _rows_to_jsonl(rows: Sequence[Mapping[str, Any]]) -> str:
     return "".join(json.dumps(dict(row), default=repr) + "\n" for row in rows)
 
 
+def normalize_columns(
+    records: List[Dict[str, Any]], columns: Sequence[str]
+) -> List[Dict[str, Any]]:
+    """Make each column's values type-consistent for a Parquet export.
+
+    Within one batch a column mixing ints and floats is widened to float;
+    a column mixing incompatible types (e.g. numbers and strings from an
+    ``error`` axis) is stringified.
+    """
+
+    for column in columns:
+        kinds = set()
+        for record in records:
+            value = record.get(column)
+            if value is None:
+                continue
+            if isinstance(value, bool):
+                kinds.add("bool")
+            elif isinstance(value, int):
+                kinds.add("int")
+            elif isinstance(value, float):
+                kinds.add("float")
+            else:
+                kinds.add("str")
+        if kinds <= {"int"} or kinds <= {"float"} or kinds <= {"bool"} or kinds <= {"str"}:
+            continue
+        if kinds <= {"int", "float"}:
+            for record in records:
+                if isinstance(record.get(column), (int, float)):
+                    record[column] = float(record[column])
+        else:
+            for record in records:
+                if record.get(column) is not None:
+                    record[column] = str(record[column])
+    return records
+
+
 def _write_parquet(rows: Sequence[Mapping[str, Any]], path: Path,
                    columns: Sequence[str]) -> None:
     try:
@@ -169,8 +205,6 @@ def _write_parquet(rows: Sequence[Mapping[str, Any]], path: Path,
         import pyarrow.parquet as pq
     except ImportError:
         raise StoreUnavailableError("parquet export", "pyarrow") from None
-    from repro.store.columnar import normalize_columns
-
     flat = [
         {column: row.get(column) for column in columns}
         for row in rows
@@ -245,8 +279,8 @@ def store_trace(
 
     Each :class:`~repro.simulation.tracing.TraceEvent` becomes one flat row
     (:meth:`Trace.flat_records` shape) in a ``trace.<scenario>`` partition,
-    so SQL analytics can join schedules against the result rows of the same
-    campaign.  ``store`` is a :class:`~repro.store.columnar.CampaignStore`
+    so the named queries can read schedules next to the result rows of the
+    same campaign.  ``store`` is a :class:`~repro.store.columnar.CampaignStore`
     or a store directory path; ``label`` distinguishes multiple traces of
     one scenario (e.g. a policy or seed tag).  Row keys are explicit
     (position-based) because identical events are legitimate in a trace and
@@ -267,22 +301,3 @@ def store_trace(
         )
     target.flush()
     return len(rows)
-
-
-def deprecated_csv_flag(csv_path: Optional[Path]) -> Optional[Path]:
-    """Handle a legacy ``--csv PATH`` flag: warn once, return it as ``--out``."""
-
-    if csv_path is not None:
-        warnings.warn(
-            "--csv is deprecated; use --out PATH (format inferred from the "
-            "suffix, or forced with --format csv)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    return csv_path
-
-
-def iter_source_rows(source: Any) -> Iterator[Dict[str, Any]]:
-    """Iterate the decoded rows of any store exposing ``rows()`` (sugar)."""
-
-    return iter(source.rows())

@@ -11,12 +11,10 @@
         --out points.csv                               # bit-identical re-export
     python -m repro.store compare --store results/ --metric cmax_ratio \\
         --campaign-a serial --campaign-b inproc
-    python -m repro.store validate --store results/    # paper ratio checks, in SQL
+    python -m repro.store validate --store results/    # paper ratio checks
 
 Exit codes: 0 on success, 1 when a validation rule fails (or a compare
-finds differing cells), 2 on usage errors.  SQL runs on DuckDB when the
-``[analytics]`` extra is installed; every command falls back to the
-pure-python engine otherwise (force one with ``--engine sql|py``).
+finds differing cells), 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -29,14 +27,14 @@ from typing import Any, Dict, List, Optional
 
 from repro.store.api import FORMATS, StoreUnavailableError, write_rows
 from repro.store.columnar import CampaignStore
-from repro.store.queries import QUERIES, QueryError, get_query, run_query
+from repro.store.queries import QUERIES, QueryError, run_query
 from repro.store.validate import validate_store
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.store",
-        description="Columnar campaign store: ingest, query, compare, validate.",
+        description="Campaign store: ingest, query, compare, validate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -44,12 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
     store_arg.add_argument(
         "--store", type=Path, required=True, metavar="DIR",
         help="campaign store directory (manifest.json + partitions)",
-    )
-    engine_arg = argparse.ArgumentParser(add_help=False)
-    engine_arg.add_argument(
-        "--engine", choices=("auto", "sql", "py"), default="auto",
-        help="query engine: DuckDB SQL, pure python, or auto (default: SQL "
-             "when duckdb is installed)",
     )
     out_arg = argparse.ArgumentParser(add_help=False)
     out_arg.add_argument(
@@ -77,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ing.add_argument("--scenario", default=None, help="scenario label for the rows")
 
     qry = sub.add_parser(
-        "query", parents=[store_arg, engine_arg, out_arg],
+        "query", parents=[store_arg, out_arg],
         help="run a named analytics query",
         description="Run one of the named queries; see --list.",
     )
@@ -86,12 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--param", action="append", default=[], metavar="NAME=VALUE",
         help="query parameter (repeatable), e.g. --param metric=cmax_ratio",
     )
-    qry.add_argument("--sql", action="store_true", help="print the SQL text and exit")
     qry.add_argument("--list", action="store_true", dest="list_queries",
                      help="list the named queries")
 
     cmp_ = sub.add_parser(
-        "compare", parents=[store_arg, engine_arg, out_arg],
+        "compare", parents=[store_arg, out_arg],
         help="diff one metric cell-by-cell across two campaigns",
     )
     cmp_.add_argument("--metric", required=True, help="metric column to compare")
@@ -100,14 +91,11 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--scenario", default=None, help="restrict to one scenario")
 
     val = sub.add_parser(
-        "validate", parents=[store_arg, engine_arg],
+        "validate", parents=[store_arg],
         help="check the paper's ratio bounds over every stored row",
     )
     val.add_argument("--json", action="store_true", help="machine-readable output")
     return parser
-
-
-# `query --list` / `query --sql` don't need --store; patch required check there.
 
 
 def _parse_params(pairs: List[str]) -> Dict[str, Any]:
@@ -185,14 +173,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
         print("give a query name (or --list)", file=sys.stderr)
         return 2
     try:
-        query = get_query(args.name)
-        params = _parse_params(args.param)
-        if args.sql:
-            print(query.sql(**params))
-            return 0
         store = CampaignStore(args.store)
-        rows = run_query(store, args.name, params, engine=args.engine)
-    except (QueryError, StoreUnavailableError) as error:
+        rows = run_query(store, args.name, _parse_params(args.param))
+    except QueryError as error:
         print(error, file=sys.stderr)
         return 2
     _emit(rows, args.out, args.out_format, title=f"{args.name} ({len(rows)} rows)")
@@ -216,11 +199,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               "campaign_b": campaign_b, "scenario": args.scenario}
     try:
         rows = run_query(
-            store, "compare",
-            {k: v for k, v in params.items() if v is not None},
-            engine=args.engine,
+            store, "compare", {k: v for k, v in params.items() if v is not None}
         )
-    except (QueryError, StoreUnavailableError) as error:
+    except QueryError as error:
         print(error, file=sys.stderr)
         return 2
     _emit(rows, args.out, args.out_format,
@@ -231,12 +212,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    store = CampaignStore(args.store)
-    try:
-        results = validate_store(store, engine=args.engine)
-    except StoreUnavailableError as error:
-        print(error, file=sys.stderr)
-        return 2
+    results = validate_store(CampaignStore(args.store))
     if args.json:
         print(json.dumps([result.as_dict() for result in results], indent=2))
     else:
@@ -251,10 +227,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # `query --list` and `query ... --sql` are store-free: satisfy the
-    # --store requirement before argparse enforces it.
-    if argv[:1] == ["query"] and ("--list" in argv or "--sql" in argv) \
-            and "--store" not in argv:
+    # `query --list` is store-free: satisfy the --store requirement before
+    # argparse enforces it.
+    if argv[:1] == ["query"] and "--list" in argv and "--store" not in argv:
         argv += ["--store", "."]
     parser = _build_parser()
     args = parser.parse_args(argv)

@@ -1,30 +1,26 @@
-"""Columnar campaign store: Parquet partitions behind an atomic manifest.
+"""Campaign store: JSONL partitions behind an atomic manifest.
 
 One store directory holds the rows of any number of *campaigns* (a labelled
 run of one or more scenario sweeps).  Rows land in part files partitioned by
 ``campaign / scenario / fingerprint``::
 
     <root>/manifest.json
-    <root>/campaign=serial/scenario=fig2.bicriteria/fingerprint=ab12cd34/part-00000.parquet
-    <root>/campaign=inproc/scenario=fig2.bicriteria/fingerprint=ab12cd34/part-00000.parquet
+    <root>/campaign=serial/scenario=fig2.bicriteria/fingerprint=ab12cd34/part-00000.jsonl
+    <root>/campaign=inproc/scenario=fig2.bicriteria/fingerprint=ab12cd34/part-00000.jsonl
 
 Part files are written whole (temp file + ``os.replace``) and only become
 visible once the manifest -- itself replaced atomically -- references them,
 so a crashed run never leaves a torn store: readers see either the old or
 the new manifest, and orphaned part files are ignored.
 
-Every record carries the exact result row as a ``row_json`` string (the
-bit-identity channel) *plus* promoted native columns for each scalar value
-(the SQL channel -- what DuckDB aggregates without JSON unpacking), and is
-keyed by :func:`repro.experiments.grid.cell_key` + the run-function
-fingerprint, the same dedup keying the result cache and the campaign
-journal use.  Appending the same cell to the same campaign twice is a
-counted no-op.
-
-Parquet needs the optional ``pyarrow`` dependency (the ``[analytics]``
-extra); without it the store transparently falls back to JSONL part files
-with the identical record layout, so every query -- SQL or pure-python --
-works on both formats.
+Every record is one line of :data:`META_COLUMNS`: the exact result row as a
+``row_json`` string (the bit-identity channel) plus the store's own
+bookkeeping, keyed by :func:`repro.experiments.grid.cell_key` + the
+run-function fingerprint, the same dedup keying the result cache and the
+campaign journal use.  Appending the same cell to the same campaign twice
+is a counted no-op.  Parts written by older versions may carry extra
+columns next to ``row_json``; they read back unchanged, and every query
+reads the row through ``row_json`` only.
 """
 
 from __future__ import annotations
@@ -36,96 +32,29 @@ import tempfile
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.experiments.cache import encode_replayable
 from repro.experiments.grid import Cell, CellOutcome, cell_key
-from repro.store.api import StoreUnavailableError, compose_row, json_stable
+from repro.store.api import compose_row, json_stable
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_SCHEMA = "repro.store/1"
 
-#: Record columns owned by the store (everything else is a promoted row key).
+#: The columns of every record the store writes.
 META_COLUMNS = (
     "campaign", "scenario", "fingerprint", "key", "row_index",
     "seed", "repetition", "elapsed_seconds", "replayed", "row_json",
 )
+
+#: The one part-file format (one JSON record per line).
+PART_FORMAT = "jsonl"
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
 
 def _safe(name: str) -> str:
     return _SAFE.sub("_", name) or "_"
-
-
-def _pyarrow():
-    try:
-        import pyarrow  # noqa: F401
-        import pyarrow.parquet  # noqa: F401
-
-        return pyarrow
-    except ImportError:
-        return None
-
-
-def default_format() -> str:
-    """``parquet`` when pyarrow is importable, else the pure-python ``jsonl``."""
-
-    return "parquet" if _pyarrow() is not None else "jsonl"
-
-
-def normalize_columns(
-    records: List[Dict[str, Any]], columns: Sequence[str]
-) -> List[Dict[str, Any]]:
-    """Make each column's values type-consistent for columnar encoding.
-
-    Within one batch a column mixing ints and floats is widened to float;
-    a column mixing incompatible types (e.g. numbers and strings from an
-    ``error`` axis) is stringified.  ``row_json`` always holds the exact
-    values, so normalisation only affects the promoted SQL columns.
-    """
-
-    for column in columns:
-        kinds = set()
-        for record in records:
-            value = record.get(column)
-            if value is None:
-                continue
-            if isinstance(value, bool):
-                kinds.add("bool")
-            elif isinstance(value, int):
-                kinds.add("int")
-            elif isinstance(value, float):
-                kinds.add("float")
-            else:
-                kinds.add("str")
-        if kinds <= {"int"} or kinds <= {"float"} or kinds <= {"bool"} or kinds <= {"str"}:
-            continue
-        if kinds <= {"int", "float"}:
-            for record in records:
-                if isinstance(record.get(column), (int, float)):
-                    record[column] = float(record[column])
-        else:
-            for record in records:
-                if record.get(column) is not None:
-                    record[column] = str(record[column])
-    return records
-
-
-def promote_scalars(row: Mapping[str, Any]) -> Dict[str, Any]:
-    """The SQL-queryable columns of a row: scalar values, minus reserved names.
-
-    Non-scalar values (lists, nested dicts) stay in ``row_json`` only;
-    ``experiment`` and ``seed`` are already meta columns.
-    """
-
-    promoted: Dict[str, Any] = {}
-    for name, value in row.items():
-        if name in META_COLUMNS or name == "experiment":
-            continue
-        if value is None or isinstance(value, (bool, int, float, str)):
-            promoted[name] = value
-    return promoted
 
 
 @dataclass
@@ -145,7 +74,7 @@ class Partition:
     scenario: str
     fingerprint: str
     path: str            # relative to the store root
-    format: str          # "parquet" | "jsonl"
+    format: str          # "jsonl" (the only part format this store reads)
     rows: int
     min_index: int
     max_index: int
@@ -182,7 +111,7 @@ class _Buffer:
 
 
 class CampaignStore:
-    """A directory of columnar campaign results (RowSink + RowSource).
+    """A directory of campaign results (RowSink + RowSource).
 
     Parameters
     ----------
@@ -192,9 +121,9 @@ class CampaignStore:
         Campaign label new rows are filed under; cross-campaign queries
         compare these labels.
     fmt:
-        Part-file format, ``"parquet"`` or ``"jsonl"``; defaults to parquet
-        when pyarrow is available.  A store may mix formats across part
-        files -- each manifest entry records its own.
+        Part-file format; only ``"jsonl"`` (the default) is accepted, any
+        other value raises :class:`ValueError`.  Parquet is an export
+        format of :func:`~repro.store.api.write_rows`, not a part format.
     flush_rows:
         Auto-flush threshold: buffered records are landed once this many
         accumulate (and always on :meth:`flush` / :meth:`close`).
@@ -208,13 +137,10 @@ class CampaignStore:
         fmt: Optional[str] = None,
         flush_rows: int = 2048,
     ) -> None:
-        if fmt not in (None, "parquet", "jsonl"):
-            raise ValueError(f"unknown store format {fmt!r}; expected 'parquet' or 'jsonl'")
-        if fmt == "parquet" and _pyarrow() is None:
-            raise StoreUnavailableError("parquet part files", "pyarrow")
+        if fmt not in (None, PART_FORMAT):
+            raise ValueError(f"unknown store format {fmt!r}; expected {PART_FORMAT!r}")
         self.root = Path(root)
         self.campaign = campaign
-        self.format = fmt or default_format()
         self.flush_rows = flush_rows
         self.stats = StoreStats()
         self._lock = threading.Lock()
@@ -224,7 +150,7 @@ class CampaignStore:
         self._next_index: Dict[Tuple[str, str], int] = {}      # (campaign, scenario)
 
     def __repr__(self) -> str:
-        return f"CampaignStore({str(self.root)!r}, campaign={self.campaign!r}, format={self.format!r})"
+        return f"CampaignStore({str(self.root)!r}, campaign={self.campaign!r})"
 
     # -- manifest ----------------------------------------------------------
 
@@ -257,14 +183,6 @@ class CampaignStore:
 
     def scenarios(self, campaign: Optional[str] = None) -> List[str]:
         return sorted({p.scenario for p in self.partitions(campaign=campaign)})
-
-    def files_by_format(self) -> Dict[str, List[Path]]:
-        """Manifest-referenced part files grouped by format (for SQL views)."""
-
-        grouped: Dict[str, List[Path]] = {}
-        for part in self.partitions():
-            grouped.setdefault(part.format, []).append(self.root / part.path)
-        return grouped
 
     def _write_manifest(self, payload: Dict[str, Any]) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
@@ -350,7 +268,6 @@ class CampaignStore:
                 "replayed": bool(replayed),
                 "row_json": json.dumps(row),
             }
-            record.update(promote_scalars(row))
             buffer = self._buffers.setdefault((campaign, scenario, fingerprint), _Buffer())
             buffer.records.append(record)
             self._buffered += 1
@@ -402,7 +319,7 @@ class CampaignStore:
                 existing.append(partition)
                 self.stats.parts_written += 1
             manifest["schema"] = MANIFEST_SCHEMA
-            manifest["format"] = self.format
+            manifest["format"] = PART_FORMAT
             manifest["partitions"] = [p.as_dict() for p in existing]
             self._write_manifest(manifest)
             self.stats.flushes += 1
@@ -423,25 +340,19 @@ class CampaignStore:
         number: int,
         records: List[Dict[str, Any]],
     ) -> Partition:
-        suffix = "parquet" if self.format == "parquet" else "jsonl"
         relative = (
             Path(f"campaign={_safe(campaign)}")
             / f"scenario={_safe(scenario)}"
             / f"fingerprint={_safe(fingerprint) if fingerprint else 'none'}"
-            / f"part-{number:05d}.{suffix}"
+            / f"part-{number:05d}.{PART_FORMAT}"
         )
         target = self.root / relative
         target.parent.mkdir(parents=True, exist_ok=True)
-        columns = self._record_columns(records)
         fd, tmp = tempfile.mkstemp(dir=str(target.parent), suffix=".part.tmp")
         try:
-            if self.format == "parquet":
-                os.close(fd)
-                self._write_parquet_file(tmp, records, columns)
-            else:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    for record in records:
-                        handle.write(json.dumps(record, default=repr) + "\n")
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                for record in records:
+                    handle.write(json.dumps(record, default=repr) + "\n")
             os.replace(tmp, target)
         except BaseException:
             try:
@@ -455,35 +366,11 @@ class CampaignStore:
             scenario=scenario,
             fingerprint=fingerprint,
             path=str(relative),
-            format=self.format,
+            format=PART_FORMAT,
             rows=len(records),
             min_index=min(indices),
             max_index=max(indices),
         )
-
-    @staticmethod
-    def _record_columns(records: Sequence[Mapping[str, Any]]) -> List[str]:
-        columns = list(META_COLUMNS)
-        seen = set(columns)
-        for record in records:
-            for name in record:
-                if name not in seen:
-                    seen.add(name)
-                    columns.append(name)
-        return columns
-
-    @staticmethod
-    def _write_parquet_file(
-        path: str, records: List[Dict[str, Any]], columns: List[str]
-    ) -> None:
-        pa = _pyarrow()
-        if pa is None:  # pragma: no cover - guarded at construction
-            raise StoreUnavailableError("parquet part files", "pyarrow")
-        import pyarrow.parquet as pq
-
-        flat = [{column: record.get(column) for column in columns} for record in records]
-        table = pa.Table.from_pylist(normalize_columns(flat, columns))
-        pq.write_table(table, path)
 
     def close(self) -> None:
         self.flush()
@@ -497,16 +384,12 @@ class CampaignStore:
     # -- read half (RowSource + iteration) ---------------------------------
 
     def _read_part(self, part: Partition) -> List[Dict[str, Any]]:
+        if part.format != PART_FORMAT:
+            raise ValueError(
+                f"partition {part.path} is a {part.format!r} part file; this "
+                f"store reads only {PART_FORMAT!r} parts"
+            )
         path = self.root / part.path
-        if part.format == "parquet":
-            pa = _pyarrow()
-            if pa is None:
-                raise StoreUnavailableError(
-                    f"reading parquet partition {part.path}", "pyarrow"
-                )
-            import pyarrow.parquet as pq
-
-            return pq.read_table(str(path)).to_pylist()
         records = []
         try:
             text = path.read_text(encoding="utf-8")
@@ -532,12 +415,14 @@ class CampaignStore:
     def records(
         self, *, campaign: Optional[str] = None, scenario: Optional[str] = None
     ) -> List[Dict[str, Any]]:
-        """Every landed record (flat meta + promoted columns + ``row_json``).
+        """Every landed record (the :data:`META_COLUMNS`, ``row_json`` included).
 
         Ordered by (campaign, scenario, row_index): the exact append order
         within each sweep, regardless of how records are spread over parts.
         Buffered-but-unflushed records are not visible -- call
-        :meth:`flush` first.
+        :meth:`flush` first.  Raises :class:`ValueError`, naming the part,
+        when the manifest references a part that is not JSONL (a Parquet
+        part of an older store).
         """
 
         loaded = list(self._stored_records(campaign=campaign, scenario=scenario))
@@ -573,11 +458,3 @@ class CampaignStore:
 
     def __len__(self) -> int:
         return sum(part.rows for part in self.partitions())
-
-
-def iter_records(stores: Iterable[CampaignStore]) -> Iterator[Dict[str, Any]]:
-    """Chain the records of several stores (multi-store analytics)."""
-
-    for store in stores:
-        for record in store.records():
-            yield record

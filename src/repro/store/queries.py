@@ -1,68 +1,25 @@
 """Named, individually tested analytics queries over a campaign store.
 
-Each query exists twice, by design:
-
-* as **SQL** over the DuckDB view ``rows`` (one record per landed cell,
-  promoted scalar columns; see :mod:`repro.store.analytics`) -- the fast
-  path for millions-of-cells stores, and
-* as a **pure-python** twin operating on :meth:`CampaignStore.records`
-  output -- the dependency-free fallback, and the oracle the SQL is tested
-  against (which in turn matches the
-  :class:`~repro.metrics.aggregate.StreamingAggregator` numbers).
-
-:func:`run_query` picks the engine (``auto`` prefers SQL when duckdb is
-importable) and always returns a list of plain dict rows, so CLI export and
-tests treat both engines identically.
-
-Queries never interpolate raw user input: column names are validated
-against an identifier grammar before quoting, values go through a literal
-escaper.
+Each query is a pure-python function over :meth:`CampaignStore.records`
+output that reads the result row through its ``row_json`` column, so it
+works on every landed part whatever extra columns an older writer added.
+The numbers match :class:`~repro.metrics.aggregate.StreamingAggregator`.
+:func:`run_query` returns a list of plain dict rows, so CLI export and tests
+treat every query alike.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.metrics.aggregate import summarize
 from repro.store.columnar import CampaignStore
 
-_IDENT = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\-]*$")
-
 
 class QueryError(ValueError):
-    """Unknown query, missing parameter or invalid identifier."""
-
-
-def quote_ident(name: str) -> str:
-    """Validate and double-quote a column identifier for SQL interpolation."""
-
-    if not _IDENT.match(name or ""):
-        raise QueryError(f"invalid column identifier {name!r}")
-    return f'"{name}"'
-
-
-def sql_literal(value: Any) -> str:
-    if isinstance(value, bool):
-        return "TRUE" if value else "FALSE"
-    if isinstance(value, (int, float)):
-        return repr(value)
-    return "'" + str(value).replace("'", "''") + "'"
-
-
-def _metric_expr(metric: str) -> str:
-    """A numeric view of a possibly VARCHAR-unioned column."""
-
-    return f"try_cast({quote_ident(metric)} AS DOUBLE)"
-
-
-def _where(filters: Mapping[str, Any], extra: Sequence[str] = ()) -> str:
-    clauses = [f"{quote_ident(k)} = {sql_literal(v)}" for k, v in sorted(filters.items())
-               if v is not None]
-    clauses.extend(extra)
-    return (" WHERE " + " AND ".join(clauses)) if clauses else ""
+    """Unknown query, unknown engine or missing/unknown parameter."""
 
 
 def _scoped(params: Mapping[str, Any]) -> Dict[str, Any]:
@@ -74,7 +31,7 @@ def _match(record: Mapping[str, Any], filters: Mapping[str, Any]) -> bool:
 
 
 def _numeric(value: Any) -> Optional[float]:
-    """The float() view a record column shares with the SQL ``try_cast``."""
+    """The numeric view of a row value: bools as 0/1, else float() or None."""
 
     if value is None or isinstance(value, bool):
         return 1.0 if value is True else (0.0 if value is False else None)
@@ -86,16 +43,13 @@ def _numeric(value: Any) -> Optional[float]:
 
 @dataclass(frozen=True)
 class Query:
-    """One named analytics query: SQL text + pure-python twin."""
+    """One named analytics query over the store's records."""
 
     name: str
     description: str
     required: Tuple[str, ...]
     optional: Tuple[str, ...]
-    sql_builder: Callable[[Dict[str, Any]], str]
-    py_runner: Callable[[List[Dict[str, Any]], Dict[str, Any]], List[Dict[str, Any]]]
-    #: SQL results carry a ``row_json`` column to decode into the output rows.
-    decodes_rows: bool = False
+    runner: Callable[[List[Dict[str, Any]], Dict[str, Any]], List[Dict[str, Any]]]
 
     def check_params(self, params: Mapping[str, Any]) -> Dict[str, Any]:
         missing = [name for name in self.required if params.get(name) in (None, "")]
@@ -112,27 +66,13 @@ class Query:
             )
         return dict(params)
 
-    def sql(self, **params: Any) -> str:
-        return self.sql_builder(self.check_params(params))
-
-    def run_py(self, records: List[Dict[str, Any]], **params: Any) -> List[Dict[str, Any]]:
-        return self.py_runner(records, self.check_params(params))
-
 
 # ---------------------------------------------------------------------------
 # rows: the exact result rows (bit-identical re-export channel)
 # ---------------------------------------------------------------------------
 
 
-def _rows_sql(params: Dict[str, Any]) -> str:
-    return (
-        "SELECT campaign, scenario, row_index, row_json FROM rows"
-        + _where(_scoped(params))
-        + " ORDER BY campaign, scenario, row_index"
-    )
-
-
-def _rows_py(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _rows(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
     scoped = _scoped(params)
     return [
         json.loads(record["row_json"])
@@ -146,23 +86,7 @@ def _rows_py(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict
 # ---------------------------------------------------------------------------
 
 
-def _metric_summary_sql(params: Dict[str, Any]) -> str:
-    m = _metric_expr(params["metric"])
-    return (
-        f"SELECT campaign, scenario, {sql_literal(params['metric'])} AS metric, "
-        f"count({m}) AS count, avg({m}) AS mean, "
-        f"coalesce(stddev_samp({m}), 0.0) AS std, "
-        f"min({m}) AS min, median({m}) AS median, "
-        f"quantile_cont({m}, 0.9) AS p90, max({m}) AS max, "
-        f"CASE WHEN count({m}) > 1 THEN 1.96 * coalesce(stddev_samp({m}), 0.0) "
-        f"/ sqrt(count({m})) ELSE 0.0 END AS ci95 "
-        "FROM rows"
-        + _where(_scoped(params), (f"{m} IS NOT NULL",))
-        + " GROUP BY campaign, scenario ORDER BY campaign, scenario"
-    )
-
-
-def _metric_summary_py(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _metric_summary(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
     metric = params["metric"]
     scoped = _scoped(params)
     groups: Dict[Tuple[str, str], List[float]] = {}
@@ -185,20 +109,7 @@ def _metric_summary_py(records: List[Dict[str, Any]], params: Dict[str, Any]) ->
 # ---------------------------------------------------------------------------
 
 
-def _policy_compare_sql(params: Dict[str, Any]) -> str:
-    m = _metric_expr(params["metric"])
-    axis = quote_ident(params.get("axis") or "policy_name")
-    return (
-        f"SELECT campaign, scenario, seed, {axis} AS axis_value, "
-        f"count({m}) AS count, avg({m}) AS mean "
-        "FROM rows"
-        + _where(_scoped(params), (f"{m} IS NOT NULL", f"{axis} IS NOT NULL"))
-        + f" GROUP BY campaign, scenario, seed, {axis}"
-        " ORDER BY campaign, scenario, seed, axis_value"
-    )
-
-
-def _policy_compare_py(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _policy_compare(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
     metric = params["metric"]
     axis = params.get("axis") or "policy_name"
     scoped = _scoped(params)
@@ -230,25 +141,7 @@ def _policy_compare_py(records: List[Dict[str, Any]], params: Dict[str, Any]) ->
 # ---------------------------------------------------------------------------
 
 
-def _compare_sql(params: Dict[str, Any]) -> str:
-    m_a = f"try_cast(a.{quote_ident(params['metric'])} AS DOUBLE)"
-    m_b = f"try_cast(b.{quote_ident(params['metric'])} AS DOUBLE)"
-    scenario = ""
-    if params.get("scenario"):
-        scenario = f" AND a.scenario = {sql_literal(params['scenario'])}"
-    return (
-        f"SELECT a.scenario AS scenario, a.row_index AS row_index, a.seed AS seed, "
-        f"{m_a} AS a_value, {m_b} AS b_value, "
-        f"({m_a} = {m_b}) AS equal, ({m_b} - {m_a}) AS diff "
-        "FROM rows a JOIN rows b ON a.scenario = b.scenario AND a.key = b.key "
-        f"WHERE a.campaign = {sql_literal(params['campaign_a'])} "
-        f"AND b.campaign = {sql_literal(params['campaign_b'])}"
-        + scenario
-        + " ORDER BY scenario, row_index"
-    )
-
-
-def _compare_py(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _compare(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
     metric = params["metric"]
     scenario = params.get("scenario")
     b_side = {
@@ -285,20 +178,7 @@ def _compare_py(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[D
 # ---------------------------------------------------------------------------
 
 
-def _cell_timing_sql(params: Dict[str, Any]) -> str:
-    e = "try_cast(elapsed_seconds AS DOUBLE)"
-    return (
-        f"SELECT campaign, scenario, count(*) AS cells, sum({e}) AS total_seconds, "
-        f"avg({e}) AS mean_seconds, quantile_cont({e}, 0.5) AS p50_seconds, "
-        f"quantile_cont({e}, 0.9) AS p90_seconds, max({e}) AS max_seconds, "
-        "sum(CASE WHEN replayed THEN 1 ELSE 0 END) AS replayed "
-        "FROM rows"
-        + _where(_scoped(params))
-        + " GROUP BY campaign, scenario ORDER BY campaign, scenario"
-    )
-
-
-def _cell_timing_py(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _cell_timing(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
     scoped = _scoped(params)
     groups: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
     for record in records:
@@ -323,20 +203,7 @@ def _cell_timing_py(records: List[Dict[str, Any]], params: Dict[str, Any]) -> Li
 # ---------------------------------------------------------------------------
 
 
-def _cache_accounting_sql(params: Dict[str, Any]) -> str:
-    return (
-        "SELECT campaign, scenario, fingerprint, count(*) AS rows, "
-        "sum(CASE WHEN replayed THEN 1 ELSE 0 END) AS replayed, "
-        "sum(CASE WHEN replayed THEN 0 ELSE 1 END) AS computed, "
-        "count(DISTINCT key) AS distinct_keys "
-        "FROM rows"
-        + _where(_scoped(params))
-        + " GROUP BY campaign, scenario, fingerprint "
-        "ORDER BY campaign, scenario, fingerprint"
-    )
-
-
-def _cache_accounting_py(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _cache_accounting(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
     scoped = _scoped(params)
     groups: Dict[Tuple[str, str, str], List[Dict[str, Any]]] = {}
     for record in records:
@@ -358,16 +225,8 @@ def _cache_accounting_py(records: List[Dict[str, Any]], params: Dict[str, Any]) 
 # ---------------------------------------------------------------------------
 # telemetry: span-summary / worker-occupancy / phase-attribution over
 # flight-recorder rows (repro.telemetry.TelemetryRecorder).  Span fields are
-# read through row_json so the queries work whatever mix of partitions (and
-# promoted columns) shares the store with the telemetry ones.
+# read through row_json, like every other row field.
 # ---------------------------------------------------------------------------
-
-#: SQL predicate selecting span events out of recorded telemetry rows.
-_SPAN_KIND = "json_extract_string(row_json, '$.kind') = 'span'"
-#: SQL views of the span fields (DOUBLE seconds; VARCHAR name/worker).
-_SPAN_SECONDS = "try_cast(json_extract(row_json, '$.seconds') AS DOUBLE)"
-_SPAN_NAME = "json_extract_string(row_json, '$.name')"
-_SPAN_WORKER = "json_extract_string(row_json, '$.worker')"
 
 
 def _span_body(record: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
@@ -384,19 +243,7 @@ def _span_body(record: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
     return body
 
 
-def _span_summary_sql(params: Dict[str, Any]) -> str:
-    s = _SPAN_SECONDS
-    return (
-        f"SELECT campaign, scenario, {_SPAN_NAME} AS name, count(*) AS spans, "
-        f"sum({s}) AS total_seconds, avg({s}) AS mean_seconds, "
-        f"min({s}) AS min_seconds, max({s}) AS max_seconds "
-        "FROM rows"
-        + _where(_scoped(params), extra=(_SPAN_KIND, f"{s} IS NOT NULL"))
-        + " GROUP BY campaign, scenario, name ORDER BY campaign, scenario, name"
-    )
-
-
-def _span_summary_py(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _span_summary(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
     scoped = _scoped(params)
     groups: Dict[Tuple[str, str, str], List[float]] = {}
     for record in records:
@@ -418,32 +265,7 @@ def _span_summary_py(records: List[Dict[str, Any]], params: Dict[str, Any]) -> L
     return out
 
 
-def _worker_occupancy_sql(params: Dict[str, Any]) -> str:
-    s, name = _SPAN_SECONDS, _SPAN_NAME
-    inner = (
-        f"SELECT campaign, {_SPAN_WORKER} AS worker, "
-        f"sum(CASE WHEN {name} = 'cell.execute' THEN {s} ELSE 0 END) AS busy_seconds, "
-        f"sum(CASE WHEN {name} = 'worker.idle' THEN {s} ELSE 0 END) AS idle_seconds, "
-        f"sum(CASE WHEN {name} IN ('cell.deserialize', 'cell.serialize') "
-        f"THEN {s} ELSE 0 END) AS overhead_seconds, "
-        f"sum(CASE WHEN {name} = 'cell.execute' THEN 1 ELSE 0 END) AS cells "
-        "FROM rows"
-        + _where(
-            _scoped(params),
-            extra=(_SPAN_KIND, f"{s} IS NOT NULL", f"{_SPAN_WORKER} IS NOT NULL"),
-        )
-        + " GROUP BY campaign, worker"
-    )
-    return (
-        "SELECT campaign, worker, busy_seconds, idle_seconds, overhead_seconds, "
-        "cells, CASE WHEN busy_seconds + idle_seconds + overhead_seconds > 0 "
-        "THEN busy_seconds / (busy_seconds + idle_seconds + overhead_seconds) "
-        "ELSE 0.0 END AS occupancy "
-        f"FROM ({inner}) ORDER BY campaign, worker"
-    )
-
-
-def _worker_occupancy_py(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _worker_occupancy(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
     scoped = _scoped(params)
     groups: Dict[Tuple[str, str], Dict[str, float]] = {}
     for record in records:
@@ -476,19 +298,7 @@ def _worker_occupancy_py(records: List[Dict[str, Any]], params: Dict[str, Any]) 
     return out
 
 
-def _phase_attribution_sql(params: Dict[str, Any]) -> str:
-    s = _SPAN_SECONDS
-    return (
-        f"SELECT campaign, {_SPAN_NAME} AS phase, count(*) AS spans, "
-        f"sum({s}) AS total_seconds, avg({s}) AS mean_seconds, "
-        f"sum({s}) / sum(sum({s})) OVER (PARTITION BY campaign) AS share "
-        "FROM rows"
-        + _where(_scoped(params), extra=(_SPAN_KIND, f"{s} IS NOT NULL"))
-        + " GROUP BY campaign, phase ORDER BY campaign, phase"
-    )
-
-
-def _phase_attribution_py(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
+def _phase_attribution(records: List[Dict[str, Any]], params: Dict[str, Any]) -> List[Dict[str, Any]]:
     scoped = _scoped(params)
     groups: Dict[Tuple[str, str], List[float]] = {}
     for record in records:
@@ -520,61 +330,52 @@ QUERIES: Dict[str, Query] = {
         Query(
             name="rows",
             description="the exact result rows, in append order (re-export channel)",
-            required=(), optional=("campaign", "scenario"),
-            sql_builder=_rows_sql, py_runner=_rows_py, decodes_rows=True,
+            required=(), optional=("campaign", "scenario"), runner=_rows,
         ),
         Query(
             name="metric-summary",
             description="per-campaign/scenario summary statistics of one metric "
                         "(matches StreamingAggregator)",
-            required=("metric",), optional=("campaign", "scenario"),
-            sql_builder=_metric_summary_sql, py_runner=_metric_summary_py,
+            required=("metric",), optional=("campaign", "scenario"), runner=_metric_summary,
         ),
         Query(
             name="policy-compare",
             description="mean metric per (campaign, scenario, seed, axis value): "
                         "policy X vs Y across every scenario and seed",
-            required=("metric",), optional=("axis", "campaign", "scenario"),
-            sql_builder=_policy_compare_sql, py_runner=_policy_compare_py,
+            required=("metric",), optional=("axis", "campaign", "scenario"), runner=_policy_compare,
         ),
         Query(
             name="compare",
             description="join the same cells across two campaigns and diff one metric",
-            required=("metric", "campaign_a", "campaign_b"), optional=("scenario",),
-            sql_builder=_compare_sql, py_runner=_compare_py,
+            required=("metric", "campaign_a", "campaign_b"), optional=("scenario",), runner=_compare,
         ),
         Query(
             name="cell-timing",
             description="per-cell wall-clock percentiles per campaign/scenario",
-            required=(), optional=("campaign", "scenario"),
-            sql_builder=_cell_timing_sql, py_runner=_cell_timing_py,
+            required=(), optional=("campaign", "scenario"), runner=_cell_timing,
         ),
         Query(
             name="cache-accounting",
             description="replayed vs computed cells and dedup coverage per partition",
-            required=(), optional=("campaign", "scenario"),
-            sql_builder=_cache_accounting_sql, py_runner=_cache_accounting_py,
+            required=(), optional=("campaign", "scenario"), runner=_cache_accounting,
         ),
         Query(
             name="span-summary",
             description="per-span-name timing statistics over recorded telemetry "
                         "(flight-recorder partitions)",
-            required=(), optional=("campaign", "scenario"),
-            sql_builder=_span_summary_sql, py_runner=_span_summary_py,
+            required=(), optional=("campaign", "scenario"), runner=_span_summary,
         ),
         Query(
             name="worker-occupancy",
             description="busy vs idle vs serialization seconds per worker, from "
                         "forwarded worker spans",
-            required=(), optional=("campaign", "scenario"),
-            sql_builder=_worker_occupancy_sql, py_runner=_worker_occupancy_py,
+            required=(), optional=("campaign", "scenario"), runner=_worker_occupancy,
         ),
         Query(
             name="phase-attribution",
             description="where the milliseconds go: total/mean seconds and share "
                         "per span name (phase) per campaign",
-            required=(), optional=("campaign", "scenario"),
-            sql_builder=_phase_attribution_sql, py_runner=_phase_attribution_py,
+            required=(), optional=("campaign", "scenario"), runner=_phase_attribution,
         ),
     )
 }
@@ -592,25 +393,15 @@ def run_query(
     name: str,
     params: Optional[Mapping[str, Any]] = None,
     *,
-    engine: str = "auto",
+    engine: str = "py",
 ) -> List[Dict[str, Any]]:
     """Run a named query and return plain dict rows.
 
-    ``engine`` is ``"sql"`` (DuckDB; raises
-    :class:`~repro.store.api.StoreUnavailableError` when absent), ``"py"``
-    (pure python) or ``"auto"`` (SQL when duckdb is importable, else python).
-    Both engines return the same rows.
+    ``engine`` only accepts ``"py"``, the one query engine; any other value
+    raises :class:`QueryError`.
     """
 
-    from repro.store.analytics import duckdb_available, run_sql_query
-
+    if engine != "py":
+        raise QueryError(f"unknown engine {engine!r}; the only query engine is 'py'")
     query = get_query(name)
-    params = dict(params or {})
-    if engine not in ("auto", "sql", "py"):
-        raise QueryError(f"unknown engine {engine!r}; expected auto, sql or py")
-    if engine == "sql" or (engine == "auto" and duckdb_available()):
-        results = run_sql_query(store, query.sql(**params))
-        if query.decodes_rows:
-            return [json.loads(result["row_json"]) for result in results]
-        return results
-    return query.run_py(store.records(), **params)
+    return query.runner(store.records(), query.check_params(params or {}))

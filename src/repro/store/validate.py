@@ -4,7 +4,7 @@
 statements of section 4 by generating instances and running the policies;
 this module checks the *same bounds* on rows already landed in a campaign
 store -- so a production store of millions of cells can be audited with one
-SQL pass instead of re-running anything:
+pass over its records instead of re-running anything:
 
 * bi-criteria doubling batches: ``cmax_ratio`` and ``wici_ratio`` within
   ``4 * rho = 8`` (section 4.4, rho = 2 for the greedy inner procedure);
@@ -12,9 +12,8 @@ SQL pass instead of re-running anything:
   below 1;
 * per-cell timings are non-negative (a corrupted ingest would violate it).
 
-Each rule renders to SQL (DuckDB engine) and evaluates in pure python (the
-fallback twin); both return the same :class:`RuleResult`, and the tests
-cross-check the worst observed values against
+Each rule evaluates to a :class:`RuleResult`; the tests cross-check the
+worst observed values against
 :class:`~repro.metrics.aggregate.StreamingAggregator` and the stated bounds
 of :mod:`repro.experiments.ratio_checks`.
 """
@@ -23,10 +22,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.store.columnar import CampaignStore
-from repro.store.queries import _metric_expr, _numeric
+from repro.store.queries import QueryError, _numeric
 
 #: Stated bound of the bi-criteria scheduler on both criteria: 4 * rho with
 #: rho = 2 for the greedy moldable inner procedure (paper section 4.4) --
@@ -41,7 +40,7 @@ TOLERANCE = 1e-9
 
 @dataclass(frozen=True)
 class ValidationRule:
-    """One bound on one metric column, checkable in SQL or python."""
+    """One bound on one metric column of the stored rows."""
 
     name: str
     description: str
@@ -51,24 +50,6 @@ class ValidationRule:
     #: The metric lives in the record meta columns, not the result row.
     meta: bool = False
 
-    def _violation_sql(self, expr: str) -> str:
-        clauses = []
-        if self.upper is not None:
-            clauses.append(f"{expr} > {self.upper + TOLERANCE!r}")
-        if self.lower is not None:
-            clauses.append(f"{expr} < {self.lower - TOLERANCE!r}")
-        return " OR ".join(clauses) or "FALSE"
-
-    def sql(self) -> str:
-        expr = _metric_expr(self.metric)
-        return (
-            f"SELECT count({expr}) AS checked, "
-            f"coalesce(sum(CASE WHEN {self._violation_sql(expr)} THEN 1 ELSE 0 END), 0)"
-            " AS violations, "
-            f"max({expr}) AS worst_high, min({expr}) AS worst_low "
-            f"FROM rows WHERE {expr} IS NOT NULL"
-        )
-
     def _violates(self, value: float) -> bool:
         if self.upper is not None and value > self.upper + TOLERANCE:
             return True
@@ -76,7 +57,7 @@ class ValidationRule:
             return True
         return False
 
-    def check_py(self, records: List[Dict[str, Any]]) -> "RuleResult":
+    def check(self, records: List[Dict[str, Any]]) -> "RuleResult":
         values: List[float] = []
         for record in records:
             source = record if self.meta else json.loads(record["row_json"])
@@ -90,15 +71,6 @@ class ValidationRule:
             violations=violations,
             worst_high=max(values) if values else None,
             worst_low=min(values) if values else None,
-        )
-
-    def result_from_sql(self, result_row: Mapping[str, Any]) -> "RuleResult":
-        return RuleResult(
-            rule=self,
-            checked=int(result_row.get("checked") or 0),
-            violations=int(result_row.get("violations") or 0),
-            worst_high=result_row.get("worst_high"),
-            worst_low=result_row.get("worst_low"),
         )
 
 
@@ -187,31 +159,11 @@ RULES: Tuple[ValidationRule, ...] = (
 
 
 def validate_store(
-    store: CampaignStore, *, engine: str = "auto", rules: Tuple[ValidationRule, ...] = RULES
+    store: CampaignStore, *, engine: str = "py", rules: Tuple[ValidationRule, ...] = RULES
 ) -> List[RuleResult]:
     """Evaluate every rule; ``engine`` as in :func:`repro.store.queries.run_query`."""
 
-    from repro.store.analytics import connect, duckdb_available, fetch_dicts
-
-    if engine not in ("auto", "sql", "py"):
-        raise ValueError(f"unknown engine {engine!r}; expected auto, sql or py")
-    use_sql = engine == "sql" or (engine == "auto" and duckdb_available())
-    if use_sql:
-        connection = connect(store)
-        try:
-            # A rule whose metric appears in no partition must *skip*, not
-            # error: the unioned view simply has no such column to cast.
-            cursor = connection.execute("SELECT * FROM rows LIMIT 0")
-            available = {description[0] for description in cursor.description}
-            results = []
-            for rule in rules:
-                if rule.metric not in available:
-                    results.append(RuleResult(rule, 0, 0, None, None))
-                    continue
-                (result_row,) = fetch_dicts(connection, rule.sql())
-                results.append(rule.result_from_sql(result_row))
-            return results
-        finally:
-            connection.close()
+    if engine != "py":
+        raise QueryError(f"unknown engine {engine!r}; the only query engine is 'py'")
     records = store.records()
-    return [rule.check_py(records) for rule in rules]
+    return [rule.check(records) for rule in rules]

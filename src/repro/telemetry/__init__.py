@@ -49,7 +49,6 @@ from repro.telemetry.listener import (
     CallbackListener,
     FanoutListener,
     SweepListener,
-    listener_with_callbacks,
 )
 from repro.telemetry.recorder import TelemetryRecorder, telemetry_scenario
 from repro.telemetry.spans import NULL_SPAN, SpanRecorder
@@ -104,7 +103,6 @@ __all__ = [
     "TOPIC_WORKERS",
     "WORKER_TOPIC_PREFIX",
     "get_bus",
-    "listener_with_callbacks",
     "payload",
     "set_bus",
     "telemetry_scenario",

@@ -7,14 +7,14 @@
         --executor inproc://                       # distributed, forwarded spans
     python -m repro.telemetry replay --store runs/flight --topic worker. --limit 20
     python -m repro.telemetry report phase-attribution --store runs/flight
-    python -m repro.telemetry report worker-occupancy --store runs/flight --engine py
+    python -m repro.telemetry report worker-occupancy --store runs/flight
     python -m repro.telemetry smoke                # CI: fleet + recorder + parity
 
 ``record`` runs scenarios with a :class:`~repro.telemetry.recorder.
 TelemetryRecorder` attached to the process bus, so every event -- sweep
 lifecycle, scheduler decisions, forwarded ``worker.*`` spans -- lands in
 ``telemetry.<campaign>`` partitions of the given store.  ``replay`` prints
-recorded events back in landed order; ``report`` runs the telemetry twin
+recorded events back in landed order; ``report`` runs the telemetry
 queries (``span-summary``, ``worker-occupancy``, ``phase-attribution``).
 
 Recording is observation only: scenario digests are bit-identical with the
@@ -31,7 +31,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.store.queries import QUERIES, QueryError, run_query
 from repro.telemetry.recorder import TELEMETRY_SCENARIO_PREFIX, TelemetryRecorder
@@ -99,10 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="query parameter (repeatable), e.g. --param campaign=fleet",
     )
     rpt.add_argument(
-        "--engine", choices=("auto", "sql", "py"), default="auto",
-        help="query engine (default: SQL when duckdb is installed)",
-    )
-    rpt.add_argument(
         "--out", type=Path, default=None, metavar="PATH",
         help="write the result rows to this file instead of printing a table",
     )
@@ -115,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     smk = sub.add_parser(
         "smoke",
-        help="CI smoke: tcp fleet + recorder, digest parity, query-engine parity",
+        help="CI smoke: tcp fleet + recorder, digest parity, phase attribution",
     )
     smk.add_argument(
         "--scenario", default="fig2.bicriteria",
@@ -185,7 +181,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.store.api import StoreUnavailableError
     from repro.store.cli import _emit, _parse_params
     from repro.store.columnar import CampaignStore
 
@@ -202,28 +197,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
     try:
         params = _parse_params(args.param)
         store = CampaignStore(args.store)
-        rows = run_query(store, args.name, params, engine=args.engine)
-    except (QueryError, StoreUnavailableError) as error:
+        rows = run_query(store, args.name, params)
+    except QueryError as error:
         print(error, file=sys.stderr)
         return 2
     _emit(rows, args.out, args.out_format, title=f"{args.name} ({len(rows)} rows)")
     return 0
-
-
-def _rows_agree(py_rows: List[Dict[str, Any]], sql_rows: List[Dict[str, Any]]) -> bool:
-    """Engine parity: same shape, same keys, floats within tolerance."""
-
-    if len(py_rows) != len(sql_rows):
-        return False
-    for py_row, sql_row in zip(py_rows, sql_rows):
-        for field, expected in py_row.items():
-            got = sql_row.get(field)
-            if isinstance(expected, float):
-                if got is None or abs(float(got) - expected) > 1e-9 * max(1.0, abs(expected)):
-                    return False
-            elif got != expected:
-                return False
-    return True
 
 
 def _cmd_smoke(args: argparse.Namespace) -> int:
@@ -233,7 +212,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     2. the same scenario over a recorded ``--workers`` fleet -- digest must
        be bit-identical;
     3. forwarded ``worker.*`` events and span rows must have landed;
-    4. ``phase-attribution`` must be non-empty and agree across engines.
+    4. ``phase-attribution`` must be non-empty.
     """
 
     import tempfile
@@ -241,7 +220,6 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     from repro.distributed.executor import inproc_fleet, local_mini_cluster
     from repro.scenarios.composer import run_scenario, rows_digest
     from repro.scenarios.registry import get
-    from repro.store.analytics import duckdb_available
     from repro.store.columnar import CampaignStore
 
     spec = get(args.scenario)
@@ -279,20 +257,12 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     if not span_events:
         failures.append("no span events landed in the store")
 
-    py_rows = run_query(store, "phase-attribution", engine="py")
-    if not py_rows:
-        failures.append("phase-attribution (py) returned no rows")
+    phase_rows = run_query(store, "phase-attribution")
+    if not phase_rows:
+        failures.append("phase-attribution returned no rows")
     else:
-        phases = ", ".join(f"{r['phase']}={r['total_seconds']:.3f}s" for r in py_rows)
+        phases = ", ".join(f"{r['phase']}={r['total_seconds']:.3f}s" for r in phase_rows)
         print(f"phase-attribution: {phases}")
-    if duckdb_available():
-        sql_rows = run_query(store, "phase-attribution", engine="sql")
-        if not _rows_agree(py_rows, sql_rows):
-            failures.append("phase-attribution: sql and py engines disagree")
-        else:
-            print("phase-attribution: sql and py engines agree")
-    else:
-        print("duckdb not installed: skipped sql/py parity leg")
 
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

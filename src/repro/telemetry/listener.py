@@ -1,9 +1,8 @@
 """The :class:`SweepListener` protocol: how sweeps report cell lifecycle.
 
-This replaces the historical ad-hoc ``progress=`` / ``on_row=`` callbacks on
 :func:`repro.experiments.harness.run_experiment` and
-:func:`repro.scenarios.composer.run_scenario`.  A listener receives typed
-lifecycle notifications; the default telemetry bus
+:func:`repro.scenarios.composer.run_scenario` take one ``listener=``.  A
+listener receives typed lifecycle notifications; the default telemetry bus
 (:class:`repro.telemetry.bus.TelemetryBus`) is itself a listener, so every
 sweep is observable from the dashboard without any caller plumbing.
 
@@ -14,7 +13,6 @@ of the sweep must be byte-identical whether zero or many listeners watch.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, Dict, Iterable, Optional
 
 
@@ -46,10 +44,10 @@ class SweepListener:
 
 
 class CallbackListener(SweepListener):
-    """Adapter wrapping the legacy ``progress=`` / ``on_row=`` callbacks.
+    """Adapter turning plain ``progress`` / ``on_row`` callables into a listener.
 
-    Emits byte-identical messages to the historical inline calls so scripts
-    parsing harness stderr keep working through the deprecation window.
+    ``progress`` receives one line per finished or failed cell, ``on_row``
+    each finished row, in order.
     """
 
     def __init__(
@@ -101,31 +99,3 @@ class FanoutListener(SweepListener):
     def on_sweep_end(self, experiment: str, result: Any) -> None:
         for listener in self.listeners:
             listener.on_sweep_end(experiment, result)
-
-
-def listener_with_callbacks(
-    listener: Optional[SweepListener],
-    progress: Optional[Callable[[str], None]],
-    on_row: Optional[Callable[[Dict[str, Any]], None]],
-    *,
-    stacklevel: int = 3,
-) -> Optional[SweepListener]:
-    """Compose ``listener=`` with the deprecated ``progress=``/``on_row=``.
-
-    Returns ``listener`` untouched when no legacy callback is given;
-    otherwise warns once and folds the callbacks into the listener chain.
-    """
-
-    if progress is None and on_row is None:
-        return listener
-    warnings.warn(
-        "progress= and on_row= are deprecated; pass "
-        "listener=repro.telemetry.listener.CallbackListener(progress=..., "
-        "on_row=...) or any SweepListener instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    legacy = CallbackListener(progress=progress, on_row=on_row)
-    if listener is None:
-        return legacy
-    return FanoutListener([listener, legacy])

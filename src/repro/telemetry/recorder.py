@@ -2,7 +2,7 @@
 
 :class:`TelemetryRecorder` subscribes to a bus and drains the subscription
 from a background daemon thread into ``telemetry.<campaign>`` partitions of
-a :class:`~repro.store.columnar.CampaignStore` — the same Parquet/JSONL
+a :class:`~repro.store.columnar.CampaignStore` — the same JSONL
 store result rows land in, so "where did the milliseconds go" is a named
 query (``span-summary`` / ``worker-occupancy`` / ``phase-attribution`` in
 :mod:`repro.store.queries`) instead of a log grep.
@@ -17,8 +17,7 @@ Design constraints mirror the bus's own:
   ``telemetry:<token>:<topic>:<seq>`` (token unique per recorder start), so
   the store's ``(campaign, key)`` dedup never collapses two runs' events.
 * **Rows are flat.**  ``topic`` / ``seq`` / ``gseq`` / ``time`` plus the
-  payload fields, ready for scalar-column promotion; anything non-scalar
-  stays queryable in ``row_json``.
+  payload fields, queryable through the record's ``row_json``.
 """
 
 from __future__ import annotations

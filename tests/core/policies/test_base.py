@@ -9,7 +9,6 @@ from repro.core.job import MoldableJob, RigidJob
 from repro.core.policies.base import (
     MoldableAllocator,
     SchedulerError,
-    earliest_start_schedule,
     list_schedule_rigid,
     sort_jobs,
 )
@@ -104,23 +103,6 @@ class TestListScheduleRigid:
         longest = max(j.duration for j in jobs)
         lower = max(area, longest)
         assert schedule.makespan() <= (2 - 1 / machines) * lower + 1e-9
-
-
-class TestEarliestStartSchedule:
-    def test_respects_release_dates(self):
-        jobs = [RigidJob(name="a", nbproc=1, duration=5.0, release_date=0.0),
-                RigidJob(name="b", nbproc=1, duration=1.0, release_date=2.0)]
-        schedule = earliest_start_schedule([(j, 1) for j in jobs], 1)
-        schedule.validate()
-        assert schedule["a"].start == 0.0
-        assert schedule["b"].start >= 2.0
-
-    def test_prefers_earliest_feasible_job(self):
-        jobs = [RigidJob(name="late", nbproc=1, duration=1.0, release_date=100.0),
-                RigidJob(name="now", nbproc=1, duration=1.0, release_date=0.0)]
-        schedule = earliest_start_schedule([(j, 1) for j in jobs], 1)
-        assert schedule["now"].start == 0.0
-        assert schedule["late"].start == pytest.approx(100.0)
 
 
 class TestSortJobs:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.distributed import protocol
 from repro.experiments.grid import Cell, CellOutcome
+from tests.distributed.wire import recv_message, send_message
 
 
 def socket_pair():
@@ -25,8 +26,8 @@ class TestFraming:
     def test_message_round_trip(self):
         left, right = socket_pair()
         try:
-            protocol.send_message(left, {"op": "hello", "worker": "w1"})
-            assert protocol.recv_message(right) == {"op": "hello", "worker": "w1"}
+            send_message(left, {"op": "hello", "worker": "w1"})
+            assert recv_message(right) == {"op": "hello", "worker": "w1"}
         finally:
             left.close()
             right.close()
@@ -35,9 +36,9 @@ class TestFraming:
         left, right = socket_pair()
         try:
             for index in range(20):
-                protocol.send_message(left, {"op": "n", "i": index, "pad": "x" * index * 37})
+                send_message(left, {"op": "n", "i": index, "pad": "x" * index * 37})
             for index in range(20):
-                assert protocol.recv_message(right)["i"] == index
+                assert recv_message(right)["i"] == index
         finally:
             left.close()
             right.close()
@@ -46,9 +47,9 @@ class TestFraming:
         left, right = socket_pair()
         try:
             message = {"op": "blob", "data": "y" * 2_000_000}
-            thread = threading.Thread(target=protocol.send_message, args=(left, message))
+            thread = threading.Thread(target=send_message, args=(left, message))
             thread.start()
-            received = protocol.recv_message(right)
+            received = recv_message(right)
             thread.join()
             assert received == message
         finally:
@@ -60,7 +61,7 @@ class TestFraming:
         left.close()
         try:
             with pytest.raises(protocol.ConnectionClosed):
-                protocol.recv_message(right)
+                recv_message(right)
         finally:
             right.close()
 
@@ -70,7 +71,7 @@ class TestFraming:
             left.sendall(b"\x00\x00\x01\x00partial")
             left.close()
             with pytest.raises(protocol.ConnectionClosed):
-                protocol.recv_message(right)
+                recv_message(right)
         finally:
             right.close()
 
@@ -79,7 +80,7 @@ class TestFraming:
         try:
             left.sendall(b"\xff\xff\xff\xff")
             with pytest.raises(protocol.ProtocolError):
-                protocol.recv_message(right)
+                recv_message(right)
         finally:
             left.close()
             right.close()
@@ -87,9 +88,9 @@ class TestFraming:
     def test_non_envelope_frame_rejected(self):
         left, right = socket_pair()
         try:
-            protocol.send_message(left, {"no_op_key": 1})
+            send_message(left, {"no_op_key": 1})
             with pytest.raises(protocol.ProtocolError):
-                protocol.recv_message(right)
+                recv_message(right)
         finally:
             left.close()
             right.close()

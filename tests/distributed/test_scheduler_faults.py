@@ -19,6 +19,7 @@ import pytest
 from repro.distributed import DistributedExecutor, Scheduler, protocol
 from repro.distributed.scheduler import WORKER_LOST, CampaignStalled
 from repro.experiments.grid import CellFunction, expand_grid
+from tests.distributed.wire import recv_message, send_message
 
 
 def plain_cell(seed, x):
@@ -32,16 +33,16 @@ class FakeWorker:
         host, port = protocol.parse_address(address)
         self.sock = socket.create_connection((host, port), timeout=5.0)
         self.worker_id = worker_id
-        protocol.send_message(self.sock, {"op": "hello", "worker": worker_id})
-        assert protocol.recv_message(self.sock)["op"] == "welcome"
+        send_message(self.sock, {"op": "hello", "worker": worker_id})
+        assert recv_message(self.sock)["op"] == "welcome"
 
     def take_cell(self, timeout=10.0):
         """Request until a task arrives; returns the task message."""
 
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
-            protocol.send_message(self.sock, {"op": "request"})
-            reply = protocol.recv_message(self.sock)
+            send_message(self.sock, {"op": "request"})
+            reply = recv_message(self.sock)
             if reply["op"] == "task":
                 return reply
             time.sleep(0.02)
@@ -50,7 +51,7 @@ class FakeWorker:
     def finish(self, task):
         cell = protocol.decode_payload(task["cell"])
         outcome = CellFunction(plain_cell)(cell)
-        protocol.send_message(self.sock, {
+        send_message(self.sock, {
             "op": "result",
             "worker": self.worker_id,
             "campaign": task["campaign"],

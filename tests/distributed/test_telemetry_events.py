@@ -53,11 +53,6 @@ class TestStatsPayload:
         rates = SchedulerStats().to_payload()["rates"]
         assert set(rates.values()) == {0.0}
 
-    def test_as_dict_is_a_deprecated_alias_of_counters(self):
-        stats = SchedulerStats(results=3)
-        with pytest.warns(DeprecationWarning, match="as_dict\\(\\) is deprecated"):
-            assert stats.as_dict() == stats.counters()
-
 
 class TestCampaignEventStream:
     def test_inproc_campaign_narrates_itself_onto_the_bus(self):

@@ -25,6 +25,7 @@ from repro.experiments.harness import (
     run_experiment,
     run_fingerprint,
 )
+from repro.telemetry import CallbackListener
 
 GRID_4x4 = {"a": [1, 2, 3, 4], "b": [10, 20, 30, 40]}  # x4 reps = 64 cells
 
@@ -193,15 +194,12 @@ class TestParallelIdentity:
         assert pooled.elapsed_seconds < serial.elapsed_seconds * 0.7
 
     def test_progress_and_timing_capture(self):
-        # progress=/on_row= are deprecated shims around listener=; they
-        # must still deliver the exact legacy callbacks while they warn.
         messages = []
         streamed = []
-        with pytest.warns(DeprecationWarning, match="progress= and on_row="):
-            result = run_experiment("progress", seeded_metrics,
-                                    {"a": [1], "b": [2, 3]},
-                                    repetitions=2, progress=messages.append,
-                                    on_row=streamed.append)
+        listener = CallbackListener(progress=messages.append, on_row=streamed.append)
+        result = run_experiment("progress", seeded_metrics,
+                                {"a": [1], "b": [2, 3]},
+                                repetitions=2, listener=listener)
         assert len(messages) == 4
         assert streamed == result.rows
         assert len(result.cell_seconds) == 4

@@ -92,7 +92,7 @@ class TestPerClusterPolicies:
         )
         result = simulator.run({"alpha": blocked_head_jobs()})
         assert result.policies == {"alpha": "backfill", "beta": "fifo"}
-        assert result.local_schedules["alpha"]["small"].start == pytest.approx(2.0)
+        assert result.schedules["alpha"]["small"].start == pytest.approx(2.0)
 
     def test_unknown_cluster_in_policy_mapping_rejected(self):
         with pytest.raises(ValueError):
@@ -252,8 +252,7 @@ class TestSimulationRecord:
         assert isinstance(decentralized, SimulationRecord)
         assert centralized.mode == "grid-centralized"
         assert decentralized.mode == "grid-decentralized"
-        # Legacy surfaces still answer.
-        assert set(centralized.local_criteria) == {"alpha", "beta"}
+        assert set(centralized.cluster_criteria) == {"alpha", "beta"}
         assert centralized.grid_throughput() == 0.0
         assert sum(c.n_jobs for c in decentralized.criteria.values()) == 3
         assert decentralized.fairness is not None
@@ -323,29 +322,23 @@ class TestUnifiedReporting:
         assert "head" not in table  # limited to the first two starts
 
 
-class TestDeprecatedShims:
-    def test_queue_policy_names_still_importable_with_warning(self):
-        import repro.simulation.cluster_sim as cluster_sim
+class TestRemovedAliases:
+    @pytest.mark.parametrize("module, name", [
+        ("repro.simulation", "SimulationResult"),
+        ("repro.simulation", "GridSimulationResult"),
+        ("repro.simulation", "DecentralizedResult"),
+        ("repro.simulation.cluster_sim", "QueuePolicy"),
+        ("repro.simulation.cluster_sim", "QUEUE_POLICIES"),
+    ])
+    def test_legacy_name_is_not_importable(self, module, name):
+        import importlib
 
-        with pytest.warns(DeprecationWarning):
-            policy_cls = cluster_sim.QueuePolicy
-        from repro.core.policies.online import SchedulingPolicy
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module(module), name)
 
-        assert policy_cls is SchedulingPolicy
-        with pytest.warns(DeprecationWarning):
-            mapping = cluster_sim.QUEUE_POLICIES
-        assert set(mapping) == {"fifo", "backfill", "smallest-first"}
-        with pytest.warns(DeprecationWarning):
-            from repro.simulation.cluster_sim import FifoPolicy as shimmed
-        assert shimmed is not None
-
-    def test_legacy_result_names_are_aliases(self):
-        from repro.simulation import (
-            DecentralizedResult,
-            GridSimulationResult,
-            SimulationResult,
-        )
-
-        assert SimulationResult is SimulationRecord
-        assert GridSimulationResult is SimulationRecord
-        assert DecentralizedResult is SimulationRecord
+    def test_record_answers_only_the_current_names(self):
+        result = CentralizedGridSimulator(duo_grid()).run({"alpha": blocked_head_jobs()})
+        assert result.schedules["alpha"]["small"].start == pytest.approx(11.0)  # FCFS
+        assert set(result.cluster_criteria) == {"alpha", "beta"}
+        for name in ("local_schedules", "local_criteria"):
+            assert not hasattr(result, name)

@@ -113,14 +113,13 @@ class TestRun:
 class TestSweep:
     def test_sweep_with_axis_override_and_csv(self, capsys, tmp_path):
         csv = tmp_path / "rows.csv"
-        with pytest.warns(DeprecationWarning, match="--csv"):
-            code = main([
-                "sweep", "mix.rigid-moldable", "--smoke",
-                "--axis", "policy.strategy=separate,first_fit_batch",
-                "--repetitions", "1",
-                "--csv", str(csv),
-                "--group-by", "policy.strategy",
-            ])
+        code = main([
+            "sweep", "mix.rigid-moldable", "--smoke",
+            "--axis", "policy.strategy=separate,first_fit_batch",
+            "--repetitions", "1",
+            "--out", str(csv),
+            "--group-by", "policy.strategy",
+        ])
         assert code == 0
         out = capsys.readouterr().out
         assert "digest" in out and "means by policy.strategy" in out
@@ -157,28 +156,12 @@ class TestExportSurface:
             main(["sweep", "fig2.bicriteria", "--smoke",
                   "--out", str(tmp_path / "rows.dat")])
 
-    def test_csv_flag_is_a_deprecated_alias(self, capsys, tmp_path):
-        import pytest
-
-        legacy = tmp_path / "legacy.csv"
-        with pytest.warns(DeprecationWarning, match="--out"):
-            assert main(["sweep", "fig2.bicriteria", "--smoke",
-                         "--csv", str(legacy)]) == 0
-        capsys.readouterr()
-        modern = tmp_path / "modern.csv"
-        assert main(["sweep", "fig2.bicriteria", "--smoke", "--out", str(modern)]) == 0
-        capsys.readouterr()
-        assert legacy.read_bytes() == modern.read_bytes()
-
-    def test_csv_and_out_together_exit_two(self, capsys, tmp_path):
-        import pytest
-
-        with pytest.warns(DeprecationWarning):
-            code = main(["sweep", "fig2.bicriteria", "--smoke",
-                         "--csv", str(tmp_path / "a.csv"),
-                         "--out", str(tmp_path / "b.csv")])
-        assert code == 2
-        assert "only one" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_removed_csv_flag_is_a_usage_error(self, capsys, tmp_path, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "fig2.bicriteria", "--smoke", "--csv", str(tmp_path / "x")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --csv" in capsys.readouterr().err
 
     def test_run_streams_into_a_campaign_store(self, capsys, tmp_path):
         from repro.store.columnar import CampaignStore

@@ -10,7 +10,7 @@ from repro.simulation.cluster_sim import ClusterSimulator, compare_policies
 from repro.workload.arrivals import poisson_arrivals
 from repro.workload.models import generate_moldable_jobs, generate_rigid_jobs
 
-#: The basic queue policies (historically cluster_sim.QUEUE_POLICIES).
+#: The basic queue policies of repro.core.policies.online.
 QUEUE_POLICIES = ("fifo", "backfill", "smallest-first")
 
 

@@ -54,8 +54,8 @@ class TestCentralizedGridSimulator:
         local = {"alpha": [RigidJob(name="a", nbproc=2, duration=4.0)],
                  "beta": [RigidJob(name="b", nbproc=1, duration=2.0)]}
         result = CentralizedGridSimulator(grid).run(local)
-        assert result.local_criteria["alpha"].makespan == pytest.approx(4.0)
-        assert result.local_criteria["beta"].makespan == pytest.approx(2.0)
+        assert result.cluster_criteria["alpha"].makespan == pytest.approx(4.0)
+        assert result.cluster_criteria["beta"].makespan == pytest.approx(2.0)
         assert result.kills == 0
         assert result.total_runs_completed == 0
 
@@ -81,7 +81,7 @@ class TestCentralizedGridSimulator:
         assert result.trace.count("kill") == result.kills
         assert result.trace.count("resubmit") == result.kills
         # The local job started as soon as it was submitted.
-        assert result.local_schedules["alpha"]["urgent"].start == pytest.approx(1.0)
+        assert result.schedules["alpha"]["urgent"].start == pytest.approx(1.0)
 
     def test_non_disturbance_invariant(self):
         """Local jobs complete exactly as if the grid jobs did not exist."""
@@ -96,8 +96,8 @@ class TestCentralizedGridSimulator:
         with_grid = CentralizedGridSimulator(grid).run(local, bags)
         without_grid = CentralizedGridSimulator(grid, best_effort_enabled=False).run(local, [])
         for cluster in ("alpha", "beta"):
-            for entry in without_grid.local_schedules[cluster]:
-                other = with_grid.local_schedules[cluster][entry.job.name]
+            for entry in without_grid.schedules[cluster]:
+                other = with_grid.schedules[cluster][entry.job.name]
                 assert other.start == pytest.approx(entry.start)
                 assert other.completion == pytest.approx(entry.completion)
 
@@ -137,5 +137,5 @@ class TestCentralizedGridSimulator:
                                         random_state=6)
         result = CentralizedGridSimulator(grid, local_policy="backfill").run(local, bags)
         assert result.total_runs_completed == sum(b.n_runs for b in bags)
-        for name, criteria in result.local_criteria.items():
+        for name, criteria in result.cluster_criteria.items():
             assert criteria.makespan >= 0.0

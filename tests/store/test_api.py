@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 
 import pytest
@@ -16,8 +15,8 @@ from repro.store.api import (
     RowSource,
     coerce_sink,
     compose_row,
-    deprecated_csv_flag,
     infer_format,
+    normalize_columns,
     read_rows,
     union_columns,
     write_rows,
@@ -110,6 +109,13 @@ class TestFormats:
             infer_format("rows.csv", "tsv")
         assert set(FORMATS) == {"csv", "jsonl", "parquet"}
 
+    def test_normalize_columns_widens_and_stringifies(self):
+        records = [{"a": 1, "b": 1}, {"a": 2.5, "b": "oops"}, {"a": None, "b": None}]
+        normalize_columns(records, ["a", "b"])
+        assert records[0]["a"] == 1.0 and isinstance(records[0]["a"], float)
+        assert records[0]["b"] == "1" and records[1]["b"] == "oops"
+        assert records[2] == {"a": None, "b": None}
+
     def test_union_columns_first_seen_order(self):
         rows = [{"a": 1, "b": 2}, {"b": 3, "c": 4}, {"a": 5, "d": 6}]
         assert union_columns(rows) == ["a", "b", "c", "d"]
@@ -138,14 +144,3 @@ class TestFormats:
 
         with pytest.raises(StoreUnavailableError, match="analytics"):
             write_rows([{"a": 1}], tmp_path / "rows.parquet")
-
-
-class TestDeprecatedCsvFlag:
-    def test_warns_and_passes_through(self):
-        with pytest.warns(DeprecationWarning, match="--out"):
-            assert deprecated_csv_flag(Path("x.csv")) == Path("x.csv")
-
-    def test_silent_on_none(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert deprecated_csv_flag(None) is None

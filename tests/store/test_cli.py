@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.distributed.campaign import CampaignJournal
 from repro.experiments.grid import CellOutcome, expand_grid
 from repro.store.cli import main
@@ -47,22 +49,28 @@ class TestQuery:
         out = capsys.readouterr().out
         assert "metric-summary" in out and "compare" in out
 
-    def test_sql_prints_text(self, capsys):
-        assert main(["query", "metric-summary", "--param", "metric=cmax_ratio",
-                     "--sql"]) == 0
-        assert "FROM rows" in capsys.readouterr().out
+    @pytest.mark.parametrize("argv", [
+        ["query", "rows", "--engine", "sql"],
+        ["query", "rows", "--sql"],
+        ["compare", "--metric", "m", "--engine", "py"],
+        ["validate", "--engine", "auto"],
+    ])
+    def test_removed_engine_flags_are_usage_errors(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--store", str(tmp_path / "s")])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_named_query_runs(self, tmp_path, capsys):
         seed_store(tmp_path / "s")
         assert main(["query", "metric-summary", "--store", str(tmp_path / "s"),
-                     "--param", "metric=cmax_ratio", "--engine", "py"]) == 0
+                     "--param", "metric=cmax_ratio"]) == 0
         assert "serial" in capsys.readouterr().out
 
     def test_bad_query_and_params_exit_2(self, tmp_path, capsys):
         seed_store(tmp_path / "s", campaigns=("only",))
         assert main(["query", "nope", "--store", str(tmp_path / "s")]) == 2
-        assert main(["query", "metric-summary", "--store", str(tmp_path / "s"),
-                     "--engine", "py"]) == 2
+        assert main(["query", "metric-summary", "--store", str(tmp_path / "s")]) == 2
         assert main(["query", "rows", "--store", str(tmp_path / "s"),
                      "--param", "oops"]) == 2
         capsys.readouterr()
@@ -77,7 +85,7 @@ class TestQuery:
         direct = tmp_path / "direct.csv"
         direct.write_text(to_csv(result.rows), encoding="utf-8")
         assert main(["query", "rows", "--store", str(tmp_path / "s"),
-                     "--engine", "py", "--out", str(tmp_path / "reexport.csv")]) == 0
+                     "--out", str(tmp_path / "reexport.csv")]) == 0
         capsys.readouterr()
         assert (tmp_path / "reexport.csv").read_bytes() == direct.read_bytes()
 
@@ -86,7 +94,7 @@ class TestCompare:
     def test_identical_campaigns_exit_0(self, tmp_path, capsys):
         seed_store(tmp_path / "s")
         assert main(["compare", "--store", str(tmp_path / "s"),
-                     "--metric", "cmax_ratio", "--engine", "py"]) == 0
+                     "--metric", "cmax_ratio"]) == 0
         assert "0 differing" in capsys.readouterr().out
 
     def test_differing_campaigns_exit_1(self, tmp_path, capsys):
@@ -99,22 +107,20 @@ class TestCompare:
             )
             store.flush()
         assert main(["compare", "--store", str(root), "--metric", "m",
-                     "--campaign-a", "a", "--campaign-b", "b",
-                     "--engine", "py"]) == 1
+                     "--campaign-a", "a", "--campaign-b", "b"]) == 1
         assert "1 differing" in capsys.readouterr().out
 
     def test_ambiguous_campaigns_exit_2(self, tmp_path, capsys):
         seed_store(tmp_path / "s", campaigns=("a", "b", "c"))
         assert main(["compare", "--store", str(tmp_path / "s"),
-                     "--metric", "cmax_ratio", "--engine", "py"]) == 2
+                     "--metric", "cmax_ratio"]) == 2
         assert "--campaign-a" in capsys.readouterr().err
 
 
 class TestValidate:
     def test_clean_store_exits_0(self, tmp_path, capsys):
         seed_store(tmp_path / "s", campaigns=("only",))
-        assert main(["validate", "--store", str(tmp_path / "s"),
-                     "--engine", "py"]) == 0
+        assert main(["validate", "--store", str(tmp_path / "s")]) == 0
         out = capsys.readouterr().out
         assert "bicriteria-cmax-within-4rho" in out
         assert "FAIL" not in out
@@ -124,8 +130,7 @@ class TestValidate:
         store.append_row({"experiment": "bad", "seed": 0, "cmax_ratio": 99.0},
                          scenario="bad")
         store.flush()
-        assert main(["validate", "--store", str(tmp_path / "s"),
-                     "--engine", "py"]) == 1
+        assert main(["validate", "--store", str(tmp_path / "s")]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_json_output(self, tmp_path, capsys):
@@ -133,7 +138,7 @@ class TestValidate:
 
         seed_store(tmp_path / "s", campaigns=("only",))
         assert main(["validate", "--store", str(tmp_path / "s"),
-                     "--engine", "py", "--json"]) == 0
+                     "--json"]) == 0
         out = capsys.readouterr().out
         payload = json.loads(out[: out.rindex("]") + 1])
         assert any(entry["rule"] == "elapsed-nonnegative" for entry in payload)

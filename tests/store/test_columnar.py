@@ -7,22 +7,8 @@ import json
 import pytest
 
 from repro.experiments.grid import CellOutcome, expand_grid
-from repro.store.columnar import (
-    META_COLUMNS,
-    CampaignStore,
-    default_format,
-    normalize_columns,
-    promote_scalars,
-)
-
-
-def has_pyarrow():
-    try:
-        import pyarrow  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
+from repro.store.columnar import META_COLUMNS, CampaignStore
+from repro.store.queries import QUERIES, run_query
 
 
 def outcome_for(cell, metrics):
@@ -53,6 +39,14 @@ class TestRoundTrip:
         assert replayed.metrics == metrics
         assert replayed.cached is True
         assert CampaignStore(tmp_path / "s").replay("fig2", cell, "v2") is None
+
+    def test_records_carry_only_meta_columns(self, tmp_path):
+        store = CampaignStore(tmp_path / "s", campaign="c")
+        store.append_row({"experiment": "e", "seed": 1, "metric": 2.0}, scenario="sc")
+        store.flush()
+        (record,) = CampaignStore(tmp_path / "s").records()
+        assert set(record) == set(META_COLUMNS)
+        assert json.loads(record["row_json"])["metric"] == 2.0
 
     def test_non_replayable_rows_are_skipped_not_stored(self, tmp_path):
         store = CampaignStore(tmp_path / "s")
@@ -157,34 +151,7 @@ class TestManifestAtomicity:
         assert len(CampaignStore(tmp_path / "s")) == 1
 
 
-class TestPromotion:
-    def test_promote_scalars_drops_meta_and_rich_values(self):
-        row = {"experiment": "e", "seed": 1, "policy": "lpt", "ratio": 1.5,
-               "key": "collides-with-meta", "outcome": [1, 2], "flag": True}
-        promoted = promote_scalars(row)
-        assert promoted == {"policy": "lpt", "ratio": 1.5, "flag": True}
-        assert "experiment" not in promoted and "key" not in promoted
-
-    def test_normalize_columns_widens_and_stringifies(self):
-        records = [{"a": 1, "b": 1}, {"a": 2.5, "b": "oops"}, {"a": None, "b": None}]
-        normalize_columns(records, ["a", "b"])
-        assert records[0]["a"] == 1.0 and isinstance(records[0]["a"], float)
-        assert records[0]["b"] == "1" and records[1]["b"] == "oops"
-        assert records[2] == {"a": None, "b": None}
-
-    def test_meta_columns_cover_the_record_keys(self, tmp_path):
-        store = CampaignStore(tmp_path / "s", campaign="c")
-        store.append_row({"experiment": "e", "seed": 1, "metric": 2.0}, scenario="sc")
-        store.flush()
-        (record,) = CampaignStore(tmp_path / "s").records()
-        assert set(META_COLUMNS) <= set(record)
-        assert record["metric"] == 2.0
-
-
 class TestFormats:
-    def test_default_format_matches_pyarrow_presence(self):
-        assert default_format() == ("parquet" if has_pyarrow() else "jsonl")
-
     def test_explicit_jsonl_always_works(self, tmp_path):
         store = CampaignStore(tmp_path / "s", fmt="jsonl")
         store.append_row({"experiment": "e", "seed": 1, "v": 1}, scenario="sc")
@@ -193,14 +160,69 @@ class TestFormats:
         assert part.format == "jsonl"
         assert part.path.endswith(".jsonl")
 
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            CampaignStore(tmp_path / "s", fmt="orc")
+    @pytest.mark.parametrize("fmt", ["orc", "parquet"])
+    def test_unknown_format_rejected(self, tmp_path, fmt):
+        with pytest.raises(ValueError, match="jsonl"):
+            CampaignStore(tmp_path / "s", fmt=fmt)
 
-    @pytest.mark.skipif(not has_pyarrow(), reason="pyarrow not installed")
-    def test_parquet_part_round_trips(self, tmp_path):
-        store = CampaignStore(tmp_path / "s", fmt="parquet")
-        rows = [{"experiment": "e", "seed": 1, "x": 0.30000000000000004}]
-        store.append_row(rows[0], scenario="sc")
-        store.flush()
-        assert CampaignStore(tmp_path / "s").rows() == rows
+    def test_parquet_partition_in_manifest_fails_naming_the_part(self, tmp_path):
+        root = tmp_path / "s"
+        manifest = {"schema": "repro.store/1", "format": "parquet", "partitions": [{
+            "campaign": "c", "scenario": "sc", "fingerprint": "",
+            "path": "campaign=c/scenario=sc/fingerprint=none/part-00000.parquet",
+            "format": "parquet", "rows": 1, "min_index": 0, "max_index": 0,
+        }]}
+        root.mkdir()
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        store = CampaignStore(root)
+        assert len(store) == 1
+        with pytest.raises(ValueError, match="part-00000.parquet.*'parquet' part file"):
+            store.records()
+
+
+QUERY_PARAMS = {
+    "rows": {},
+    "metric-summary": {"metric": "cmax_ratio"},
+    "policy-compare": {"metric": "cmax_ratio", "axis": "family"},
+    "compare": {"metric": "cmax_ratio", "campaign_a": "a", "campaign_b": "b"},
+    "cell-timing": {},
+    "cache-accounting": {},
+    "span-summary": {},
+    "worker-occupancy": {},
+    "phase-attribution": {},
+}
+
+
+def test_parts_with_promoted_columns_read_back_unchanged(tmp_path):
+    """Older writers added each scalar row value as its own column next to
+    ``row_json``; such parts still give the same rows and query results."""
+
+    from repro.scenarios.composer import run_scenario
+    from repro.scenarios.registry import get
+
+    root = tmp_path / "s"
+    for campaign in ("a", "b"):
+        run_scenario(get("fig2.bicriteria"), smoke=True,
+                     sink=CampaignStore(root, campaign=campaign))
+    store = CampaignStore(root)
+    assert set(QUERY_PARAMS) == set(QUERIES)
+    rows = store.rows()
+    results = {name: run_query(store, name, params) for name, params in QUERY_PARAMS.items()}
+
+    for part in store.partitions():
+        path = root / part.path
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for record in records:
+            for name, value in json.loads(record["row_json"]).items():
+                if name not in META_COLUMNS and name != "experiment" and (
+                    value is None or isinstance(value, (bool, int, float, str))
+                ):
+                    record[name] = value
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+
+    old_layout = CampaignStore(root)
+    assert any(set(record) > set(META_COLUMNS) for record in old_layout.records())
+    assert old_layout.rows() == rows
+    assert json.dumps(old_layout.rows()) == json.dumps(rows)
+    for name, params in QUERY_PARAMS.items():
+        assert run_query(old_layout, name, params) == results[name], name

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 from repro.distributed.campaign import CampaignJournal, load_journal_entries
 from repro.experiments.grid import CellOutcome, expand_grid
 from repro.experiments.reporting import to_csv
@@ -36,7 +38,7 @@ class TestJournalIngest:
             entry = entries[record["key"]]
             assert record["elapsed_seconds"] == entry["elapsed_seconds"]
             assert record["replayed"] is True
-            assert record["v"] == entry["metrics"]["v"]
+            assert json.loads(record["row_json"])["v"] == entry["metrics"]["v"]
             assert record["seed"] == entry["seed"]
 
     def test_crash_truncated_journal_recovers_complete_entries(self, tmp_path):

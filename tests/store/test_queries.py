@@ -1,4 +1,4 @@
-"""Named queries: py twins against StreamingAggregator, SQL parity via DuckDB."""
+"""Named queries against StreamingAggregator and hand-computed telemetry sums."""
 
 from __future__ import annotations
 
@@ -6,23 +6,8 @@ import pytest
 
 from repro.metrics.aggregate import StreamingAggregator
 from repro.store.columnar import CampaignStore
-from repro.store.queries import (
-    QUERIES,
-    QueryError,
-    get_query,
-    quote_ident,
-    run_query,
-    sql_literal,
-)
-
-
-def has_duckdb():
-    try:
-        import duckdb  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
+from repro.store.queries import QueryError, get_query, run_query
+from repro.store.validate import validate_store
 
 
 @pytest.fixture()
@@ -67,46 +52,39 @@ def telemetry_store(tmp_path):
 
 
 class TestGuards:
-    def test_quote_ident_rejects_injection(self):
-        assert quote_ident("cmax_ratio") == '"cmax_ratio"'
-        assert quote_ident("utilization.grappe1") == '"utilization.grappe1"'
-        for bad in ('x"; DROP TABLE rows; --', "a b", "", '"', "1x"):
-            with pytest.raises(QueryError):
-                quote_ident(bad)
-
-    def test_sql_literal_escapes(self):
-        assert sql_literal("o'brien") == "'o''brien'"
-        assert sql_literal(3) == "3"
-        assert sql_literal(True) == "TRUE"
-
     def test_unknown_query_and_params(self, seeded_store):
         with pytest.raises(QueryError, match="unknown query"):
             get_query("nope")
         with pytest.raises(QueryError, match="needs parameter"):
-            get_query("metric-summary").sql()
+            get_query("metric-summary").check_params({})
         with pytest.raises(QueryError, match="does not take"):
-            get_query("rows").sql(bogus=1)
-        with pytest.raises(QueryError, match="engine"):
-            run_query(seeded_store, "rows", engine="spark")
+            get_query("rows").check_params({"bogus": 1})
 
-    def test_every_query_builds_sql(self):
-        params = {"metric": "cmax_ratio", "campaign_a": "a", "campaign_b": "b"}
-        for name, query in QUERIES.items():
-            needed = {k: params[k] for k in query.required}
-            sql = query.sql(**needed)
-            assert "FROM rows" in sql, name
+    @pytest.mark.parametrize("engine", ["spark", "sql", "auto"])
+    def test_run_query_rejects_every_engine_but_py(self, seeded_store, engine):
+        with pytest.raises(QueryError, match="engine"):
+            run_query(seeded_store, "rows", engine=engine)
+
+    @pytest.mark.parametrize("engine", ["spark", "sql", "auto"])
+    def test_validate_store_rejects_every_engine_but_py(self, seeded_store, engine):
+        with pytest.raises(QueryError, match="engine"):
+            validate_store(seeded_store, engine=engine)
+
+    def test_py_engine_keyword_is_the_default(self, seeded_store):
+        assert run_query(seeded_store, "rows", engine="py") == run_query(seeded_store, "rows")
+        assert validate_store(seeded_store, engine="py") == validate_store(seeded_store)
 
 
 class TestPyEngine:
     def test_rows_query_is_the_bit_identity_channel(self, seeded_store):
-        rows = run_query(seeded_store, "rows", {"campaign": "serial"}, engine="py")
+        rows = run_query(seeded_store, "rows", {"campaign": "serial"})
         assert rows == seeded_store.rows(campaign="serial")
         assert len(rows) == 2
 
     def test_metric_summary_matches_streaming_aggregator(self, seeded_store):
         results = run_query(
             seeded_store, "metric-summary",
-            {"metric": "cmax_ratio", "campaign": "serial"}, engine="py",
+            {"metric": "cmax_ratio", "campaign": "serial"},
         )
         aggregator = StreamingAggregator()
         for row in seeded_store.rows(campaign="serial"):
@@ -120,7 +98,6 @@ class TestPyEngine:
         results = run_query(
             seeded_store, "compare",
             {"metric": "cmax_ratio", "campaign_a": "serial", "campaign_b": "rerun"},
-            engine="py",
         )
         assert len(results) == 2
         assert all(r["equal"] is True for r in results)
@@ -129,12 +106,12 @@ class TestPyEngine:
 
     def test_cell_timing_and_cache_accounting(self, seeded_store):
         (timing,) = run_query(
-            seeded_store, "cell-timing", {"campaign": "serial"}, engine="py"
+            seeded_store, "cell-timing", {"campaign": "serial"}
         )
         assert timing["cells"] == 2
         assert timing["total_seconds"] >= timing["max_seconds"] >= 0.0
         (accounting,) = run_query(
-            seeded_store, "cache-accounting", {"campaign": "serial"}, engine="py"
+            seeded_store, "cache-accounting", {"campaign": "serial"}
         )
         assert accounting["rows"] == 2
         assert accounting["computed"] == 2
@@ -148,7 +125,7 @@ class TestPyEngine:
                 scenario="sc", seed=seed,
             )
         store.flush()
-        results = run_query(store, "policy-compare", {"metric": "m"}, engine="py")
+        results = run_query(store, "policy-compare", {"metric": "m"})
         assert [(r["seed"], r["axis_value"], r["mean"]) for r in results] == [
             (1, "lpt", 2.0), (1, "wspt", 3.0), (2, "lpt", 4.0),
         ]
@@ -157,7 +134,7 @@ class TestPyEngine:
 class TestTelemetryQueries:
     def test_span_summary_groups_by_name(self, telemetry_store):
         rows = run_query(
-            telemetry_store, "span-summary", {"campaign": "serial"}, engine="py"
+            telemetry_store, "span-summary", {"campaign": "serial"}
         )
         by_name = {row["name"]: row for row in rows}
         execute = by_name["cell.execute"]
@@ -170,7 +147,7 @@ class TestTelemetryQueries:
 
     def test_worker_occupancy_ratio(self, telemetry_store):
         rows = run_query(
-            telemetry_store, "worker-occupancy", {"campaign": "serial"}, engine="py"
+            telemetry_store, "worker-occupancy", {"campaign": "serial"}
         )
         by_worker = {row["worker"]: row for row in rows}
         w1 = by_worker["w1"]
@@ -183,7 +160,7 @@ class TestTelemetryQueries:
 
     def test_phase_attribution_shares_sum_to_one(self, telemetry_store):
         rows = run_query(
-            telemetry_store, "phase-attribution", {"campaign": "serial"}, engine="py"
+            telemetry_store, "phase-attribution", {"campaign": "serial"}
         )
         assert rows, "phase-attribution over a recorded run must be non-empty"
         shares = [row["share"] for row in rows]
@@ -192,61 +169,10 @@ class TestTelemetryQueries:
         assert {"cell.execute", "worker.idle", "harness.wait"} <= phases
 
     def test_telemetry_queries_span_campaigns(self, telemetry_store):
-        rows = run_query(telemetry_store, "phase-attribution", engine="py")
+        rows = run_query(telemetry_store, "phase-attribution")
         campaigns = {row["campaign"] for row in rows}
         assert campaigns == {"serial", "fleet"}
 
     def test_result_only_stores_return_empty(self, seeded_store):
         for name in ("span-summary", "worker-occupancy", "phase-attribution"):
-            assert run_query(seeded_store, name, engine="py") == []
-
-    @pytest.mark.skipif(not has_duckdb(), reason="duckdb not installed")
-    @pytest.mark.parametrize(
-        "name", ["span-summary", "worker-occupancy", "phase-attribution"]
-    )
-    def test_sql_parity_over_recorded_spans(self, telemetry_store, name):
-        sql_rows = run_query(telemetry_store, name, engine="sql")
-        py_rows = run_query(telemetry_store, name, engine="py")
-        assert py_rows, name
-        assert len(sql_rows) == len(py_rows)
-        for sql_row, py_row in zip(sql_rows, py_rows):
-            for field, expected in py_row.items():
-                got = sql_row[field]
-                if isinstance(expected, float):
-                    assert got == pytest.approx(expected, rel=1e-9), (name, field)
-                else:
-                    assert got == expected, (name, field)
-
-
-@pytest.mark.skipif(not has_duckdb(), reason="duckdb not installed")
-class TestSqlParity:
-    """Every named query returns the same result set on both engines."""
-
-    PARAMS = {
-        "rows": {},
-        "metric-summary": {"metric": "cmax_ratio"},
-        "policy-compare": {"metric": "cmax_ratio", "axis": "family"},
-        "compare": {"metric": "cmax_ratio", "campaign_a": "serial", "campaign_b": "rerun"},
-        "cell-timing": {},
-        "cache-accounting": {},
-        # Telemetry queries are empty over a result-only store; the
-        # substantive parity check runs in TestTelemetryQueries against
-        # recorded spans.  Listing them here pins "empty == empty".
-        "span-summary": {},
-        "worker-occupancy": {},
-        "phase-attribution": {},
-    }
-
-    @pytest.mark.parametrize("name", sorted(PARAMS))
-    def test_sql_matches_py(self, seeded_store, name):
-        params = self.PARAMS[name]
-        sql_rows = run_query(seeded_store, name, params, engine="sql")
-        py_rows = run_query(seeded_store, name, params, engine="py")
-        assert len(sql_rows) == len(py_rows)
-        for sql_row, py_row in zip(sql_rows, py_rows):
-            for field, expected in py_row.items():
-                got = sql_row[field]
-                if isinstance(expected, float) and expected != int(expected):
-                    assert got == pytest.approx(expected, rel=1e-12), (name, field)
-                else:
-                    assert got == expected or got == pytest.approx(expected), (name, field)
+            assert run_query(seeded_store, name) == []

@@ -13,15 +13,6 @@ from repro.store.validate import (
 )
 
 
-def has_duckdb():
-    try:
-        import duckdb  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
 @pytest.fixture()
 def fig2_store(tmp_path):
     from repro.scenarios.composer import run_scenario
@@ -47,7 +38,7 @@ class TestRules:
         assert stated == {BICRITERIA_BOUND}  # 4 * rho with rho = 2
 
     def test_fig2_smoke_rows_pass(self, fig2_store):
-        results = by_name(validate_store(fig2_store, engine="py"))
+        results = by_name(validate_store(fig2_store))
         for name in ("bicriteria-cmax-within-4rho", "bicriteria-wici-within-4rho",
                      "elapsed-nonnegative"):
             assert results[name].ok and not results[name].skipped, name
@@ -57,7 +48,7 @@ class TestRules:
     def test_worst_values_match_the_actual_extremes(self, fig2_store):
         rows = fig2_store.rows()
         values = [row["cmax_ratio"] for row in rows]
-        result = by_name(validate_store(fig2_store, engine="py"))[
+        result = by_name(validate_store(fig2_store))[
             "bicriteria-cmax-within-4rho"
         ]
         assert result.checked == len(values)
@@ -70,7 +61,7 @@ class TestRules:
             scenario="bad",
         )
         fig2_store.flush()
-        results = by_name(validate_store(fig2_store, engine="py"))
+        results = by_name(validate_store(fig2_store))
         violated = results["bicriteria-cmax-within-4rho"]
         assert not violated.ok
         assert violated.violations == 1
@@ -80,7 +71,7 @@ class TestRules:
         store = CampaignStore(tmp_path / "s", fmt="jsonl")
         store.append_row({"experiment": "e", "seed": 0, "cmax_ratio": 0.5}, scenario="s")
         store.flush()
-        results = by_name(validate_store(store, engine="py"))
+        results = by_name(validate_store(store))
         assert results["bicriteria-cmax-within-4rho"].violations == 1
 
     def test_custom_rule_and_meta_metric(self, tmp_path):
@@ -90,29 +81,14 @@ class TestRules:
         store.flush()
         rule = ValidationRule(name="fast", description="", metric="elapsed_seconds",
                               upper=1.0, meta=True)
-        (result,) = validate_store(store, engine="py", rules=(rule,))
+        (result,) = validate_store(store, rules=(rule,))
         assert result.ok and result.checked == 1 and result.worst_high == 0.5
 
     def test_as_dict_round_trip_fields(self, fig2_store):
-        for result in validate_store(fig2_store, engine="py"):
+        for result in validate_store(fig2_store):
             payload = result.as_dict()
             assert {"rule", "metric", "checked", "violations", "ok", "skipped"} <= set(payload)
 
     def test_rule_names_are_unique(self):
         names = [rule.name for rule in RULES]
         assert len(names) == len(set(names))
-
-
-@pytest.mark.skipif(not has_duckdb(), reason="duckdb not installed")
-class TestSqlEngine:
-    def test_sql_results_match_py(self, fig2_store):
-        sql_results = by_name(validate_store(fig2_store, engine="sql"))
-        py_results = by_name(validate_store(fig2_store, engine="py"))
-        assert set(sql_results) == set(py_results)
-        for name, py_result in py_results.items():
-            sql_result = sql_results[name]
-            assert sql_result.ok == py_result.ok, name
-            assert sql_result.skipped == py_result.skipped, name
-            assert sql_result.checked == py_result.checked, name
-            if py_result.worst_high is not None:
-                assert sql_result.worst_high == pytest.approx(py_result.worst_high)

@@ -72,7 +72,7 @@ class TestReport:
     def test_span_summary_over_a_recording(self, recorded_store, capsys):
         assert main([
             "report", "span-summary", "--store", str(recorded_store),
-            "--engine", "py", "--param", "campaign=demo",
+            "--param", "campaign=demo",
         ]) == 0
         out = capsys.readouterr().out
         assert "harness.wait" in out
@@ -83,7 +83,7 @@ class TestReport:
         target = tmp_path / "phases.jsonl"
         assert main([
             "report", "phase-attribution", "--store", str(recorded_store),
-            "--engine", "py", "--out", str(target),
+            "--out", str(target),
         ]) == 0
         rows = [json.loads(line) for line in target.read_text().splitlines()]
         assert rows and all(row["total_seconds"] > 0 for row in rows)
@@ -93,6 +93,13 @@ class TestReport:
     ):
         assert main(["report", "no-such", "--store", str(recorded_store)]) == 2
         assert main(["report", "--store", str(recorded_store)]) == 2
+
+    def test_removed_engine_flag_is_a_usage_error(self, recorded_store, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", "span-summary", "--store", str(recorded_store),
+                  "--engine", "py"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSmoke:

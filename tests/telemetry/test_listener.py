@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.harness import run_experiment
-from repro.telemetry import (
-    CallbackListener,
-    FanoutListener,
-    SweepListener,
-    listener_with_callbacks,
-)
+from repro.telemetry import CallbackListener, FanoutListener, SweepListener
 
 
 def seeded_value(seed: int, k: int) -> dict:
@@ -93,34 +88,24 @@ class TestCallbackListener:
         CallbackListener(progress=messages.append).on_error("exp", Cell(), Outcome())
         assert messages == ["exp: seed=9 FAILED (ValueError)"]
 
-
-class TestDeprecationShims:
-    def test_no_callbacks_returns_listener_unchanged_without_warning(self):
-        import warnings
-
-        listener = SweepListener()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert listener_with_callbacks(listener, None, None) is listener
-            assert listener_with_callbacks(None, None, None) is None
-
-    def test_callbacks_warn_and_compose_with_listener(self):
-        rows = []
-        listener = Recorder()
-        with pytest.warns(DeprecationWarning, match="progress= and on_row="):
-            composed = listener_with_callbacks(listener, None, rows.append)
-        assert isinstance(composed, FanoutListener)
-        assert composed.listeners[0] is listener
-
-    def test_run_scenario_legacy_kwargs_warn_but_still_deliver(self):
+    def test_run_scenario_delivers_rows_through_listener(self):
         from repro.scenarios import registry
         from repro.scenarios.composer import run_scenario
 
-        spec = registry.get("cluster.policy-panel")
         rows = []
-        with pytest.warns(DeprecationWarning, match="progress= and on_row="):
-            result = run_scenario(spec, smoke=True, on_row=rows.append)
+        result = run_scenario(registry.get("cluster.policy-panel"), smoke=True,
+                              listener=CallbackListener(on_row=rows.append))
         assert rows == result.rows
+
+    @pytest.mark.parametrize("kwarg", ["progress", "on_row"])
+    def test_callback_kwargs_are_not_accepted(self, kwarg):
+        from repro.scenarios import registry
+        from repro.scenarios.composer import run_scenario
+
+        with pytest.raises(TypeError, match=kwarg):
+            run_experiment("e", seeded_value, {"k": [1]}, **{kwarg: print})
+        with pytest.raises(TypeError, match=kwarg):
+            run_scenario(registry.get("cluster.policy-panel"), smoke=True, **{kwarg: print})
 
 
 class TestFanout:

@@ -138,7 +138,7 @@ class TestGridOrganisationsPipeline:
 
         # Both organisations produce full criteria reports per cluster.
         for name in grid.cluster_names:
-            assert isinstance(centralized.local_criteria[name], CriteriaReport)
+            assert isinstance(centralized.cluster_criteria[name], CriteriaReport)
             assert isinstance(decentralized.criteria[name], CriteriaReport)
 
 
