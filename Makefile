@@ -10,14 +10,12 @@
 #   make bench                 paper-figure benchmarks (benchmarks/)
 #   make bench JOBS=4          ... fanned out to 4 worker processes
 #   make bench CACHE=.repro-cache   ... with the on-disk cell cache
-#   make perf                  repro.bench quick tier -> BENCH_<ts>.json
-#   make perf-compare          quick tier + diff against the committed baseline
 #   make perfbench             the scenario benchmark's own tests, then one
 #                              short seed-0 run per workload; a seed-0 digest
 #                              mismatch against perfbench/digests.json fails
 #                              (mirrors the CI perfbench job)
-#   make runtime-check         golden-digest equivalence + warn-only perf
-#                              compare (mirrors the CI runtime-equivalence job)
+#   make runtime-check         golden-digest equivalence suite (mirrors the
+#                              CI runtime-equivalence job)
 #   make runtime-goldens       re-pin tests/runtime/goldens.json (intentional
 #                              behavior changes only)
 #   make scenarios             list the registered scenarios
@@ -45,19 +43,17 @@
 #                              forwarded worker.* rows landed and a
 #                              non-empty phase attribution (mirrors the CI job)
 #   make lint                  ruff check (byte-compilation fallback)
-#   make ci                    lint + test + scenario smoke + warn-only perf
-#                              compare + perfbench digest gate (mirrors CI)
+#   make ci                    lint + test + scenario smoke + perfbench
+#                              digest gate (mirrors CI)
 #   make clean                 remove caches and stale bytecode
 
 PYTHON ?= python
 JOBS ?=
 CACHE ?=
-BENCH_THRESHOLD ?= 0.2
-BASELINE ?= benchmarks/baselines/quick.json
 
-BENCH_ENV = $(if $(JOBS),REPRO_JOBS=$(JOBS)) $(if $(CACHE),REPRO_CACHE_DIR=$(CACHE))
+SWEEP_ENV = $(if $(JOBS),REPRO_JOBS=$(JOBS)) $(if $(CACHE),REPRO_CACHE_DIR=$(CACHE))
 
-.PHONY: test kernel kernel-check bench perf perf-compare perfbench scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress smoke-digest-check store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
+.PHONY: test kernel kernel-check bench perfbench scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress smoke-digest-check store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
 
 # Port the distributed smoke tier binds its campaign schedulers on.
 DIST_PORT ?= 7641
@@ -79,18 +75,7 @@ kernel-check: kernel
 	REPRO_KERNEL=compiled PYTHONPATH=src $(PYTHON) -m repro.scenarios run --all --smoke
 
 bench:
-	$(BENCH_ENV) $(PYTHON) -m pytest benchmarks -q
-
-perf:
-	PYTHONPATH=src $(PYTHON) -m repro.bench --quick
-
-# Run the quick tier and compare against the committed baseline (warn-only:
-# local timing noise should not fail the build; CI uses the same mode).
-# Digest drift is never noise, so --fail-on-digest keeps that gate hard.
-perf-compare:
-	@REPORT=$$(PYTHONPATH=src $(PYTHON) -m repro.bench --quick) && \
-	PYTHONPATH=src $(PYTHON) -m repro.bench compare $(BASELINE) $$REPORT \
-		--threshold $(BENCH_THRESHOLD) --warn-only --fail-on-digest
+	$(SWEEP_ENV) $(PYTHON) -m pytest benchmarks -q
 
 # The end-to-end gate: perfbench drives registered scenarios through
 # run_scenario and exits non-zero when a row digest differs from the warm-up
@@ -108,14 +93,13 @@ perfbench:
 			|| exit 1; \
 	done
 
-# Prove the unified runtime is bit-identical to the pinned goldens
-# (tests/runtime/goldens.json), then measure the kernel speed against the
-# committed baseline in warn-only mode (mirrors the CI runtime-equivalence
-# job).  Regenerate the goldens with `make runtime-goldens` ONLY for an
+# Prove the simulators are bit-identical to the pinned goldens
+# (tests/runtime/goldens.json: the simulator and paper-artefact cases and
+# every scenario smoke tier; mirrors the CI runtime-equivalence job).
+# Regenerate the goldens with `make runtime-goldens` ONLY for an
 # intentional behavior change, and say so in the commit message.
 runtime-check:
 	$(PYTHON) -m pytest tests/runtime -q
-	$(MAKE) perf-compare
 
 runtime-goldens:
 	PYTHONPATH=src $(PYTHON) -m repro.runtime.golden capture
@@ -222,7 +206,6 @@ ci:
 	$(MAKE) lint
 	$(MAKE) test
 	$(MAKE) scenario-smoke
-	$(MAKE) perf-compare
 	$(MAKE) perfbench
 
 clean:

@@ -1,41 +1,7 @@
-"""Performance-tracking subsystem (``python -m repro.bench``).
+"""The timing guard of the end-to-end benchmark.
 
-Wraps representative simulation scenarios behind a :class:`BenchCase`
-registry, times them with a warmup/repeat/median runner that emits
-machine-readable ``BENCH_<timestamp>.json`` reports (wall time, events/sec,
-cells/sec, git revision, result digest), and diffs two reports with a
-comparator that fails on wall-time regressions or result changes.
-
-* :mod:`repro.bench.cases` -- the case registry,
-* :mod:`repro.bench.runner` -- timing + report emission,
-* :mod:`repro.bench.compare` -- report-to-report regression gate,
-* :mod:`repro.bench.__main__` -- the CLI.
+``perfbench/`` is the only timing harness of this repository; it imports
+:func:`repro.bench.runner.assert_unperturbed_timing` to refuse timed runs
+while an observation switch would inflate them.  The result digests of the
+paper artefacts live in the golden suite (:mod:`repro.runtime.golden`).
 """
-
-from repro.bench.cases import REGISTRY, BenchCase, CaseOutcome, get_cases, register
-from repro.bench.compare import CaseDelta, Comparison, compare_reports
-from repro.bench.runner import (
-    CaseResult,
-    load_report,
-    payload_digest,
-    run_benchmarks,
-    time_case,
-    write_report,
-)
-
-__all__ = [
-    "REGISTRY",
-    "BenchCase",
-    "CaseOutcome",
-    "get_cases",
-    "register",
-    "CaseDelta",
-    "Comparison",
-    "compare_reports",
-    "CaseResult",
-    "load_report",
-    "payload_digest",
-    "run_benchmarks",
-    "time_case",
-    "write_report",
-]

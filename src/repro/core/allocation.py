@@ -281,9 +281,6 @@ class Schedule:
     def entries(self) -> List[ScheduledJob]:
         return list(self)
 
-    def completion_times(self) -> Dict[str, float]:
-        return dict(zip(self._rows, self._cols.ends))
-
     def makespan(self) -> float:
         """Latest completion time, 0 for an empty schedule."""
 

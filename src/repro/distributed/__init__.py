@@ -29,7 +29,7 @@ The public entry points:
 
 * :class:`~repro.distributed.executor.DistributedExecutor` plugs the
   runtime into the ordinary ``Executor`` interface, so any sweep, scenario
-  or bench case runs distributed unchanged and bit-identically (selected by
+  or benchmark runs distributed unchanged and bit-identically (selected by
   ``REPRO_JOBS=tcp://host:port``, ``REPRO_JOBS=inproc://``,
   ``executor="distributed"``, or explicitly);
 * ``python -m repro.distributed`` drives it from the command line

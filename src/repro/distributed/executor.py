@@ -1,6 +1,6 @@
 """``DistributedExecutor``: the distributed runtime behind the ``Executor`` interface.
 
-This is the piece that lets every existing sweep, scenario and bench case
+This is the piece that lets every existing sweep, scenario and benchmark
 run distributed *unchanged*: :func:`repro.experiments.harness.run_experiment`
 hands the executor an ordered cell list and a picklable cell function, and
 gets outcomes streamed back in submission order -- exactly the contract the

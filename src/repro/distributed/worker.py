@@ -38,7 +38,7 @@ The cell function travels pickled inside the first ``task`` of each
 campaign and is cached for the campaign's duration, so it must either be
 importable from the worker process (module-level functions,
 ``functools.partial`` of them -- true for every registered scenario and
-bench case) or the worker must share the submitting process: forked, as
+benchmark sweep) or the worker must share the submitting process: forked, as
 :class:`~repro.distributed.executor.DistributedExecutor` spawns its local
 ``tcp://`` mini-cluster, or literally the same process, as ``inproc://``
 fleets are -- both keep even test-local functions picklable by reference.

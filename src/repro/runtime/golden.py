@@ -1,30 +1,35 @@
 """Golden-digest equivalence: canonical digests of simulator behavior.
 
-The unified runtime refactor (and any future change to the simulation hot
-path) must not change simulator *behavior*.  This module pins behavior with
-SHA-256 digests over canonical, repr-exact serializations of
+Behavior changes must never slip in with a structural or hot-path change.
+This module pins behavior with SHA-256 digests over canonical, repr-exact
+serializations of
 
-* the result of one fixed, seeded run of each legacy simulator entry point
+* eight fixed, seeded simulator cases (:data:`SIMULATOR_CASES`): one run of
+  each legacy simulator entry point
   (:class:`~repro.simulation.cluster_sim.ClusterSimulator`,
   :class:`~repro.simulation.grid_sim.CentralizedGridSimulator`,
   :class:`~repro.simulation.decentralized.DecentralizedGridSimulator`),
-  including the full event trace, and
+  including the full event trace, plus the paper artefacts: raw event-kernel
+  churn, the Figure-2 bi-criteria sweep, an on-line backfill cluster, the
+  CIMENT best-effort grid and the DLT multi-round distribution, and
 * the result rows of every registered scenario's smoke tier.
 
 ``python -m repro.runtime.golden capture [path]`` records the digests of the
 current code; ``tests/runtime/test_equivalence.py`` recomputes them and
-fails on any drift.  The committed ``tests/runtime/goldens.json`` was
-captured from the pre-refactor simulators, so matching it proves the
-runtime reproduces the legacy event loops bit for bit.
+fails on any drift.  The three legacy-simulator digests in the committed
+``tests/runtime/goldens.json`` were captured from the pre-refactor
+simulators, so matching them proves the runtime reproduces the legacy event
+loops bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
-from typing import Any, Dict, List
+from typing import Any, Callable, Dict, List
 
 #: Default location of the committed golden file, relative to the repo root.
 DEFAULT_GOLDEN_PATH = "tests/runtime/goldens.json"
@@ -117,7 +122,7 @@ def decentralized_result_payload(result: Any) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# The three canonical legacy-simulator cases
+# The three legacy-simulator cases
 # ---------------------------------------------------------------------------
 
 
@@ -178,15 +183,156 @@ def run_decentralized_case() -> Dict[str, Any]:
     return decentralized_result_payload(result)
 
 
+# ---------------------------------------------------------------------------
+# The paper-artefact cases
+# ---------------------------------------------------------------------------
+
+
+def run_kernel_churn_case() -> Dict[str, Any]:
+    """Self-rescheduling timer chains hammering the event queue.
+
+    64 concurrent callbacks each reschedule themselves with seeded
+    pseudo-random delays quantised to 0.25 time units, so many events tie on
+    the same timestamp and the (time, priority, seq) tie-break, cancellation
+    and same-time dispatch paths are all exercised.  Every chain also
+    schedules-and-cancels a decoy event each step.
+    """
+
+    from repro.simulation.engine import Simulator
+
+    chains = 64
+    sim = Simulator()
+    rng = random.Random(20040426)
+    delays = [round(rng.random() * 16.0) * 0.25 + 0.25 for _ in range(1024)]
+    per_chain = 60_000 // chains
+    checksum: List[float] = []
+    fired = [0]
+
+    def make_chain(index: int) -> Callable[[], None]:
+        remaining = [per_chain]
+
+        def tick() -> None:
+            fired[0] += 1
+            if fired[0] % 97 == 0:
+                checksum.append(sim.now)
+            remaining[0] -= 1
+            if remaining[0] > 0:
+                slot = (index * 31 + remaining[0]) % 1024
+                decoy = sim.schedule(delays[(slot + 7) % 1024], _never)
+                sim.cancel(decoy)
+                sim.schedule(delays[slot], tick, priority=index % 3)
+
+        return tick
+
+    def _never() -> None:  # cancelled decoys must not fire
+        raise AssertionError("cancelled event fired")
+
+    for index in range(chains):
+        sim.schedule(delays[index % 1024], make_chain(index), priority=index % 3)
+    sim.run()
+    return {
+        "now": repr(sim.now),
+        "fired": fired[0],
+        "checksum": [repr(v) for v in checksum],
+    }
+
+
+def run_figure2_case() -> List[Any]:
+    """The Figure-2 bi-criteria sweep (both families, n = 50 and 100)."""
+
+    from repro.experiments.figure2 import Figure2Config, run_figure2
+
+    config = Figure2Config(task_counts=(50, 100), repetitions=1)
+    # Pin the serial executor so a REPRO_JOBS setting cannot fan it out.
+    points = run_figure2(config, executor="serial")
+    return [
+        (p.family, p.n_tasks, p.seed, repr(p.wici_ratio), repr(p.cmax_ratio))
+        for p in points
+    ]
+
+
+def run_online_cluster_case() -> Dict[str, Any]:
+    """An on-line 64-processor cluster under the backfill queue policy."""
+
+    from repro.simulation.cluster_sim import ClusterSimulator
+    from repro.workload.communities import community_workload
+
+    jobs = community_workload("computer-science", 300, 64, random_state=7)
+    result = ClusterSimulator(64, policy="backfill").run(jobs)
+    return {
+        "makespan": repr(result.criteria.makespan),
+        "trace": [
+            (repr(e.time), e.kind, e.job, e.processors) for e in result.trace
+        ],
+    }
+
+
+def run_ciment_grid_case() -> Dict[str, Any]:
+    """The centralized CIMENT grid of section 5.2 (fill, kills, resubmits)."""
+
+    from repro.platform.ciment import ciment_grid
+    from repro.simulation.grid_sim import CentralizedGridSimulator
+    from repro.workload.communities import community_workload, grid_workload
+
+    grid = ciment_grid()
+    local = {}
+    bags = []
+    for index, cluster in enumerate(sorted(grid, key=lambda c: c.name)):
+        local[cluster.name] = community_workload(
+            cluster.community, 12, cluster.processor_count, random_state=100 + index
+        )
+        bags.extend(grid_workload(cluster.community, random_state=200 + index))
+    result = CentralizedGridSimulator(grid, local_policy="backfill").run(local, bags)
+    return {
+        "horizon": repr(result.horizon),
+        "kills": result.kills,
+        "launches": result.launches,
+        "runs_completed": sorted(result.runs_completed.items()),
+        "trace": [
+            (repr(e.time), e.kind, e.job, e.cluster, e.processors, e.info)
+            for e in result.trace
+        ],
+    }
+
+
+def run_dlt_multiround_case() -> Dict[str, Any]:
+    """DLT multi-round distribution over 32 workers, optimized round count."""
+
+    from repro.core.dlt.multiround import optimize_round_count
+    from repro.core.dlt.platform import DLTPlatform, DLTWorker
+
+    workers = [
+        DLTWorker(
+            name=f"w{i:03d}",
+            compute_time=1.0 + 0.07 * (i % 5),
+            comm_time=0.01 + 0.003 * (i % 7),
+            latency=0.05 * (i % 3),
+        )
+        for i in range(32)
+    ]
+    best = optimize_round_count(500.0, DLTPlatform(workers), max_rounds=12)
+    return {
+        "rounds": best.rounds,
+        "makespan": repr(best.makespan),
+        "round_loads": [repr(v) for v in best.round_loads],
+        "idle_time": repr(best.idle_time),
+    }
+
+
 SIMULATOR_CASES = {
     "cluster": run_cluster_case,
     "grid-centralized": run_centralized_case,
     "grid-decentralized": run_decentralized_case,
+    "kernel.churn": run_kernel_churn_case,
+    "cluster.figure2": run_figure2_case,
+    "cluster.online": run_online_cluster_case,
+    "grid.ciment": run_ciment_grid_case,
+    "dlt.multiround": run_dlt_multiround_case,
 }
 
 
 def simulator_digests() -> Dict[str, str]:
-    """Digest of each canonical legacy-simulator case."""
+    """Digest of each canonical simulator case."""
 
     return {name: digest_of(case()) for name, case in SIMULATOR_CASES.items()}
 

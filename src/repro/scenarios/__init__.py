@@ -6,8 +6,9 @@ this package turns scenario diversity into *data*.  A scenario is a
 process + platform + policy + metrics + seed + sweep axes -- registered
 under a unique name and materialized by the composer into the existing
 parallel experiment harness, so every scenario is sweepable, cacheable
-(``REPRO_CACHE_DIR``), parallelizable (``REPRO_JOBS``) and benchmarkable
-(:mod:`repro.scenarios.bench`) with zero bespoke code.
+(``REPRO_CACHE_DIR``), parallelizable (``REPRO_JOBS``) and pinned by a
+smoke-tier row digest in the golden suite (:mod:`repro.runtime.golden`)
+with zero bespoke code.
 
 Quick tour::
 

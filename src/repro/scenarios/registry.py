@@ -13,7 +13,7 @@ or through the :func:`scenario` decorator on a zero-argument builder::
 
 The registry is what makes scenario diversity enumerable: the CLI
 (``python -m repro.scenarios``), the CI smoke job, the determinism tests and
-the bench bridge all iterate :func:`names` / :func:`all_specs` instead of
+the golden suite all iterate :func:`names` / :func:`all_specs` instead of
 maintaining hand-written lists, so an unregistered scenario cannot exist and
 a broken one fails every consumer at once.
 """

@@ -14,9 +14,7 @@ variable:
 
 * ``pure`` (default) -- always use the python kernel;
 * ``compiled`` -- use the extension, silently falling back to ``pure``
-  when it is not built (use :func:`compiled_available` to detect this);
-* ``auto`` -- alias for ``compiled`` with fallback, kept separate so call
-  sites can express "best available" vs "explicitly requested" intent.
+  when it is not built (use :func:`compiled_available` to detect this).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Optional
 KERNEL_ENV = "REPRO_KERNEL"
 
 #: Accepted spellings for the kernel tier.
-KERNEL_TIERS = ("pure", "compiled", "auto")
+KERNEL_TIERS = ("pure", "compiled")
 
 _CKERNEL = None
 _CKERNEL_CHECKED = False
@@ -55,34 +53,24 @@ def compiled_available() -> bool:
     return load_ckernel() is not None
 
 
-def requested_kernel() -> str:
-    """The tier requested via ``$REPRO_KERNEL`` (not yet availability-resolved)."""
-
-    spec = os.environ.get(KERNEL_ENV, "").strip().lower()
-    return _validate(spec or "pure")
-
-
 def resolve_kernel(spec: Optional[str] = None) -> str:
     """Resolve a tier spec to the tier actually used: ``pure`` or ``compiled``.
 
-    ``spec=None`` consults ``$REPRO_KERNEL``.  Requesting ``compiled`` (or
-    ``auto``) when the extension is absent falls back to ``pure`` -- the
-    tiers are digest-identical, so degrading is always safe.
+    ``spec=None`` consults ``$REPRO_KERNEL`` (unset or empty means
+    ``pure``).  Requesting ``compiled`` when the extension is absent falls
+    back to ``pure`` -- the tiers are digest-identical, so degrading is
+    always safe.
     """
 
     if spec is None:
-        spec = requested_kernel()
+        spec = os.environ.get(KERNEL_ENV, "").strip().lower() or "pure"
     else:
-        spec = _validate(str(spec).strip().lower())
-    if spec == "pure":
-        return "pure"
-    return "compiled" if compiled_available() else "pure"
-
-
-def _validate(spec: str) -> str:
+        spec = str(spec).strip().lower()
     if spec not in KERNEL_TIERS:
         raise ValueError(
             f"unknown kernel tier {spec!r}: expected one of "
             f"{', '.join(KERNEL_TIERS)} (via kernel= or ${KERNEL_ENV})"
         )
-    return spec
+    if spec == "pure":
+        return "pure"
+    return "compiled" if compiled_available() else "pure"

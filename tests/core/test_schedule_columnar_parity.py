@@ -102,9 +102,6 @@ class ObjectSchedule:
     def jobs(self):
         return [entry.job for entry in self._entries.values()]
 
-    def completion_times(self):
-        return {name: e.completion for name, e in self._entries.items()}
-
     def makespan(self):
         if not self._entries:
             return 0.0
@@ -461,7 +458,6 @@ def assert_same(new, old):
         assert entry.job.name in new
         assert bits(new[entry.job.name]) == bits(entry)
     assert new.jobs == old.jobs
-    assert bits(new.completion_times()) == bits(old.completion_times())
     assert new.reservations == old.reservations
     for name, criterion in ALL_CRITERIA.items():
         assert bits(criterion(new)) == bits(REF_CRITERIA[name](old)), name

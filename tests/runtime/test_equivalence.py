@@ -1,9 +1,12 @@
 """Golden-digest equivalence suite.
 
 ``goldens.json`` was captured from the pre-refactor simulators (the three
-hand-rolled event loops) by ``python -m repro.runtime.golden capture``.
-These tests recompute every digest with the current code: a mismatch means
-the unified runtime changed simulator *behavior*, not just its structure.
+hand-rolled event loops) by ``python -m repro.runtime.golden capture``; the
+five paper-artefact cases (kernel churn, the Figure-2 sweep, an on-line
+cluster, the CIMENT grid, DLT multi-round) keep the digests they had as
+benchmark cases.  These tests recompute every digest with the current code:
+a mismatch means the code changed simulator *behavior*, not just its
+structure.
 
 The scenario digests are checked both serially and through a 2-process
 pool (``REPRO_JOBS=2`` equivalent), proving the refactor also preserved the

@@ -358,3 +358,38 @@ class TestSimEventResumeOrdering:
             return order
 
         assert run_once() == run_once()
+
+
+class TestKernelTierSelection:
+    """Only the two real tiers are accepted, by argument and by environment."""
+
+    def test_known_tiers_resolve(self, monkeypatch):
+        from repro.simulation.kernel import compiled_available, resolve_kernel
+
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        assert resolve_kernel() == "pure"
+        assert resolve_kernel("pure") == "pure"
+        expected = "compiled" if compiled_available() else "pure"
+        assert resolve_kernel(" Compiled ") == expected
+
+    def test_resolve_kernel_rejects_auto(self):
+        from repro.simulation.kernel import resolve_kernel
+
+        with pytest.raises(ValueError, match="pure, compiled"):
+            resolve_kernel("auto")
+
+    def test_resolve_kernel_rejects_unknown_tier(self):
+        from repro.simulation.kernel import KERNEL_TIERS, resolve_kernel
+
+        assert KERNEL_TIERS == ("pure", "compiled")
+        with pytest.raises(ValueError, match="unknown kernel tier 'turbo'"):
+            resolve_kernel("turbo")
+
+    def test_simulator_rejects_auto(self):
+        with pytest.raises(ValueError, match="pure, compiled"):
+            Simulator(kernel="auto")
+
+    def test_environment_rejects_auto(self, monkeypatch):
+        monkeypatch.setenv("REPRO_KERNEL", "auto")
+        with pytest.raises(ValueError, match="pure, compiled"):
+            Simulator()
