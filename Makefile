@@ -8,7 +8,7 @@
 #   make kernel-check          build + tier-1 simulation/runtime tests under
 #                              REPRO_KERNEL=compiled (mirrors the CI job)
 #   make bench                 paper-figure benchmarks (benchmarks/)
-#   make bench JOBS=4          ... fanned out to 4 worker processes
+#   make bench JOBS=4          ... fanned out to 4 forked fleet workers
 #   make bench CACHE=.repro-cache   ... with the on-disk cell cache
 #   make perfbench             the scenario benchmark's own tests, then one
 #                              short seed-0 run per workload; a seed-0 digest

@@ -8,9 +8,9 @@ on the authors' unknown workload distributions.
 
 Run with ``pytest benchmarks``.  The sweeps go through the parallel
 experiment harness: set ``REPRO_JOBS=N`` to fan the (config, seed) cells out
-to ``N`` worker processes, or ``REPRO_JOBS=tcp://host:port`` to schedule
-them onto distributed workers (results are identical to a serial run either
-way), and set ``REPRO_CACHE_DIR=<dir>`` to skip cells already computed by a
+to a forked fleet of ``N`` workers, or ``REPRO_JOBS=tcp://host:port`` to
+schedule them onto distributed workers (results are identical to a serial
+run either way), and set ``REPRO_CACHE_DIR=<dir>`` to skip cells already computed by a
 previous invocation.
 """
 

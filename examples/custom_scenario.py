@@ -7,10 +7,11 @@ new workload lands in the repository):
 1. author a :class:`ScenarioSpec` as TOML (``examples/scenarios/*.toml``)
    -- or build it in Python; specs round-trip between the two;
 2. register it, which validates the structure and makes it visible to the
-   CLI, the CI smoke job and the bench bridge;
+   CLI and the CI smoke job;
 3. run it through :func:`run_scenario`: the sweep inherits the parallel
-   executors (``REPRO_JOBS``), the on-disk cell cache (``REPRO_CACHE_DIR``)
-   and deterministic seeding from the experiment harness.
+   path (``REPRO_JOBS=N`` runs it on a forked fleet of ``N`` workers), the
+   on-disk cell cache (``REPRO_CACHE_DIR``) and deterministic seeding from
+   the experiment harness.
 
 Run with:  python examples/custom_scenario.py
 """

@@ -18,7 +18,7 @@ Each application profile is a declarative :class:`ScenarioSpec` built right
 here (specs do not have to be registered to run), and the policy panel is a
 sweep axis over ``policy.kind``: the composer hands every (application,
 policy) cell to the parallel experiment harness, so ``REPRO_JOBS=4`` fans
-the panel out to four worker processes with identical results.
+the panel out to a forked fleet of four workers with identical results.
 
 Run with:  python examples/policy_comparison.py
 """

@@ -1,7 +1,7 @@
 """Distributed campaign runner: an asyncio scheduler over pluggable comms.
 
-The single-host sweep engine (``REPRO_JOBS=N`` process pools) tops out at
-one machine; this package is the execution layer that outgrows it.  A
+This package is the sweep engine's one parallel path, from a forked
+fleet on one host (``REPRO_JOBS=N``) to workers across a cluster.  A
 central :class:`~repro.distributed.scheduler.Scheduler` -- a single-event-
 loop asyncio state machine -- owns the cell queue of one *campaign* (a
 sweep routed through the harness) and serves it to any number of
@@ -29,9 +29,9 @@ The public entry points:
 
 * :class:`~repro.distributed.executor.DistributedExecutor` plugs the
   runtime into the ordinary ``Executor`` interface, so any sweep, scenario
-  or benchmark runs distributed unchanged and bit-identically (selected by
-  ``REPRO_JOBS=tcp://host:port``, ``REPRO_JOBS=inproc://``,
-  ``executor="distributed"``, or explicitly);
+  or benchmark runs in parallel unchanged and bit-identically (selected by
+  ``REPRO_JOBS=N`` for a local forked fleet, ``REPRO_JOBS=tcp://host:port``,
+  ``REPRO_JOBS=inproc://``, or explicitly);
 * ``python -m repro.distributed`` drives it from the command line
   (``scheduler`` / ``worker`` / ``run`` -- see :mod:`repro.distributed.cli`).
 """
@@ -47,12 +47,7 @@ from repro.distributed.comm import (
     register_backend,
     registered_schemes,
 )
-from repro.distributed.executor import (
-    DistributedExecutor,
-    executor_from_address,
-    inproc_fleet,
-    local_mini_cluster,
-)
+from repro.distributed.executor import DistributedExecutor
 from repro.distributed.protocol import (
     ConnectionClosed,
     ProtocolError,
@@ -78,10 +73,7 @@ __all__ = [
     "SchedulerStats",
     "UnknownSchemeError",
     "Worker",
-    "executor_from_address",
     "format_address",
-    "inproc_fleet",
-    "local_mini_cluster",
     "parse_address",
     "register_backend",
     "registered_schemes",

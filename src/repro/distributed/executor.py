@@ -1,20 +1,21 @@
 """``DistributedExecutor``: the distributed runtime behind the ``Executor`` interface.
 
 This is the piece that lets every existing sweep, scenario and benchmark
-run distributed *unchanged*: :func:`repro.experiments.harness.run_experiment`
+run in parallel *unchanged*: :func:`repro.experiments.harness.run_experiment`
 hands the executor an ordered cell list and a picklable cell function, and
 gets outcomes streamed back in submission order -- exactly the contract the
-serial and process-pool backends satisfy, so distributed rows are
-bit-identical to :class:`~repro.experiments.executors.SerialExecutor` rows.
+serial backend satisfies, so distributed rows are bit-identical to
+:class:`~repro.experiments.executors.SerialExecutor` rows.
 
 The executor is comm-backend agnostic (see :mod:`repro.distributed.comm`);
 selection goes through :func:`repro.experiments.executors.resolve_executor`:
 
+* ``REPRO_JOBS=N`` / ``executor=N`` (``N > 1``; ``auto`` or ``0`` for one
+  per CPU) -- bind an ephemeral loopback port and fork a local fleet of
+  ``N`` worker processes;
 * ``REPRO_JOBS=tcp://host:port`` / ``executor="tcp://host:port"`` -- bind
   the scheduler at that address and wait for externally started workers
   (``python -m repro.distributed worker tcp://host:port``);
-* ``executor="distributed"`` -- bind an ephemeral loopback port and
-  self-spawn a local mini-cluster of one forked worker process per CPU;
 * ``REPRO_JOBS=inproc://`` / ``executor="inproc://..."`` -- no sockets, no
   processes: the scheduler and a fleet of coroutine workers share one event
   loop in this process.  Same scheduler, same wire frames (round-tripped
@@ -49,7 +50,7 @@ from repro.distributed.campaign import CampaignJournal
 from repro.distributed.comm import core as comm_core
 from repro.distributed.scheduler import Scheduler, SchedulerStats
 from repro.distributed.worker import run_worker
-from repro.experiments.executors import Executor, cpu_count
+from repro.experiments.executors import Executor
 from repro.experiments.grid import Cell, CellOutcome
 from repro.telemetry import TelemetryBus
 
@@ -76,9 +77,15 @@ class DistributedExecutor(Executor):
         name = fresh token) for an in-process fleet.  The default picks an
         ephemeral loopback port (self-contained mini-cluster).
     workers:
-        Local workers to self-spawn per campaign -- forked processes for
+        Local workers to self-spawn per campaign -- processes for
         ``tcp://``, event-loop coroutines for ``inproc://``.  ``0`` spawns
         none and relies on external workers connecting to ``address``.
+        Processes are forked where the platform offers ``fork``: forked
+        workers inherit the parent's modules, so cell functions defined in
+        non-importable modules (pytest-loaded test and benchmark files)
+        stay picklable by reference.  Elsewhere the platform's default
+        start method is used and cell functions must live in importable
+        modules.
     journal:
         Campaign journal path or :class:`CampaignJournal`; defaults to the
         ``REPRO_JOURNAL`` environment variable (unset = no journal).
@@ -94,11 +101,6 @@ class DistributedExecutor(Executor):
         ``ceil(pending / connected workers)`` cells -- with stealing and
         speculation enabled: outcomes are keyed by position and each cell
         carries its own seed, so these change the wall clock, never the rows.
-    start_method:
-        ``multiprocessing`` start method for self-spawned ``tcp://``
-        workers.  ``None`` prefers ``fork`` where available, keeping cell
-        functions defined in non-importable modules (pytest test files)
-        picklable by reference.
     telemetry:
         Where each campaign scheduler publishes its events: ``None``
         (default) uses the process-wide :func:`repro.telemetry.get_bus`,
@@ -124,7 +126,6 @@ class DistributedExecutor(Executor):
         speculate: bool = True,
         speculation_delay: float = 5.0,
         max_speculative: int = 1,
-        start_method: Optional[str] = None,
         telemetry: Union[None, bool, TelemetryBus] = None,
     ) -> None:
         comm_core.validate_address(address)  # fail early, with the friendly message
@@ -147,7 +148,6 @@ class DistributedExecutor(Executor):
         self.speculate = speculate
         self.speculation_delay = speculation_delay
         self.max_speculative = max_speculative
-        self.start_method = start_method
         self.telemetry = telemetry
         #: Counters of the most recently finished campaign, and their
         #: accumulation across every campaign this executor ran.
@@ -244,12 +244,11 @@ class DistributedExecutor(Executor):
 
         return stream()
 
-    # -- local mini-cluster (tcp://: forked processes) ----------------------
+    # -- local fleet (tcp://: forked processes) -----------------------------
 
-    def _context(self) -> multiprocessing.context.BaseContext:
-        method = self.start_method
-        if method is None and "fork" in multiprocessing.get_all_start_methods():
-            method = "fork"
+    @staticmethod
+    def _context() -> multiprocessing.context.BaseContext:
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
         return multiprocessing.get_context(method)
 
     @staticmethod
@@ -302,40 +301,3 @@ class DistributedExecutor(Executor):
                         return  # scheduler shut down under us
                     budget -= 1
 
-
-def executor_from_address(address: str, *, workers: int = 0) -> DistributedExecutor:
-    """The executor behind ``REPRO_JOBS=tcp://host:port`` (external workers)."""
-
-    return DistributedExecutor(address, workers=workers)
-
-
-def local_mini_cluster(
-    workers: Optional[int] = None,
-    *,
-    journal: Union[None, str, CampaignJournal] = None,
-    **kwargs: object,
-) -> DistributedExecutor:
-    """A self-contained loopback scheduler + ``workers`` forked workers."""
-
-    return DistributedExecutor(
-        "tcp://127.0.0.1:0",
-        workers=workers if workers is not None else cpu_count(),
-        journal=journal,
-        **kwargs,  # type: ignore[arg-type]
-    )
-
-
-def inproc_fleet(
-    workers: Optional[int] = None,
-    *,
-    journal: Union[None, str, CampaignJournal] = None,
-    **kwargs: object,
-) -> DistributedExecutor:
-    """A socketless in-process scheduler + ``workers`` coroutine workers."""
-
-    return DistributedExecutor(
-        "inproc://",
-        workers=workers if workers is not None else cpu_count(),
-        journal=journal,
-        **kwargs,  # type: ignore[arg-type]
-    )

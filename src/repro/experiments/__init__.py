@@ -3,8 +3,9 @@
 * :mod:`repro.experiments.harness` -- generic experiment runner (parameter
   sweeps, repetitions over seeds, result tables) built on three separable
   stages: grid expansion (:mod:`repro.experiments.grid`), parallel cell
-  execution (:mod:`repro.experiments.executors`, selected with the
-  ``REPRO_JOBS`` environment variable) and streamed aggregation, with an
+  execution (:mod:`repro.experiments.executors`: serial, or a forked
+  fleet behind the distributed scheduler, selected with the ``REPRO_JOBS``
+  environment variable) and streamed aggregation, with an
   optional on-disk cell cache (:mod:`repro.experiments.cache`);
 * :mod:`repro.experiments.figure2` -- the Figure 2 simulation (bi-criteria
   algorithm on a 100-machine cluster, parallel vs non-parallel workloads);
@@ -16,20 +17,9 @@
 """
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.executors import (
-    Executor,
-    ProcessPoolExecutor,
-    SerialExecutor,
-    resolve_executor,
-)
+from repro.experiments.executors import Executor, SerialExecutor, resolve_executor
 from repro.experiments.grid import Cell, CellOutcome, expand_grid
-from repro.experiments.harness import (
-    CellExecutionError,
-    ExperimentResult,
-    ExperimentRunner,
-    run_experiment,
-    sweep,
-)
+from repro.experiments.harness import CellExecutionError, ExperimentResult, run_experiment
 from repro.experiments.figure2 import (
     Figure2Config,
     Figure2Point,
@@ -50,14 +40,11 @@ __all__ = [
     "CellExecutionError",
     "Executor",
     "SerialExecutor",
-    "ProcessPoolExecutor",
     "ResultCache",
     "resolve_executor",
     "expand_grid",
     "run_experiment",
-    "ExperimentRunner",
     "ExperimentResult",
-    "sweep",
     "Figure2Config",
     "Figure2Point",
     "run_figure2",

@@ -2,37 +2,32 @@
 
 An :class:`Executor` maps a cell function over an ordered list of cells and
 yields the outcomes *in submission order*, streaming them as they complete.
-Two backends are provided:
-
-* :class:`SerialExecutor` -- runs cells inline, one at a time;
-* :class:`ProcessPoolExecutor` -- fans cells out to a ``multiprocessing``
-  pool with chunked dispatch (``Pool.imap`` preserves order while letting
-  workers race ahead within their chunks).
-
-Because every cell carries its own deterministic seed, both backends produce
-bit-identical rows in the same order; the pool only changes the wall clock.
+There is one inline backend, :class:`SerialExecutor`, and one parallel path:
+the campaign scheduler of :mod:`repro.distributed`, behind
+:class:`~repro.distributed.executor.DistributedExecutor`.
 
 The default backend is selected by the ``REPRO_JOBS`` environment variable:
-unset or ``1`` means serial, an integer ``N > 1`` means a pool of ``N``
-workers, and ``0`` or ``auto`` means one worker per CPU.  Further forms
-select the comm-based distributed runtime of :mod:`repro.distributed`
-(resolved lazily, so this module stays import-light):
-``REPRO_JOBS=tcp://host:port`` binds a campaign scheduler at that address
-and waits for externally started workers, ``distributed`` self-spawns a
-local mini-cluster on an ephemeral loopback port, and any other registered
-comm scheme address -- e.g. ``inproc://`` for a socketless in-process
-fleet -- runs the same scheduler over that backend with one self-spawned
-worker per CPU.  Every backend honours the same contract -- outcomes stream
-back in submission order and, because each cell carries its own
-deterministic seed, rows are bit-identical across backends.
+
+* unset, ``serial`` or ``1`` -- serial;
+* an integer ``N > 1`` -- a local fleet of ``N`` forked workers behind a
+  scheduler on an ephemeral loopback port (``tcp://127.0.0.1:0``);
+* ``0`` or ``auto`` -- the same fleet with one worker per CPU;
+* ``tcp://HOST:PORT`` -- bind the scheduler there and wait for externally
+  started workers;
+* ``inproc://NAME`` -- a socketless in-process fleet of coroutine workers,
+  one per CPU.
+
+The distributed runtime is imported lazily, so the serial path stays
+import-light (no ``multiprocessing``, no sockets).  Every backend honours
+the same contract: outcomes stream back in submission order and, because
+each cell carries its own deterministic seed, rows are bit-identical across
+backends.
 """
 
 from __future__ import annotations
 
-import math
-import multiprocessing
 import os
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 from repro.experiments.grid import Cell, CellOutcome
 
@@ -43,11 +38,14 @@ ExecutorSpec = Union[None, str, int, "Executor"]
 
 #: One-line summary of every accepted executor spec, reused by error messages.
 SPEC_FORMS = (
-    "'serial' (or 1), 'process'/'auto' (or 0), an integer job count, "
-    "'distributed' (local mini-cluster), 'tcp://HOST:PORT' (bind a "
-    "distributed campaign scheduler there for external workers), or "
-    "'inproc://NAME' (socketless in-process fleet)"
+    "'serial' (or 1), a worker count N > 1 (local forked fleet), 'auto' "
+    "(or 0, one worker per CPU), 'tcp://HOST:PORT' (bind a distributed "
+    "campaign scheduler there for external workers), or 'inproc://NAME' "
+    "(socketless in-process fleet)"
 )
+
+#: Loopback address the local forked fleet binds (port 0 = ephemeral).
+LOCAL_FLEET_ADDRESS = "tcp://127.0.0.1:0"
 
 
 class ExecutorSpecError(ValueError):
@@ -83,69 +81,6 @@ class SerialExecutor(Executor):
         return (fn(cell) for cell in cells)
 
 
-class ProcessPoolExecutor(Executor):
-    """Fan cells out to a ``multiprocessing`` pool, preserving order.
-
-    Parameters
-    ----------
-    jobs:
-        Number of worker processes (default: one per CPU).
-    chunk_size:
-        Cells handed to a worker per dispatch.  Larger chunks amortise IPC
-        for cheap cells; smaller chunks balance uneven cells.  The default
-        aims at ~4 chunks per worker.
-    start_method:
-        ``multiprocessing`` start method (``fork`` / ``spawn`` / ...).
-        ``None`` prefers ``fork`` when the platform offers it: forked
-        workers inherit the parent's modules, so cell functions defined in
-        pytest-loaded benchmark modules (which a ``spawn``/``forkserver``
-        child cannot re-import) stay picklable by reference.  On platforms
-        without ``fork`` the default start method is used and cell
-        functions must live in importable modules.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        *,
-        chunk_size: Optional[int] = None,
-        start_method: Optional[str] = None,
-    ) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs or cpu_count()
-        self.chunk_size = chunk_size
-        self.start_method = start_method
-
-    def __repr__(self) -> str:
-        return f"ProcessPoolExecutor(jobs={self.jobs})"
-
-    def map(
-        self,
-        fn: Callable[[Cell], CellOutcome],
-        cells: Sequence[Cell],
-    ) -> Iterator[CellOutcome]:
-        cells = list(cells)
-        workers = min(self.jobs, len(cells))
-        if workers <= 1:
-            # A pool of one only adds pickling overhead.
-            return SerialExecutor().map(fn, cells)
-        chunk = self.chunk_size or max(1, math.ceil(len(cells) / (workers * 4)))
-        method = self.start_method
-        if method is None and "fork" in multiprocessing.get_all_start_methods():
-            method = "fork"
-        context = multiprocessing.get_context(method)
-
-        def stream() -> Iterator[CellOutcome]:
-            with context.Pool(processes=workers) as pool:
-                for outcome in pool.imap(fn, cells, chunksize=chunk):
-                    yield outcome
-
-        return stream()
-
-
 def cpu_count() -> int:
     """Usable CPUs (honours affinity masks when the platform exposes them)."""
 
@@ -155,13 +90,13 @@ def cpu_count() -> int:
         return max(os.cpu_count() or 1, 1)
 
 
-def resolve_executor(spec: ExecutorSpec = None, *, jobs: Optional[int] = None) -> Executor:
+def resolve_executor(spec: ExecutorSpec = None) -> Executor:
     """Turn an executor specification into an :class:`Executor` instance.
 
-    ``spec`` may be an executor (returned as-is), ``"serial"``,
-    ``"process"``/``"auto"``, an integer job count, ``"distributed"``, a
-    ``tcp://host:port`` scheduler bind address, or ``None`` -- in which case
-    the ``REPRO_JOBS`` environment variable decides (defaulting to serial).
+    ``spec`` may be an executor (returned as-is), ``"serial"``, ``"auto"``,
+    an integer worker count, a ``tcp://host:port`` scheduler bind address,
+    an ``inproc://name`` address, or ``None`` -- in which case the
+    ``REPRO_JOBS`` environment variable decides (defaulting to serial).
 
     Malformed specs raise :class:`ExecutorSpecError` (a :class:`ValueError`)
     naming the offending value -- and its source when it came from
@@ -180,14 +115,12 @@ def resolve_executor(spec: ExecutorSpec = None, *, jobs: Optional[int] = None) -
         spec, source = raw, f"{JOBS_ENV_VAR}={raw}"
     if isinstance(spec, str):
         lowered = spec.strip().lower()
-        if lowered in ("serial", "1"):
+        if lowered == "serial":
             return SerialExecutor()
-        if lowered in ("process", "auto", "0"):
-            return ProcessPoolExecutor(jobs or cpu_count())
-        if lowered == "distributed" or "://" in lowered:
-            return _resolve_distributed(spec.strip(), source, jobs)
+        if "://" in lowered:
+            return _resolve_distributed(spec.strip(), source)
         try:
-            spec = int(lowered)
+            spec = 0 if lowered == "auto" else int(lowered)
         except ValueError:
             raise ExecutorSpecError(
                 f"cannot resolve an executor from {source}: expected {SPEC_FORMS}"
@@ -195,31 +128,31 @@ def resolve_executor(spec: ExecutorSpec = None, *, jobs: Optional[int] = None) -
     if isinstance(spec, int):
         if spec < 0:
             raise ExecutorSpecError(
-                f"cannot resolve an executor from {source}: a job count must "
+                f"cannot resolve an executor from {source}: a worker count must "
                 f"be >= 0 (0 means one worker per CPU)"
             )
-        return SerialExecutor() if spec <= 1 else ProcessPoolExecutor(spec)
+        if spec == 1:
+            return SerialExecutor()
+        return _resolve_distributed(LOCAL_FLEET_ADDRESS, source, spec or cpu_count())
     raise TypeError(f"cannot resolve an executor from {spec!r}")
 
 
-def _resolve_distributed(spec: str, source: str, jobs: Optional[int]) -> Executor:
+def _resolve_distributed(address: str, source: str, workers: int = 0) -> Executor:
     """Build a :class:`~repro.distributed.executor.DistributedExecutor`.
 
     Imported lazily: the distributed runtime depends on this module for the
-    :class:`Executor` interface, and plain serial/pool users should not pay
-    for the socket machinery.
+    :class:`Executor` interface, and serial users should not pay for the
+    socket and process machinery.  A ``tcp://`` bind address with no worker
+    count waits for external workers; an ``inproc://`` fleet cannot take
+    external workers, so it raises its own, one per CPU.
     """
 
-    from repro.distributed.executor import DistributedExecutor, local_mini_cluster
+    from repro.distributed.executor import DistributedExecutor
 
-    if spec.lower() == "distributed":
-        return local_mini_cluster(jobs)
+    if not workers and address.lower().startswith("inproc://"):
+        workers = cpu_count()
     try:
-        if spec.lower().startswith("inproc://"):
-            # No way to attach external workers to an in-process fleet, so
-            # the executor must raise its own -- one per CPU by default.
-            return DistributedExecutor(spec, workers=jobs or cpu_count())
-        return DistributedExecutor(spec, workers=0)
+        return DistributedExecutor(address, workers=workers)
     except ValueError as error:
         raise ExecutorSpecError(
             f"cannot resolve an executor from {source}: {error} (expected {SPEC_FORMS})"

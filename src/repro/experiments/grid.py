@@ -108,7 +108,7 @@ class CellFunction:
 
     Exceptions raised by the run function are captured as a formatted
     traceback in the outcome instead of propagating, so one bad cell cannot
-    take down a worker pool; the harness decides whether to re-raise.
+    take down a worker; the harness decides whether to re-raise.
     """
 
     def __init__(self, run: RunFunction) -> None:

@@ -10,10 +10,11 @@ The sweep is organised in three separable stages:
 1. **grid expansion** (:func:`repro.experiments.grid.expand_grid`) turns the
    declaration into an ordered list of self-contained, seeded cells;
 2. **cell execution** maps a picklable cell function over the cells through
-   an :class:`~repro.experiments.executors.Executor` -- serial, or a
-   ``multiprocessing`` pool selected with ``executor=`` / the ``REPRO_JOBS``
-   environment variable -- streaming outcomes back in submission order, with
-   per-cell timing and error capture;
+   an :class:`~repro.experiments.executors.Executor` -- serial, or the
+   distributed campaign scheduler (a local forked fleet for ``N`` workers)
+   selected with ``executor=`` / the ``REPRO_JOBS`` environment variable --
+   streaming outcomes back in submission order, with per-cell timing and
+   error capture;
 3. **aggregation** folds the streamed rows into summaries
    (:class:`repro.metrics.aggregate.StreamingAggregator`).
 
@@ -43,7 +44,7 @@ class CellExecutionError(RuntimeError):
     """A cell failed; carries the failing configuration and worker traceback.
 
     Instances must survive process and socket boundaries: a nested harness
-    may raise one inside a pool worker, and the distributed runtime moves
+    may raise one inside a fleet worker, and the distributed runtime moves
     failure information over TCP.  The default exception reduction would
     try to re-call ``__init__(message)`` and fail (the constructor wants an
     experiment and an outcome), so pickling is routed through
@@ -222,16 +223,17 @@ def run_experiment(
     run:
         Callable returning a mapping of metric name to value.  Must be
         picklable (a module-level function or :func:`functools.partial` of
-        one) to use a process-pool executor.
+        one) to run on a parallel executor.
     parameters:
         Mapping of parameter name to the sequence of values to sweep.
     repetitions / base_seed:
         Seeds are ``base_seed + repetition_index``: reproducible, distinct
         across repetitions, independent of the executor.
     executor:
-        ``None`` (use ``REPRO_JOBS``, default serial), ``"serial"``,
-        ``"process"``/``"auto"``, an integer job count, ``"distributed"``
-        or a ``tcp://host:port`` distributed-scheduler bind address, or an
+        ``None`` (use ``REPRO_JOBS``, default serial), ``"serial"``, an
+        integer worker count (``N > 1`` forks a local fleet), ``"auto"``
+        (one worker per CPU), a ``tcp://host:port`` distributed-scheduler
+        bind address, an ``inproc://name`` address, or an
         :class:`~repro.experiments.executors.Executor` instance.
     cache:
         Optional on-disk cell cache (a directory path or a
@@ -328,11 +330,11 @@ def run_experiment(
     finally:
         # Release the executor deterministically: generator-based backends
         # hold real resources at their final yield (a bound TCP port and
-        # forked workers for the distributed executor, a process pool for
-        # the pool executor), and an abandoned suspended generator only
-        # tears them down whenever reference-counting happens to collect it
-        # -- too late for the next campaign re-binding the same port, and
-        # never while a CellExecutionError traceback keeps the frame alive.
+        # forked workers for the distributed executor), and an abandoned
+        # suspended generator only tears them down whenever
+        # reference-counting happens to collect it -- too late for the next
+        # campaign re-binding the same port, and never while a
+        # CellExecutionError traceback keeps the frame alive.
         close = getattr(live, "close", None)
         if close is not None:
             close()
@@ -344,59 +346,3 @@ def run_experiment(
 
     return result
 
-
-@dataclass
-class ExperimentRunner:
-    """Run a function over a parameter grid with repetitions.
-
-    Declarative counterpart of :func:`run_experiment` (which it delegates
-    to); kept for backwards compatibility and for callers that build the
-    runner in one place and execute it in another.
-    """
-
-    name: str
-    run: RunFunction
-    parameters: Mapping[str, Sequence[Any]] = field(default_factory=dict)
-    repetitions: int = 3
-    base_seed: int = 1234
-
-    def execute(
-        self,
-        *,
-        listener: Any = None,
-        executor: ExecutorSpec = None,
-        cache: Union[None, str, Path, ResultCache] = None,
-    ) -> ExperimentResult:
-        return run_experiment(
-            self.name,
-            self.run,
-            self.parameters,
-            repetitions=self.repetitions,
-            base_seed=self.base_seed,
-            executor=executor,
-            cache=cache,
-            listener=listener,
-        )
-
-
-def sweep(
-    name: str,
-    run: RunFunction,
-    *,
-    repetitions: int = 3,
-    base_seed: int = 1234,
-    executor: ExecutorSpec = None,
-    cache: Union[None, str, Path, ResultCache] = None,
-    **parameters: Sequence[Any],
-) -> ExperimentResult:
-    """Convenience wrapper: ``sweep("exp", fn, n_jobs=[10, 100], policy=["a", "b"])``."""
-
-    return run_experiment(
-        name,
-        run,
-        parameters,
-        repetitions=repetitions,
-        base_seed=base_seed,
-        executor=executor,
-        cache=cache,
-    )

@@ -84,8 +84,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--smoke", action="store_true", help="tiny smoke-tier sizes")
     run.add_argument(
         "--executor", "--jobs", default=None, dest="jobs", metavar="SPEC",
-        help="executor spec: a job count, 'serial', 'auto', 'distributed', or "
-             "tcp://HOST:PORT to schedule cells onto external distributed workers",
+        help="executor spec: 'serial' (or 1), a worker count N > 1 for a local "
+             "forked fleet, 'auto' (or 0) for one worker per CPU, "
+             "tcp://HOST:PORT to schedule cells onto external distributed "
+             "workers, or inproc://NAME for an in-process fleet",
     )
     run.add_argument(
         "--output", type=Path, default=None,
@@ -112,8 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--repetitions", type=int, default=None)
     swp.add_argument(
         "--executor", "--jobs", default=None, dest="jobs", metavar="SPEC",
-        help="executor spec: a job count, 'serial', 'auto', 'distributed', or "
-             "tcp://HOST:PORT to schedule cells onto external distributed workers",
+        help="executor spec: 'serial' (or 1), a worker count N > 1 for a local "
+             "forked fleet, 'auto' (or 0) for one worker per CPU, "
+             "tcp://HOST:PORT to schedule cells onto external distributed "
+             "workers, or inproc://NAME for an in-process fleet",
     )
     swp.add_argument(
         "--dashboard", type=int, default=None, metavar="PORT",

@@ -16,7 +16,7 @@ each ``kind`` its meaning:
 Everything funnels through :func:`run_scenario_cell`, a module-level
 picklable function, so every scenario inherits the whole sweep machinery of
 :func:`repro.experiments.harness.run_experiment` for free: parallel
-executors (``REPRO_JOBS=N`` pools, ``REPRO_JOBS=tcp://host:port``
+executors (``REPRO_JOBS=N`` forked fleets, ``REPRO_JOBS=tcp://host:port``
 distributed campaigns), the on-disk cell cache (``REPRO_CACHE_DIR``),
 streamed aggregation and bit-identical rows on every backend.
 """
@@ -664,7 +664,7 @@ def build_simulation_record(
 
 
 def run_scenario_cell(seed: int, _spec: ScenarioSpec = None, **overrides: Any) -> Dict[str, Any]:
-    """One sweep cell of a scenario (module-level, hence pool-picklable).
+    """One sweep cell of a scenario (module-level, hence picklable).
 
     ``overrides`` are the sweep-axis values of this cell (dotted
     ``section.param`` keys); they are folded into the spec before the model

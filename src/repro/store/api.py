@@ -8,8 +8,8 @@ module defines the single contract they all speak now:
 
 * :class:`RowSink` -- anything that accepts completed cells.  The harness
   (:func:`repro.experiments.harness.run_experiment`) streams every finished
-  cell into its ``sink=``, whatever executor produced it (serial, pool,
-  ``tcp://``, ``inproc://``).
+  cell into its ``sink=``, whatever executor produced it (serial, a
+  local forked fleet, ``tcp://``, ``inproc://``).
 * :class:`RowSource` -- anything that can replay a previously persisted
   cell, keyed by :func:`repro.experiments.grid.cell_key` plus the run
   fingerprint, exactly like the cache and the journal.

@@ -217,7 +217,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
 
     import tempfile
 
-    from repro.distributed.executor import inproc_fleet, local_mini_cluster
+    from repro.distributed.executor import DistributedExecutor
     from repro.scenarios.composer import run_scenario, rows_digest
     from repro.scenarios.registry import get
     from repro.store.columnar import CampaignStore
@@ -234,9 +234,9 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
 
     store = CampaignStore(store_dir, campaign="fleet")
     recorder = TelemetryRecorder(store, campaign="fleet")
-    make_fleet = local_mini_cluster if args.comm == "tcp" else inproc_fleet
+    address = "tcp://127.0.0.1:0" if args.comm == "tcp" else "inproc://"
     with recorder:
-        executor = make_fleet(args.workers)
+        executor = DistributedExecutor(address, workers=args.workers)
         recorded = run_scenario(spec, smoke=True, executor=executor)
     recorded_digest = rows_digest(recorded.rows)
     print(

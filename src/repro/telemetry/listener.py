@@ -23,8 +23,9 @@ class SweepListener:
     :class:`repro.experiments.grid.Cell`, ``outcome`` a
     :class:`~repro.experiments.grid.CellOutcome` and ``row`` the composed
     flat result row.  ``on_cell_start`` fires when the harness begins
-    waiting on that cell's outcome -- under a pool executor the true remote
-    start is not observable, so treat it as "cell entered the live window".
+    waiting on that cell's outcome -- under a parallel executor the true
+    remote start is not observable, so treat it as "cell entered the live
+    window".
     """
 
     def on_sweep_start(self, experiment: str, total_cells: int) -> None:

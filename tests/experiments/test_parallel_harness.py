@@ -1,22 +1,26 @@
 """Tests of the parallel sweep engine: executors, determinism, cache, errors.
 
-The run functions live at module level so they are picklable by the
-process-pool executor.
+The run functions live at module level so they are picklable by reference
+for the forked worker fleet.
 """
 
 from __future__ import annotations
 
+import inspect
 import time
 
 import numpy as np
 import pytest
 
 from repro.experiments.cache import ResultCache
+from repro.distributed import DistributedExecutor
 from repro.experiments.executors import (
     JOBS_ENV_VAR,
+    LOCAL_FLEET_ADDRESS,
+    SPEC_FORMS,
     ExecutorSpecError,
-    ProcessPoolExecutor,
     SerialExecutor,
+    cpu_count,
     resolve_executor,
 )
 from repro.experiments.grid import Cell, cell_key, expand_grid
@@ -88,22 +92,48 @@ class TestExecutorSelection:
     def test_resolve_specs(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
         assert isinstance(resolve_executor(1), SerialExecutor)
-        pool = resolve_executor(6)
-        assert isinstance(pool, ProcessPoolExecutor) and pool.jobs == 6
-        assert isinstance(resolve_executor("process"), ProcessPoolExecutor)
+        assert isinstance(resolve_executor("1"), SerialExecutor)
         existing = SerialExecutor()
         assert resolve_executor(existing) is existing
         with pytest.raises(ValueError):
             resolve_executor("carrier-pigeon")
 
+    def test_worker_count_gives_loopback_fleet(self):
+        fleet = resolve_executor(6)
+        assert isinstance(fleet, DistributedExecutor)
+        assert fleet.address == LOCAL_FLEET_ADDRESS == "tcp://127.0.0.1:0"
+        assert fleet.workers == 6
+
+    @pytest.mark.parametrize("spec", ["auto", "AUTO", "0", 0])
+    def test_auto_gives_one_worker_per_cpu(self, spec):
+        fleet = resolve_executor(spec)
+        assert isinstance(fleet, DistributedExecutor)
+        assert fleet.address == LOCAL_FLEET_ADDRESS
+        assert fleet.workers == cpu_count()
+
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
         assert isinstance(resolve_executor(None), SerialExecutor)
         monkeypatch.setenv(JOBS_ENV_VAR, "3")
-        pool = resolve_executor(None)
-        assert isinstance(pool, ProcessPoolExecutor) and pool.jobs == 3
+        fleet = resolve_executor(None)
+        assert isinstance(fleet, DistributedExecutor)
+        assert fleet.address == LOCAL_FLEET_ADDRESS and fleet.workers == 3
         monkeypatch.setenv(JOBS_ENV_VAR, "1")
         assert isinstance(resolve_executor(None), SerialExecutor)
+
+    @pytest.mark.parametrize("spelling", ["process", "distributed"])
+    def test_dropped_spellings_are_rejected(self, spelling, monkeypatch):
+        with pytest.raises(ExecutorSpecError):
+            resolve_executor(spelling)
+        monkeypatch.setenv(JOBS_ENV_VAR, spelling)
+        with pytest.raises(ExecutorSpecError) as excinfo:
+            resolve_executor(None)
+        message = str(excinfo.value)
+        assert f"{JOBS_ENV_VAR}={spelling}" in message
+        assert SPEC_FORMS in message
+
+    def test_resolve_takes_only_the_spec(self):
+        assert list(inspect.signature(resolve_executor).parameters) == ["spec"]
 
     def test_malformed_env_value_names_the_variable(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV_VAR, "ten")
@@ -124,14 +154,13 @@ class TestExecutorSelection:
         assert f"{JOBS_ENV_VAR}=-3" in str(excinfo.value)
 
     def test_tcp_spec_resolves_to_distributed_executor(self):
-        from repro.distributed import DistributedExecutor
-
         executor = resolve_executor("tcp://127.0.0.1:8765")
         assert isinstance(executor, DistributedExecutor)
         assert executor.address == "tcp://127.0.0.1:8765"
         assert executor.workers == 0  # external workers connect themselves
-        local = resolve_executor("distributed", jobs=3)
-        assert isinstance(local, DistributedExecutor) and local.workers == 3
+        fleet = resolve_executor("inproc://")
+        assert isinstance(fleet, DistributedExecutor)
+        assert fleet.workers == cpu_count()  # no external worker can attach
 
     def test_malformed_tcp_spec_is_friendly(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV_VAR, "tcp://nohost")
@@ -146,37 +175,19 @@ class TestExecutorSelection:
 
 
 class TestParallelIdentity:
-    def test_pool_rows_identical_to_serial_64_cells(self):
-        serial = run_experiment("identity", seeded_metrics, GRID_4x4,
-                                repetitions=4, base_seed=42, executor="serial")
-        pooled = run_experiment("identity", seeded_metrics, GRID_4x4,
-                                repetitions=4, base_seed=42,
-                                executor=ProcessPoolExecutor(4))
-        assert len(serial) == 64
-        # Same rows, same values (bit-identical floats), same order.
-        assert pooled.rows == serial.rows
-        assert pooled.executor == "process"
-        assert serial.executor == "serial"
-
-    def test_chunked_dispatch_preserves_order(self):
-        serial = run_experiment("chunks", seeded_metrics, GRID_4x4,
-                                repetitions=2, executor="serial")
-        chunked = run_experiment("chunks", seeded_metrics, GRID_4x4, repetitions=2,
-                                 executor=ProcessPoolExecutor(2, chunk_size=5))
-        assert chunked.rows == serial.rows
-
     def test_env_var_end_to_end(self, monkeypatch):
         monkeypatch.setenv(JOBS_ENV_VAR, "2")
-        pooled = run_experiment("env", seeded_metrics, {"a": [1, 2], "b": [3]},
-                                repetitions=2)
+        fleet = run_experiment("env", seeded_metrics, {"a": [1, 2], "b": [3]},
+                               repetitions=2)
         monkeypatch.setenv(JOBS_ENV_VAR, "1")
         serial = run_experiment("env", seeded_metrics, {"a": [1, 2], "b": [3]},
                                 repetitions=2)
-        assert pooled.executor == "process"
-        assert pooled.rows == serial.rows
+        assert fleet.executor == "distributed"
+        assert serial.executor == "serial"
+        assert fleet.rows == serial.rows
 
     def test_parallel_sweep_is_faster_on_overlappable_cells(self):
-        """64 wait-bound cells: the pool overlaps them, serial cannot.
+        """64 wait-bound cells: the fleet overlaps them, serial cannot.
 
         Uses sleep-dominated cells so the speedup shows regardless of the
         number of physical cores (on >= 2 cores CPU-bound cells scale the
@@ -186,12 +197,13 @@ class TestParallelIdentity:
         grid = {"slot": list(range(16))}  # x4 reps = 64 cells, ~20ms each
         serial = run_experiment("speed", sleeping_cell, grid,
                                 repetitions=4, executor="serial")
-        pooled = run_experiment("speed", sleeping_cell, grid,
-                                repetitions=4, executor=ProcessPoolExecutor(8))
-        assert pooled.rows == serial.rows
+        fleet = run_experiment("speed", sleeping_cell, grid,
+                               repetitions=4, executor=8)
+        assert fleet.executor == "distributed"
+        assert fleet.rows == serial.rows
         assert len(serial) == 64
-        # Serial: >= 64 * 20ms = 1.28s.  Pool of 8: ~8 batches + startup.
-        assert pooled.elapsed_seconds < serial.elapsed_seconds * 0.7
+        # Serial: >= 64 * 20ms = 1.28s.  Fleet of 8: ~8 rounds + startup.
+        assert fleet.elapsed_seconds < serial.elapsed_seconds * 0.7
 
     def test_progress_and_timing_capture(self):
         messages = []
@@ -214,8 +226,7 @@ class TestErrorCapture:
     def test_worker_exception_surfaces_with_failing_config(self):
         with pytest.raises(CellExecutionError) as excinfo:
             run_experiment("boom", failing_on_three, {"n": [1, 2, 3, 4]},
-                           repetitions=1, base_seed=77,
-                           executor=ProcessPoolExecutor(2))
+                           repetitions=1, base_seed=77, executor=2)
         error = excinfo.value
         assert error.params == {"n": 3}
         assert error.seed == 77
@@ -235,7 +246,7 @@ class TestErrorCapture:
         The default exception reduction re-calls ``cls(*args)`` with the
         formatted message, which does not match ``__init__(experiment,
         outcome)`` -- so a :class:`CellExecutionError` crossing a process or
-        socket boundary (nested harness in a pool worker, distributed
+        socket boundary (nested harness in a fleet worker, distributed
         failure reporting) blew up with a ``TypeError`` instead of
         arriving intact.
         """

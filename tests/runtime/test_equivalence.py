@@ -8,9 +8,9 @@ benchmark cases.  These tests recompute every digest with the current code:
 a mismatch means the code changed simulator *behavior*, not just its
 structure.
 
-The scenario digests are checked both serially and through a 2-process
-pool (``REPRO_JOBS=2`` equivalent), proving the refactor also preserved the
-parallel-harness bit-identity guarantee.
+The scenario digests are checked both serially and through a 2-worker
+forked fleet (``REPRO_JOBS=2`` equivalent), proving the refactor also
+preserved the parallel-harness bit-identity guarantee.
 """
 
 import json
@@ -39,7 +39,7 @@ def test_scenario_smoke_digest_is_bit_identical(name):
     )
 
 
-def test_scenario_smoke_digests_with_two_process_pool():
+def test_scenario_smoke_digests_with_two_worker_fleet():
     names = sorted(GOLDENS["scenarios"])
     digests = golden.scenario_digests(names, executor=2)
     assert digests == GOLDENS["scenarios"]
