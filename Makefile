@@ -24,8 +24,8 @@
 #                              with 2 local workers (mirrors the CI job)
 #   make distributed-smoke-inproc   same smoke tier over inproc:// comms
 #                              (coroutine fleet, no sockets or forks)
-#   make distributed-stress    stealing/speculation stress smoke: 32-worker
-#                              inproc fleet, 1s speculation delay
+#   make distributed-stress    stealing stress smoke: 32-worker inproc
+#                              fleet (steals and lease revokes fire)
 #   make smoke-digest-check SUMMARY=file.json
 #                              run the serial smoke tier and fail on any
 #                              per-scenario digest that differs from the
@@ -127,19 +127,19 @@ distributed-smoke:
 
 # The same smoke tier over inproc:// comms: the scheduler and a coroutine
 # worker fleet share one process and event loop -- no sockets, no forks --
-# but the frames, scheduling (stealing + speculation) and digests are the
+# but the frames, scheduling (guided leases + stealing) and digests are the
 # same.  Mirrors the CI distributed-smoke inproc matrix leg.
 distributed-smoke-inproc:
 	PYTHONPATH=src $(PYTHON) -m repro.scenarios run --all --smoke \
 		--executor inproc:// --output $(SMOKE_DIR)/inproc.json
 	$(MAKE) smoke-digest-check SUMMARY=$(SMOKE_DIR)/inproc.json
 
-# Stress leg: a 32-worker inproc fleet with an aggressive 1s speculation
-# delay, so stealing AND speculative re-execution actually fire while the
-# digests are checked (mirrors the CI distributed-stress job).
+# Stress leg: a 32-worker inproc fleet, so work stealing and lease revokes
+# actually fire while the digests are checked (mirrors the CI
+# distributed-stress job).
 distributed-stress:
 	PYTHONPATH=src $(PYTHON) -m repro.distributed run --all --smoke \
-		--comm inproc --workers 32 --speculation-delay 1 \
+		--comm inproc --workers 32 \
 		--output $(SMOKE_DIR)/stress.json
 	$(MAKE) smoke-digest-check SUMMARY=$(SMOKE_DIR)/stress.json
 

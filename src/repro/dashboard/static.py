@@ -97,7 +97,6 @@ td.mono { font-family: ui-monospace, 'SF Mono', Menlo, monospace; }
   <div class="tile"><div class="v" id="t-done">–</div><div class="k">cells done</div></div>
   <div class="tile"><div class="v" id="t-rate">–</div><div class="k">cells / s</div></div>
   <div class="tile"><div class="v" id="t-steals">–</div><div class="k">steals</div></div>
-  <div class="tile"><div class="v" id="t-spec">–</div><div class="k">speculations</div></div>
   <div class="tile"><div class="v" id="t-events">–</div><div class="k">events published</div></div>
 </div>
 
@@ -159,7 +158,6 @@ function renderStatus(status) {
     $("t-running").textContent = fmt(q.running);
     const st = (sched.stats && sched.stats.counters) || {};
     $("t-steals").textContent = fmt(st.steals);
-    $("t-spec").textContent = fmt(st.speculations);
     if (q.pending !== undefined) {
       queueDepths.push((q.pending || 0) + (q.running || 0));
       if (queueDepths.length > 240) queueDepths.shift();

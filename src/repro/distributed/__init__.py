@@ -13,16 +13,14 @@ on one host or across a cluster, ``inproc://`` channels for socketless
 in-process fleets -- a thousand simulated workers in one process.
 
 Scheduling is pull-based with guided leases (each reply carries an equal
-share of what is queued; the worker drains it in one hop), plus **work
-stealing** (idle
-workers steal the queued tail of loaded workers' leases) and **speculative
-re-execution** (straggler cells are duplicated onto idle workers; the first
-result wins and the losers are cancelled).  Both ride on the runtime's
-duplicate-result idempotence -- results are keyed by position and every
-cell carries its own deterministic seed -- so they change the wall clock,
-never the rows.  Fault tolerance is retry-based (a dead worker's lease is
-requeued, and the cell it was running is charged against a bounded budget) and campaigns are resumable
-through an append-only JSONL journal
+share of what is queued; the worker drains it in one hop), plus two-phase
+**work stealing** (idle workers take back the queued, never-started tail
+of loaded workers' leases), so a cell has at most one live attempt at a
+time.  Results are keyed by position and every cell carries its own
+deterministic seed, so scheduling changes the wall clock, never the rows.
+Fault tolerance is retry-based (a dead worker's lease is requeued, and the
+cell it was running is charged against a bounded budget) and campaigns are
+resumable through an append-only JSONL journal
 (:class:`~repro.distributed.campaign.CampaignJournal`).
 
 The public entry points:

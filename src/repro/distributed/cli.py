@@ -19,14 +19,14 @@
 
 Addresses are scheme-prefixed comm addresses (``tcp://HOST:PORT``,
 ``inproc://NAME``; see :mod:`repro.distributed.comm`), and the scheduling
-knobs of the runtime -- guided leases, work stealing, speculative
-re-execution -- are exposed as flags on ``scheduler`` and ``run``.
+knobs of the runtime -- guided leases and work stealing -- are exposed as
+flags on ``scheduler`` and ``run``.
 
 ``scheduler`` and ``run`` accept the same scenario selection as
 ``python -m repro.scenarios run`` (names or ``--all`` [``--tag``]) and print
 the same ok/FAIL summary lines plus a scheduler-stats line (steals,
-speculations, retries...); exit codes are 0 on success, 1 when a scenario
-fails, 2 on usage errors.  The scenarios CLI reaches the same runtime
+retries...); exit codes are 0 on success, 1 when a scenario fails, 2 on
+usage errors.  The scenarios CLI reaches the same runtime
 through ``python -m repro.scenarios run --executor tcp://...`` (or
 ``--executor inproc://``).
 """
@@ -100,15 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--no-steal", action="store_true",
         help="disable work stealing from loaded workers' leases",
-    )
-    common.add_argument(
-        "--no-speculate", action="store_true",
-        help="disable speculative re-execution of straggler cells",
-    )
-    common.add_argument(
-        "--speculation-delay", type=float, default=5.0, metavar="SECONDS",
-        help="minimum age of a running cell before it is duplicated onto an "
-             "idle worker (default: 5)",
     )
     common.add_argument(
         "--record", type=Path, default=None, metavar="DIR",
@@ -230,8 +221,6 @@ def _scheduling_kwargs(args: argparse.Namespace) -> dict:
         "stall_timeout": args.stall_timeout,
         "prefetch": args.prefetch,
         "steal": not args.no_steal,
-        "speculate": not args.no_speculate,
-        "speculation_delay": args.speculation_delay,
     }
 
 

@@ -23,10 +23,10 @@ selection goes through :func:`repro.experiments.executors.resolve_executor`:
   makes it an honest backend for tests that want a thousand workers.
 
 Each ``map`` call runs one campaign: start a
-:class:`~repro.distributed.scheduler.Scheduler` (work stealing and
-speculative re-execution are **on** by default here, and leases are
-uncapped guided shares -- ``ceil(pending / connected workers)`` cells per
-reply, drained by the worker in one thread hop), register the campaign,
+:class:`~repro.distributed.scheduler.Scheduler` (work stealing is **on**
+by default here, and leases are uncapped guided shares -- ``ceil(pending /
+connected workers)`` cells per reply, drained by the worker in one thread
+hop), register the campaign,
 then raise the local fleet -- forked processes for ``tcp://``, event-loop
 coroutines for ``inproc://``, either babysat so a dead worker costs a retry
 of the cell it was running, not the sweep -- stream the ordered outcomes,
@@ -36,7 +36,7 @@ no first request is answered ``idle``.  With ``journal=`` (or
 as they finish and a restarted campaign re-executes only the incomplete
 ones.  After each campaign the scheduler's counters are published on
 :attr:`last_stats` (and accumulated on :attr:`stats`) so callers and the CLI
-can report steals, speculations and retries.
+can report steals and retries.
 """
 
 from __future__ import annotations
@@ -94,13 +94,13 @@ class DistributedExecutor(Executor):
     stall_timeout:
         Abort the campaign when no worker has been connected for this long
         (``None`` waits forever -- sensible only for interactive use).
-    prefetch / steal / speculate / speculation_delay / max_speculative:
+    prefetch / steal:
         Scheduling knobs, forwarded to the :class:`Scheduler`.  Unlike the
         raw scheduler's conservative pull-of-one default, the executor
         defaults to ``prefetch=None`` -- no cap on the guided lease of
-        ``ceil(pending / connected workers)`` cells -- with stealing and
-        speculation enabled: outcomes are keyed by position and each cell
-        carries its own seed, so these change the wall clock, never the rows.
+        ``ceil(pending / connected workers)`` cells -- with stealing
+        enabled: outcomes are keyed by position and each cell carries its
+        own seed, so these change the wall clock, never the rows.
     telemetry:
         Where each campaign scheduler publishes its events: ``None``
         (default) uses the process-wide :func:`repro.telemetry.get_bus`,
@@ -123,9 +123,6 @@ class DistributedExecutor(Executor):
         stall_timeout: Optional[float] = 120.0,
         prefetch: Optional[int] = None,
         steal: bool = True,
-        speculate: bool = True,
-        speculation_delay: float = 5.0,
-        max_speculative: int = 1,
         telemetry: Union[None, bool, TelemetryBus] = None,
     ) -> None:
         comm_core.validate_address(address)  # fail early, with the friendly message
@@ -145,9 +142,6 @@ class DistributedExecutor(Executor):
         self.stall_timeout = stall_timeout
         self.prefetch = prefetch
         self.steal = steal
-        self.speculate = speculate
-        self.speculation_delay = speculation_delay
-        self.max_speculative = max_speculative
         self.telemetry = telemetry
         #: Counters of the most recently finished campaign, and their
         #: accumulation across every campaign this executor ran.
@@ -183,9 +177,6 @@ class DistributedExecutor(Executor):
                 stall_timeout=self.stall_timeout,
                 prefetch=self.prefetch,
                 steal=self.steal,
-                speculate=self.speculate,
-                speculation_delay=self.speculation_delay,
-                max_speculative=self.max_speculative,
                 telemetry=self.telemetry,
             )
             scheduler.start()

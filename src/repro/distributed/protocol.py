@@ -41,12 +41,6 @@ op             direction  meaning
                           ``campaign`` back (an idle worker wants to steal)
 ``revoked``    w -> s     steal confirmation: ``indices`` were still queued
                           and dropped, ``kept`` had already started
-``cancel``     s -> w     assignment (``index``, ``attempt``) lost the
-                          speculative race; skip it or drop its result
-``discarded``  w -> s     answer to a ``cancel`` once the worker is done
-                          with the entry (skipped, or run and its result
-                          dropped): ``campaign``, ``index``, ``attempt``;
-                          sent before the next lease entry starts (no ack)
 ``telemetry``  w -> s     batched local telemetry events: ``worker``,
                           ``events`` (list of ``{topic, seq, time,
                           payload}``), ``dropped`` (local overflow count);

@@ -17,34 +17,27 @@ Scheduling model:
   The reply forms the worker's *lease*, a local backlog it drains in order,
   sending each result before it starts the next cell.  The scheduler tracks
   every lease, and the head of one is the cell its worker is running: an
-  entry leaves the lease only when the worker's frame for it (``result``,
-  ``discarded`` after a cancel, or ``revoked``) arrives.
+  entry leaves the lease only when the worker's frame for it (``result`` or
+  ``revoked``) arrives.
 * **work stealing**: when the global queue is dry, an idle worker's request
   triggers a steal from the tail of the most-loaded worker's lease.  The
   steal is two-phase: the victim gets a ``revoke`` push and answers with a
   ``revoked`` frame naming the cells it *actually* still had queued (it may
   have started some in the meantime); only those confirmed cells are
   requeued and handed to idle workers.  Stealing therefore never duplicates
-  an execution -- a cell runs twice only when speculation chooses to.
-* **speculative re-execution**: when queue and leases are all dry but cells
-  are still executing, a straggler -- a lease head that has been running
-  for longer than ``speculation_delay``; cells queued behind it have not
-  started and never qualify -- is duplicated onto the idle worker.  The
-  first result wins; every other live attempt gets a ``cancel`` push, which
-  its worker answers with ``discarded`` (or, if it finished first, a late
-  result counted as a duplicate).  Correctness rides on the duplicate-result idempotence the
-  runtime always had: results are keyed by position, and each cell carries
-  its own deterministic seed, so *which* attempt wins cannot change a row.
+  an execution: a cell has at most one live attempt at any time, and only
+  a worker loss or a confirmed steal moves it to another worker.
 * **ordered streaming**: :meth:`run_campaign` yields outcomes in submission
   order (out-of-order completions are buffered), which is what keeps
   distributed rows bit-identical to
   :class:`~repro.experiments.executors.SerialExecutor` rows under stealing
-  and speculation alike.
+  and retries alike: results are keyed by position, and each cell carries
+  its own deterministic seed, so *which* worker runs a cell cannot change a
+  row.
 * **fault tolerance**: a dropped connection or a missed-heartbeat eviction
-  requeues the worker's lease at the *front* of the queue, unless another
-  live (speculative) attempt already covers a cell.  Only the lease head --
-  the cell that was running -- is charged a retry; the cells queued behind
-  it never started and go back free.  Past a bounded per-cell retry budget
+  requeues the worker's lease at the *front* of the queue.  Only the lease
+  head -- the cell that was running -- is charged a retry; the cells queued
+  behind it never started and go back free.  Past a bounded per-cell retry budget
   the cell is failed with a ``WorkerLostError`` outcome that the harness
   surfaces as :class:`~repro.experiments.harness.CellExecutionError`.
 * **resumability**: with a
@@ -110,8 +103,6 @@ class SchedulerStats:
     journal_hits: int = 0
     worker_lost_failures: int = 0
     steals: int = 0
-    speculations: int = 0
-    cancels: int = 0
 
     def counters(self) -> Dict[str, int]:
         """The raw monotonic counters, in declaration order."""
@@ -130,9 +121,6 @@ class SchedulerStats:
         attempts = delivered + counters["duplicates"]
         rates: Dict[str, float] = {
             "steal_fraction": counters["steals"] / delivered if delivered else 0.0,
-            "speculation_fraction": (
-                counters["speculations"] / delivered if delivered else 0.0
-            ),
             "duplicate_fraction": counters["duplicates"] / attempts if attempts else 0.0,
             "retry_fraction": counters["retries"] / delivered if delivered else 0.0,
         }
@@ -157,10 +145,6 @@ class _Assignment:
     position: int
     attempt: int
     conn: "_WorkerConn"
-    #: The speculation clock: stamped at assignment and restarted when the
-    #: cell becomes its worker's lease head, i.e. when the worker starts it.
-    assigned_at: float
-    speculative: bool = False
     #: A revoke asking for this cell back is in flight; it stays the
     #: worker's until the worker confirms it never started it.
     revoking: bool = False
@@ -173,13 +157,11 @@ class _WorkerConn:
     worker_id: str
     comm: Comm
     last_seen: float
-    #: Live assignments keyed by position (a worker never holds two
-    #: attempts of the same cell).
+    #: Live assignments keyed by position, in dispatch order.
     assignments: Dict[int, _Assignment] = field(default_factory=dict)
-    #: Positions in dispatch order; the head is the cell the worker is
-    #: running (see :meth:`Scheduler._drop_from_lease`), the tail is the
-    #: stealable backlog it has not started.  A cancelled entry stays until
-    #: the worker answers ``discarded``, without an entry in ``assignments``.
+    #: The same positions in dispatch order; the head is the cell the worker
+    #: is running (it sends each result before it starts the next entry),
+    #: the tail is the stealable backlog it has not started.
     lease: Deque[int] = field(default_factory=deque)
     fn_campaign: Optional[str] = None  # campaign the fn payload was sent for
     evicted: bool = False
@@ -208,7 +190,7 @@ class _Campaign:
     results: Dict[int, CellOutcome] = field(default_factory=dict)
     attempts: Dict[int, int] = field(default_factory=dict)      # total assignments
     loss_retries: Dict[int, int] = field(default_factory=dict)  # worker-loss requeues
-    running: Dict[int, List[_Assignment]] = field(default_factory=dict)
+    running: Dict[int, _Assignment] = field(default_factory=dict)  # the live attempt
 
 
 class CampaignStalled(RuntimeError):
@@ -248,18 +230,9 @@ class Scheduler:
     steal:
         Let idle workers steal queued-but-unstarted cells from the most
         loaded worker's lease when the global queue is dry.
-    speculate:
-        Let idle workers run duplicate attempts of straggler cells (older
-        than ``speculation_delay``); first result wins, losers are
-        cancelled.
-    speculation_delay:
-        Minimum age (seconds) of a running attempt before it is considered
-        a straggler worth duplicating.
-    max_speculative:
-        Extra concurrent attempts allowed per cell on top of the primary.
     telemetry:
         Where scheduling events (worker membership, assignments, steals,
-        speculation, queue depth, stats snapshots) are published: ``None``
+        queue depth, stats snapshots) are published: ``None``
         (default) uses the process-wide bus from
         :func:`repro.telemetry.get_bus`, a :class:`TelemetryBus` targets
         that bus, ``False`` disables publishing entirely.  Telemetry is
@@ -278,9 +251,6 @@ class Scheduler:
         stall_timeout: Optional[float] = None,
         prefetch: Optional[int] = 1,
         steal: bool = True,
-        speculate: bool = True,
-        speculation_delay: float = 5.0,
-        max_speculative: int = 1,
         telemetry: Union[None, bool, TelemetryBus] = None,
     ) -> None:
         if heartbeat_timeout <= heartbeat_interval:
@@ -289,10 +259,6 @@ class Scheduler:
             raise ValueError("max_retries must be >= 0")
         if prefetch is not None and prefetch < 1:
             raise ValueError("prefetch must be >= 1 (or None for no cap)")
-        if speculation_delay <= 0:
-            raise ValueError("speculation_delay must be > 0")
-        if max_speculative < 0:
-            raise ValueError("max_speculative must be >= 0")
         comm_core.validate_address(address)
         self._requested_address = address
         self.heartbeat_interval = heartbeat_interval
@@ -302,9 +268,6 @@ class Scheduler:
         self.stall_timeout = stall_timeout
         self.prefetch = prefetch
         self.steal = steal
-        self.speculate = speculate
-        self.speculation_delay = speculation_delay
-        self.max_speculative = max_speculative
         self.stats = SchedulerStats()
         if telemetry is False:
             self._bus: Optional[TelemetryBus] = None
@@ -672,10 +635,6 @@ class Scheduler:
                     await self._handle_result(conn, message)
                 elif op == "revoked":
                     self._handle_revoked(conn, message)
-                elif op == "discarded":
-                    index = int(message.get("index", -1))  # type: ignore[arg-type]
-                    with self._lock:
-                        self._drop_from_lease(conn, index)
                 elif op == "telemetry":
                     self._handle_telemetry(conn, message)
                 elif op == "heartbeat":
@@ -818,7 +777,7 @@ class Scheduler:
             "stats": stats,
         }
 
-    # -- assignment: queue, steal, speculate --------------------------------
+    # -- assignment: queue, steal -------------------------------------------
 
     def _lease_size(self, campaign: _Campaign) -> int:
         """Cells for the next ``task`` reply (lock held).
@@ -831,51 +790,21 @@ class Scheduler:
         return size if self.prefetch is None else min(size, self.prefetch)
 
     def _assign(
-        self, campaign: _Campaign, conn: _WorkerConn, position: int, *, speculative: bool
+        self, campaign: _Campaign, conn: _WorkerConn, position: int
     ) -> Dict[str, object]:
         """Record one attempt and build its wire entry (lock held)."""
 
         attempt = campaign.attempts.get(position, 0) + 1
         campaign.attempts[position] = attempt
-        assignment = _Assignment(
-            position=position,
-            attempt=attempt,
-            conn=conn,
-            assigned_at=time.monotonic(),
-            speculative=speculative,
-        )
+        assignment = _Assignment(position=position, attempt=attempt, conn=conn)
         conn.assignments[position] = assignment
         conn.lease.append(position)
-        campaign.running.setdefault(position, []).append(assignment)
+        campaign.running[position] = assignment
         return {
             "index": position,
             "attempt": attempt,
             "cell": protocol.encode_payload(campaign.cells[position]),
         }
-
-    @staticmethod
-    def _drop_from_lease(conn: _WorkerConn, position: int) -> None:
-        """Remove ``position`` from ``conn``'s lease (lock held).
-
-        Called when the worker's frame for the entry arrives -- its
-        ``result``, its ``discarded`` notice after a cancel, or a ``revoked``
-        confirmation.  The worker sends that frame before it pops the next
-        entry, so when the head goes the new head has just started, and its
-        speculation clock restarts now.
-        """
-
-        lease = conn.lease
-        if not lease:
-            return
-        was_head = lease[0] == position
-        try:
-            lease.remove(position)
-        except ValueError:
-            return
-        if was_head and lease:
-            head = conn.assignments.get(lease[0])
-            if head is not None:
-                head.assigned_at = time.monotonic()
 
     def _request_steal(
         self, campaign: _Campaign, thief: _WorkerConn
@@ -891,17 +820,13 @@ class Scheduler:
         """
 
         def stealable(conn: _WorkerConn) -> List[int]:
-            tail = (conn.assignments.get(position) for position in list(conn.lease)[1:])
-            return [a.position for a in tail if a is not None and not a.revoking]
+            tail = list(conn.lease)[1:]
+            return [p for p in tail if not conn.assignments[p].revoking]
 
         # Candidate victims come from the live assignments, not the fleet:
         # with thousands of mostly-idle workers, the scan must be bounded by
         # outstanding work, not by fleet size.
-        loaded = {
-            id(a.conn): a.conn
-            for attempts in campaign.running.values()
-            for a in attempts
-        }
+        loaded = {id(a.conn): a.conn for a in campaign.running.values()}
         victim, candidates = None, []
         for candidate in loaded.values():
             if candidate is thief or candidate.evicted:
@@ -948,22 +873,12 @@ class Scheduler:
                 return
             requeue: List[int] = []
             for position in removed:
-                self._drop_from_lease(conn, position)
                 assignment = conn.assignments.pop(position, None)
                 if assignment is None:
                     continue
-                live = campaign.running.get(position)
-                if live is not None:
-                    live = [a for a in live if a is not assignment]
-                    if live:
-                        campaign.running[position] = live
-                    else:
-                        del campaign.running[position]
-                if (
-                    position not in campaign.done
-                    and position not in campaign.pending
-                    and position not in campaign.running
-                ):
+                conn.lease.remove(position)
+                if campaign.running.get(position) is assignment:
+                    del campaign.running[position]
                     requeue.append(position)
                     self.stats.steals += 1
             # Front of the queue, oldest first: stolen cells are older than
@@ -986,42 +901,9 @@ class Scheduler:
                 victim=conn.worker_id, positions=stolen,
             )
 
-    def _speculative_candidate(
-        self, campaign: _Campaign, conn: _WorkerConn
-    ) -> Optional[int]:
-        """The oldest straggler cell worth duplicating onto ``conn`` (lock held).
-
-        Only attempts at the head of their worker's lease count: a cell
-        queued behind it has not started, however long ago it was leased,
-        and duplicating it would let both copies run.
-        """
-
-        if self.max_speculative < 1:
-            return None
-        now = time.monotonic()
-        best: Optional[Tuple[float, int]] = None
-        for position, attempts in campaign.running.items():
-            if position in campaign.done or position in conn.assignments:
-                continue
-            if not attempts or len(attempts) > self.max_speculative:
-                continue
-            started = [
-                a.assigned_at
-                for a in attempts
-                if a.conn.lease and a.conn.lease[0] == position
-            ]
-            if not started:
-                continue
-            oldest = min(started)
-            if now - oldest < self.speculation_delay:
-                continue
-            if best is None or oldest < best[0]:
-                best = (oldest, position)
-        return best[1] if best is not None else None
-
     async def _handle_request(self, conn: _WorkerConn) -> None:
         pushes: List[Tuple[_WorkerConn, Dict[str, object]]] = []
-        assigned: List[Tuple[int, int, bool]] = []  # (position, attempt, speculative)
+        assigned: List[Tuple[int, int]] = []  # (position, attempt)
         steal_victim: Optional[str] = None
         queue_sample: Optional[Dict[str, Any]] = None
         assign_started = time.monotonic() if self._bus is not None else None
@@ -1034,21 +916,13 @@ class Scheduler:
                     position = campaign.pending.popleft()
                     if position in campaign.done or position in conn.assignments:
                         continue
-                    batch.append(self._assign(campaign, conn, position, speculative=False))
-                    assigned.append((position, campaign.attempts[position], False))
+                    batch.append(self._assign(campaign, conn, position))
+                    assigned.append((position, campaign.attempts[position]))
                 if not batch and self.steal:
                     push = self._request_steal(campaign, conn)
                     if push is not None:
                         pushes.append(push)
                         steal_victim = push[0].worker_id
-                if not batch and not pushes and self.speculate:
-                    position = self._speculative_candidate(campaign, conn)
-                    if position is not None:
-                        batch.append(
-                            self._assign(campaign, conn, position, speculative=True)
-                        )
-                        assigned.append((position, campaign.attempts[position], True))
-                        self.stats.speculations += 1
                 if assigned:
                     queue_sample = self._queue_sample(campaign)
             if batch:
@@ -1066,18 +940,16 @@ class Scheduler:
                 reply = {"op": "idle", "delay": IDLE_DELAY}
         if assign_started is not None and assigned:
             # Lock-held selection latency: how long building this worker's
-            # batch took (queue pops + steal/speculate scans + wire entries).
+            # batch took (queue pops + steal scan + wire entries).
             self._emit(
                 TOPIC_SCHEDULER_SPANS, "span", name="scheduler.assign",
                 seconds=time.monotonic() - assign_started,
                 worker=conn.worker_id, cells=len(assigned),
             )
-        for position, attempt, speculative in assigned:
+        for position, attempt in assigned:
             self._emit(
-                TOPIC_ASSIGNMENTS,
-                "speculate" if speculative else "assign",
-                campaign=campaign.campaign_id, position=position,
-                attempt=attempt, worker=conn.worker_id, speculative=speculative,
+                TOPIC_ASSIGNMENTS, "assign", campaign=campaign.campaign_id,
+                position=position, attempt=attempt, worker=conn.worker_id,
             )
         if steal_victim is not None:
             self._emit(
@@ -1099,13 +971,12 @@ class Scheduler:
         outcome = protocol.decode_payload(str(message.get("outcome")))
         position = int(message.get("index", -1))  # type: ignore[arg-type]
         record = None
-        cancels: List[Tuple[_WorkerConn, Dict[str, object]]] = []
         queue_sample: Optional[Dict[str, Any]] = None
         with self._lock:
             campaign = self._campaign
             # This connection's bookkeeping for the cell is settled either way.
-            assignment = conn.assignments.pop(position, None)
-            self._drop_from_lease(conn, position)
+            if conn.assignments.pop(position, None) is not None:
+                conn.lease.remove(position)
             if (
                 campaign is None
                 or campaign.campaign_id != message.get("campaign")
@@ -1122,26 +993,7 @@ class Scheduler:
             campaign.done.add(position)
             campaign.results[position] = outcome
             self.stats.results += 1
-            # First result wins: cancel every other live attempt of the cell.
-            for loser in campaign.running.pop(position, []):
-                if loser is assignment:
-                    continue
-                # The entry stays in the loser's lease until the worker
-                # answers the cancel with ``discarded``: until then it may
-                # be running, and the cells behind it have not started.
-                loser.conn.assignments.pop(position, None)
-                self.stats.cancels += 1
-                cancels.append(
-                    (
-                        loser.conn,
-                        {
-                            "op": "cancel",
-                            "campaign": campaign.campaign_id,
-                            "index": position,
-                            "attempt": loser.attempt,
-                        },
-                    )
-                )
+            campaign.running.pop(position, None)
             if self.journal is not None and not outcome.failed:
                 record = (campaign.cells[position], outcome, campaign.version)
             queue_sample = self._queue_sample(campaign)
@@ -1149,15 +1001,10 @@ class Scheduler:
         self._emit(
             TOPIC_ASSIGNMENTS, "result", campaign=campaign.campaign_id,
             position=position, worker=conn.worker_id,
-            failed=bool(outcome.failed), cancelled_attempts=len(cancels),
+            failed=bool(outcome.failed),
         )
         if queue_sample is not None:
             self._emit(TOPIC_QUEUE, "queue-sample", **queue_sample)
-        for loser_conn, cancel in cancels:
-            try:
-                await loser_conn.comm.send(cancel)
-            except (CommError, OSError):
-                pass
         if record is not None:
             self.journal.record(*record)
 
@@ -1169,9 +1016,7 @@ class Scheduler:
         Only the lease head -- the cell the worker was running when it died
         -- is charged against the retry budget: the worker sends each result
         before it starts the next cell, so every entry behind the head never
-        started and goes back to the queue free.  A head that lost a
-        speculative race (cancelled, but not yet answered ``discarded``) is
-        settled, so nothing is charged.
+        started and goes back to the queue free.
         """
 
         with self._lock:
@@ -1179,17 +1024,12 @@ class Scheduler:
                 del self._conns[conn.worker_id]
             workers = len(self._conns)
             lost_before = self.stats.worker_lost_failures
-            # A cancelled entry still heading the lease is settled; the
-            # worker died finishing it, and nothing behind it had started.
             head = conn.lease[0] if conn.lease else None
-            positions = [p for p in conn.lease if p in conn.assignments]
-            for position in conn.assignments:
-                if position not in positions:
-                    positions.append(position)
+            lost = list(conn.assignments.values())
             conn.lease.clear()
             conn.assignments.clear()
             campaign = self._campaign
-            if campaign is None or not positions:
+            if campaign is None or not lost:
                 self._lock.notify_all()
                 self._emit(
                     TOPIC_WORKERS, "worker-left", worker=conn.worker_id,
@@ -1197,18 +1037,11 @@ class Scheduler:
                 )
                 return
             requeue: List[int] = []
-            for position in positions:
-                if position in campaign.done:
-                    continue
-                live = campaign.running.get(position)
-                if live is not None:
-                    live = [a for a in live if a.conn is not conn]
-                    if live:
-                        # A speculative (or stolen) attempt is still running
-                        # elsewhere; the cell stays covered without a retry.
-                        campaign.running[position] = live
-                        continue
-                    del campaign.running[position]
+            for assignment in lost:
+                position = assignment.position
+                if campaign.running.get(position) is not assignment:
+                    continue  # settled, or left over from an ended campaign
+                del campaign.running[position]
                 if position != head:
                     requeue.append(position)
                     continue

@@ -10,21 +10,20 @@ scheduler (:mod:`repro.distributed.scheduler`):
   means sleep briefly and re-request;
 * a lease is run by one *drain loop* in one thread hop (``run_in_executor``;
   ``inline=True`` runs the same loop on the event loop thread).  It pops
-  each entry under a lock, checks cancellation before and after the cell,
-  and sends the result (telemetry first) with the comm's synchronous send
-  before it pops the next one -- so the head of the scheduler's view of the
-  lease is the running cell.  It is bound to its own connection's
-  backlog and stops at the next cell once that comm is closed;
+  each entry under a lock, runs the cell, and sends the result (telemetry
+  first) with the comm's synchronous send before it pops the next one --
+  so the head of the scheduler's view of the lease is the running cell.
+  It is bound to its own connection's backlog and stops at the next cell
+  once that comm is closed;
 * pushed frames arrive at any time: ``revoke`` asks for lease entries back
   for an idle worker to steal -- the worker drops, under the drain's lock,
   the ones not yet popped and confirms with a ``revoked`` frame (cells it
   already started stay its own, which is what keeps stealing
-  duplicate-free); ``cancel`` marks an assignment that lost a speculative
-  race: the drain skips it (or drops its result) and answers ``discarded``
-  instead, so every lease entry gets exactly one frame back;
+  duplicate-free), so every lease entry gets exactly one frame back: its
+  ``result`` or its place in a ``revoked`` confirmation;
 * a heartbeat task keeps ``heartbeat`` frames flowing on the same comm
-  while the drain runs (the event loop -- and with it heartbeats, revokes
-  and cancellation -- stays live during long cells);
+  while the drain runs (the event loop -- and with it heartbeats and
+  revokes -- stays live during long cells);
 * when the ``welcome`` advertises ``telemetry``, the worker times each
   cell's deserialize / execute / serialize phases plus its own idle waits
   with monotonic spans on a private local bus; the drain forwards them in
@@ -131,7 +130,6 @@ class AsyncWorker:
         #: executor hop but blocks the loop for the lease's duration.
         self.inline = inline
         self.cells_executed = 0
-        self.cells_cancelled = 0
         self.cells_revoked = 0
         self.events_forwarded = 0
         self._last_useful = time.monotonic()
@@ -140,7 +138,6 @@ class AsyncWorker:
         self._backlog: Deque[Dict[str, Any]] = deque()
         self._backlog_lock = threading.Lock()
         self._draining = False
-        self._cancelled: Set[Tuple[str, int, int]] = set()
         self._fn: Tuple[Optional[str], Optional[Callable[[Cell], CellOutcome]]] = (None, None)
         self._idle_delay: Optional[float] = None
         self._wake: Optional[asyncio.Event] = None
@@ -184,7 +181,6 @@ class AsyncWorker:
     async def _serve(self, comm: Comm) -> None:
         self._backlog = deque()
         self._draining = False
-        self._cancelled = set()
         self._fn = (None, None)
         self._idle_delay = None
         self._wake = asyncio.Event()
@@ -304,14 +300,6 @@ class AsyncWorker:
                 self._wake.set()
             elif op == "revoke":
                 await comm.send(self._revoke(message))
-            elif op == "cancel":
-                self._cancelled.add(
-                    (
-                        str(message.get("campaign")),
-                        int(message.get("index", -1)),
-                        int(message.get("attempt", 0)),
-                    )
-                )
             else:
                 raise protocol.ProtocolError(f"unexpected op {op!r} from scheduler")
 
@@ -422,7 +410,6 @@ class AsyncWorker:
         next cell, leaving the rest of the backlog untouched.
         """
 
-        cancelled = self._cancelled
         spans = self._spans
         while True:
             with self._backlog_lock:
@@ -432,10 +419,6 @@ class AsyncWorker:
                     raise protocol.ConnectionClosed("connection closed mid-lease")
                 item = backlog.popleft()
             campaign = item["campaign"]
-            key = (campaign, item["index"], item["attempt"])
-            if key in cancelled:
-                self._discard(comm, item)
-                continue
             with spans.span("cell.deserialize", campaign=campaign, index=item["index"]):
                 cell: Cell = protocol.decode_payload(str(item["cell"]))
             fn_campaign, fn = self._fn
@@ -447,11 +430,6 @@ class AsyncWorker:
                 outcome = self._call(fn, cell)
             self.cells_executed += 1
             self._mark_useful()
-            if key in cancelled:
-                # The speculative race was lost while the cell executed; the
-                # result is settled elsewhere and not worth sending.
-                self._discard(comm, item)
-                continue
             with spans.span("cell.serialize", campaign=campaign, index=item["index"]):
                 encoded = protocol.encode_payload(outcome)
             # Telemetry first: the frames are ordered, so this cell's spans are
@@ -470,21 +448,6 @@ class AsyncWorker:
                     "outcome": encoded,
                 }
             )
-
-    def _discard(self, comm: Comm, item: Dict[str, Any]) -> None:
-        """Answer a cancelled entry with ``discarded`` instead of a result."""
-
-        self._cancelled.discard((item["campaign"], item["index"], item["attempt"]))
-        self.cells_cancelled += 1
-        comm.send_sync(
-            {
-                "op": "discarded",
-                "worker": self.worker_id,
-                "campaign": item["campaign"],
-                "index": item["index"],
-                "attempt": item["attempt"],
-            }
-        )
 
     @staticmethod
     def _call(fn: Callable[[Cell], CellOutcome], cell: Cell) -> CellOutcome:

@@ -11,7 +11,8 @@ The default backend is selected by the ``REPRO_JOBS`` environment variable:
 * unset, ``serial`` or ``1`` -- serial;
 * an integer ``N > 1`` -- a local fleet of ``N`` forked workers behind a
   scheduler on an ephemeral loopback port (``tcp://127.0.0.1:0``);
-* ``0`` or ``auto`` -- the same fleet with one worker per CPU;
+* ``0`` or ``auto`` -- the same fleet with one worker per CPU (serial on
+  a one-CPU host, where a one-worker fleet only adds start-up cost);
 * ``tcp://HOST:PORT`` -- bind the scheduler there and wait for externally
   started workers;
 * ``inproc://NAME`` -- a socketless in-process fleet of coroutine workers,
@@ -131,9 +132,10 @@ def resolve_executor(spec: ExecutorSpec = None) -> Executor:
                 f"cannot resolve an executor from {source}: a worker count must "
                 f"be >= 0 (0 means one worker per CPU)"
             )
-        if spec == 1:
+        workers = spec or cpu_count()
+        if workers == 1:
             return SerialExecutor()
-        return _resolve_distributed(LOCAL_FLEET_ADDRESS, source, spec or cpu_count())
+        return _resolve_distributed(LOCAL_FLEET_ADDRESS, source, workers)
     raise TypeError(f"cannot resolve an executor from {spec!r}")
 
 

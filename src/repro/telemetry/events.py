@@ -22,7 +22,7 @@ TOPIC_SWEEP = "sweep"
 TOPIC_SCHEDULER = "scheduler"
 #: Worker membership: worker-joined / worker-evicted / worker-left.
 TOPIC_WORKERS = "scheduler.workers"
-#: Cell assignments, steals and speculative duplicates.
+#: Cell assignments, steals, results and late duplicate results.
 TOPIC_ASSIGNMENTS = "scheduler.assignments"
 #: Compact queue-depth samples (pending/running/done) for timelines.
 TOPIC_QUEUE = "scheduler.queue"

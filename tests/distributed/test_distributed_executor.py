@@ -96,8 +96,11 @@ def _wait_for(predicate, timeout=20.0):
     return True
 
 
-def _sole_holder_of_a_cell(scheduler, pid):
-    """True when worker process ``pid`` alone holds some unfinished cell."""
+def _holds_a_cell(scheduler, pid):
+    """True when worker process ``pid`` holds some unfinished cell.
+
+    A cell has one live attempt at a time, so that worker is its sole holder.
+    """
 
     with scheduler._lock:
         campaign = scheduler._campaign
@@ -106,10 +109,8 @@ def _sole_holder_of_a_cell(scheduler, pid):
         for worker_id, conn in scheduler._conns.items():
             if worker_id.rsplit("-", 2)[1] != str(pid):
                 continue
-            for position in conn.assignments:
-                attempts = campaign.running.get(position, ())
-                if position not in campaign.done and all(a.conn is conn for a in attempts):
-                    return True
+            if any(position not in campaign.done for position in conn.assignments):
+                return True
     return False
 
 
@@ -126,12 +127,12 @@ class TestWorkerLoss:
         for outcome in stream:
             outcomes.append(outcome)
             if len(outcomes) == 8:
-                # Kill worker 0 only once it holds a cell no other attempt
-                # covers: that cell is stranded and must be requeued.  (On a
-                # loaded host worker 0 may still be between cells here.)
+                # Kill worker 0 only once it holds an unfinished cell: that
+                # cell is stranded and must be requeued.  (On a loaded host
+                # worker 0 may still be between cells here.)
                 stats = executor.scheduler.stats
                 pid = executor.processes[0].pid
-                assert _wait_for(lambda: _sole_holder_of_a_cell(executor.scheduler, pid))
+                assert _wait_for(lambda: _holds_a_cell(executor.scheduler, pid))
                 os.kill(pid, signal.SIGKILL)
         assert len(outcomes) == 64
         rows = [dict(outcome.metrics) for outcome in outcomes]
@@ -246,8 +247,8 @@ class TestScenarioDigests:
             executor = fast_executor(workers=2)
         else:
             executor = DistributedExecutor("inproc://", workers=4, stall_timeout=30.0)
-        # Stealing and speculation are the executor's defaults -- the digest
-        # must not depend on which attempt of a cell wins.
-        assert executor.steal and executor.speculate
+        # Stealing is the executor's default -- the digest must not depend
+        # on which worker ends up running a cell.
+        assert executor.steal
         distributed = run_scenario(spec, smoke=True, executor=executor)
         assert rows_digest(distributed.rows) == rows_digest(serial.rows)

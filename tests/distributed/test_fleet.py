@@ -1,32 +1,35 @@
-"""Work stealing, speculation, and the 1000-worker in-process fleet.
+"""Work stealing, one attempt per cell, and the 1000-worker in-process fleet.
 
 The ``inproc://`` backend exists so scheduler behaviour at fleet scale is
 testable in one process: a thousand workers are a thousand coroutines on
 the scheduler's own event loop, no sockets or forks.  The contracts:
 
 * a 1000-worker fleet drains a multi-thousand-cell campaign with stealing
-  and speculation enabled, yields rows bit-identical to serial execution
-  in submission order, journals them, and evicts **nobody** (heartbeat
-  liveness under full load);
+  enabled, yields rows bit-identical to serial execution in submission
+  order, executes every cell exactly once, journals them, and evicts
+  **nobody** (heartbeat liveness under full load);
 * a journal-resumed campaign on a fresh fleet re-executes only the
   incomplete cells;
 * stealing is two-phase and therefore duplicate-free: cells move only
   after the victim confirms it never started them (white-box tests pin the
   victim selection, tail-only policy, and confirmation bookkeeping);
-* speculation duplicates a straggler onto an idle worker, the first result
-  wins, and the duplicate is what rescues the campaign's tail latency.
+* a cell has at most one live attempt: the speculative re-execution knobs,
+  flags and frames are gone, and using them fails loudly.
 """
 
 from __future__ import annotations
 
 import asyncio
-import os
+import threading
 import time
+from collections import Counter
 
 import pytest
 
 from repro.distributed import DistributedExecutor, Scheduler, protocol
+from repro.distributed.cli import main as distributed_main
 from repro.distributed.scheduler import _Campaign, _WorkerConn
+from repro.distributed.worker import AsyncWorker
 from repro.experiments.grid import CellFunction, expand_grid
 
 
@@ -34,21 +37,6 @@ def fleet_metrics(seed, i):
     # Cheap, deterministic, seed-sensitive: enough to catch any ordering
     # or attribution mistake in the scheduler.
     return {"value": (seed * 31 + i * 7) % 9973, "i": i}
-
-
-def straggler_metrics(seed, i, marker=""):
-    # The first execution of cell i==5 is a straggler; any re-execution of
-    # it (the speculative attempt) is fast.  Metrics are identical either
-    # way -- which attempt wins must not matter.
-    if i == 5 and marker:
-        try:
-            flag = open(marker, "x")
-        except FileExistsError:
-            pass
-        else:
-            flag.close()
-            time.sleep(2.5)
-    return {"i": i, "value": seed % 1009}
 
 
 class TestThousandWorkerFleet:
@@ -62,12 +50,14 @@ class TestThousandWorkerFleet:
             "inproc://",
             prefetch=2,
             steal=True,
-            speculate=True,
             journal=str(journal),
             stall_timeout=60.0,
         ) as scheduler:
-            for _ in range(1000):
-                scheduler.spawn_local_worker(inline=True)
+            # Built here rather than by spawn_local_worker so the test can
+            # read each worker's execution count afterwards.
+            workers = [AsyncWorker(scheduler.address, inline=True) for _ in range(1000)]
+            for worker in workers:
+                asyncio.run_coroutine_threadsafe(worker.run(), scheduler._loop)
             # Start the campaign only once the whole fleet has joined: on a
             # loaded host the cells could otherwise drain before the last
             # workers connect.
@@ -85,6 +75,9 @@ class TestThousandWorkerFleet:
         # The whole fleet joined and did the work...
         assert stats.workers_joined == 1000
         assert stats.results == len(cells)
+        # ...exactly once per cell: one attempt, no duplicate result...
+        assert stats.duplicates == 0
+        assert sum(worker.cells_executed for worker in workers) == len(cells)
         # ...and the heartbeat monitor evicted no healthy worker even with
         # a thousand connections hammering the loop (no eviction storm).
         assert stats.evictions == 0
@@ -127,7 +120,7 @@ class TestWorkStealingTwoPhase:
 
     @staticmethod
     def scheduler_with_campaign(cells, **kwargs):
-        defaults = dict(prefetch=4, steal=True, speculate=False)
+        defaults = dict(prefetch=4, steal=True)
         defaults.update(kwargs)
         scheduler = Scheduler("inproc://steal-test", **defaults)
         campaign = _Campaign(
@@ -142,7 +135,7 @@ class TestWorkStealingTwoPhase:
         victim = _WorkerConn(worker_id="victim", comm=None, last_seen=0.0)
         thief = _WorkerConn(worker_id="thief", comm=None, last_seen=0.0)
         for position in range(4):
-            scheduler._assign(campaign, victim, position, speculative=False)
+            scheduler._assign(campaign, victim, position)
 
         target, message = scheduler._request_steal(campaign, thief)
         assert target is victim
@@ -161,7 +154,7 @@ class TestWorkStealingTwoPhase:
         victim = _WorkerConn(worker_id="victim", comm=None, last_seen=0.0)
         thief = _WorkerConn(worker_id="thief", comm=None, last_seen=0.0)
         for position in range(4):
-            scheduler._assign(campaign, victim, position, speculative=False)
+            scheduler._assign(campaign, victim, position)
         _, message = scheduler._request_steal(campaign, thief)
 
         scheduler._handle_revoked(
@@ -179,7 +172,7 @@ class TestWorkStealingTwoPhase:
         victim = _WorkerConn(worker_id="victim", comm=None, last_seen=0.0)
         thief = _WorkerConn(worker_id="thief", comm=None, last_seen=0.0)
         for position in range(4):
-            scheduler._assign(campaign, victim, position, speculative=False)
+            scheduler._assign(campaign, victim, position)
         scheduler._request_steal(campaign, thief)
 
         # The victim raced ahead: by the time the revoke arrived it had
@@ -196,7 +189,7 @@ class TestWorkStealingTwoPhase:
         scheduler, campaign = self.scheduler_with_campaign(cells)
         victim = _WorkerConn(worker_id="victim", comm=None, last_seen=0.0)
         for position in range(6):
-            scheduler._assign(campaign, victim, position, speculative=False)
+            scheduler._assign(campaign, victim, position)
         thief_a = _WorkerConn(worker_id="a", comm=None, last_seen=0.0)
         thief_b = _WorkerConn(worker_id="b", comm=None, last_seen=0.0)
 
@@ -209,13 +202,19 @@ class TestWorkStealingTwoPhase:
         scheduler, campaign = self.scheduler_with_campaign(cells)
         busy_a = _WorkerConn(worker_id="a", comm=None, last_seen=0.0)
         busy_b = _WorkerConn(worker_id="b", comm=None, last_seen=0.0)
-        scheduler._assign(campaign, busy_a, 0, speculative=False)
-        scheduler._assign(campaign, busy_b, 1, speculative=False)
+        scheduler._assign(campaign, busy_a, 0)
+        scheduler._assign(campaign, busy_b, 1)
         thief = _WorkerConn(worker_id="t", comm=None, last_seen=0.0)
         assert scheduler._request_steal(campaign, thief) is None
 
 
+EXECUTIONS = Counter()
+_EXECUTIONS_LOCK = threading.Lock()
+
+
 def slow_first_metrics(seed, i):
+    with _EXECUTIONS_LOCK:
+        EXECUTIONS[i] += 1
     if i == 0:
         time.sleep(0.5)  # the worker holding cell 0 keeps a stealable tail
     return {"i": i, "value": seed % 1009}
@@ -266,7 +265,7 @@ class TestGuidedLeases:
         victim = _WorkerConn(worker_id="victim", comm=None, last_seen=0.0)
         thief = _WorkerConn(worker_id="thief", comm=None, last_seen=0.0)
         for position in range(8):
-            scheduler._assign(campaign, victim, position, speculative=False)
+            scheduler._assign(campaign, victim, position)
         _, message = scheduler._request_steal(campaign, thief)
         # Stealable tail [1..7]: its larger half, from the end.
         assert message["indices"] == [4, 5, 6, 7]
@@ -276,146 +275,64 @@ class TestGuidedLeases:
         fn = CellFunction(slow_first_metrics)
         executor = DistributedExecutor("inproc://", workers=2, stall_timeout=30.0)
         assert executor.prefetch is None
+        EXECUTIONS.clear()
         outcomes = list(executor.map(fn, cells))
+        # Stealing moved cells, yet every cell ran exactly once.
+        assert EXECUTIONS == Counter(range(8))
         assert [o.metrics for o in outcomes] == [fn(cell).metrics for cell in cells]
         assert executor.last_stats.steals >= 1
+        assert executor.last_stats.duplicates == 0
+        assert executor.last_stats.results == len(cells)
 
 
-class TestSpeculation:
-    def test_straggler_selection_respects_delay_and_attempt_cap(self):
-        cells = expand_grid({"i": [0, 1]}, repetitions=1, base_seed=7)
+class TestOneAttemptPerCell:
+    """A cell is on one worker at a time; only a loss or a steal moves it."""
+
+    def test_a_cell_has_a_single_live_attempt(self):
+        cells = expand_grid({"i": [0, 1, 2]}, repetitions=1, base_seed=7)
+        scheduler, campaign = TestWorkStealingTwoPhase.scheduler_with_campaign(cells)
+        worker = _WorkerConn(worker_id="w", comm=None, last_seen=0.0)
+        for position in range(3):
+            scheduler._assign(campaign, worker, position)
+        assert campaign.running == worker.assignments
+        assert list(worker.lease) == list(worker.assignments) == [0, 1, 2]
+
+    def test_a_result_promotes_the_next_head_which_alone_is_charged(self):
+        cells = expand_grid({"i": [0, 1, 2]}, repetitions=1, base_seed=7)
         scheduler, campaign = TestWorkStealingTwoPhase.scheduler_with_campaign(
-            cells, speculate=True, speculation_delay=0.5, prefetch=1
+            cells, telemetry=False
         )
-        busy = _WorkerConn(worker_id="busy", comm=None, last_seen=0.0)
-        idle = _WorkerConn(worker_id="idle", comm=None, last_seen=0.0)
-        scheduler._assign(campaign, busy, 0, speculative=False)
-
-        # Too young to be a straggler.
-        assert scheduler._speculative_candidate(campaign, idle) is None
-        campaign.running[0][0].assigned_at -= 1.0
-        assert scheduler._speculative_candidate(campaign, idle) == 0
-        # Never a second attempt on the worker already running it.
-        assert scheduler._speculative_candidate(campaign, busy) is None
-        # max_speculative=1 caps the cell at two live attempts total.
-        scheduler._assign(campaign, idle, 0, speculative=True)
-        third = _WorkerConn(worker_id="third", comm=None, last_seen=0.0)
-        assert scheduler._speculative_candidate(campaign, third) is None
-
-    def test_speculative_duplicate_rescues_a_straggler_end_to_end(self, tmp_path):
-        marker = tmp_path / "straggler-started"
-        import functools
-
-        fn = functools.partial(straggler_metrics, marker=str(marker))
-        cells = expand_grid({"i": list(range(8))}, repetitions=1, base_seed=11)
-        executor = DistributedExecutor(
-            "inproc://",
-            workers=2,
-            speculation_delay=0.3,
-            stall_timeout=30.0,
-        )
-        started = time.monotonic()
-        stream = executor.map(CellFunction(fn), cells)
-        outcomes = [next(stream) for _ in range(len(cells))]
-        streamed_in = time.monotonic() - started
-        list(stream)  # run the generator's teardown
-
-        assert [o.metrics["i"] for o in outcomes] == list(range(8))
-        assert all(o.error is None for o in outcomes)
-        # The straggler's first attempt sleeps 2.5s; the full ordered stream
-        # arriving well before that proves the speculative duplicate won.
-        assert streamed_in < 2.0, f"speculation did not rescue the straggler ({streamed_in:.1f}s)"
-        assert executor.last_stats.speculations >= 1
-        assert os.path.exists(marker)
-
-
-def always_slow_first_metrics(seed, i):
-    if i == 0:
-        time.sleep(1.2)  # every attempt of cell 0 is slow
-    return {"i": i, "value": seed % 1009}
-
-
-class TestSpeculationClock:
-    """Only a lease head -- a started cell -- can be a straggler."""
-
-    @staticmethod
-    def busy_and_idle(count):
-        cells = expand_grid({"i": list(range(count))}, repetitions=1, base_seed=7)
-        scheduler, campaign = TestWorkStealingTwoPhase.scheduler_with_campaign(
-            cells, speculate=True, speculation_delay=0.5, prefetch=None,
-            telemetry=False,
-        )
-        busy = _WorkerConn(worker_id="busy", comm=_CaptureComm(), last_seen=0.0)
-        idle = _WorkerConn(worker_id="idle", comm=_CaptureComm(), last_seen=0.0)
-        for position in range(count):
-            scheduler._assign(campaign, busy, position, speculative=False)
-        for attempt in busy.assignments.values():
-            attempt.assigned_at -= 1.0  # the whole lease was handed out long ago
-        return cells, scheduler, campaign, busy, idle
-
-    def test_cells_queued_behind_the_head_are_never_duplicated(self):
-        _, scheduler, campaign, busy, idle = self.busy_and_idle(3)
-        assert scheduler._speculative_candidate(campaign, idle) == 0
-        scheduler._assign(campaign, idle, 0, speculative=True)
-        third = _WorkerConn(worker_id="third", comm=None, last_seen=0.0)
-        # 0 is at its attempt cap; 1 and 2 are old but not started.
-        assert scheduler._speculative_candidate(campaign, third) is None
-
-    def test_the_next_head_starts_its_clock_when_the_worker_reaches_it(self):
-        cells, scheduler, campaign, busy, idle = self.busy_and_idle(3)
+        worker = _WorkerConn(worker_id="w", comm=None, last_seen=0.0)
+        for position in range(3):
+            scheduler._assign(campaign, worker, position)
         outcome = CellFunction(fleet_metrics)(cells[0])
-        asyncio.run(scheduler._handle_result(busy, {
+        asyncio.run(scheduler._handle_result(worker, {
             "op": "result", "campaign": "c1", "index": 0, "attempt": 1,
             "outcome": protocol.encode_payload(outcome),
         }))
-        assert list(busy.lease) == [1, 2]
-        assert scheduler._speculative_candidate(campaign, idle) is None  # just started
-        busy.assignments[1].assigned_at -= 1.0
-        assert scheduler._speculative_candidate(campaign, idle) == 1
-
-    def test_a_cancelled_head_holds_the_lease_until_discarded(self):
-        cells, scheduler, campaign, busy, idle = self.busy_and_idle(3)
-        scheduler._assign(campaign, idle, 0, speculative=True)
-        outcome = CellFunction(fleet_metrics)(cells[0])
-        asyncio.run(scheduler._handle_result(idle, {
-            "op": "result", "campaign": "c1", "index": 0, "attempt": 2,
-            "outcome": protocol.encode_payload(outcome),
-        }))
-        (cancel,) = busy.comm.sent
-        assert cancel["op"] == "cancel" and cancel["index"] == 0
-        # The busy worker may still be running 0, so 1 has not started.
-        assert list(busy.lease) == [0, 1, 2]
-        assert scheduler._speculative_candidate(campaign, idle) is None
-        # Lost now, it is charged nothing: 0 is settled, 1 and 2 never ran.
-        scheduler._forget_connection(busy)
-        assert list(campaign.pending) == [1, 2]
-        assert campaign.loss_retries == {} and scheduler.stats.retries == 0
-
-    def test_discarded_promotes_the_next_head(self):
-        cells, scheduler, campaign, busy, idle = self.busy_and_idle(3)
-        scheduler._assign(campaign, idle, 0, speculative=True)
-        outcome = CellFunction(fleet_metrics)(cells[0])
-        asyncio.run(scheduler._handle_result(idle, {
-            "op": "result", "campaign": "c1", "index": 0, "attempt": 2,
-            "outcome": protocol.encode_payload(outcome),
-        }))
-        with scheduler._lock:
-            scheduler._drop_from_lease(busy, 0)  # what a ``discarded`` frame does
-        assert list(busy.lease) == [1, 2]
-        scheduler._forget_connection(busy)
+        assert list(worker.lease) == [1, 2] and 0 not in campaign.running
+        scheduler._forget_connection(worker)
         # 1 was running when the worker died: it alone is charged.
         assert list(campaign.pending) == [1, 2]
         assert campaign.loss_retries == {1: 1} and scheduler.stats.retries == 1
+        assert campaign.running == {}
 
-    def test_no_unstarted_cell_is_speculated_without_stealing(self):
-        cells = expand_grid({"i": list(range(6))}, repetitions=1, base_seed=11)
-        fn = CellFunction(always_slow_first_metrics)
-        executor = DistributedExecutor(
-            "inproc://", workers=3, steal=False, speculation_delay=0.3,
-            stall_timeout=30.0,
-        )
-        outcomes = list(executor.map(fn, cells))
-        assert [o.metrics for o in outcomes] == [fn(cell).metrics for cell in cells]
-        # Cell 0 is the only started straggler; the cells leased behind it
-        # are older than the delay but must not be duplicated.
-        assert executor.last_stats.speculations == 1
+    @pytest.mark.parametrize("knob", [
+        {"speculate": True}, {"speculation_delay": 1.0}, {"max_speculative": 1},
+    ])
+    def test_speculation_knobs_are_gone(self, knob):
+        with pytest.raises(TypeError):
+            DistributedExecutor("inproc://", workers=1, **knob)
+        with pytest.raises(TypeError):
+            Scheduler("inproc://", **knob)
+
+    @pytest.mark.parametrize("command", [
+        ["run", "fig2.bicriteria", "--smoke"],
+        ["scheduler", "fig2.bicriteria", "--smoke", "--bind", "inproc://"],
+    ])
+    @pytest.mark.parametrize("flags", [["--no-speculate"], ["--speculation-delay", "1"]])
+    def test_speculation_flags_are_usage_errors(self, command, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            distributed_main(command + flags)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -151,6 +151,59 @@ class TestHeartbeatEviction:
             consumer.join(timeout=5.0)
 
 
+class TestRemovedFrames:
+    def test_discarded_frame_drops_the_connection_and_requeues_its_lease(self):
+        cells = expand_grid({"x": list(range(4))}, repetitions=1)
+        scheduler = Scheduler(
+            heartbeat_interval=0.1, heartbeat_timeout=5.0, prefetch=None
+        ).start()
+        results, errors = [], []
+        consumer = threading.Thread(
+            target=collect_campaign, args=(scheduler, cells, results, errors)
+        )
+        consumer.start()
+        quitter = honest = None
+        try:
+            quitter = FakeWorker(scheduler.address, "quitter")
+            lease = quitter.take_cell()
+            assert 1 + len(lease.get("extra", [])) == len(cells)
+            # No ``cancel`` was ever sent, and ``discarded`` is no longer a
+            # frame: the scheduler treats it as a protocol error and drops
+            # the connection, which requeues the whole lease.
+            send_message(quitter.sock, {
+                "op": "discarded", "worker": "quitter",
+                "campaign": lease["campaign"], "index": lease["index"],
+                "attempt": lease["attempt"],
+            })
+            quitter.sock.settimeout(5.0)
+            try:
+                assert quitter.sock.recv(1) == b""
+            except ConnectionError:
+                pass
+
+            honest = FakeWorker(scheduler.address, "honest")
+            while len(results) < len(cells) and consumer.is_alive():
+                task = honest.take_cell()
+                for entry in [task] + task.get("extra", []):
+                    honest.finish({**entry, "campaign": task["campaign"]})
+                consumer.join(timeout=0.2)
+            consumer.join(timeout=10.0)
+            assert not consumer.is_alive() and not errors
+            assert [outcome.metrics for outcome in results] == [
+                CellFunction(plain_cell)(cell).metrics for cell in cells
+            ]
+            # Only the lease head -- the cell the worker was on -- is charged.
+            assert scheduler.stats.retries == 1
+            assert scheduler.stats.results == len(cells)
+            assert scheduler.stats.duplicates == 0
+        finally:
+            for worker in (quitter, honest):
+                if worker is not None:
+                    worker.close()
+            scheduler.close()
+            consumer.join(timeout=5.0)
+
+
 class TestDuplicateAndLateResults:
     def test_duplicate_result_for_a_done_cell_is_ignored(self):
         cells = expand_grid({"x": [1]}, repetitions=1)

@@ -8,6 +8,8 @@ perturbing it.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -31,19 +33,36 @@ def seeded_value(seed: int, k: int) -> dict:
     return {"value": float(rng.normal())}
 
 
+def waiting_seeded_value(seed: int, k: int) -> dict:
+    # Wait-bound, so the campaign outlasts the fleet's start-up: with
+    # microsecond cells the first worker's uncapped lease can drain the
+    # whole campaign before the second worker says hello.
+    time.sleep(0.05)
+    return seeded_value(seed, k)
+
+
 class TestStatsPayload:
     def test_payload_is_versioned_with_counters_and_rates(self):
-        stats = SchedulerStats(results=10, steals=2, speculations=1,
-                               duplicates=2, retries=5)
+        stats = SchedulerStats(results=10, steals=2, duplicates=2, retries=5)
         body = stats.to_payload()
         assert body["schema_version"] == SCHEMA_VERSION
         assert body["kind"] == "scheduler-stats"
         assert body["counters"]["results"] == 10
         assert body["rates"]["steal_fraction"] == pytest.approx(0.2)
-        assert body["rates"]["speculation_fraction"] == pytest.approx(0.1)
         assert body["rates"]["duplicate_fraction"] == pytest.approx(2 / 12)
         assert body["rates"]["retry_fraction"] == pytest.approx(0.5)
         assert "results_per_second" not in body["rates"]
+
+    def test_counters_and_rates_are_the_one_attempt_set(self):
+        body = SchedulerStats().to_payload(elapsed_seconds=1.0)
+        assert list(body["counters"]) == [
+            "workers_joined", "evictions", "retries", "results", "duplicates",
+            "journal_hits", "worker_lost_failures", "steals",
+        ]
+        assert sorted(body["rates"]) == [
+            "duplicate_fraction", "results_per_second", "retry_fraction",
+            "steal_fraction",
+        ]
 
     def test_elapsed_seconds_adds_throughput(self):
         body = SchedulerStats(results=8).to_payload(elapsed_seconds=2.0)
@@ -59,7 +78,7 @@ class TestCampaignEventStream:
         bus = TelemetryBus()
         executor = DistributedExecutor("inproc://", workers=2, telemetry=bus)
         result = run_experiment(
-            "tel", seeded_value, {"k": [1, 2, 3]},
+            "tel", waiting_seeded_value, {"k": [1, 2, 3]},
             repetitions=2, executor=executor,
         )
         assert len(result.rows) == 6
@@ -77,7 +96,7 @@ class TestCampaignEventStream:
         assert len(results) == 6
         assert all(e.payload["failed"] is False for e in results)
         assigns = [e for e in bus.events(TOPIC_ASSIGNMENTS)
-                   if e.payload["kind"] in ("assign", "speculate")]
+                   if e.payload["kind"] == "assign"]
         assert len(assigns) >= 6
 
         samples = bus.events(TOPIC_QUEUE)

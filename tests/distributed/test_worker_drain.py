@@ -6,11 +6,14 @@ The contracts pinned here:
 * a ``revoke`` arriving while cell k runs drops only the entries not yet
   popped and reports k as ``kept``;
 * the drain is bound to its own connection: once that comm is closed it
-  stops at the next cell and never touches another connection's backlog.
+  stops at the next cell and never touches another connection's backlog;
+* the scheduler has no way to cancel a leased cell: a ``cancel`` frame is
+  a protocol error.
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
 from collections import deque
 
@@ -126,21 +129,27 @@ class TestDrainLoop:
         assert [entry["campaign"] for entry in worker._backlog] == ["c2"] * 4
         assert comm.results() == [0]
 
-    def test_a_cancelled_entry_is_answered_with_discarded(self):
-        cells = expand_grid({"i": list(range(4))}, repetitions=1, base_seed=3)
-        fn = CellFunction(metrics)
 
-        def cancel_two_mid_run(cell):
-            if cell.params_dict["i"] == 2:
-                worker._cancelled.add(("c1", 2, 1))  # the race is lost meanwhile
-            return fn(cell)
 
-        worker = worker_with_lease(cancel_two_mid_run, cells)
-        worker._cancelled = {("c1", 1, 1)}  # lost before it was popped
-        comm = RecordingComm()
-        worker._drain(comm, worker._backlog)
-        assert [(frame["op"], frame["index"]) for frame in comm.frames] == [
-            ("result", 0), ("discarded", 1), ("discarded", 2), ("result", 3),
-        ]
-        assert worker.cells_executed == 3 and worker.cells_cancelled == 2
-        assert not worker._cancelled
+class ScriptedComm:
+    """A comm stub whose ``recv`` replays a fixed list of frames."""
+
+    def __init__(self, frames):
+        self.frames = list(frames)
+
+    async def recv(self):
+        return self.frames.pop(0)
+
+
+class TestReaderFrames:
+    def test_a_cancel_frame_is_a_protocol_error(self):
+        worker = AsyncWorker("inproc://drain-test")
+
+        async def read():
+            worker._wake = asyncio.Event()
+            await worker._reader(ScriptedComm([
+                {"op": "cancel", "campaign": "c1", "index": 0, "attempt": 1},
+            ]))
+
+        with pytest.raises(protocol.ProtocolError, match="'cancel'"):
+            asyncio.run(read())

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.experiments import executors
 from repro.experiments.cache import ResultCache
 from repro.distributed import DistributedExecutor
 from repro.experiments.executors import (
@@ -105,11 +106,22 @@ class TestExecutorSelection:
         assert fleet.workers == 6
 
     @pytest.mark.parametrize("spec", ["auto", "AUTO", "0", 0])
-    def test_auto_gives_one_worker_per_cpu(self, spec):
+    def test_auto_gives_one_worker_per_cpu(self, spec, monkeypatch):
+        monkeypatch.setattr(executors, "cpu_count", lambda: 2)
         fleet = resolve_executor(spec)
         assert isinstance(fleet, DistributedExecutor)
         assert fleet.address == LOCAL_FLEET_ADDRESS
-        assert fleet.workers == cpu_count()
+        assert fleet.workers == 2
+
+    @pytest.mark.parametrize("spec", ["auto", "0", 0, None])
+    def test_auto_on_one_cpu_runs_serial(self, spec, monkeypatch):
+        monkeypatch.setattr(executors, "cpu_count", lambda: 1)
+        monkeypatch.setenv(JOBS_ENV_VAR, "auto")  # what a None spec reads
+        assert isinstance(resolve_executor(spec), SerialExecutor)
+        # Explicit fleets are unchanged on a one-CPU host.
+        assert resolve_executor(3).workers == 3
+        assert resolve_executor("inproc://").workers == 1
+        assert resolve_executor("tcp://127.0.0.1:8765").workers == 0
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.delenv(JOBS_ENV_VAR, raising=False)
