@@ -25,7 +25,8 @@
 #   make distributed-smoke-inproc   same smoke tier over inproc:// comms
 #                              (coroutine fleet, no sockets or forks)
 #   make distributed-stress    stealing stress smoke: 32-worker inproc
-#                              fleet (steals and lease revokes fire)
+#                              fleet (stealing is always on; steals and
+#                              lease revokes fire)
 #   make smoke-digest-check SUMMARY=file.json
 #                              run the serial smoke tier and fail on any
 #                              per-scenario digest that differs from the

@@ -200,7 +200,6 @@ function renderWorkers(workers) {
       ? null : Math.max(0, Math.min(1, w.occupancy));
     const pct = occ === null ? 0 : Math.round(occ * 100);
     return "<tr><td class='mono'></td><td>" + fmt(w.assignments) + "</td>" +
-      "<td>" + fmt(w.lease) + "</td>" +
       "<td>" + (w.busy_seconds || 0).toFixed(2) + "</td>" +
       "<td>" + (w.idle_seconds || 0).toFixed(2) + "</td>" +
       "<td><span class='occ'><div style='width:" + pct + "%'></div></span>" +
@@ -210,8 +209,8 @@ function renderWorkers(workers) {
       ((w.events_dropped || 0) ? " (" + w.events_dropped + " dropped)" : "") +
       "</td><td>" + (w.last_seen_age || 0).toFixed(1) + "s</td></tr>";
   });
-  box.innerHTML = "<table><thead><tr><th>worker</th><th>running</th>" +
-    "<th>lease</th><th>busy s</th><th>idle s</th><th>occupancy</th>" +
+  box.innerHTML = "<table><thead><tr><th>worker</th><th>lease</th>" +
+    "<th>busy s</th><th>idle s</th><th>occupancy</th>" +
     "<th>cells</th><th>events</th><th>seen</th></tr></thead><tbody>" +
     rows.join("") + "</tbody></table>";
   // worker ids are untrusted text: set them via textContent, never innerHTML

@@ -12,11 +12,11 @@ layer (:mod:`repro.distributed.comm`): ``tcp://`` sockets for real fleets
 on one host or across a cluster, ``inproc://`` channels for socketless
 in-process fleets -- a thousand simulated workers in one process.
 
-Scheduling is pull-based with guided leases (each reply carries an equal
-share of what is queued; the worker drains it in one hop), plus two-phase
-**work stealing** (idle workers take back the queued, never-started tail
-of loaded workers' leases), so a cell has at most one live attempt at a
-time.  Results are keyed by position and every cell carries its own
+Scheduling has one policy: pull-based guided leases (each reply carries
+an equal share of what is queued; the worker drains it in one hop),
+corrected by two-phase **work stealing**, which is always on (idle workers
+take back the queued, never-started tail of loaded workers' leases), so a
+cell has at most one live attempt at a time.  Results are keyed by position and every cell carries its own
 deterministic seed, so scheduling changes the wall clock, never the rows.
 Fault tolerance is retry-based (a dead worker's lease is requeued, and the
 cell it was running is charged against a bounded budget) and campaigns are

@@ -139,17 +139,14 @@ class CampaignJournal:
                 self._entries[entry["key"]] = entry
         return True
 
-    # -- unified results API (repro.store.api.RowSink / RowSource) ----------
+    # -- unified results API (repro.store.api.RowSink) ---------------------
     # The journal keys on the run fingerprint alone (JOURNAL_EXPERIMENT is a
-    # constant label), so the protocol adapters ignore ``experiment``.
+    # constant label), so the sink adapter ignores ``experiment``.
 
     def write(self, experiment: str, cell: Cell, outcome: CellOutcome, version: str = "") -> bool:
         if outcome.failed:
             return False
         return self.record(cell, outcome, version)
-
-    def replay(self, experiment: str, cell: Cell, version: str = "") -> Optional[CellOutcome]:
-        return self.lookup(cell, version)
 
     def flush(self) -> None:
         """Appends are flushed line-by-line; nothing buffered to push."""

@@ -18,9 +18,11 @@
     python -m repro.distributed run grid.ciment --workers 4 --journal ciment.jsonl
 
 Addresses are scheme-prefixed comm addresses (``tcp://HOST:PORT``,
-``inproc://NAME``; see :mod:`repro.distributed.comm`), and the scheduling
-knobs of the runtime -- guided leases and work stealing -- are exposed as
-flags on ``scheduler`` and ``run``.
+``inproc://NAME``; see :mod:`repro.distributed.comm`).  The runtime has one
+scheduling policy -- guided leases with work stealing always on -- so the
+flags of ``scheduler`` and ``run`` only set the fault budget
+(``--max-retries``, ``--stall-timeout``), never the policy; a value no
+campaign could run with is a usage error.
 
 ``scheduler`` and ``run`` accept the same scenario selection as
 ``python -m repro.scenarios run`` (names or ``--all`` [``--tag``]) and print
@@ -76,11 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--max-retries", type=int, default=3,
-        help="re-assignments allowed per cell after worker losses (default: 3)",
+        help="re-assignments allowed per cell after worker losses, >= 0 (default: 3)",
     )
     common.add_argument(
         "--stall-timeout", type=float, default=120.0, metavar="SECONDS",
-        help="abort when no worker is connected for this long (default: 120)",
+        help="abort when no worker is connected for this long, > 0 (default: 120)",
     )
     common.add_argument(
         "--output", type=Path, default=None,
@@ -90,16 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dashboard", type=int, default=None, metavar="PORT",
         help="serve the live telemetry dashboard on this port while the "
              "campaigns run (0 picks a free port; the URL goes to stderr)",
-    )
-    common.add_argument(
-        "--prefetch", type=int, default=None, metavar="N",
-        help="cap on the assignments of one task reply, which otherwise carries "
-             "ceil(pending / connected workers) cells; the worker drains the "
-             "lease in one hop and its tail stays stealable (default: no cap)",
-    )
-    common.add_argument(
-        "--no-steal", action="store_true",
-        help="disable work stealing from loaded workers' leases",
     )
     common.add_argument(
         "--record", type=Path, default=None, metavar="DIR",
@@ -219,8 +211,6 @@ def _scheduling_kwargs(args: argparse.Namespace) -> dict:
         "journal": args.journal,
         "max_retries": args.max_retries,
         "stall_timeout": args.stall_timeout,
-        "prefetch": args.prefetch,
-        "steal": not args.no_steal,
     }
 
 

@@ -23,15 +23,14 @@ selection goes through :func:`repro.experiments.executors.resolve_executor`:
   makes it an honest backend for tests that want a thousand workers.
 
 Each ``map`` call runs one campaign: start a
-:class:`~repro.distributed.scheduler.Scheduler` (work stealing is **on**
-by default here, and leases are uncapped guided shares -- ``ceil(pending /
-connected workers)`` cells per reply, drained by the worker in one thread
-hop), register the campaign,
-then raise the local fleet -- forked processes for ``tcp://``, event-loop
-coroutines for ``inproc://``, either babysat so a dead worker costs a retry
-of the cell it was running, not the sweep -- stream the ordered outcomes,
-then tear everything down.  The campaign exists before any worker asks, so
-no first request is answered ``idle``.  With ``journal=`` (or
+:class:`~repro.distributed.scheduler.Scheduler` (its one policy: guided
+leases of ``ceil(pending / connected workers)`` cells per reply, drained by
+the worker in one thread hop, with work stealing always on), register the
+campaign, then raise the local fleet -- forked processes for ``tcp://``,
+event-loop coroutines for ``inproc://``, both babysat by one loop so a dead
+worker costs a retry of the cell it was running, not the sweep -- stream
+the ordered outcomes, then tear everything down.  The campaign exists
+before any worker asks, so no first request is answered ``idle``.  With ``journal=`` (or
 ``REPRO_JOURNAL=``) pointing at a JSONL file, completed cells are journaled
 as they finish and a restarted campaign re-executes only the incomplete
 ones.  After each campaign the scheduler's counters are published on
@@ -44,11 +43,12 @@ from __future__ import annotations
 import multiprocessing
 import os
 import threading
+from functools import partial
 from typing import Callable, Generator, Iterator, List, Optional, Sequence, Union
 
 from repro.distributed.campaign import CampaignJournal
 from repro.distributed.comm import core as comm_core
-from repro.distributed.scheduler import Scheduler, SchedulerStats
+from repro.distributed.scheduler import Scheduler, SchedulerStats, validate_scheduling
 from repro.distributed.worker import run_worker
 from repro.experiments.executors import Executor
 from repro.experiments.grid import Cell, CellOutcome
@@ -90,17 +90,11 @@ class DistributedExecutor(Executor):
         Campaign journal path or :class:`CampaignJournal`; defaults to the
         ``REPRO_JOURNAL`` environment variable (unset = no journal).
     heartbeat_interval / heartbeat_timeout / max_retries:
-        Forwarded to the :class:`Scheduler` (see its docstring).
+        Forwarded to the :class:`Scheduler` (see its docstring) and
+        validated here, at construction.
     stall_timeout:
         Abort the campaign when no worker has been connected for this long
         (``None`` waits forever -- sensible only for interactive use).
-    prefetch / steal:
-        Scheduling knobs, forwarded to the :class:`Scheduler`.  Unlike the
-        raw scheduler's conservative pull-of-one default, the executor
-        defaults to ``prefetch=None`` -- no cap on the guided lease of
-        ``ceil(pending / connected workers)`` cells -- with stealing
-        enabled: outcomes are keyed by position and each cell carries its
-        own seed, so these change the wall clock, never the rows.
     telemetry:
         Where each campaign scheduler publishes its events: ``None``
         (default) uses the process-wide :func:`repro.telemetry.get_bus`,
@@ -121,15 +115,17 @@ class DistributedExecutor(Executor):
         heartbeat_timeout: float = 10.0,
         max_retries: int = 3,
         stall_timeout: Optional[float] = 120.0,
-        prefetch: Optional[int] = None,
-        steal: bool = True,
         telemetry: Union[None, bool, TelemetryBus] = None,
     ) -> None:
         comm_core.validate_address(address)  # fail early, with the friendly message
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        if prefetch is not None and prefetch < 1:
-            raise ValueError("prefetch must be >= 1 (or None for no cap)")
+        validate_scheduling(
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_timeout=heartbeat_timeout,
+            max_retries=max_retries,
+            stall_timeout=stall_timeout,
+        )
         self.address = address
         self.scheme = comm_core.split_address(address)[0]
         self.workers = workers
@@ -140,8 +136,6 @@ class DistributedExecutor(Executor):
         self.heartbeat_timeout = heartbeat_timeout
         self.max_retries = max_retries
         self.stall_timeout = stall_timeout
-        self.prefetch = prefetch
-        self.steal = steal
         self.telemetry = telemetry
         #: Counters of the most recently finished campaign, and their
         #: accumulation across every campaign this executor ran.
@@ -175,8 +169,6 @@ class DistributedExecutor(Executor):
                 max_retries=self.max_retries,
                 journal=self.journal,
                 stall_timeout=self.stall_timeout,
-                prefetch=self.prefetch,
-                steal=self.steal,
                 telemetry=self.telemetry,
             )
             scheduler.start()
@@ -191,27 +183,19 @@ class DistributedExecutor(Executor):
                 if self.workers:
                     count = min(self.workers, len(cells))
                     if self.scheme == "inproc":
-                        self._local_workers = [
-                            scheduler.spawn_local_worker(max_idle=WORKER_MAX_IDLE)
-                            for _ in range(count)
-                        ]
-                        babysitter = threading.Thread(
-                            target=self._respawn_local_loop,
-                            args=(scheduler, stop),
-                            name="repro-distributed-babysitter",
-                            daemon=True,
-                        )
+                        spawn = partial(scheduler.spawn_local_worker, max_idle=WORKER_MAX_IDLE)
+                        alive = lambda future: not future.done()
+                        handles = self._local_workers = [spawn() for _ in range(count)]
                     else:
-                        context = self._context()
-                        self.processes = [
-                            self._spawn(context, scheduler.address) for _ in range(count)
-                        ]
-                        babysitter = threading.Thread(
-                            target=self._respawn_loop,
-                            args=(context, scheduler.address, stop),
-                            name="repro-distributed-babysitter",
-                            daemon=True,
-                        )
+                        spawn = partial(self._spawn, self._context(), scheduler.address)
+                        alive = lambda process: process.is_alive()
+                        handles = self.processes = [spawn() for _ in range(count)]
+                    babysitter = threading.Thread(
+                        target=self._babysit,
+                        args=(handles, alive, spawn, stop),
+                        name="repro-distributed-babysitter",
+                        daemon=True,
+                    )
                     babysitter.start()
                 yield from outcomes
             finally:
@@ -235,7 +219,7 @@ class DistributedExecutor(Executor):
 
         return stream()
 
-    # -- local fleet (tcp://: forked processes) -----------------------------
+    # -- local fleet: forked processes (tcp://) or coroutines (inproc://) ---
 
     @staticmethod
     def _context() -> multiprocessing.context.BaseContext:
@@ -255,40 +239,28 @@ class DistributedExecutor(Executor):
         process.start()
         return process
 
-    def _respawn_loop(
-        self,
-        context: multiprocessing.context.BaseContext,
-        address: str,
+    @staticmethod
+    def _babysit(
+        handles: List[object],
+        alive: Callable[[object], bool],
+        spawn: Callable[[], object],
         stop: threading.Event,
     ) -> None:
-        """Replace dead local worker processes while the campaign runs."""
+        """Replace dead local workers in ``handles`` while the campaign runs.
 
-        budget = MAX_RESPAWNS_PER_WORKER * max(len(self.processes), 1)
+        ``handles`` is the executor's own fleet list (``processes`` or the
+        in-process futures), replaced slot by slot, so a test that kills
+        ``processes[i]`` sees its replacement in the same list.
+        """
+
+        budget = MAX_RESPAWNS_PER_WORKER * max(len(handles), 1)
         while not stop.wait(0.1):
-            for slot, process in enumerate(self.processes):
+            for slot, handle in enumerate(handles):
                 if stop.is_set() or budget <= 0:
                     return
-                if not process.is_alive():
-                    process.join(timeout=0.1)
-                    self.processes[slot] = self._spawn(context, address)
-                    budget -= 1
-
-    # -- local fleet (inproc://: coroutines on the scheduler's loop) --------
-
-    def _respawn_local_loop(self, scheduler: Scheduler, stop: threading.Event) -> None:
-        """Replace dead in-process workers while the campaign runs."""
-
-        budget = MAX_RESPAWNS_PER_WORKER * max(len(self._local_workers), 1)
-        while not stop.wait(0.1):
-            for slot, future in enumerate(self._local_workers):
-                if stop.is_set() or budget <= 0:
-                    return
-                if future.done():  # type: ignore[attr-defined]
+                if not alive(handle):
                     try:
-                        self._local_workers[slot] = scheduler.spawn_local_worker(
-                            max_idle=WORKER_MAX_IDLE
-                        )
+                        handles[slot] = spawn()
                     except RuntimeError:
                         return  # scheduler shut down under us
                     budget -= 1
-

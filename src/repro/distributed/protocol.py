@@ -20,17 +20,16 @@ Message vocabulary (all envelopes carry ``"op"``):
 op             direction  meaning
 =============  =========  ==================================================
 ``hello``      w -> s     register; carries ``worker`` (the worker's id)
-``welcome``    s -> w     registration ack; carries ``heartbeat_interval``,
-                          ``prefetch`` (the lease cap, ``null`` for none)
+``welcome``    s -> w     registration ack; carries ``heartbeat_interval``
                           and ``telemetry`` (whether the scheduler wants
                           span capture + forwarding)
 ``request``    w -> s     pull work (also refreshes the heartbeat)
 ``task``       s -> w     a lease: the first assignment's ``campaign``,
                           ``index``, ``attempt``, ``cell`` payload, then
                           optional ``extra`` assignments -- ``ceil(pending /
-                          connected workers)`` in all, capped by
-                          ``prefetch`` -- plus ``fn`` payload the first
-                          time this connection sees the campaign
+                          connected workers)`` in all -- plus ``fn``
+                          payload the first time this connection sees the
+                          campaign
 ``idle``       s -> w     no work right now; retry after ``delay`` seconds
 ``result``     w -> s     a finished cell: ``campaign``, ``index``,
                           ``attempt``, ``outcome`` payload (no ack); sent

@@ -8,25 +8,28 @@ asyncio event loop in a background thread -- one coroutine per connection,
 one monitor task -- so a thousand workers cost a thousand small coroutines,
 not a thousand OS threads.
 
-Scheduling model:
+Scheduling model -- one policy for every campaign, guided leases corrected
+by work stealing:
 
 * **pull-based with guided leases**: workers request work; the reply
-  carries ``ceil(pending / connected workers)`` assignments, capped by
-  ``prefetch`` when set -- guided self-scheduling, so early leases are large
-  and amortise the round trip while later ones shrink as the queue drains.
-  The reply forms the worker's *lease*, a local backlog it drains in order,
-  sending each result before it starts the next cell.  The scheduler tracks
-  every lease, and the head of one is the cell its worker is running: an
-  entry leaves the lease only when the worker's frame for it (``result`` or
-  ``revoked``) arrives.
+  carries ``ceil(pending / connected workers)`` assignments -- guided
+  self-scheduling, so early leases are large and amortise the round trip
+  while later ones shrink as the queue drains.  The reply forms the
+  worker's *lease*, a local backlog it drains in order, sending each result
+  before it starts the next cell.  The scheduler tracks every lease as the
+  worker's insertion-ordered assignments: the first is the cell the worker
+  is running, the rest its unstarted tail, and an entry leaves only when
+  the worker's frame for it (``result`` or ``revoked``) arrives.
 * **work stealing**: when the global queue is dry, an idle worker's request
-  triggers a steal from the tail of the most-loaded worker's lease.  The
-  steal is two-phase: the victim gets a ``revoke`` push and answers with a
-  ``revoked`` frame naming the cells it *actually* still had queued (it may
-  have started some in the meantime); only those confirmed cells are
-  requeued and handed to idle workers.  Stealing therefore never duplicates
-  an execution: a cell has at most one live attempt at any time, and only
-  a worker loss or a confirmed steal moves it to another worker.
+  triggers a steal of the larger half of the most-loaded worker's lease
+  tail.  This is what corrects a lease after it went out -- a lone early
+  worker that leased the whole queue is split as soon as a second worker
+  asks.  The steal is two-phase: the victim gets a ``revoke`` push and
+  answers with a ``revoked`` frame naming the cells it *actually* still had
+  queued (it may have started some in the meantime); only those confirmed
+  cells are requeued and handed to idle workers.  Stealing therefore never
+  duplicates an execution: a cell has at most one live attempt at any time,
+  and only a worker loss or a confirmed steal moves it to another worker.
 * **ordered streaming**: :meth:`run_campaign` yields outcomes in submission
   order (out-of-order completions are buffered), which is what keeps
   distributed rows bit-identical to
@@ -58,6 +61,7 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.distributed import protocol
@@ -157,12 +161,11 @@ class _WorkerConn:
     worker_id: str
     comm: Comm
     last_seen: float
-    #: Live assignments keyed by position, in dispatch order.
+    #: The worker's lease: live assignments keyed by position, in dispatch
+    #: order.  The first is the cell the worker is running (it sends each
+    #: result before it starts the next entry); the rest are the stealable
+    #: backlog it has not started.
     assignments: Dict[int, _Assignment] = field(default_factory=dict)
-    #: The same positions in dispatch order; the head is the cell the worker
-    #: is running (it sends each result before it starts the next entry),
-    #: the tail is the stealable backlog it has not started.
-    lease: Deque[int] = field(default_factory=deque)
     fn_campaign: Optional[str] = None  # campaign the fn payload was sent for
     evicted: bool = False
     #: Monotonic stamp of the last ``revoke`` push, for steal round-trip spans.
@@ -197,6 +200,28 @@ class CampaignStalled(RuntimeError):
     """No workers were connected for longer than the stall timeout."""
 
 
+def validate_scheduling(
+    *,
+    heartbeat_interval: float,
+    heartbeat_timeout: float,
+    max_retries: int,
+    stall_timeout: Optional[float],
+) -> None:
+    """Reject scheduling settings no campaign could run with.
+
+    Shared by :class:`Scheduler` and the executor that builds one per
+    campaign, so a bad value fails at construction -- where the CLIs turn
+    it into a usage error -- instead of failing every campaign later.
+    """
+
+    if heartbeat_timeout <= heartbeat_interval:
+        raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
+    if max_retries < 0:
+        raise ValueError("max_retries must be >= 0")
+    if stall_timeout is not None and not stall_timeout > 0:
+        raise ValueError("stall_timeout must be > 0")
+
+
 class Scheduler:
     """Serve sweep campaigns to comm-connected workers.
 
@@ -213,23 +238,16 @@ class Scheduler:
         A worker silent for longer than this is evicted and its in-flight
         cells requeued.  Must comfortably exceed ``heartbeat_interval``.
     max_retries:
-        How many times a cell may be lost with its worker -- lost while it
-        was running, at the head of the worker's lease -- before it is failed
-        with a ``WorkerLostError`` outcome.
+        How many times (``>= 0``) a cell may be lost with its worker -- lost
+        while it was running, at the head of the worker's lease -- before it
+        is failed with a ``WorkerLostError`` outcome.
     journal:
         Optional :class:`CampaignJournal` (or path): completed cells are
         appended, journaled cells are replayed on restart.
     stall_timeout:
-        When set, :meth:`run_campaign` raises :class:`CampaignStalled` if
-        cells are pending but no worker has been connected for this long.
-    prefetch:
-        Upper bound on the assignments of one ``task`` reply, which otherwise
-        carries ``ceil(pending / connected workers)`` cells; ``None`` lifts
-        the cap.  The default 1 is the classic pull-of-one; larger leases
-        amortise round trips and create the backlog stealing feeds on.
-    steal:
-        Let idle workers steal queued-but-unstarted cells from the most
-        loaded worker's lease when the global queue is dry.
+        When set (``> 0``), :meth:`run_campaign` raises
+        :class:`CampaignStalled` if cells are pending but no worker has been
+        connected for this long.
     telemetry:
         Where scheduling events (worker membership, assignments, steals,
         queue depth, stats snapshots) are published: ``None``
@@ -249,16 +267,14 @@ class Scheduler:
         max_retries: int = 3,
         journal: Union[None, str, CampaignJournal] = None,
         stall_timeout: Optional[float] = None,
-        prefetch: Optional[int] = 1,
-        steal: bool = True,
         telemetry: Union[None, bool, TelemetryBus] = None,
     ) -> None:
-        if heartbeat_timeout <= heartbeat_interval:
-            raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if prefetch is not None and prefetch < 1:
-            raise ValueError("prefetch must be >= 1 (or None for no cap)")
+        validate_scheduling(
+            heartbeat_interval=heartbeat_interval,
+            heartbeat_timeout=heartbeat_timeout,
+            max_retries=max_retries,
+            stall_timeout=stall_timeout,
+        )
         comm_core.validate_address(address)
         self._requested_address = address
         self.heartbeat_interval = heartbeat_interval
@@ -266,8 +282,6 @@ class Scheduler:
         self.max_retries = max_retries
         self.journal = CampaignJournal.coerce(journal)
         self.stall_timeout = stall_timeout
-        self.prefetch = prefetch
-        self.steal = steal
         self.stats = SchedulerStats()
         if telemetry is False:
             self._bus: Optional[TelemetryBus] = None
@@ -618,7 +632,6 @@ class Scheduler:
                 {
                     "op": "welcome",
                     "heartbeat_interval": self.heartbeat_interval,
-                    "prefetch": self.prefetch,
                     # Advertise span capture + forwarding only when there is
                     # a bus to re-publish on; workers stay zero-cost otherwise.
                     "telemetry": self._bus is not None,
@@ -742,7 +755,7 @@ class Scheduler:
     def telemetry_snapshot(self) -> Dict[str, Any]:
         """Live occupancy view served through the bus snapshot registry.
 
-        Queue depth, per-worker occupancy (live assignments, lease backlog,
+        Queue depth, per-worker occupancy (live assignments, i.e. the lease,
         plus busy/idle seconds aggregated from forwarded worker spans) and
         the current stats payload, all JSON-safe.
         """
@@ -752,7 +765,6 @@ class Scheduler:
             workers = {
                 conn.worker_id: {
                     "assignments": len(conn.assignments),
-                    "lease": len(conn.lease),
                     "evicted": conn.evicted,
                     "last_seen_age": now - conn.last_seen,
                     "busy_seconds": conn.busy_seconds,
@@ -783,11 +795,10 @@ class Scheduler:
         """Cells for the next ``task`` reply (lock held).
 
         Guided self-scheduling: an equal share ``ceil(pending / connected
-        workers)`` of what is still queued, capped by ``prefetch`` when set.
+        workers)`` of what is still queued.
         """
 
-        size = -(-len(campaign.pending) // max(1, len(self._conns)))
-        return size if self.prefetch is None else min(size, self.prefetch)
+        return -(-len(campaign.pending) // max(1, len(self._conns)))
 
     def _assign(
         self, campaign: _Campaign, conn: _WorkerConn, position: int
@@ -798,7 +809,6 @@ class Scheduler:
         campaign.attempts[position] = attempt
         assignment = _Assignment(position=position, attempt=attempt, conn=conn)
         conn.assignments[position] = assignment
-        conn.lease.append(position)
         campaign.running[position] = assignment
         return {
             "index": position,
@@ -820,8 +830,8 @@ class Scheduler:
         """
 
         def stealable(conn: _WorkerConn) -> List[int]:
-            tail = list(conn.lease)[1:]
-            return [p for p in tail if not conn.assignments[p].revoking]
+            tail = islice(conn.assignments.values(), 1, None)
+            return [a.position for a in tail if not a.revoking]
 
         # Candidate victims come from the live assignments, not the fleet:
         # with thousands of mostly-idle workers, the scan must be bounded by
@@ -836,10 +846,7 @@ class Scheduler:
                 victim, candidates = candidate, tail
         if victim is None or not candidates:
             return None
-        count = (len(candidates) + 1) // 2  # the larger half
-        if self.prefetch is not None:
-            count = min(count, self.prefetch)
-        wanted = candidates[-count:]
+        wanted = candidates[len(candidates) // 2:]  # the larger half, from the end
         for position in wanted:
             victim.assignments[position].revoking = True
         victim.revoke_sent_at = time.monotonic()
@@ -876,7 +883,6 @@ class Scheduler:
                 assignment = conn.assignments.pop(position, None)
                 if assignment is None:
                     continue
-                conn.lease.remove(position)
                 if campaign.running.get(position) is assignment:
                     del campaign.running[position]
                     requeue.append(position)
@@ -918,7 +924,7 @@ class Scheduler:
                         continue
                     batch.append(self._assign(campaign, conn, position))
                     assigned.append((position, campaign.attempts[position]))
-                if not batch and self.steal:
+                if not batch:
                     push = self._request_steal(campaign, conn)
                     if push is not None:
                         pushes.append(push)
@@ -975,8 +981,7 @@ class Scheduler:
         with self._lock:
             campaign = self._campaign
             # This connection's bookkeeping for the cell is settled either way.
-            if conn.assignments.pop(position, None) is not None:
-                conn.lease.remove(position)
+            conn.assignments.pop(position, None)
             if (
                 campaign is None
                 or campaign.campaign_id != message.get("campaign")
@@ -1024,9 +1029,8 @@ class Scheduler:
                 del self._conns[conn.worker_id]
             workers = len(self._conns)
             lost_before = self.stats.worker_lost_failures
-            head = conn.lease[0] if conn.lease else None
             lost = list(conn.assignments.values())
-            conn.lease.clear()
+            head = lost[0].position if lost else None
             conn.assignments.clear()
             campaign = self._campaign
             if campaign is None or not lost:

@@ -147,13 +147,10 @@ class ResultCache:
         self.stats.stores += 1
         return True
 
-    # -- unified results API (repro.store.api.RowSink / RowSource) ----------
+    # -- unified results API (repro.store.api.RowSink) ---------------------
 
     def write(self, experiment: str, cell: Cell, outcome: CellOutcome, version: str = "") -> bool:
         return self.store(experiment, cell, outcome, version)
-
-    def replay(self, experiment: str, cell: Cell, version: str = "") -> Optional[CellOutcome]:
-        return self.lookup(experiment, cell, version)
 
     def flush(self) -> None:
         """Entries are individually atomic files; nothing buffered to push."""

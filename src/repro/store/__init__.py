@@ -2,8 +2,8 @@
 
 The package has four layers, importable a la carte:
 
-* :mod:`repro.store.api` -- the :class:`RowSink`/:class:`RowSource`
-  protocols every row store implements, plus :func:`write_rows`, the single
+* :mod:`repro.store.api` -- the :class:`RowSink` protocol every row
+  store implements, plus :func:`write_rows`, the single
   export entry point behind the CLIs' ``--out`` flags.
 * :mod:`repro.store.columnar` -- :class:`CampaignStore`, JSONL partitions
   published through an atomic manifest.
@@ -19,7 +19,6 @@ Only the standard library and numpy are required; pyarrow is the optional
 from repro.store.api import (
     FORMATS,
     RowSink,
-    RowSource,
     StoreUnavailableError,
     compose_row,
     infer_format,
@@ -38,7 +37,6 @@ __all__ = [
     "QueryError",
     "RULES",
     "RowSink",
-    "RowSource",
     "RuleResult",
     "CampaignStore",
     "Partition",

@@ -10,17 +10,16 @@ module defines the single contract they all speak now:
   (:func:`repro.experiments.harness.run_experiment`) streams every finished
   cell into its ``sink=``, whatever executor produced it (serial, a
   local forked fleet, ``tcp://``, ``inproc://``).
-* :class:`RowSource` -- anything that can replay a previously persisted
-  cell, keyed by :func:`repro.experiments.grid.cell_key` plus the run
-  fingerprint, exactly like the cache and the journal.
 * :func:`write_rows` -- the one export entry point behind every CLI
   ``--out`` flag: CSV, JSONL or Parquet, inferred from the file suffix.
 
 All three row stores (cache, journal and the campaign
-:class:`~repro.store.columnar.CampaignStore`) implement both protocols and
-share the :func:`~repro.experiments.cache.encode_replayable` /
-:func:`~repro.experiments.cache.decode_replayed` codec, so a row replayed
-from any of them is bit-identical to a freshly computed one.
+:class:`~repro.store.columnar.CampaignStore`) implement the sink and share
+the :func:`~repro.experiments.cache.encode_replayable` codec.  Each store
+keeps its own read path: the harness replays through
+:meth:`~repro.experiments.cache.ResultCache.lookup`, the scheduler through
+:meth:`~repro.distributed.campaign.CampaignJournal.lookup`, and the store
+is read back as rows and records.
 """
 
 from __future__ import annotations
@@ -66,15 +65,6 @@ class RowSink(Protocol):
 
     def flush(self) -> None:
         """Make every accepted cell durable (no-op for line-buffered sinks)."""
-        ...
-
-
-@runtime_checkable
-class RowSource(Protocol):
-    """Replays persisted cells; the read half of the results API."""
-
-    def replay(self, experiment: str, cell: Cell, version: str = "") -> Optional[CellOutcome]:
-        """The persisted outcome of ``cell`` (``cached=True``), or ``None``."""
         ...
 
 

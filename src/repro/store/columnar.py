@@ -111,7 +111,7 @@ class _Buffer:
 
 
 class CampaignStore:
-    """A directory of campaign results (RowSink + RowSource).
+    """A directory of campaign results (a RowSink, read back as rows).
 
     Parameters
     ----------
@@ -206,7 +206,7 @@ class CampaignStore:
 
         Shares the replayability rule of the cache and the journal: only
         outcomes whose metrics survive a JSON round-trip unchanged land, so
-        replayed rows stay bit-identical.
+        rows read back stay bit-identical.
         """
 
         if encode_replayable(outcome) is None:
@@ -381,7 +381,7 @@ class CampaignStore:
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
-    # -- read half (RowSource + iteration) ---------------------------------
+    # -- read half: records and rows ---------------------------------------
 
     def _read_part(self, part: Partition) -> List[Dict[str, Any]]:
         if part.format != PART_FORMAT:
@@ -437,24 +437,6 @@ class CampaignStore:
 
         return [json.loads(r["row_json"]) for r in self.records(campaign=campaign,
                                                                 scenario=scenario)]
-
-    def replay(self, experiment: str, cell: Cell, version: str = "") -> Optional[CellOutcome]:
-        """Rebuild the persisted outcome of ``cell`` (``cached=True``), or ``None``."""
-
-        wanted = cell_key(experiment, cell, version)
-        for record in self._stored_records(scenario=experiment):
-            if record.get("key") != wanted:
-                continue
-            row = json.loads(record["row_json"])
-            skip = set(cell.params_dict) | {"experiment", "seed"}
-            metrics = {name: value for name, value in row.items() if name not in skip}
-            return CellOutcome(
-                cell=cell,
-                metrics=metrics,
-                elapsed_seconds=float(record.get("elapsed_seconds", 0.0)),
-                cached=True,
-            )
-        return None
 
     def __len__(self) -> int:
         return sum(part.rows for part in self.partitions())

@@ -247,8 +247,7 @@ class TestScenarioDigests:
             executor = fast_executor(workers=2)
         else:
             executor = DistributedExecutor("inproc://", workers=4, stall_timeout=30.0)
-        # Stealing is the executor's default -- the digest must not depend
-        # on which worker ends up running a cell.
-        assert executor.steal
+        # Stealing is always on -- the digest must not depend on which
+        # worker ends up running a cell.
         distributed = run_scenario(spec, smoke=True, executor=executor)
         assert rows_digest(distributed.rows) == rows_digest(serial.rows)

@@ -1,4 +1,4 @@
-"""Work stealing, one attempt per cell, and the 1000-worker in-process fleet.
+"""Guided leases, work stealing, one attempt per cell, and the 1000-worker fleet.
 
 The ``inproc://`` backend exists so scheduler behaviour at fleet scale is
 testable in one process: a thousand workers are a thousand coroutines on
@@ -13,8 +13,11 @@ the scheduler's own event loop, no sockets or forks.  The contracts:
 * stealing is two-phase and therefore duplicate-free: cells move only
   after the victim confirms it never started them (white-box tests pin the
   victim selection, tail-only policy, and confirmation bookkeeping);
-* a cell has at most one live attempt: the speculative re-execution knobs,
-  flags and frames are gone, and using them fails loudly.
+* stealing is what corrects a lease after it went out: a worker that joins
+  after a lone worker leased the whole queue splits that lease;
+* a cell has at most one live attempt, and guided leases plus stealing is
+  the only policy: the speculation and policy knobs, flags and frames are
+  gone, and using them fails loudly.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import pytest
 
 from repro.distributed import DistributedExecutor, Scheduler, protocol
 from repro.distributed.cli import main as distributed_main
-from repro.distributed.scheduler import _Campaign, _WorkerConn
+from repro.distributed.scheduler import IDLE_DELAY, _Campaign, _WorkerConn
 from repro.distributed.worker import AsyncWorker
 from repro.experiments.grid import CellFunction, expand_grid
 
@@ -47,11 +50,7 @@ class TestThousandWorkerFleet:
         serial = [fn(cell) for cell in cells]
 
         with Scheduler(
-            "inproc://",
-            prefetch=2,
-            steal=True,
-            journal=str(journal),
-            stall_timeout=60.0,
+            "inproc://", journal=str(journal), stall_timeout=60.0
         ) as scheduler:
             # Built here rather than by spawn_local_worker so the test can
             # read each worker's execution count afterwards.
@@ -120,9 +119,7 @@ class TestWorkStealingTwoPhase:
 
     @staticmethod
     def scheduler_with_campaign(cells, **kwargs):
-        defaults = dict(prefetch=4, steal=True)
-        defaults.update(kwargs)
-        scheduler = Scheduler("inproc://steal-test", **defaults)
+        scheduler = Scheduler("inproc://steal-test", **kwargs)
         campaign = _Campaign(
             campaign_id="c1", cells=cells, fn_payload="", version="v"
         )
@@ -145,7 +142,7 @@ class TestWorkStealingTwoPhase:
         assert message["indices"] == [2, 3]
         assert victim.assignments[2].revoking and victim.assignments[3].revoking
         # The cells are still the victim's until it confirms.
-        assert list(victim.lease) == [0, 1, 2, 3]
+        assert list(victim.assignments) == [0, 1, 2, 3]
         assert scheduler.stats.steals == 0
 
     def test_confirmed_cells_are_requeued_and_counted(self):
@@ -162,7 +159,7 @@ class TestWorkStealingTwoPhase:
             {"op": "revoked", "campaign": "c1", "indices": message["indices"], "kept": []},
         )
         assert list(campaign.pending) == [2, 3]  # oldest first, at the front
-        assert list(victim.lease) == [0, 1]
+        assert list(victim.assignments) == [0, 1]
         assert 2 not in campaign.running and 3 not in campaign.running
         assert scheduler.stats.steals == 2
 
@@ -228,14 +225,18 @@ class _CaptureComm:
         self.sent.append(message)
 
 
+def lease_indices(task):
+    return [task["index"]] + [entry["index"] for entry in task.get("extra", [])]
+
+
 class TestGuidedLeases:
-    """A task reply carries ceil(pending / workers) cells, capped by prefetch."""
+    """A task reply carries ceil(pending / workers) cells; steals correct it."""
 
     @staticmethod
-    def lease_of(pending, workers, prefetch):
+    def lease_of(pending, workers):
         cells = expand_grid({"i": list(range(pending))}, repetitions=1, base_seed=7)
         scheduler, campaign = TestWorkStealingTwoPhase.scheduler_with_campaign(
-            cells, prefetch=prefetch, telemetry=False
+            cells, telemetry=False
         )
         campaign.pending.extend(range(pending))
         conns = [
@@ -246,22 +247,17 @@ class TestGuidedLeases:
         asyncio.run(scheduler._handle_request(conns[0]))
         (reply,) = conns[0].comm.sent
         assert reply["op"] == "task"
-        return [reply["index"]] + [entry["index"] for entry in reply.get("extra", [])]
+        return lease_indices(reply)
 
     def test_a_reply_carries_an_equal_share_of_the_queue(self):
-        assert self.lease_of(10, 4, None) == [0, 1, 2]
+        assert self.lease_of(10, 4) == [0, 1, 2]
 
-    def test_prefetch_caps_the_share(self):
-        assert self.lease_of(10, 4, 2) == [0, 1]
+    def test_a_lone_worker_takes_every_pending_cell(self):
+        assert self.lease_of(10, 1) == list(range(10))
 
-    def test_a_lone_uncapped_worker_takes_every_pending_cell(self):
-        assert self.lease_of(10, 1, None) == list(range(10))
-
-    def test_an_uncapped_steal_takes_half_the_stealable_tail(self):
+    def test_a_steal_takes_the_larger_half_of_the_stealable_tail(self):
         cells = expand_grid({"i": list(range(8))}, repetitions=1, base_seed=7)
-        scheduler, campaign = TestWorkStealingTwoPhase.scheduler_with_campaign(
-            cells, prefetch=None
-        )
+        scheduler, campaign = TestWorkStealingTwoPhase.scheduler_with_campaign(cells)
         victim = _WorkerConn(worker_id="victim", comm=None, last_seen=0.0)
         thief = _WorkerConn(worker_id="thief", comm=None, last_seen=0.0)
         for position in range(8):
@@ -270,11 +266,44 @@ class TestGuidedLeases:
         # Stealable tail [1..7]: its larger half, from the end.
         assert message["indices"] == [4, 5, 6, 7]
 
+    def test_a_late_worker_splits_the_lease_of_a_lone_early_one(self):
+        cells = expand_grid({"i": list(range(8))}, repetitions=1, base_seed=7)
+        scheduler, campaign = TestWorkStealingTwoPhase.scheduler_with_campaign(
+            cells, telemetry=False
+        )
+        campaign.pending.extend(range(8))
+        early = _WorkerConn(worker_id="early", comm=_CaptureComm(), last_seen=0.0)
+        scheduler._conns = {"early": early}
+        # Alone in the fleet, the early worker leases the whole queue.
+        asyncio.run(scheduler._handle_request(early))
+        (lease,) = early.comm.sent
+        assert lease_indices(lease) == list(range(8)) and not campaign.pending
+
+        # A second worker joins and asks: the queue is dry, so its request
+        # pushes a revoke for the larger half of the early lease's tail
+        # [1..7] and it is told to come back shortly.
+        late = _WorkerConn(worker_id="late", comm=_CaptureComm(), last_seen=0.0)
+        scheduler._conns["late"] = late
+        asyncio.run(scheduler._handle_request(late))
+        assert early.comm.sent[1:] == [
+            {"op": "revoke", "campaign": "c1", "indices": [4, 5, 6, 7]}
+        ]
+        assert late.comm.sent == [{"op": "idle", "delay": IDLE_DELAY}]
+
+        # Once the early worker confirms, the late one's next request gets
+        # its guided share of the requeued cells.
+        scheduler._handle_revoked(
+            early, {"op": "revoked", "campaign": "c1", "indices": [4, 5, 6, 7], "kept": []}
+        )
+        asyncio.run(scheduler._handle_request(late))
+        assert lease_indices(late.comm.sent[-1]) == [4, 5]
+        assert list(early.assignments) == [0, 1, 2, 3]
+        assert scheduler.stats.steals == 4
+
     def test_stealing_rebalances_a_slow_lease_end_to_end(self):
         cells = expand_grid({"i": list(range(8))}, repetitions=1, base_seed=11)
         fn = CellFunction(slow_first_metrics)
         executor = DistributedExecutor("inproc://", workers=2, stall_timeout=30.0)
-        assert executor.prefetch is None
         EXECUTIONS.clear()
         outcomes = list(executor.map(fn, cells))
         # Stealing moved cells, yet every cell ran exactly once.
@@ -295,7 +324,7 @@ class TestOneAttemptPerCell:
         for position in range(3):
             scheduler._assign(campaign, worker, position)
         assert campaign.running == worker.assignments
-        assert list(worker.lease) == list(worker.assignments) == [0, 1, 2]
+        assert list(worker.assignments) == [0, 1, 2]
 
     def test_a_result_promotes_the_next_head_which_alone_is_charged(self):
         cells = expand_grid({"i": [0, 1, 2]}, repetitions=1, base_seed=7)
@@ -310,17 +339,26 @@ class TestOneAttemptPerCell:
             "op": "result", "campaign": "c1", "index": 0, "attempt": 1,
             "outcome": protocol.encode_payload(outcome),
         }))
-        assert list(worker.lease) == [1, 2] and 0 not in campaign.running
+        assert list(worker.assignments) == [1, 2] and 0 not in campaign.running
         scheduler._forget_connection(worker)
         # 1 was running when the worker died: it alone is charged.
         assert list(campaign.pending) == [1, 2]
         assert campaign.loss_retries == {1: 1} and scheduler.stats.retries == 1
         assert campaign.running == {}
 
+
+class TestRemovedKnobs:
+    """Speculation and the policy switches are gone; using them fails loudly.
+
+    Guided leases plus stealing is the only policy: ``steal``/``prefetch``
+    and ``--no-steal``/``--prefetch`` went the way of the speculation knobs.
+    """
+
     @pytest.mark.parametrize("knob", [
         {"speculate": True}, {"speculation_delay": 1.0}, {"max_speculative": 1},
+        {"steal": False}, {"steal": True}, {"prefetch": 2}, {"prefetch": None},
     ])
-    def test_speculation_knobs_are_gone(self, knob):
+    def test_removed_knobs_are_type_errors(self, knob):
         with pytest.raises(TypeError):
             DistributedExecutor("inproc://", workers=1, **knob)
         with pytest.raises(TypeError):
@@ -330,8 +368,10 @@ class TestOneAttemptPerCell:
         ["run", "fig2.bicriteria", "--smoke"],
         ["scheduler", "fig2.bicriteria", "--smoke", "--bind", "inproc://"],
     ])
-    @pytest.mark.parametrize("flags", [["--no-speculate"], ["--speculation-delay", "1"]])
-    def test_speculation_flags_are_usage_errors(self, command, flags, capsys):
+    @pytest.mark.parametrize("flags", [
+        ["--no-speculate"], ["--speculation-delay", "1"], ["--no-steal"], ["--prefetch", "2"],
+    ])
+    def test_removed_flags_are_usage_errors(self, command, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
             distributed_main(command + flags)
         assert excinfo.value.code == 2

@@ -16,7 +16,8 @@ import time
 
 import pytest
 
-from repro.distributed import DistributedExecutor, Scheduler, protocol
+from repro.distributed import ConnectionClosed, DistributedExecutor, Scheduler, protocol
+from repro.distributed.cli import main as distributed_main
 from repro.distributed.scheduler import WORKER_LOST, CampaignStalled
 from repro.experiments.grid import CellFunction, expand_grid
 from tests.distributed.wire import recv_message, send_message
@@ -34,7 +35,8 @@ class FakeWorker:
         self.sock = socket.create_connection((host, port), timeout=5.0)
         self.worker_id = worker_id
         send_message(self.sock, {"op": "hello", "worker": worker_id})
-        assert recv_message(self.sock)["op"] == "welcome"
+        self.welcome = recv_message(self.sock)
+        assert self.welcome["op"] == "welcome"
 
     def take_cell(self, timeout=10.0):
         """Request until a task arrives; returns the task message."""
@@ -66,6 +68,17 @@ class FakeWorker:
             pass
 
 
+def lease_indices(task):
+    """The positions a ``task`` reply leases, in dispatch order."""
+
+    return [task["index"]] + [entry["index"] for entry in task.get("extra", [])]
+
+
+def finish_lease(worker, task):
+    for entry in [task] + task.get("extra", []):
+        worker.finish({**entry, "campaign": task["campaign"]})
+
+
 def collect_campaign(scheduler, cells, results, errors):
     try:
         results.extend(scheduler.run_campaign(CellFunction(plain_cell), cells))
@@ -74,7 +87,7 @@ def collect_campaign(scheduler, cells, results, errors):
 
 
 class TestHeartbeatEviction:
-    def test_silent_worker_is_evicted_and_its_cell_requeued(self):
+    def test_silent_worker_is_evicted_and_its_lease_requeued(self):
         cells = expand_grid({"x": list(range(8))}, repetitions=1)
         scheduler = Scheduler(
             heartbeat_interval=0.1, heartbeat_timeout=0.6, max_retries=3
@@ -87,21 +100,18 @@ class TestHeartbeatEviction:
         silent = None
         honest = None
         try:
-            # The silent worker grabs a cell first, then goes quiet.
+            # Alone in the fleet, the silent worker leases the whole queue,
+            # then goes quiet.
             silent = FakeWorker(scheduler.address, "silent")
-            task = silent.take_cell()
-            held = protocol.decode_payload(task["cell"])
+            assert lease_indices(silent.take_cell()) == list(range(len(cells)))
 
-            # An honest worker drains everything else, then idles until the
-            # eviction releases the held cell.
+            # An honest worker idles -- the silent worker never answers the
+            # revokes its requests trigger -- until the eviction requeues
+            # the lease, head first, then drains it.
             honest = FakeWorker(scheduler.address, "honest")
-            done = 0
-            while done < len(cells) - 1:
-                honest.finish(honest.take_cell())
-                done += 1
             retried = honest.take_cell(timeout=10.0)
-            assert protocol.decode_payload(retried["cell"]) == held
-            honest.finish(retried)
+            assert lease_indices(retried) == list(range(len(cells)))
+            finish_lease(honest, retried)
 
             consumer.join(timeout=10.0)
             assert not consumer.is_alive() and not errors
@@ -109,13 +119,15 @@ class TestHeartbeatEviction:
                 CellFunction(plain_cell)(cell).metrics for cell in cells
             ]
             assert scheduler.stats.evictions == 1
+            # Only the lease head -- the cell the worker was on -- is charged.
             assert scheduler.stats.retries == 1
-            # The evicted socket was closed by the scheduler (EOF or reset).
+            assert scheduler.stats.steals == 0
+            # The evicted socket was closed by the scheduler (EOF or reset),
+            # behind the revokes the honest worker's requests pushed to it.
             silent.sock.settimeout(2.0)
-            try:
-                assert silent.sock.recv(1) == b""
-            except ConnectionError:
-                pass
+            with pytest.raises(ConnectionClosed):
+                while True:
+                    assert recv_message(silent.sock)["op"] == "revoke"
         finally:
             for worker in (silent, honest):
                 if worker is not None:
@@ -154,9 +166,7 @@ class TestHeartbeatEviction:
 class TestRemovedFrames:
     def test_discarded_frame_drops_the_connection_and_requeues_its_lease(self):
         cells = expand_grid({"x": list(range(4))}, repetitions=1)
-        scheduler = Scheduler(
-            heartbeat_interval=0.1, heartbeat_timeout=5.0, prefetch=None
-        ).start()
+        scheduler = Scheduler(heartbeat_interval=0.1, heartbeat_timeout=5.0).start()
         results, errors = [], []
         consumer = threading.Thread(
             target=collect_campaign, args=(scheduler, cells, results, errors)
@@ -183,9 +193,7 @@ class TestRemovedFrames:
 
             honest = FakeWorker(scheduler.address, "honest")
             while len(results) < len(cells) and consumer.is_alive():
-                task = honest.take_cell()
-                for entry in [task] + task.get("extra", []):
-                    honest.finish({**entry, "campaign": task["campaign"]})
+                finish_lease(honest, honest.take_cell())
                 consumer.join(timeout=0.2)
             consumer.join(timeout=10.0)
             assert not consumer.is_alive() and not errors
@@ -268,6 +276,54 @@ class TestStallGuard:
                 worker.close()
             scheduler.close()
             consumer.join(timeout=5.0)
+
+
+class TestSchedulingSettings:
+    """Settings no campaign could run with fail at construction."""
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"max_retries": -1}, "max_retries must be >= 0"),
+        ({"stall_timeout": 0}, "stall_timeout must be > 0"),
+        ({"stall_timeout": -5.0}, "stall_timeout must be > 0"),
+        (
+            {"heartbeat_interval": 1.0, "heartbeat_timeout": 1.0},
+            "heartbeat_timeout must exceed heartbeat_interval",
+        ),
+    ])
+    def test_both_constructors_reject_an_unrunnable_setting(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            Scheduler("inproc://", **settings)
+        with pytest.raises(ValueError, match=message):
+            DistributedExecutor("inproc://", workers=1, **settings)
+
+    def test_no_stall_timeout_and_no_retries_are_valid(self):
+        Scheduler("inproc://", stall_timeout=None, max_retries=0)
+        DistributedExecutor("inproc://", stall_timeout=None, max_retries=0)
+
+    @pytest.mark.parametrize("command", [
+        ["run", "fig2.bicriteria", "--smoke", "--comm", "inproc"],
+        ["scheduler", "fig2.bicriteria", "--smoke", "--bind", "inproc://"],
+    ])
+    @pytest.mark.parametrize("flags, message", [
+        (["--max-retries", "-1"], "max_retries must be >= 0"),
+        (["--stall-timeout", "0"], "stall_timeout must be > 0"),
+        (["--stall-timeout", "-5"], "stall_timeout must be > 0"),
+    ])
+    def test_cli_exits_2_before_any_campaign(self, command, flags, message, capsys):
+        assert distributed_main(command + flags) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "FAIL" not in captured.out
+
+
+class TestWelcome:
+    def test_welcome_advertises_no_lease_cap(self):
+        with Scheduler(heartbeat_interval=0.1, heartbeat_timeout=5.0) as scheduler:
+            worker = FakeWorker(scheduler.address, "greeted")
+            try:
+                assert set(worker.welcome) == {"op", "heartbeat_interval", "telemetry"}
+            finally:
+                worker.close()
 
 
 class TestWorkerReconnectPromptness:

@@ -35,8 +35,8 @@ def seeded_value(seed: int, k: int) -> dict:
 
 def waiting_seeded_value(seed: int, k: int) -> dict:
     # Wait-bound, so the campaign outlasts the fleet's start-up: with
-    # microsecond cells the first worker's uncapped lease can drain the
-    # whole campaign before the second worker says hello.
+    # microsecond cells the first worker's lease (the whole queue) can
+    # drain before the second worker says hello.
     time.sleep(0.05)
     return seeded_value(seed, k)
 

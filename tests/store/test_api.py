@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,6 @@ from repro.experiments.grid import CellOutcome, expand_grid
 from repro.store.api import (
     FORMATS,
     RowSink,
-    RowSource,
     coerce_sink,
     compose_row,
     infer_format,
@@ -45,22 +45,27 @@ class TestProtocols:
             CampaignStore(tmp_path / "store"),
         ]
 
-    def test_every_row_store_is_a_sink_and_a_source(self, tmp_path):
+    def test_every_row_store_is_a_sink(self, tmp_path):
         for store in self.all_stores(tmp_path):
             assert isinstance(store, RowSink), store
-            assert isinstance(store, RowSource), store
 
-    def test_write_then_replay_round_trips_on_every_store(self, tmp_path):
+    def test_written_cells_read_back_through_each_stores_own_path(self, tmp_path):
         (cell,) = expand_grid({"x": [3]}, repetitions=1)
         outcome = outcome_for(cell, 42.0)
-        for store in self.all_stores(tmp_path):
-            assert store.write("exp", cell, outcome, "v1") is True
-            store.flush()
-            replayed = store.replay("exp", cell, "v1")
-            assert replayed is not None, store
+        cache, journal, store = self.all_stores(tmp_path)
+        for sink in (cache, journal, store):
+            assert sink.write("exp", cell, outcome, "v1") is True, sink
+            sink.flush()
+        # The harness reads the cache, the scheduler reads the journal...
+        for replayed in (cache.lookup("exp", cell, "v1"), journal.lookup(cell, "v1")):
+            assert replayed is not None
             assert replayed.cached is True
             assert replayed.metrics == {"v": 42.0}
             assert replayed.elapsed_seconds == pytest.approx(0.25)
+        # ...and the campaign store is read back as rows.
+        (record,) = CampaignStore(tmp_path / "store").records()
+        assert json.loads(record["row_json"]) == compose_row("exp", cell, outcome)
+        assert record["elapsed_seconds"] == pytest.approx(0.25)
 
     def test_failed_outcomes_are_rejected_by_every_store(self, tmp_path):
         (cell,) = expand_grid({}, repetitions=1)

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.experiments.grid import CellOutcome, expand_grid
+from repro.experiments.grid import CellOutcome, cell_key, expand_grid
 from repro.store.columnar import META_COLUMNS, CampaignStore
 from repro.store.queries import QUERIES, run_query
 
@@ -28,17 +28,18 @@ class TestRoundTrip:
         store.flush()
         assert CampaignStore(tmp_path / "s").rows() == rows
 
-    def test_write_replay_matches_cache_codec(self, tmp_path):
+    def test_write_lands_the_row_under_the_cell_key(self, tmp_path):
         store = CampaignStore(tmp_path / "s")
         (cell,) = expand_grid({"n": [4]}, repetitions=1, base_seed=9)
         metrics = {"ratio": 2.4650798028323913, "family": "parallel"}
         assert store.write("fig2", cell, outcome_for(cell, metrics), "v1")
         store.flush()
-        replayed = CampaignStore(tmp_path / "s").replay("fig2", cell, "v1")
-        assert replayed is not None
-        assert replayed.metrics == metrics
-        assert replayed.cached is True
-        assert CampaignStore(tmp_path / "s").replay("fig2", cell, "v2") is None
+        (record,) = CampaignStore(tmp_path / "s").records()
+        # Keyed like the cache and the journal: the fingerprint is part of it.
+        assert record["key"] == cell_key("fig2", cell, "v1")
+        assert record["key"] != cell_key("fig2", cell, "v2")
+        row = json.loads(record["row_json"])
+        assert {name: row[name] for name in metrics} == metrics
 
     def test_records_carry_only_meta_columns(self, tmp_path):
         store = CampaignStore(tmp_path / "s", campaign="c")
