@@ -11,7 +11,7 @@ experiment harness: set ``REPRO_JOBS=N`` to fan the (config, seed) cells out
 to a forked fleet of ``N`` workers, or ``REPRO_JOBS=tcp://host:port`` to
 schedule them onto distributed workers (results are identical to a serial
 run either way), and set ``REPRO_CACHE_DIR=<dir>`` to skip cells already computed by a
-previous invocation.
+previous invocation (the harness reads it; no fixture is involved).
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from repro.experiments.cache import ResultCache          # noqa: E402
 from repro.experiments.executors import resolve_executor  # noqa: E402
 from repro.experiments.harness import run_experiment      # noqa: E402
 from repro.scenarios import run_scenario                  # noqa: E402
@@ -38,13 +37,6 @@ def bench_executor():
     """Executor shared by every benchmark sweep (selected by REPRO_JOBS)."""
 
     return resolve_executor(None)
-
-
-@pytest.fixture(scope="session")
-def bench_cache():
-    """On-disk cell cache, enabled by setting REPRO_CACHE_DIR."""
-
-    return ResultCache.from_env()
 
 
 @pytest.fixture
@@ -58,12 +50,12 @@ def run_once(benchmark):
 
 
 @pytest.fixture
-def run_sweep(run_once, bench_executor, bench_cache):
+def run_sweep(run_once, bench_executor):
     """Run a parameter sweep through the harness, timed by pytest-benchmark.
 
     ``run_sweep(name, run, parameters, repetitions=..., base_seed=...)``
     returns the :class:`~repro.experiments.harness.ExperimentResult`; the
-    executor and cache come from the session fixtures above.
+    executor comes from the session fixture above.
     """
 
     def _run(name, run, parameters=None, *, repetitions=1, base_seed=1234, **kwargs):
@@ -75,7 +67,6 @@ def run_sweep(run_once, bench_executor, bench_cache):
             repetitions=repetitions,
             base_seed=base_seed,
             executor=bench_executor,
-            cache=bench_cache,
             **kwargs,
         )
 
@@ -83,17 +74,17 @@ def run_sweep(run_once, bench_executor, bench_cache):
 
 
 @pytest.fixture
-def run_scenario_sweep(run_once, bench_executor, bench_cache):
+def run_scenario_sweep(run_once, bench_executor):
     """Run a registered (or derived) :class:`ScenarioSpec` through the harness.
 
     ``run_scenario_sweep(spec, **kwargs)`` forwards to
-    :func:`repro.scenarios.run_scenario` with the session executor and
-    cache, timed by pytest-benchmark like every other sweep.
+    :func:`repro.scenarios.run_scenario` with the session executor, timed
+    by pytest-benchmark like every other sweep.
     """
 
     def _run(spec, **kwargs):
         return run_once(
-            run_scenario, spec, executor=bench_executor, cache=bench_cache, **kwargs
+            run_scenario, spec, executor=bench_executor, **kwargs
         )
 
     return _run

@@ -19,9 +19,9 @@ take back the queued, never-started tail of loaded workers' leases), so a
 cell has at most one live attempt at a time.  Results are keyed by position and every cell carries its own
 deterministic seed, so scheduling changes the wall clock, never the rows.
 Fault tolerance is retry-based (a dead worker's lease is requeued, and the
-cell it was running is charged against a bounded budget) and campaigns are
-resumable through an append-only JSONL journal
-(:class:`~repro.distributed.campaign.CampaignJournal`).
+cell it was running is charged against a bounded budget).  Resuming a
+killed campaign is not this package's job: the harness' cell cache
+(``REPRO_CACHE_DIR``) replays completed cells on every executor alike.
 
 The public entry points:
 
@@ -34,7 +34,6 @@ The public entry points:
   (``scheduler`` / ``worker`` / ``run`` -- see :mod:`repro.distributed.cli`).
 """
 
-from repro.distributed.campaign import CampaignJournal
 from repro.distributed.comm import (
     Backend,
     Comm,
@@ -58,7 +57,6 @@ from repro.distributed.worker import AsyncWorker, Worker, run_worker
 __all__ = [
     "AsyncWorker",
     "Backend",
-    "CampaignJournal",
     "CampaignStalled",
     "Comm",
     "CommClosedError",

@@ -14,8 +14,8 @@
     # same campaign, no sockets or forks: an in-process coroutine fleet
     python -m repro.distributed run fig2.bicriteria --comm inproc --workers 32 --smoke
 
-    # resume a killed campaign: only incomplete cells re-execute
-    python -m repro.distributed run grid.ciment --workers 4 --journal ciment.jsonl
+    # resume a killed campaign: cached cells replay, only the rest execute
+    REPRO_CACHE_DIR=.repro-cache python -m repro.distributed run grid.ciment --workers 4
 
 Addresses are scheme-prefixed comm addresses (``tcp://HOST:PORT``,
 ``inproc://NAME``; see :mod:`repro.distributed.comm`).  The runtime has one
@@ -72,10 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--all", action="store_true", help="run every registered scenario")
     common.add_argument("--tag", default=None, help="with --all: only this tag")
     common.add_argument("--smoke", action="store_true", help="tiny smoke-tier sizes")
-    common.add_argument(
-        "--journal", type=Path, default=None, metavar="FILE.jsonl",
-        help="campaign journal: completed cells are appended and replayed on restart",
-    )
     common.add_argument(
         "--max-retries", type=int, default=3,
         help="re-assignments allowed per cell after worker losses, >= 0 (default: 3)",
@@ -208,7 +204,6 @@ def _run_scenarios(args: argparse.Namespace, executor: DistributedExecutor) -> i
 
 def _scheduling_kwargs(args: argparse.Namespace) -> dict:
     return {
-        "journal": args.journal,
         "max_retries": args.max_retries,
         "stall_timeout": args.stall_timeout,
     }

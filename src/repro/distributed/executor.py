@@ -30,32 +30,30 @@ campaign, then raise the local fleet -- forked processes for ``tcp://``,
 event-loop coroutines for ``inproc://``, both babysat by one loop so a dead
 worker costs a retry of the cell it was running, not the sweep -- stream
 the ordered outcomes, then tear everything down.  The campaign exists
-before any worker asks, so no first request is answered ``idle``.  With ``journal=`` (or
-``REPRO_JOURNAL=``) pointing at a JSONL file, completed cells are journaled
-as they finish and a restarted campaign re-executes only the incomplete
-ones.  After each campaign the scheduler's counters are published on
-:attr:`last_stats` (and accumulated on :attr:`stats`) so callers and the CLI
-can report steals and retries.
+before any worker asks, so no first request is answered ``idle``.  After
+each campaign the scheduler's counters are published on :attr:`last_stats`
+(and accumulated on :attr:`stats`) so callers and the CLI can report steals
+and retries.
+
+The executor keeps no record of finished cells: a killed campaign resumes
+through the harness' cell cache (``REPRO_CACHE_DIR``), which replays
+completed cells before the rest reach :meth:`map` -- the same way on every
+executor.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 from functools import partial
 from typing import Callable, Generator, Iterator, List, Optional, Sequence, Union
 
-from repro.distributed.campaign import CampaignJournal
 from repro.distributed.comm import core as comm_core
 from repro.distributed.scheduler import Scheduler, SchedulerStats, validate_scheduling
 from repro.distributed.worker import run_worker
 from repro.experiments.executors import Executor
 from repro.experiments.grid import Cell, CellOutcome
 from repro.telemetry import TelemetryBus
-
-#: Environment variable naming the campaign journal file (JSONL).
-JOURNAL_ENV_VAR = "REPRO_JOURNAL"
 
 #: Spawned local workers that die are replaced, but never more than this
 #: many times per original slot -- a crash-looping cell function must hit
@@ -86,9 +84,6 @@ class DistributedExecutor(Executor):
         stay picklable by reference.  Elsewhere the platform's default
         start method is used and cell functions must live in importable
         modules.
-    journal:
-        Campaign journal path or :class:`CampaignJournal`; defaults to the
-        ``REPRO_JOURNAL`` environment variable (unset = no journal).
     heartbeat_interval / heartbeat_timeout / max_retries:
         Forwarded to the :class:`Scheduler` (see its docstring) and
         validated here, at construction.
@@ -110,7 +105,6 @@ class DistributedExecutor(Executor):
         address: str = "tcp://127.0.0.1:0",
         *,
         workers: int = 0,
-        journal: Union[None, str, CampaignJournal] = None,
         heartbeat_interval: float = 0.5,
         heartbeat_timeout: float = 10.0,
         max_retries: int = 3,
@@ -129,9 +123,6 @@ class DistributedExecutor(Executor):
         self.address = address
         self.scheme = comm_core.split_address(address)[0]
         self.workers = workers
-        if journal is None:
-            journal = os.environ.get(JOURNAL_ENV_VAR, "").strip() or None
-        self.journal = CampaignJournal.coerce(journal)
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.max_retries = max_retries
@@ -167,7 +158,6 @@ class DistributedExecutor(Executor):
                 heartbeat_interval=self.heartbeat_interval,
                 heartbeat_timeout=self.heartbeat_timeout,
                 max_retries=self.max_retries,
-                journal=self.journal,
                 stall_timeout=self.stall_timeout,
                 telemetry=self.telemetry,
             )

@@ -43,10 +43,12 @@ by work stealing:
   behind it never started and go back free.  Past a bounded per-cell retry budget
   the cell is failed with a ``WorkerLostError`` outcome that the harness
   surfaces as :class:`~repro.experiments.harness.CellExecutionError`.
-* **resumability**: with a
-  :class:`~repro.distributed.campaign.CampaignJournal` attached, completed
-  cells are appended as they stream in and journaled cells of a restarted
-  campaign are replayed without re-execution.
+
+The scheduler keeps no record of finished cells across campaigns: resuming
+a killed campaign is the harness' job, whose cell cache
+(:class:`~repro.experiments.cache.ResultCache`, ``REPRO_CACHE_DIR``) replays
+completed cells before any reach an executor, so every position of a
+campaign is pending when it registers.
 
 The heartbeat monitor is event-driven: it sleeps until the earliest
 possible eviction deadline (or forever while no worker is connected) and is
@@ -65,7 +67,6 @@ from itertools import islice
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.distributed import protocol
-from repro.distributed.campaign import CampaignJournal
 from repro.distributed.comm import core as comm_core
 from repro.distributed.comm.core import Comm, CommError
 from repro.experiments.grid import Cell, CellOutcome
@@ -104,7 +105,6 @@ class SchedulerStats:
     retries: int = 0
     results: int = 0
     duplicates: int = 0
-    journal_hits: int = 0
     worker_lost_failures: int = 0
     steals: int = 0
 
@@ -187,7 +187,6 @@ class _Campaign:
     campaign_id: str
     cells: Sequence[Cell]
     fn_payload: str
-    version: str
     pending: Deque[int] = field(default_factory=deque)  # positions awaiting a worker
     done: set = field(default_factory=set)              # positions with a result
     results: Dict[int, CellOutcome] = field(default_factory=dict)
@@ -241,9 +240,6 @@ class Scheduler:
         How many times (``>= 0``) a cell may be lost with its worker -- lost
         while it was running, at the head of the worker's lease -- before it
         is failed with a ``WorkerLostError`` outcome.
-    journal:
-        Optional :class:`CampaignJournal` (or path): completed cells are
-        appended, journaled cells are replayed on restart.
     stall_timeout:
         When set (``> 0``), :meth:`run_campaign` raises
         :class:`CampaignStalled` if cells are pending but no worker has been
@@ -265,7 +261,6 @@ class Scheduler:
         heartbeat_interval: float = 1.0,
         heartbeat_timeout: float = 10.0,
         max_retries: int = 3,
-        journal: Union[None, str, CampaignJournal] = None,
         stall_timeout: Optional[float] = None,
         telemetry: Union[None, bool, TelemetryBus] = None,
     ) -> None:
@@ -280,7 +275,6 @@ class Scheduler:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.max_retries = max_retries
-        self.journal = CampaignJournal.coerce(journal)
         self.stall_timeout = stall_timeout
         self.stats = SchedulerStats()
         if telemetry is False:
@@ -424,23 +418,19 @@ class Scheduler:
         self,
         fn: Callable[[Cell], CellOutcome],
         cells: Sequence[Cell],
-        *,
-        version: Optional[str] = None,
     ) -> Iterator[CellOutcome]:
         """Register a campaign of ``fn`` over ``cells``; return its ordered stream.
 
         The campaign is registered before this returns, so a fleet raised
         afterwards finds work on its first request.  The stream yields
         outcomes in submission order; exhausting or closing it (or dropping
-        it) ends the campaign.  ``version`` keys the journal entries; it
-        defaults to :func:`~repro.experiments.harness.run_fingerprint` of the
-        wrapped run function, mirroring the result-cache versioning.
+        it) ends the campaign.
         """
 
         cells = list(cells)
         if not cells:
             return iter(())
-        stream = self._campaign_stream(fn, cells, version)
+        stream = self._campaign_stream(fn, cells)
         next(stream)  # run up to the registration, inside the try/finally
         return stream
 
@@ -448,25 +438,13 @@ class Scheduler:
         self,
         fn: Callable[[Cell], CellOutcome],
         cells: List[Cell],
-        version: Optional[str],
     ) -> Iterator[CellOutcome]:
-        if version is None:
-            version = self._fingerprint(fn)
         campaign = _Campaign(
             campaign_id=uuid.uuid4().hex[:12],
             cells=cells,
             fn_payload=protocol.encode_payload(fn),
-            version=version,
+            pending=deque(range(len(cells))),
         )
-        # Replay journaled cells; queue only the incomplete ones.
-        for position, cell in enumerate(cells):
-            replayed = self.journal.lookup(cell, version) if self.journal else None
-            if replayed is not None:
-                campaign.results[position] = replayed
-                campaign.done.add(position)
-                self.stats.journal_hits += 1
-            else:
-                campaign.pending.append(position)
 
         with self._lock:
             if self._campaign is not None:
@@ -480,7 +458,6 @@ class Scheduler:
         self._emit(
             TOPIC_SCHEDULER, "campaign-start", campaign=campaign.campaign_id,
             cells=len(cells), pending=len(campaign.pending),
-            journal_hits=len(campaign.done),
         )
         try:
             yield None  # type: ignore[misc]  # consumed by run_campaign
@@ -511,12 +488,6 @@ class Scheduler:
                 body["campaign"] = campaign.campaign_id
                 self._bus.publish(TOPIC_STATS, body)
 
-    @staticmethod
-    def _fingerprint(fn: Callable[[Cell], CellOutcome]) -> str:
-        from repro.experiments.harness import run_fingerprint
-
-        return run_fingerprint(getattr(fn, "run", fn))
-
     def _check_stalled(self, campaign: _Campaign) -> None:
         """Raise when cells are pending but no worker has shown up for too long.
 
@@ -533,7 +504,7 @@ class Scheduler:
             raise CampaignStalled(
                 f"campaign {campaign.campaign_id} stalled: {outstanding} cell(s) "
                 f"outstanding but no worker connected to {self.address} for "
-                f"{self.stall_timeout:.0f}s"
+                f"{self.stall_timeout:g}s"
             )
 
     # -- the heartbeat-eviction monitor (event-driven, no busy-poll) --------
@@ -976,7 +947,6 @@ class Scheduler:
     async def _handle_result(self, conn: _WorkerConn, message: Dict[str, object]) -> None:
         outcome = protocol.decode_payload(str(message.get("outcome")))
         position = int(message.get("index", -1))  # type: ignore[arg-type]
-        record = None
         queue_sample: Optional[Dict[str, Any]] = None
         with self._lock:
             campaign = self._campaign
@@ -999,8 +969,6 @@ class Scheduler:
             campaign.results[position] = outcome
             self.stats.results += 1
             campaign.running.pop(position, None)
-            if self.journal is not None and not outcome.failed:
-                record = (campaign.cells[position], outcome, campaign.version)
             queue_sample = self._queue_sample(campaign)
             self._lock.notify_all()
         self._emit(
@@ -1010,8 +978,6 @@ class Scheduler:
         )
         if queue_sample is not None:
             self._emit(TOPIC_QUEUE, "queue-sample", **queue_sample)
-        if record is not None:
-            self.journal.record(*record)
 
     # -- connection loss ----------------------------------------------------
 

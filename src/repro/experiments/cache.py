@@ -1,5 +1,13 @@
 """On-disk cell cache: repeated sweeps skip completed cells.
 
+This is the one replay store of the repository.  The harness
+(:func:`repro.experiments.harness.run_experiment`) opens it from ``cache=``
+or, by default, from the ``REPRO_CACHE_DIR`` environment variable; it looks
+every cell up before dispatch and stores each outcome as it streams in, so
+a killed campaign resumes -- on the serial executor, a forked fleet or a
+``tcp://``/``inproc://`` scheduler alike -- re-running only the cells it had
+not finished.
+
 Each cached cell is one small JSON file ``<dir>/<experiment>/<key>.json``
 holding the metrics and the original timing.  The key (see
 :func:`repro.experiments.grid.cell_key`) covers the experiment name, the
@@ -12,6 +20,8 @@ directory).
 
 Only JSON-serialisable metrics are cached; cells whose rows hold rich Python
 objects are silently recomputed every time (correct, just not accelerated).
+Each entry is written atomically (temporary file, then rename), so a crash
+mid-write never leaves a truncated entry behind.
 """
 
 from __future__ import annotations
@@ -26,7 +36,8 @@ from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.experiments.grid import Cell, CellOutcome, cell_key
 
-#: Environment variable enabling the cache for benchmark runs.
+#: Environment variable naming the cache directory ``run_experiment`` uses
+#: when no ``cache=`` is given (unset or empty = no cache).
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
@@ -36,7 +47,7 @@ def encode_replayable(outcome: CellOutcome) -> Optional[Dict[str, Any]]:
     """The JSON-safe replay fields of a successful outcome, or ``None``.
 
     The single definition of "replayable" shared by the result cache and
-    the distributed campaign journal: only metrics that survive a JSON
+    the campaign store: only metrics that survive a JSON
     round-trip *unchanged* may be persisted (tuples and non-string dict
     keys do not), so replayed rows are bit-identical to freshly computed
     ones.  Failed outcomes and rich-object metrics return ``None`` -- the

@@ -195,9 +195,9 @@ class CellKeyer:
 def keyer_for(experiment: str, version: str = "") -> CellKeyer:
     """The shared :class:`CellKeyer` of one (experiment, version) pair.
 
-    Every key path -- result cache, campaign store, distributed journal --
-    funnels through :func:`cell_key`, so memoising the keyer here gives all
-    of them the once-per-sweep precomputation without signature changes.
+    Both key paths -- the result cache and the campaign store -- funnel
+    through :func:`cell_key`, so memoising the keyer here gives both of them
+    the once-per-sweep precomputation without signature changes.
     """
 
     return CellKeyer(experiment, version)

@@ -19,9 +19,11 @@ The sweep is organised in three separable stages:
    (:class:`repro.metrics.aggregate.StreamingAggregator`).
 
 Because cells carry deterministic seeds and executors preserve order, the
-rows of a parallel run are identical to a serial run.  An optional on-disk
-cache (:class:`repro.experiments.cache.ResultCache`) skips cells already
-computed by a previous invocation.
+rows of a parallel run are identical to a serial run.  The on-disk cell
+cache (:class:`repro.experiments.cache.ResultCache`, ``cache=`` or the
+``REPRO_CACHE_DIR`` environment variable) skips cells already computed by a
+previous invocation and stores each new outcome as it streams in, so a
+killed campaign resumes on any executor.
 """
 
 from __future__ import annotations
@@ -161,9 +163,8 @@ def _source_text(target: Any) -> Optional[str]:
     """``inspect.getsource`` with a cache keyed by the function object.
 
     ``getsource`` re-reads and re-tokenises the defining file on every call;
-    campaign drivers fingerprint the same run functions once per sweep (and
-    the distributed scheduler once per submitted task), so the memo turns
-    the repeated cost into a dict hit.  Stale entries are impossible within
+    campaign drivers fingerprint the same run functions once per sweep, so
+    the memo turns the repeated cost into a dict hit.  Stale entries are impossible within
     a process: a re-defined function is a new object, hence a new key.
     """
 
@@ -236,9 +237,11 @@ def run_experiment(
         bind address, an ``inproc://name`` address, or an
         :class:`~repro.experiments.executors.Executor` instance.
     cache:
-        Optional on-disk cell cache (a directory path or a
-        :class:`~repro.experiments.cache.ResultCache`); completed cells are
-        skipped on re-runs.
+        ``None`` (use ``REPRO_CACHE_DIR``, default no cache), a directory
+        path or a :class:`~repro.experiments.cache.ResultCache`.  Cached
+        cells are replayed without reaching the executor, and every new
+        outcome is stored before listeners hear of it, so a killed sweep
+        re-runs only what it had not finished -- whatever the executor.
     sink:
         Optional :class:`~repro.store.api.RowSink` (or a campaign-store
         directory path) receiving every completed cell as it streams in --
@@ -269,7 +272,7 @@ def run_experiment(
     with spans.span("harness.expand"):
         cells = expand_grid(parameters, repetitions=repetitions, base_seed=base_seed)
     backend = resolve_executor(executor)
-    store = ResultCache.coerce(cache)
+    store = ResultCache.coerce(cache) if cache is not None else ResultCache.from_env()
     row_sink = coerce_sink(sink)
     notify = FanoutListener([get_bus(), listener])
     version = cache_version if cache_version is not None else (

@@ -309,8 +309,7 @@ def run_specs(
         if out is not None:
             exported.extend(result.rows)
             outcome.rows_path = str(out)
-        # Cache hits cover both the on-disk result cache and, under a
-        # distributed executor, campaign-journal replays.
+        # Cells the result cache replayed, whatever the executor.
         replayed = f", {outcome.cache_hits} cached" if outcome.cache_hits else ""
         print(
             f"ok   {outcome.name}: {outcome.rows} rows in "

@@ -758,8 +758,8 @@ class ScenarioOutcome:
     executor: str
     errors: int = 0
     error: str = ""
-    #: Cells replayed from the result cache or a distributed campaign
-    #: journal instead of being executed.
+    #: Cells replayed from the result cache (``cache=`` or
+    #: ``REPRO_CACHE_DIR``) instead of being executed, on any executor.
     cache_hits: int = 0
     #: Where the rows were exported (``--out``), empty when not exported.
     rows_path: str = ""

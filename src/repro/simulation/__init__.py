@@ -7,7 +7,7 @@ from scratch for this reproduction:
 
 * :mod:`repro.simulation.events` -- event queue primitives,
 * :mod:`repro.simulation.engine` -- the simulation kernel (clock, event loop,
-  generator-based processes),
+  callback scheduling),
 * :mod:`repro.simulation.resources` -- a processor-pool resource with
   reservations and preemption (needed to kill best-effort jobs),
 * :mod:`repro.simulation.tracing` -- execution traces and Gantt recording,
@@ -24,7 +24,7 @@ The three simulators are configurations of the unified job-lifecycle core in
 here because the runtime itself builds on this package's kernel modules.
 """
 
-from repro.simulation.engine import Simulator, Process, Timeout
+from repro.simulation.engine import Simulator
 from repro.simulation.events import Event, EventQueue
 from repro.simulation.kernel import compiled_available, resolve_kernel
 from repro.simulation.resources import ProcessorPool, AllocationRequest
@@ -42,8 +42,6 @@ _LAZY = {
 
 __all__ = [
     "Simulator",
-    "Process",
-    "Timeout",
     "Event",
     "EventQueue",
     "compiled_available",

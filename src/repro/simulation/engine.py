@@ -1,14 +1,10 @@
 """The discrete-event simulation kernel.
 
-The :class:`Simulator` owns the clock and the event queue.  Two programming
-styles are supported:
-
-* **callbacks** -- ``sim.schedule(delay, fn)`` runs ``fn()`` after ``delay``
-  time units; this is the style used by the cluster and grid simulators;
-* **processes** -- generator functions that ``yield Timeout(d)`` (sleep) or
-  ``yield event`` objects created by :meth:`Simulator.event` (wait until the
-  event is succeeded).  Processes are convenient for writing scenario scripts
-  in tests and examples.
+The :class:`Simulator` owns the clock and the event queue, and has one
+programming style: callbacks.  ``sim.schedule(delay, fn)`` runs ``fn()``
+after ``delay`` time units, ``sim.schedule_at(time, fn)`` at an absolute
+time; ``cancel``, ``run`` and ``stop`` complete the surface every simulator
+and both kernel tiers share.
 
 The kernel is deterministic: simultaneous events run in scheduling order
 (see :mod:`repro.simulation.events`), and there is no hidden source of
@@ -26,117 +22,21 @@ skip building the per-event description strings entirely.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Optional
 
 from repro.simulation.events import Event, EventQueue
 from repro.simulation.kernel import load_ckernel, resolve_kernel
 
 
-@dataclass
-class Timeout:
-    """Yielded by a process to sleep for ``delay`` time units."""
-
-    delay: float
-
-    def __post_init__(self) -> None:
-        if self.delay < 0:
-            raise ValueError("Timeout delay must be >= 0")
-
-
-class SimEvent:
-    """A one-shot condition processes can wait on.
-
-    ``succeed(value)`` wakes every waiting process and stores ``value`` which
-    becomes the result of the ``yield``.
-    """
-
-    __slots__ = ("_sim", "label", "triggered", "value", "_waiters")
-
-    def __init__(self, sim: "Simulator", label: str = "") -> None:
-        self._sim = sim
-        self.label = label
-        self.triggered = False
-        self.value: Any = None
-        self._waiters: List["Process"] = []
-
-    def succeed(self, value: Any = None) -> None:
-        if self.triggered:
-            raise RuntimeError(f"event {self.label!r} already triggered")
-        self.triggered = True
-        self.value = value
-        waiters, self._waiters = self._waiters, []
-        # Zero-delay resumes keep the kernel deterministic: each waiter gets
-        # its own event at the current time, so the queue's (time, priority,
-        # seq) order resumes waiters FIFO (registration order), interleaved
-        # after anything already scheduled at this timestamp -- and when
-        # several SimEvents trigger at the same instant, their waiters wake
-        # in succeed() order.  The value is bound at schedule time so a later
-        # mutation of the event cannot change what an earlier waiter sees.
-        for process in waiters:
-            self._sim.schedule(0.0, lambda p=process, v=value: p._resume(v))
-
-    def _add_waiter(self, process: "Process") -> None:
-        if self.triggered:
-            self._sim.schedule(0.0, lambda p=process, v=self.value: p._resume(v))
-        else:
-            self._waiters.append(process)
-
-
-class Process:
-    """A generator-based simulation process."""
-
-    __slots__ = ("_sim", "_generator", "name", "finished", "result", "completion_event")
-
-    def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
-        self._sim = sim
-        self._generator = generator
-        self.name = name or repr(generator)
-        self.finished = False
-        self.result: Any = None
-        self.completion_event = SimEvent(sim, label=f"{self.name}.done")
-
-    def _start(self) -> None:
-        sim = self._sim
-        label = f"start {self.name}" if sim.trace_labels else ""
-        sim.schedule(0.0, lambda: self._resume(None), label=label)
-
-    def _resume(self, value: Any) -> None:
-        if self.finished:
-            return
-        try:
-            yielded = self._generator.send(value)
-        except StopIteration as stop:
-            self.finished = True
-            self.result = stop.value
-            self.completion_event.succeed(stop.value)
-            return
-        self._dispatch(yielded)
-
-    def _dispatch(self, yielded: Any) -> None:
-        if isinstance(yielded, Timeout):
-            sim = self._sim
-            label = f"wake {self.name}" if sim.trace_labels else ""
-            sim.schedule(yielded.delay, lambda: self._resume(None), label=label)
-        elif isinstance(yielded, SimEvent):
-            yielded._add_waiter(self)
-        elif isinstance(yielded, Process):
-            yielded.completion_event._add_waiter(self)
-        else:
-            raise TypeError(
-                f"process {self.name!r} yielded an unsupported object: {yielded!r}"
-            )
-
-
 class Simulator:
-    """Discrete-event simulation kernel: clock + event queue + process runner.
+    """Discrete-event simulation kernel: clock + event queue + run loop.
 
     ``trace_labels`` opts into per-event description strings (useful when
     debugging a simulation); it is off by default because building one
     f-string per scheduled event measurably slows the hot path down.
 
-    ``kernel`` selects the implementation tier (``pure`` / ``compiled`` /
-    ``auto``; see :mod:`repro.simulation.kernel`); it defaults to the
+    ``kernel`` selects the implementation tier (``pure`` or ``compiled``;
+    see :mod:`repro.simulation.kernel`); it defaults to the
     ``REPRO_KERNEL`` environment variable.  The tiers are observably
     identical -- every digest-gated result is bit-for-bit the same -- so
     switching is purely a performance decision.
@@ -210,19 +110,6 @@ class Simulator:
 
     def cancel(self, event: Event) -> None:
         self._queue.cancel(event)
-
-    # -- processes -----------------------------------------------------------
-    def process(self, generator: Generator, name: str = "") -> Process:
-        """Register and start a generator-based process."""
-
-        process = Process(self, generator, name)
-        process._start()
-        return process
-
-    def event(self, label: str = "") -> SimEvent:
-        """Create a waitable one-shot event."""
-
-        return SimEvent(self, label)
 
     # -- run loop ------------------------------------------------------------
     def run(self, until: Optional[float] = None, *, max_events: Optional[int] = None) -> float:

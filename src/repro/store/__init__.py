@@ -10,7 +10,7 @@ The package has four layers, importable a la carte:
 * :mod:`repro.store.queries` -- named pure-python queries over the stored
   records.
 * :mod:`repro.store.validate` -- the paper's ratio bounds as validation
-  rules; :mod:`repro.store.ingest` -- legacy journal/CSV import.
+  rules; :mod:`repro.store.ingest` -- legacy JSONL/CSV import.
 
 Only the standard library and numpy are required; pyarrow is the optional
 ``[analytics]`` extra, needed only to export or import ``.parquet`` files.

@@ -1,10 +1,10 @@
 """The unified results API: one protocol for every row producer.
 
-Historically the repository persisted sweep rows through three unrelated
-code paths -- the on-disk :class:`~repro.experiments.cache.ResultCache`,
-the distributed :class:`~repro.distributed.campaign.CampaignJournal` and
-ad-hoc ``reporting.to_csv`` calls -- each with its own encoding.  This
-module defines the single contract they all speak now:
+Historically the repository persisted sweep rows through unrelated code
+paths -- the on-disk :class:`~repro.experiments.cache.ResultCache`, a
+scheduler-side replay file and ad-hoc ``reporting.to_csv`` calls -- each
+with its own encoding.  This module defines the single contract they all
+speak now:
 
 * :class:`RowSink` -- anything that accepts completed cells.  The harness
   (:func:`repro.experiments.harness.run_experiment`) streams every finished
@@ -13,13 +13,12 @@ module defines the single contract they all speak now:
 * :func:`write_rows` -- the one export entry point behind every CLI
   ``--out`` flag: CSV, JSONL or Parquet, inferred from the file suffix.
 
-All three row stores (cache, journal and the campaign
+Both row stores (the cell cache and the campaign
 :class:`~repro.store.columnar.CampaignStore`) implement the sink and share
-the :func:`~repro.experiments.cache.encode_replayable` codec.  Each store
-keeps its own read path: the harness replays through
-:meth:`~repro.experiments.cache.ResultCache.lookup`, the scheduler through
-:meth:`~repro.distributed.campaign.CampaignJournal.lookup`, and the store
-is read back as rows and records.
+the :func:`~repro.experiments.cache.encode_replayable` codec.  The cache is
+the one replay store: the harness looks every cell up through
+:meth:`~repro.experiments.cache.ResultCache.lookup` before dispatch, on
+every executor.  The campaign store is read back as rows and records.
 """
 
 from __future__ import annotations

@@ -16,11 +16,10 @@ the new manifest, and orphaned part files are ignored.
 Every record is one line of :data:`META_COLUMNS`: the exact result row as a
 ``row_json`` string (the bit-identity channel) plus the store's own
 bookkeeping, keyed by :func:`repro.experiments.grid.cell_key` + the
-run-function fingerprint, the same dedup keying the result cache and the
-campaign journal use.  Appending the same cell to the same campaign twice
-is a counted no-op.  Parts written by older versions may carry extra
-columns next to ``row_json``; they read back unchanged, and every query
-reads the row through ``row_json`` only.
+run-function fingerprint, the same keying the result cache uses.  Appending
+the same cell to the same campaign twice is a counted no-op.  Parts written
+by older versions may carry extra columns next to ``row_json``; they read
+back unchanged, and every query reads the row through ``row_json`` only.
 """
 
 from __future__ import annotations
@@ -204,7 +203,7 @@ class CampaignStore:
     def write(self, experiment: str, cell: Cell, outcome: CellOutcome, version: str = "") -> bool:
         """Persist one completed cell (the :class:`~repro.store.api.RowSink` hook).
 
-        Shares the replayability rule of the cache and the journal: only
+        Shares the replayability rule of the cell cache: only
         outcomes whose metrics survive a JSON round-trip unchanged land, so
         rows read back stay bit-identical.
         """

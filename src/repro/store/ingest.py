@@ -2,11 +2,11 @@
 
 Two legacy encodings predate the store and remain in the wild:
 
-* **campaign journals** -- the append-only JSONL files of the distributed
-  runner (:mod:`repro.distributed.campaign`).  Ingest reuses the journal's
-  own crash-tolerant loader, so a journal truncated mid-append recovers
-  every complete entry, and keeps each entry's dedup key, so re-ingesting
-  (or resuming the campaign afterwards) cannot duplicate rows.
+* **campaign journals** -- the append-only JSONL files the distributed
+  runner wrote before the harness cell cache became the one replay store.
+  :func:`load_journal_entries` tolerates a crash-truncated last line, so a
+  journal cut mid-append recovers every complete entry, and ingest keeps
+  each entry's dedup key, so re-ingesting cannot duplicate rows.
 * **CSV exports** -- ``reporting.to_csv`` output.  Values are re-typed
   (int, then float, then bool, else string); the dedup key is derived from
   the row content, so re-ingesting the same file is a no-op.
@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.store.columnar import CampaignStore
+
+#: The ``experiment`` label every legacy journal keyed its entries under.
+JOURNAL_LABEL = "campaign"
 
 
 def _coerce_csv_value(text: str) -> Any:
@@ -33,6 +37,31 @@ def _coerce_csv_value(text: str) -> Any:
     return text
 
 
+def load_journal_entries(path: Union[str, Path]) -> Dict[str, Dict[str, Any]]:
+    """All complete entries of a journal file, keyed by cell key.
+
+    Tolerates a missing file and a trailing line truncated by a crash
+    mid-append (everything before it is still recovered).
+    """
+
+    loaded: Dict[str, Dict[str, Any]] = {}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError:
+        return loaded
+    for line in text.splitlines():
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            entry = json.loads(line)
+        except ValueError:
+            continue  # a line truncated by a crash mid-append
+        if isinstance(entry, dict) and isinstance(entry.get("key"), str):
+            loaded[entry["key"]] = entry
+    return loaded
+
+
 def ingest_journal(
     path: Union[str, Path],
     store: CampaignStore,
@@ -43,14 +72,11 @@ def ingest_journal(
     """Land every complete entry of a campaign journal; returns rows appended.
 
     ``scenario`` labels the rows (defaults to the journal's constant
-    ``campaign`` experiment label); the journaled cell key is kept as the
-    store dedup key, so ingest is idempotent and consistent with a live
-    campaign writing through the same keying.
+    :data:`JOURNAL_LABEL`); the journaled cell key is kept as the store
+    dedup key, so ingest is idempotent.
     """
 
-    from repro.distributed.campaign import JOURNAL_EXPERIMENT, load_journal_entries
-
-    label = scenario or JOURNAL_EXPERIMENT
+    label = scenario or JOURNAL_LABEL
     appended = 0
     for key, entry in load_journal_entries(Path(path)).items():
         params = entry.get("params") or {}

@@ -5,7 +5,9 @@ The acceptance contract of the distributed runtime:
 * a 64-cell sweep through 4 workers is bit-identical (rows and digests) to
   :class:`SerialExecutor`, in submission order;
 * a worker SIGKILLed mid-sweep costs a retry, not the sweep;
-* a journal-resumed campaign re-executes exactly the incomplete cells;
+* a campaign killed part-way resumes from the harness cell cache,
+  re-executing exactly the incomplete cells -- also when it was killed
+  under one executor and resumes under another;
 * a cell whose retry budget is exhausted by worker deaths surfaces as
   :class:`CellExecutionError` carrying the failing configuration.
 
@@ -27,6 +29,7 @@ from repro.distributed import DistributedExecutor, Scheduler
 from repro.experiments.grid import CellFunction, expand_grid
 from repro.experiments.harness import CellExecutionError, run_experiment
 from repro.scenarios.composer import rows_digest
+from tests.distributed.resume import KillAfterRows, KilledCampaign
 
 GRID_4x4 = {"a": [1, 2, 3, 4], "b": [10, 20, 30, 40]}  # x4 reps = 64 cells
 
@@ -61,6 +64,17 @@ def logging_cell(seed, x, log_path=""):
     with open(log_path, "a", encoding="utf-8") as handle:
         handle.write(f"{seed},{x}\n")
     return {"y": float(x * seed)}
+
+
+def other_logging_cell(seed, x, log_path=""):
+    # Same parameters, different source: a different run fingerprint.
+    with open(log_path, "a", encoding="utf-8") as handle:
+        handle.write(f"{seed},{x}\n")
+    return {"y": float(x + seed)}
+
+
+def executions(log):
+    return len(log.read_text().splitlines())
 
 
 def worker_killing_cell(seed, n):
@@ -192,48 +206,81 @@ class TestCampaignRegistration:
         assert len(registered) >= 40 and all(registered)
 
 
-class TestJournalResume:
+class TestCacheResume:
     def test_killed_campaign_resumes_re_running_only_incomplete_cells(self, tmp_path):
-        journal = tmp_path / "campaign.jsonl"
+        cache = tmp_path / "cache"
         log = tmp_path / "executions.log"
         log.touch()
         run = functools.partial(logging_cell, log_path=str(log))
         grid = {"x": list(range(16))}  # x4 reps = 64 cells
 
-        # First campaign dies after 30 completed cells (simulated by mapping
-        # only the first 30 cells of the very same expansion the harness
-        # would produce -- journal keys ignore the cell index, so they match).
-        cells = expand_grid(grid, repetitions=4, base_seed=1234)
-        first = fast_executor(workers=2, journal=str(journal))
-        completed = list(first.map(CellFunction(run), cells[:30]))
-        assert len(completed) == 30
-        assert len(log.read_text().splitlines()) == 30
-        assert len(journal.read_text().splitlines()) == 30
+        # The first campaign dies after 30 completed cells.  The fleet may
+        # have run cells past the 30th; only the 30 streamed ones are cached.
+        with pytest.raises(KilledCampaign):
+            run_experiment("resume", run, grid, repetitions=4, base_seed=1234,
+                           executor=fast_executor(workers=2), cache=cache,
+                           listener=KillAfterRows(30))
+        assert len(list(cache.rglob("*.json"))) == 30
+        before = executions(log)
+        assert before >= 30
 
-        # Restart: exactly the 34 incomplete cells run, nothing cached re-runs.
-        second = fast_executor(workers=2, journal=str(journal))
-        resumed = run_experiment("resume", run, grid, repetitions=4,
-                                 base_seed=1234, executor=second)
+        # Restart on a tcp:// fleet: exactly the 34 uncached cells run.
+        resumed = run_experiment("resume", run, grid, repetitions=4, base_seed=1234,
+                                 executor=fast_executor(workers=2), cache=cache)
         assert resumed.cache_hits == 30
-        executions = log.read_text().splitlines()
-        assert len(executions) == 30 + 34
+        assert executions(log) - before == 34
         serial = run_experiment("resume", run, grid, repetitions=4,
                                 base_seed=1234, executor="serial")
         assert resumed.rows == serial.rows
 
-    def test_changed_run_function_invalidates_the_journal(self, tmp_path):
-        journal = tmp_path / "campaign.jsonl"
+    def test_changed_run_function_replays_nothing(self, tmp_path):
+        cache = tmp_path / "cache"
+        log = tmp_path / "executions.log"
+        log.touch()
+        grid = {"x": [1, 2, 3]}
+        run_experiment("vers", functools.partial(logging_cell, log_path=str(log)), grid,
+                       repetitions=1, executor=fast_executor(workers=2), cache=cache)
+        # Same cache, same experiment and grid, different run function.
+        other = run_experiment("vers", functools.partial(other_logging_cell, log_path=str(log)),
+                               grid, repetitions=1, executor=fast_executor(workers=2),
+                               cache=cache)
+        assert other.cache_hits == 0
+        assert executions(log) == 6
+
+
+class TestCrossExecutorResume:
+    """The cache is keyed by the cell and the run function, never the executor."""
+
+    @pytest.mark.parametrize("first, second", [
+        ("serial", "inproc"), ("inproc", "serial"),
+    ])
+    def test_campaign_killed_under_one_executor_resumes_under_another(
+        self, tmp_path, first, second
+    ):
+        cache = tmp_path / "cache"
         log = tmp_path / "executions.log"
         log.touch()
         run = functools.partial(logging_cell, log_path=str(log))
-        grid = {"x": [1, 2, 3]}
-        run_experiment("vers", run, grid, repetitions=1,
-                       executor=fast_executor(workers=2, journal=str(journal)))
-        # Same journal, different run function: nothing replays.
-        other = run_experiment("vers", seeded_metrics, {"a": [1], "b": [2]},
-                               repetitions=1,
-                               executor=fast_executor(workers=2, journal=str(journal)))
-        assert other.cache_hits == 0
+        grid = {"x": list(range(8))}  # x2 reps = 16 cells
+        backends = {
+            "serial": lambda: "serial",
+            "inproc": lambda: DistributedExecutor("inproc://", workers=4, stall_timeout=30.0),
+        }
+
+        with pytest.raises(KilledCampaign):
+            run_experiment("cross", run, grid, repetitions=2, executor=backends[first](),
+                           cache=cache, listener=KillAfterRows(5))
+        before = executions(log)
+
+        executor = backends[second]()
+        resumed = run_experiment("cross", run, grid, repetitions=2, executor=executor,
+                                 cache=cache)
+        assert resumed.cache_hits == 5
+        assert executions(log) - before == 11
+        if second == "inproc":
+            assert executor.last_stats.results == 11
+        serial = run_experiment("cross", run, grid, repetitions=2, executor="serial")
+        assert resumed.rows == serial.rows
 
 
 class TestScenarioDigests:

@@ -6,23 +6,24 @@ the scheduler's own event loop, no sockets or forks.  The contracts:
 
 * a 1000-worker fleet drains a multi-thousand-cell campaign with stealing
   enabled, yields rows bit-identical to serial execution in submission
-  order, executes every cell exactly once, journals them, and evicts
-  **nobody** (heartbeat liveness under full load);
-* a journal-resumed campaign on a fresh fleet re-executes only the
-  incomplete cells;
+  order, executes every cell exactly once, and evicts **nobody** (heartbeat
+  liveness under full load);
+* a campaign resumed from the harness cell cache on a fresh fleet sends
+  only the incomplete cells to the scheduler;
 * stealing is two-phase and therefore duplicate-free: cells move only
   after the victim confirms it never started them (white-box tests pin the
   victim selection, tail-only policy, and confirmation bookkeeping);
 * stealing is what corrects a lease after it went out: a worker that joins
   after a lone worker leased the whole queue splits that lease;
 * a cell has at most one live attempt, and guided leases plus stealing is
-  the only policy: the speculation and policy knobs, flags and frames are
-  gone, and using them fails loudly.
+  the only policy: the speculation, policy and journal knobs, flags and
+  frames are gone, and using them fails loudly.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 from collections import Counter
@@ -34,6 +35,8 @@ from repro.distributed.cli import main as distributed_main
 from repro.distributed.scheduler import IDLE_DELAY, _Campaign, _WorkerConn
 from repro.distributed.worker import AsyncWorker
 from repro.experiments.grid import CellFunction, expand_grid
+from repro.experiments.harness import run_experiment
+from tests.distributed.resume import KillAfterRows, KilledCampaign
 
 
 def fleet_metrics(seed, i):
@@ -43,15 +46,12 @@ def fleet_metrics(seed, i):
 
 
 class TestThousandWorkerFleet:
-    def test_1000_workers_drain_3000_cells_bit_identically(self, tmp_path):
-        journal = tmp_path / "fleet.jsonl"
+    def test_1000_workers_drain_3000_cells_bit_identically(self):
         cells = expand_grid({"i": list(range(750))}, repetitions=4, base_seed=4242)
         fn = CellFunction(fleet_metrics)
         serial = [fn(cell) for cell in cells]
 
-        with Scheduler(
-            "inproc://", journal=str(journal), stall_timeout=60.0
-        ) as scheduler:
+        with Scheduler("inproc://", stall_timeout=60.0) as scheduler:
             # Built here rather than by spawn_local_worker so the test can
             # read each worker's execution count afterwards.
             workers = [AsyncWorker(scheduler.address, inline=True) for _ in range(1000)]
@@ -63,7 +63,7 @@ class TestThousandWorkerFleet:
             deadline = time.monotonic() + 60.0
             while scheduler.stats.workers_joined < 1000 and time.monotonic() < deadline:
                 time.sleep(0.01)
-            outcomes = list(scheduler.run_campaign(fn, cells, version="fleet-v1"))
+            outcomes = list(scheduler.run_campaign(fn, cells))
             stats = scheduler.stats
 
         assert len(outcomes) == len(cells)
@@ -82,29 +82,26 @@ class TestThousandWorkerFleet:
         assert stats.evictions == 0
         assert stats.worker_lost_failures == 0
 
-    def test_journal_resume_re_executes_only_incomplete_cells(self, tmp_path):
-        journal = tmp_path / "fleet.jsonl"
-        cells = expand_grid({"i": list(range(150))}, repetitions=4, base_seed=99)
-        fn = CellFunction(fleet_metrics)
+    def test_cache_resume_re_executes_only_incomplete_cells(self, tmp_path):
+        grid = {"i": list(range(150))}  # x4 reps = 600 cells
+        fleet = lambda: DistributedExecutor("inproc://", workers=50, stall_timeout=60.0)
 
-        # First campaign "dies" after 450 of 600 cells.
-        with Scheduler("inproc://", journal=str(journal), stall_timeout=60.0) as first:
-            for _ in range(50):
-                first.spawn_local_worker(inline=True)
-            done = list(first.run_campaign(fn, cells[:450], version="fleet-v2"))
-            assert len(done) == 450
+        # First campaign "dies" after 450 of 600 cells: the harness stores
+        # each outcome before it notifies, so the 450th is cached too.
+        with pytest.raises(KilledCampaign):
+            run_experiment("fleet", fleet_metrics, grid, repetitions=4, base_seed=99,
+                           executor=fleet(), cache=tmp_path, listener=KillAfterRows(450))
 
-        # The resumed campaign replays 450 from the journal, executes 150.
-        with Scheduler("inproc://", journal=str(journal), stall_timeout=60.0) as second:
-            for _ in range(50):
-                second.spawn_local_worker(inline=True)
-            outcomes = list(second.run_campaign(fn, cells, version="fleet-v2"))
-            stats = second.stats
-
-        assert [o.metrics for o in outcomes] == [fn(c).metrics for c in cells]
-        assert stats.journal_hits == 450
-        assert stats.results == 150
-        assert stats.evictions == 0
+        # The resumed campaign replays 450 from the cache, executes 150.
+        executor = fleet()
+        resumed = run_experiment("fleet", fleet_metrics, grid, repetitions=4,
+                                 base_seed=99, executor=executor, cache=tmp_path)
+        serial = run_experiment("fleet", fleet_metrics, grid, repetitions=4,
+                                base_seed=99, executor="serial")
+        assert resumed.rows == serial.rows
+        assert resumed.cache_hits == 450
+        assert executor.last_stats.results == 150
+        assert executor.last_stats.evictions == 0
 
 
 def test_default_worker_ids_stay_unique_across_a_fleet():
@@ -120,9 +117,7 @@ class TestWorkStealingTwoPhase:
     @staticmethod
     def scheduler_with_campaign(cells, **kwargs):
         scheduler = Scheduler("inproc://steal-test", **kwargs)
-        campaign = _Campaign(
-            campaign_id="c1", cells=cells, fn_payload="", version="v"
-        )
+        campaign = _Campaign(campaign_id="c1", cells=cells, fn_payload="")
         scheduler._campaign = campaign
         return scheduler, campaign
 
@@ -347,16 +342,49 @@ class TestOneAttemptPerCell:
         assert campaign.running == {}
 
 
+class TestCliResume:
+    """Both CLIs resume from ``REPRO_CACHE_DIR``, across executors."""
+
+    def test_distributed_rerun_then_serial_run_replay_every_cell(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.scenarios.cli import main as scenarios_main
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        entries = []
+        runs = [
+            lambda out: distributed_main(["run", "fig2.bicriteria", "--smoke", "--comm",
+                                          "inproc", "--workers", "2", "--output", out]),
+        ] * 2 + [
+            lambda out: scenarios_main(["run", "fig2.bicriteria", "--smoke",
+                                        "--output", out]),
+        ]
+        for index, run in enumerate(runs):
+            out = tmp_path / f"run{index}.json"
+            assert run(str(out)) == 0
+            (entry,) = json.loads(out.read_text())["scenarios"]
+            entries.append(entry)
+        first, again, serial = entries
+        assert first["cache_hits"] == 0
+        assert again["cache_hits"] == serial["cache_hits"] == first["rows"] > 0
+        assert first["digest"] == again["digest"] == serial["digest"]
+        assert serial["executor"] == "serial"
+
+
 class TestRemovedKnobs:
-    """Speculation and the policy switches are gone; using them fails loudly.
+    """Speculation, the policy switches and the journal are gone; using them
+    fails loudly.
 
     Guided leases plus stealing is the only policy: ``steal``/``prefetch``
     and ``--no-steal``/``--prefetch`` went the way of the speculation knobs.
+    The harness cell cache is the one replay store: ``journal``/``--journal``
+    and ``run_campaign(version=)`` are gone.
     """
 
     @pytest.mark.parametrize("knob", [
         {"speculate": True}, {"speculation_delay": 1.0}, {"max_speculative": 1},
         {"steal": False}, {"steal": True}, {"prefetch": 2}, {"prefetch": None},
+        {"journal": "campaign.jsonl"}, {"journal": None},
     ])
     def test_removed_knobs_are_type_errors(self, knob):
         with pytest.raises(TypeError):
@@ -370,9 +398,20 @@ class TestRemovedKnobs:
     ])
     @pytest.mark.parametrize("flags", [
         ["--no-speculate"], ["--speculation-delay", "1"], ["--no-steal"], ["--prefetch", "2"],
+        ["--journal", "x"],
     ])
     def test_removed_flags_are_usage_errors(self, command, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
             distributed_main(command + flags)
         assert excinfo.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_run_campaign_takes_no_version(self):
+        cells = expand_grid({"i": [0]}, repetitions=1, base_seed=7)
+        with Scheduler("inproc://", telemetry=False) as scheduler:
+            with pytest.raises(TypeError):
+                scheduler.run_campaign(CellFunction(fleet_metrics), cells, version="v")
+            # Nothing was registered: a plain campaign still runs.
+            scheduler.spawn_local_worker(inline=True)
+            (outcome,) = scheduler.run_campaign(CellFunction(fleet_metrics), cells)
+        assert outcome.metrics == CellFunction(fleet_metrics)(cells[0]).metrics

@@ -254,6 +254,19 @@ class TestStallGuard:
         with pytest.raises(CampaignStalled):
             list(executor.map(CellFunction(plain_cell), cells))
 
+    @pytest.mark.parametrize("timeout, shown", [(0.4, "0.4s"), (1.0, "1s")])
+    def test_stall_message_shows_the_timeout_as_given(self, timeout, shown):
+        executor = DistributedExecutor(
+            "inproc://", workers=0, stall_timeout=timeout,
+            heartbeat_interval=0.1, heartbeat_timeout=1.0,
+        )
+        cells = expand_grid({"x": [1, 2]}, repetitions=1)
+        with pytest.raises(CampaignStalled) as excinfo:
+            list(executor.map(CellFunction(plain_cell), cells))
+        message = str(excinfo.value)
+        assert "2 cell(s) outstanding" in message
+        assert message.endswith(f"for {shown}")
+
     def test_concurrent_campaigns_on_one_scheduler_are_rejected(self):
         scheduler = Scheduler(heartbeat_interval=0.1, heartbeat_timeout=5.0).start()
         cells = expand_grid({"x": [1]}, repetitions=1)

@@ -57,7 +57,7 @@ class TestStatsPayload:
         body = SchedulerStats().to_payload(elapsed_seconds=1.0)
         assert list(body["counters"]) == [
             "workers_joined", "evictions", "retries", "results", "duplicates",
-            "journal_hits", "worker_lost_failures", "steals",
+            "worker_lost_failures", "steals",
         ]
         assert sorted(body["rates"]) == [
             "duplicate_fraction", "results_per_second", "retry_fraction",

@@ -33,7 +33,7 @@ def run_fleet(address, *, telemetry, workers=3, cells_n=24, worker_kwargs=None):
     with Scheduler(address, telemetry=telemetry, stall_timeout=30.0) as scheduler:
         for _ in range(workers):
             scheduler.spawn_local_worker(inline=True, **(worker_kwargs or {}))
-        outcomes = list(scheduler.run_campaign(fn, cells, version="tele-v1"))
+        outcomes = list(scheduler.run_campaign(fn, cells))
         snapshot = scheduler.telemetry_snapshot()
     return outcomes, snapshot
 

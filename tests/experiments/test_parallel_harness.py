@@ -351,6 +351,42 @@ class TestResultCache:
         assert isinstance(again.rows[0]["payload"], set)
         assert result.rows[0]["payload"] == again.rows[0]["payload"]
 
+    def test_env_var_is_the_default_cache(self, tmp_path, monkeypatch):
+        CALL_LOG.clear()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        first = run_experiment("env", counting_cell, {"x": [1, 2]}, repetitions=1)
+        second = run_experiment("env", counting_cell, {"x": [1, 2]}, repetitions=1)
+        assert len(CALL_LOG) == 2  # the second run replayed both cells
+        assert (first.cache_hits, second.cache_hits) == (0, 2)
+        assert second.rows == first.rows
+
+    @pytest.mark.parametrize("value", ["", "   "])
+    def test_blank_env_var_means_no_cache(self, value, monkeypatch):
+        CALL_LOG.clear()
+        monkeypatch.setenv("REPRO_CACHE_DIR", value)
+        for _ in range(2):
+            assert run_experiment("blank", counting_cell, {"x": [1]},
+                                  repetitions=1).cache_hits == 0
+        assert len(CALL_LOG) == 2
+
+    def test_explicit_cache_wins_over_env_var(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+        run_experiment("explicit", counting_cell, {"x": [1]}, repetitions=1,
+                       cache=tmp_path / "mine")
+        assert len(list((tmp_path / "mine").rglob("*.json"))) == 1
+        assert not (tmp_path / "env").exists()
+
+    def test_env_var_resumes_a_scenario(self, tmp_path, monkeypatch):
+        from repro.scenarios import get, run_scenario
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        spec = get("fig2.bicriteria")
+        first = run_scenario(spec, smoke=True, executor="serial")
+        again = run_scenario(spec, smoke=True, executor="serial")
+        assert first.cache_hits == 0
+        assert again.cache_hits == len(again.rows) > 0
+        assert again.rows == first.rows
+
     def test_clear_empties_the_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_experiment("clear", counting_cell, {"x": [5]}, repetitions=1, cache=cache)

@@ -58,6 +58,21 @@ class TestRun:
         assert entry["rows"] > 0 and len(entry["digest"]) == 64
         assert "1/1 scenario(s) passed" in capsys.readouterr().out
 
+    def test_cache_env_var_replays_a_rerun(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        summaries = []
+        for attempt in ("first", "again"):
+            summary = tmp_path / f"{attempt}.json"
+            assert main(["run", "mix.rigid-moldable", "--smoke",
+                         "--output", str(summary)]) == 0
+            (entry,) = json.loads(summary.read_text())["scenarios"]
+            summaries.append(entry)
+        first, again = summaries
+        assert first["cache_hits"] == 0
+        assert again["cache_hits"] == again["rows"] > 0
+        assert again["digest"] == first["digest"]
+        assert f"{again['rows']} cached]" in capsys.readouterr().out
+
     def test_unknown_scenario_exits_two(self, capsys):
         assert main(["run", "no.such.scenario"]) == 2
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.allocation import Reservation
-from repro.simulation.engine import Simulator, Timeout
+from repro.simulation.engine import Simulator
 from repro.simulation.events import EventQueue
 from repro.simulation.resources import ProcessorPool
 from repro.simulation.tracing import Trace, TraceEvent
@@ -94,60 +94,55 @@ class TestSimulator:
         sim.run()
         assert seen == [1.0, 4.0]
 
-    def test_processes_with_timeouts(self):
+    def test_same_time_callbacks_run_in_scheduling_order(self):
         sim = Simulator()
-        log = []
-
-        def worker(name, delay):
-            yield Timeout(delay)
-            log.append((name, sim.now))
-            yield Timeout(delay)
-            log.append((name, sim.now))
-            return name
-
-        p1 = sim.process(worker("a", 1.0), name="a")
-        p2 = sim.process(worker("b", 2.5), name="b")
+        order = []
+        for name in ("first", "second", "third"):
+            sim.schedule(1.0, lambda n=name: order.append(n))
+        sim.schedule_at(1.0, lambda: order.append("fourth"))
         sim.run()
-        assert log == [("a", 1.0), ("a", 2.0), ("b", 2.5), ("b", 5.0)]
-        assert p1.finished and p1.result == "a"
-        assert p2.finished and p2.result == "b"
+        assert order == ["first", "second", "third", "fourth"]
 
-    def test_process_waiting_on_event_and_other_process(self):
+    def test_zero_delay_callback_runs_after_those_already_due_now(self):
         sim = Simulator()
-        gate = sim.event("gate")
-        log = []
-
-        def opener():
-            yield Timeout(4.0)
-            gate.succeed("open")
-
-        def waiter():
-            value = yield gate
-            log.append((value, sim.now))
-            return "done"
-
-        def joiner(process):
-            result = yield process
-            log.append((result, sim.now))
-
-        wait_process = sim.process(waiter(), name="waiter")
-        sim.process(opener(), name="opener")
-        sim.process(joiner(wait_process), name="joiner")
+        order = []
+        sim.schedule(1.0, lambda: sim.schedule(0.0, lambda: order.append("zero-delay")))
+        # Scheduled before the zero-delay one is, also at t=1: runs first.
+        sim.schedule(1.0, lambda: order.append("callback"))
         sim.run()
-        assert ("open", 4.0) in log
-        assert ("done", 4.0) in log
+        assert order == ["callback", "zero-delay"]
+        assert sim.now == pytest.approx(1.0)
 
-    def test_invalid_timeout_and_yield(self):
+    def test_priority_breaks_time_ties_before_scheduling_order(self):
         sim = Simulator()
-        with pytest.raises(ValueError):
-            Timeout(-1.0)
+        order = []
+        sim.schedule(1.0, lambda: order.append("late"), priority=1)
+        sim.schedule(1.0, lambda: order.append("early"), priority=0)
+        sim.run()
+        assert order == ["early", "late"]
 
-        def bad():
-            yield 42
+    def test_cancelled_callback_never_fires(self):
+        sim = Simulator()
+        fired = []
+        event = sim.schedule(1.0, lambda: fired.append("cancelled"))
+        sim.schedule(1.0, lambda: sim.cancel(later))
+        later = sim.schedule(2.0, lambda: fired.append("cancelled mid-run"))
+        sim.schedule(3.0, lambda: fired.append("kept"))
+        sim.cancel(event)
+        sim.run()
+        assert fired == ["kept"]
+        assert sim.processed_events == 2
 
-        sim.process(bad(), name="bad")
-        with pytest.raises(TypeError):
-            sim.run()
+    def test_max_events_budget_stops_and_resumes(self):
+        sim = Simulator()
+        fired = []
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule(delay, lambda d=delay: fired.append(d))
+        sim.run(max_events=2)
+        assert fired == [1.0, 2.0]
+        assert sim.now == 2.0
+        sim.run()
+        assert fired == [1.0, 2.0, 3.0]
 
 
 class TestProcessorPool:
@@ -256,108 +251,6 @@ def test_simulator_fires_events_in_nondecreasing_time_order(delays):
     sim.run()
     assert len(fired) == len(delays)
     assert fired == sorted(fired)
-
-
-class TestSimEventResumeOrdering:
-    """Regression tests pinning the zero-delay resume ordering of SimEvent.
-
-    ``SimEvent.succeed`` wakes waiters through zero-delay events, so the
-    ordering contract is inherited from the queue's (time, priority, seq)
-    tie-break: waiters of one event resume FIFO, waiters of several events
-    succeeding at the same timestamp resume in succeed() order, and resumes
-    run after callbacks that were already scheduled at the same timestamp.
-    """
-
-    def test_waiters_resume_in_registration_order(self):
-        sim = Simulator()
-        event = sim.event("gate")
-        order = []
-
-        def waiter(name):
-            value = yield event
-            order.append((name, value))
-
-        for name in ("first", "second", "third"):
-            sim.process(waiter(name), name=name)
-        sim.schedule(1.0, lambda: event.succeed("go"))
-        sim.run()
-        assert order == [("first", "go"), ("second", "go"), ("third", "go")]
-
-    def test_simultaneous_events_resume_in_succeed_order(self):
-        sim = Simulator()
-        event_a = sim.event("a")
-        event_b = sim.event("b")
-        order = []
-
-        def waiter(name, event):
-            yield event
-            order.append(name)
-
-        # Registration interleaves the two events; the wake order must follow
-        # the succeed() order (b first), then registration order within each.
-        sim.process(waiter("a1", event_a), name="a1")
-        sim.process(waiter("b1", event_b), name="b1")
-        sim.process(waiter("a2", event_a), name="a2")
-        sim.process(waiter("b2", event_b), name="b2")
-        # Both succeed at t=1, b strictly before a.
-        sim.schedule(1.0, lambda: event_b.succeed())
-        sim.schedule(1.0, lambda: event_a.succeed())
-        sim.run()
-        assert order == ["b1", "b2", "a1", "a2"]
-
-    def test_resumes_run_after_already_scheduled_same_time_callbacks(self):
-        sim = Simulator()
-        event = sim.event()
-        order = []
-
-        def waiter():
-            yield event
-            order.append("waiter")
-
-        sim.process(waiter(), name="w")
-        sim.schedule(1.0, lambda: event.succeed())
-        # Scheduled before the succeed fires, also at t=1: runs first.
-        sim.schedule(1.0, lambda: order.append("callback"))
-        sim.run()
-        assert order == ["callback", "waiter"]
-        assert sim.now == pytest.approx(1.0)
-
-    def test_value_bound_at_trigger_time_for_late_waiters(self):
-        sim = Simulator()
-        event = sim.event()
-        seen = []
-
-        def late_waiter():
-            yield Timeout(2.0)
-            value = yield event  # event already triggered: immediate resume
-            seen.append(value)
-
-        sim.process(late_waiter(), name="late")
-        sim.schedule(1.0, lambda: event.succeed(42))
-        sim.run()
-        assert seen == [42]
-        assert event.triggered
-
-    def test_resume_order_is_reproducible_across_runs(self):
-        def run_once():
-            sim = Simulator()
-            events = [sim.event(str(i)) for i in range(5)]
-            order = []
-
-            def waiter(name, event):
-                yield event
-                order.append(name)
-
-            for i, event in enumerate(events):
-                for j in range(3):
-                    sim.process(waiter(f"e{i}w{j}", event), name=f"e{i}w{j}")
-            # All five events trigger at the same timestamp.
-            for event in events:
-                sim.schedule(1.0, lambda e=event: e.succeed())
-            sim.run()
-            return order
-
-        assert run_once() == run_once()
 
 
 class TestKernelTierSelection:

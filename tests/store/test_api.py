@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.distributed.campaign import CampaignJournal
 from repro.experiments.cache import ResultCache
 from repro.experiments.grid import CellOutcome, expand_grid
 from repro.store.api import (
@@ -41,7 +40,6 @@ class TestProtocols:
     def all_stores(self, tmp_path):
         return [
             ResultCache(tmp_path / "cache"),
-            CampaignJournal(tmp_path / "journal.jsonl"),
             CampaignStore(tmp_path / "store"),
         ]
 
@@ -52,16 +50,16 @@ class TestProtocols:
     def test_written_cells_read_back_through_each_stores_own_path(self, tmp_path):
         (cell,) = expand_grid({"x": [3]}, repetitions=1)
         outcome = outcome_for(cell, 42.0)
-        cache, journal, store = self.all_stores(tmp_path)
-        for sink in (cache, journal, store):
+        cache, store = self.all_stores(tmp_path)
+        for sink in (cache, store):
             assert sink.write("exp", cell, outcome, "v1") is True, sink
             sink.flush()
-        # The harness reads the cache, the scheduler reads the journal...
-        for replayed in (cache.lookup("exp", cell, "v1"), journal.lookup(cell, "v1")):
-            assert replayed is not None
-            assert replayed.cached is True
-            assert replayed.metrics == {"v": 42.0}
-            assert replayed.elapsed_seconds == pytest.approx(0.25)
+        # The harness replays through the cache...
+        replayed = cache.lookup("exp", cell, "v1")
+        assert replayed is not None
+        assert replayed.cached is True
+        assert replayed.metrics == {"v": 42.0}
+        assert replayed.elapsed_seconds == pytest.approx(0.25)
         # ...and the campaign store is read back as rows.
         (record,) = CampaignStore(tmp_path / "store").records()
         assert json.loads(record["row_json"]) == compose_row("exp", cell, outcome)

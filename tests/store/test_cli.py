@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distributed.campaign import CampaignJournal
-from repro.experiments.grid import CellOutcome, expand_grid
+from repro.experiments.grid import expand_grid
 from repro.store.cli import main
 from repro.store.columnar import CampaignStore
+from tests.store.legacy import write_journal
 
 
 def seed_store(root, campaigns=("serial", "rerun")):
@@ -146,12 +146,7 @@ class TestValidate:
 
 class TestIngest:
     def test_journal_ingest_via_cli(self, tmp_path, capsys):
-        journal = CampaignJournal(tmp_path / "j.jsonl")
-        for cell in expand_grid({"x": [1, 2]}, repetitions=1):
-            journal.record(
-                cell, CellOutcome(cell=cell, metrics={"v": 1.0}, elapsed_seconds=0.1),
-                "v1",
-            )
+        write_journal(tmp_path / "j.jsonl", expand_grid({"x": [1, 2]}, repetitions=1))
         assert main(["ingest", str(tmp_path / "j.jsonl"),
                      "--store", str(tmp_path / "s"), "--campaign", "legacy",
                      "--scenario", "old-sweep"]) == 0

@@ -35,7 +35,7 @@ class TestRoundTrip:
         assert store.write("fig2", cell, outcome_for(cell, metrics), "v1")
         store.flush()
         (record,) = CampaignStore(tmp_path / "s").records()
-        # Keyed like the cache and the journal: the fingerprint is part of it.
+        # Keyed like the cell cache: the fingerprint is part of it.
         assert record["key"] == cell_key("fig2", cell, "v1")
         assert record["key"] != cell_key("fig2", cell, "v2")
         row = json.loads(record["row_json"])

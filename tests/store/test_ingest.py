@@ -1,37 +1,71 @@
-"""Ingest: journal -> store equivalence (crash-truncated included), CSV import."""
+"""Ingest: legacy journal -> store equivalence (crash-truncated included), CSV import."""
 
 from __future__ import annotations
 
 import json
 
-from repro.distributed.campaign import CampaignJournal, load_journal_entries
-from repro.experiments.grid import CellOutcome, expand_grid
+from repro.experiments.grid import cell_key, expand_grid
 from repro.experiments.reporting import to_csv
 from repro.store.columnar import CampaignStore
-from repro.store.ingest import ingest, ingest_csv, ingest_journal
+from repro.store.ingest import (
+    JOURNAL_LABEL,
+    ingest,
+    ingest_csv,
+    ingest_journal,
+    load_journal_entries,
+)
+from tests.store.legacy import write_journal
 
 
-def outcome_for(cell, value):
-    return CellOutcome(cell=cell, metrics={"v": value}, elapsed_seconds=0.125)
+class TestLoadJournalEntries:
+    def test_entries_are_keyed_plain_json_lines(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        (cell,) = expand_grid({"x": [7]}, repetitions=1)
+        write_journal(path, [cell])
+        entry = json.loads(path.read_text().splitlines()[0])
+        assert entry["key"] == cell_key(JOURNAL_LABEL, cell, "v1")
+        assert load_journal_entries(path) == {entry["key"]: entry}
+        assert entry["params"] == {"x": 7}
+        assert entry["seed"] == cell.seed
 
+    def test_truncated_trailing_line_is_skipped(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        cells = expand_grid({"x": [1, 2]}, repetitions=1)
+        written = write_journal(path, cells)
+        # Simulate a campaign killed mid-append: a half-written final line.
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"key": "abcd", "metrics": {"v":')
+        recovered = load_journal_entries(path)
+        assert set(recovered) == {entry["key"] for entry in written}
 
-def write_journal(path, cells, version="v1"):
-    journal = CampaignJournal(path)
-    for index, cell in enumerate(cells):
-        journal.record(cell, outcome_for(cell, float(index)), version)
-    return journal
+    def test_blank_and_keyless_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        (cell,) = expand_grid({}, repetitions=1)
+        path.write_text('\n[1, 2]\n{"metrics": {"v": 1}}\n{"key": 3}\n', encoding="utf-8")
+        (entry,) = write_journal(path, [cell])
+        assert list(load_journal_entries(path)) == [entry["key"]]
+
+    def test_later_entry_of_a_key_wins(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        (cell,) = expand_grid({}, repetitions=1)
+        write_journal(path, [cell])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps({"key": cell_key(JOURNAL_LABEL, cell, "v1"),
+                                     "metrics": {"v": 9.0}}) + "\n")
+        (entry,) = load_journal_entries(path).values()
+        assert entry["metrics"] == {"v": 9.0}
 
 
 class TestJournalIngest:
-    def test_equivalent_to_live_journal_replay(self, tmp_path):
+    def test_equivalent_to_the_journal_entries(self, tmp_path):
         cells = expand_grid({"x": [1, 2]}, repetitions=2, base_seed=11)
-        journal = write_journal(tmp_path / "j.jsonl", cells)
+        write_journal(tmp_path / "j.jsonl", cells)
         store = CampaignStore(tmp_path / "store", campaign="c")
         appended = ingest_journal(tmp_path / "j.jsonl", store, scenario="sweep")
         store.flush()
         assert appended == 4
         # Same dedup keys, same metrics, same elapsed as the journal holds.
-        entries = journal.entries()
+        entries = load_journal_entries(tmp_path / "j.jsonl")
         records = CampaignStore(tmp_path / "store").records()
         assert {r["key"] for r in records} == set(entries)
         for record in records:
@@ -40,6 +74,15 @@ class TestJournalIngest:
             assert record["replayed"] is True
             assert json.loads(record["row_json"])["v"] == entry["metrics"]["v"]
             assert record["seed"] == entry["seed"]
+
+    def test_rows_default_to_the_journal_label(self, tmp_path):
+        write_journal(tmp_path / "j.jsonl", expand_grid({"x": [1]}, repetitions=1))
+        store = CampaignStore(tmp_path / "store")
+        assert ingest(tmp_path / "j.jsonl", store) == 1
+        store.flush()
+        assert store.scenarios() == [JOURNAL_LABEL]
+        (row,) = store.rows()
+        assert row["experiment"] == JOURNAL_LABEL
 
     def test_crash_truncated_journal_recovers_complete_entries(self, tmp_path):
         cells = expand_grid({"x": [1, 2, 3]}, repetitions=1)
