@@ -20,21 +20,26 @@
 #                              behavior changes only)
 #   make scenarios             list the registered scenarios
 #   make scenario-smoke        smoke-run every registered scenario (CI job)
+#                              Every scenario run below goes through the one
+#                              runner, `python -m repro.scenarios run`; only
+#                              its --executor/--workers flags differ.
 #   make distributed-smoke     same smoke tier through the tcp:// scheduler
 #                              with 2 local workers (mirrors the CI job)
 #   make distributed-smoke-inproc   same smoke tier over inproc:// comms
 #                              (coroutine fleet, no sockets or forks)
 #   make distributed-stress    every smoke digest on a 32-worker inproc
-#                              fleet (stealing is always on, but whether a
-#                              steal fires depends on timing)
+#                              fleet (--executor inproc:// --workers 32;
+#                              stealing is always on, but whether a steal
+#                              fires depends on timing)
 #   make smoke-digest-check SUMMARY=file.json
 #                              run the serial smoke tier and fail on any
 #                              per-scenario digest that differs from the
 #                              summary (the three distributed targets above
 #                              and their CI jobs end with it)
-#   make store-smoke           serial + inproc campaigns into one campaign
-#                              store, then compare + validate (mirrors the
-#                              CI store-smoke job)
+#   make store-smoke           serial + inproc (--executor inproc://)
+#                              campaigns into one campaign store, then
+#                              compare + validate (mirrors the CI
+#                              store-smoke job)
 #   make dashboard-smoke       run a campaign under a live dashboard with
 #                              concurrent pollers, check every endpoint and
 #                              prove the row digest identical to a serial,
@@ -135,17 +140,18 @@ distributed-smoke-inproc:
 		--executor inproc:// --output $(SMOKE_DIR)/inproc.json
 	$(MAKE) smoke-digest-check SUMMARY=$(SMOKE_DIR)/inproc.json
 
-# Stress leg: every scenario's smoke tier on a 32-worker inproc fleet, then
-# every digest checked against serial (mirrors the CI distributed-stress
-# job).  Stealing is always on, but the smoke campaigns (28 cells over 17
+# Stress leg: every scenario's smoke tier on a 32-worker inproc fleet
+# (--workers sizes the fleet the inproc:// executor raises), then every
+# digest checked against serial (mirrors the CI distributed-stress job).
+# Stealing is always on, but the smoke campaigns (28 cells over 17
 # scenarios) are smaller than the fleet, so most leases are one cell and
-# whether a steal or lease revoke fires depends on timing; the scheduler-stats
-# line reports what did.  The steal path's deterministic check is tier-1
+# whether a steal or lease revoke fires depends on timing; the
+# `scheduler stats:` line on stderr reports what did.  The steal path's deterministic check is tier-1
 # tests/distributed/test_fleet.py::TestGuidedLeases::
 # test_a_late_worker_splits_the_lease_of_a_lone_early_one.
 distributed-stress:
-	PYTHONPATH=src $(PYTHON) -m repro.distributed run --all --smoke \
-		--comm inproc --workers 32 \
+	PYTHONPATH=src $(PYTHON) -m repro.scenarios run --all --smoke \
+		--executor inproc:// --workers 32 \
 		--output $(SMOKE_DIR)/stress.json
 	$(MAKE) smoke-digest-check SUMMARY=$(SMOKE_DIR)/stress.json
 
@@ -175,8 +181,8 @@ store-smoke:
 	rm -rf $(STORE_DIR)
 	PYTHONPATH=src $(PYTHON) -m repro.scenarios run $(STORE_SCENARIOS) --smoke \
 		--store $(STORE_DIR) --campaign serial
-	PYTHONPATH=src $(PYTHON) -m repro.distributed run $(STORE_SCENARIOS) --smoke \
-		--comm inproc --store $(STORE_DIR) --campaign inproc
+	PYTHONPATH=src $(PYTHON) -m repro.scenarios run $(STORE_SCENARIOS) --smoke \
+		--executor inproc:// --store $(STORE_DIR) --campaign inproc
 	PYTHONPATH=src $(PYTHON) -m repro.store info --store $(STORE_DIR)
 	PYTHONPATH=src $(PYTHON) -m repro.store compare --store $(STORE_DIR) \
 		--metric cmax_ratio --campaign-a serial --campaign-b inproc

@@ -10,7 +10,7 @@
 The server (:class:`~repro.dashboard.app.DashboardServer`) is a read-only
 consumer of the process-wide :class:`~repro.telemetry.bus.TelemetryBus`:
 it can watch any campaign running in the same process (``--dashboard
-PORT`` on the scenarios and distributed CLIs) without perturbing it.  The
+PORT`` on ``python -m repro.scenarios run|sweep``) without perturbing it.  The
 Gantt explorer (:mod:`repro.dashboard.gantt`) renders the schedule of any
 simulator-backed scenario as SVG, on demand.
 """

@@ -3,13 +3,17 @@
 ::
 
     python -m repro.dashboard                       # = serve on :8484
-    python -m repro.dashboard serve --port 0 --run cluster.policy-panel \\
-        --executor inproc://--workers 4 --smoke
+    python -m repro.dashboard serve --port 0        # free port, URL on stderr
     python -m repro.dashboard gantt cluster.policy-panel --out gantt.svg
     python -m repro.dashboard smoke                 # exit 0/1; used by CI
 
-Exit codes: 0 on success, 1 when the smoke check (or a --run scenario)
-fails, 2 on usage errors.
+``serve`` shows this process's telemetry bus.  To watch a campaign, run it
+through the scenario runner with the dashboard attached::
+
+    python -m repro.scenarios run cluster.policy-panel --smoke --dashboard 0 \
+        --executor inproc:// --workers 4
+
+Exit codes: 0 on success, 1 when the smoke check fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -37,21 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8484,
                        help="port to bind (0 picks a free one; default: 8484)")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--run", action="append", default=[], metavar="SCENARIO",
-        help="also run this scenario's sweep while serving (repeatable); "
-             "the server exits when the runs finish",
-    )
-    serve.add_argument("--smoke", action="store_true",
-                       help="with --run: smoke-tier sizes")
-    serve.add_argument(
-        "--executor", default=None, metavar="SPEC",
-        help="with --run: executor spec (a job count, 'serial', "
-             "'inproc://', tcp://HOST:PORT, ...)",
-    )
-    serve.add_argument("--workers", type=int, default=2,
-                       help="with --executor inproc:// or tcp://...:0: "
-                            "fleet size (default: 2)")
 
     gantt = sub.add_parser("gantt", help="render one scenario's schedule as SVG")
     gantt.add_argument("scenario", help="a registered, simulator-backed scenario")
@@ -78,52 +67,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_executor(spec: Optional[str], workers: int):
-    if spec is None:
-        return None
-    if spec.startswith(("inproc://", "tcp://")):
-        from repro.distributed.executor import DistributedExecutor
-
-        return DistributedExecutor(spec, workers=workers)
-    from repro.scenarios.cli import _executor
-
-    return _executor(spec)
-
-
 def _fetch(url: str, timeout: float = 30.0) -> bytes:
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.read()
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.scenarios import registry
-    from repro.scenarios.composer import rows_digest, run_scenario
-
-    try:
-        specs = [registry.get(name) for name in args.run]
-        executor = _resolve_executor(args.executor, args.workers)
-    except (KeyError, ValueError) as error:
-        print(error, file=sys.stderr)
-        return 2
     with DashboardServer(port=args.port, host=args.host) as server:
         print(f"dashboard serving on {server.url}", file=sys.stderr, flush=True)
-        if not specs:
-            try:
-                while True:
-                    time.sleep(3600)
-            except KeyboardInterrupt:
-                return 0
-        failures = 0
-        for spec in specs:
-            try:
-                result = run_scenario(spec, smoke=args.smoke, executor=executor)
-            except Exception as error:
-                failures += 1
-                print(f"FAIL {spec.name}: {type(error).__name__}: {error}")
-                continue
-            print(f"ok   {spec.name}: {len(result.rows)} rows "
-                  f"digest {rows_digest(result.rows)[:12]}")
-        return 1 if failures else 0
+        try:
+            while True:
+                time.sleep(3600)
+        except KeyboardInterrupt:
+            return 0
 
 
 def _cmd_gantt(args: argparse.Namespace) -> int:

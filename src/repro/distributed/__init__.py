@@ -30,8 +30,10 @@ The public entry points:
   or benchmark runs in parallel unchanged and bit-identically (selected by
   ``REPRO_JOBS=N`` for a local forked fleet, ``REPRO_JOBS=tcp://host:port``,
   ``REPRO_JOBS=inproc://``, or explicitly);
-* ``python -m repro.distributed`` drives it from the command line
-  (``scheduler`` / ``worker`` / ``run`` -- see :mod:`repro.distributed.cli`).
+* ``python -m repro.scenarios run --executor tcp://...|inproc://...
+  [--workers N]`` drives it from the command line, and
+  ``python -m repro.distributed worker ADDRESS`` serves its campaigns from
+  another process or host (see :mod:`repro.distributed.cli`).
 """
 
 from repro.distributed.comm import (

@@ -22,6 +22,10 @@ selection goes through :func:`repro.experiments.executors.resolve_executor`:
   through the frame codec), same ordered bit-identical rows -- which is what
   makes it an honest backend for tests that want a thousand workers.
 
+On the command line the same forms are ``python -m repro.scenarios run
+--executor SPEC``; ``--workers N`` next to a ``tcp://`` or ``inproc://``
+address builds ``DistributedExecutor(address, workers=N)`` directly.
+
 Each ``map`` call runs one campaign: start a
 :class:`~repro.distributed.scheduler.Scheduler` (its one policy: guided
 leases of ``ceil(pending / connected workers)`` cells per reply, drained by

@@ -1,4 +1,4 @@
-"""Command-line interface of the scenario registry.
+"""Command-line interface of the scenario registry: the one scenario runner.
 
 ::
 
@@ -7,19 +7,32 @@
     python -m repro.scenarios describe fig2.bicriteria # spec as TOML
     python -m repro.scenarios run cluster.policy-panel # one scenario
     python -m repro.scenarios run --all --smoke        # CI smoke tier
-    python -m repro.scenarios run --all --smoke --executor tcp://127.0.0.1:8765
+    python -m repro.scenarios run --all --smoke --jobs 4
+                                       # ... on a local forked fleet
+    python -m repro.scenarios run --all --smoke --executor inproc:// --workers 32
+                                       # ... on an in-process coroutine fleet
+    python -m repro.scenarios run --all --smoke --executor tcp://0.0.0.0:8765
                                        # ... on external distributed workers
     python -m repro.scenarios run fig2.bicriteria --store results/ --campaign serial
                                        # ... streaming rows into a campaign store
+    python -m repro.scenarios run fig2.bicriteria --smoke --record runs/flight
+                                       # ... with the telemetry flight recorder
+    python -m repro.scenarios run fig2.bicriteria --smoke --dashboard 0
+                                       # ... under the live dashboard
     python -m repro.scenarios sweep cluster.load-ramp --smoke --out out.csv
     python -m repro.scenarios sweep cluster.load-ramp --smoke --out out.parquet
     python -m repro.scenarios sweep swf.replay --axis policy.kind=fifo,backfill
 
 Exit codes: 0 on success, 1 when any scenario fails to run, 2 on usage
-errors (unknown scenario names, bad axis syntax).
+errors (unknown scenario names, bad axis syntax, a malformed executor).
 
-Exports go through ``--out PATH`` (format inferred from the suffix, or
-forced with ``--format csv|jsonl|parquet``).
+``run`` and ``sweep`` share their executor and output flags.  Exports go
+through ``--out PATH`` (format inferred from the suffix, or forced with
+``--format csv|jsonl|parquet``).  ``--workers N`` sizes the fleet an
+``--executor tcp://...`` or ``inproc://...`` address raises itself.  On a
+distributed executor a ``scheduler stats:`` line (steals, retries...) goes
+to stderr after the run, next to the dashboard URL and the flight-recorder
+summary; stdout carries the ok/FAIL lines.
 """
 
 from __future__ import annotations
@@ -37,26 +50,43 @@ from repro.scenarios.spec import ScenarioSpec, SpecError
 
 
 @contextlib.contextmanager
-def serve_dashboard(port: Optional[int]) -> Iterator[Any]:
-    """Serve the live telemetry dashboard while the body runs.
+def _observed(args: argparse.Namespace, executor: Any) -> Iterator[None]:
+    """Observe a run: ``--dashboard`` and ``--record`` around it, stats after.
 
-    ``port=None`` (the flag's default) is a no-op, so callers wrap their
-    run unconditionally; ``0`` binds a free port.  The URL goes to stderr
-    -- stdout stays reserved for the ok/FAIL summary lines.  Shared by
-    ``repro.scenarios`` and the ``repro.distributed`` scheduler/run CLIs.
+    The dashboard URL, the flight-recorder summary and the scheduler-stats
+    line of a distributed executor go to stderr -- stdout stays reserved
+    for the ok/FAIL summary lines.  ``--dashboard 0`` binds a free port.
     """
 
-    if port is None:
-        yield None
-        return
-    from repro.dashboard.app import DashboardServer
+    with contextlib.ExitStack() as stack:
+        if args.dashboard is not None:
+            from repro.dashboard.app import DashboardServer
 
-    server = DashboardServer(port=port).start()
-    print(f"dashboard serving on {server.url}", file=sys.stderr, flush=True)
-    try:
-        yield server
-    finally:
-        server.stop()
+            server = stack.enter_context(DashboardServer(port=args.dashboard))
+            print(f"dashboard serving on {server.url}", file=sys.stderr, flush=True)
+        recorder = None
+        if args.record is not None:
+            from repro.telemetry.recorder import TelemetryRecorder
+
+            recorder = stack.enter_context(
+                TelemetryRecorder(args.record, campaign=args.campaign or "telemetry")
+            )
+        yield
+    if recorder is not None:
+        print(
+            f"flight recorder: {recorder.recorded} event(s) -> {args.record} "
+            f"(campaign {recorder.campaign}, {recorder.dropped} dropped, "
+            f"{recorder.skipped} skipped)",
+            file=sys.stderr,
+        )
+    # Only a DistributedExecutor keeps scheduler counters; one payload shape
+    # serves this line, the dashboard endpoint and the tests.
+    stats = getattr(executor, "stats", None)
+    if stats is not None:
+        counters = {k: v for k, v in stats.to_payload()["counters"].items() if v}
+        if counters:
+            summary = ", ".join(f"{k}={v}" for k, v in sorted(counters.items()))
+            print(f"scheduler stats: {summary}", file=sys.stderr)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,13 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tag", default=None, help="with --all: only this tag")
     run.add_argument("--smoke", action="store_true", help="tiny smoke-tier sizes")
     run.add_argument(
-        "--executor", "--jobs", default=None, dest="jobs", metavar="SPEC",
-        help="executor spec: 'serial' (or 1), a worker count N > 1 for a local "
-             "forked fleet, 'auto' (or 0) for one worker per CPU, "
-             "tcp://HOST:PORT to schedule cells onto external distributed "
-             "workers, or inproc://NAME for an in-process fleet",
-    )
-    run.add_argument(
         "--output", type=Path, default=None,
         help="write a JSON summary (per-scenario rows/digest/elapsed) to this file",
     )
@@ -97,12 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--spec", type=Path, action="append", default=[], dest="spec_files",
         metavar="FILE.toml", help="also run a scenario spec loaded from a TOML file",
     )
-    run.add_argument(
-        "--dashboard", type=int, default=None, metavar="PORT",
-        help="serve the live telemetry dashboard on this port while the "
-             "scenarios run (0 picks a free port; the URL goes to stderr)",
-    )
-    _add_export_arguments(run)
+    _add_runner_arguments(run)
 
     swp = sub.add_parser("sweep", help="run one scenario sweep and print the rows")
     swp.add_argument("name")
@@ -113,30 +131,40 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     swp.add_argument("--repetitions", type=int, default=None)
     swp.add_argument(
+        "--group-by", default=None, metavar="COLUMN",
+        help="also print per-group means of every numeric metric",
+    )
+    _add_runner_arguments(swp)
+    return parser
+
+
+def _add_runner_arguments(parser: argparse.ArgumentParser) -> None:
+    """The executor, observation and export flags ``run`` and ``sweep`` share."""
+
+    from repro.store.api import FORMATS
+
+    parser.add_argument(
         "--executor", "--jobs", default=None, dest="jobs", metavar="SPEC",
         help="executor spec: 'serial' (or 1), a worker count N > 1 for a local "
              "forked fleet, 'auto' (or 0) for one worker per CPU, "
              "tcp://HOST:PORT to schedule cells onto external distributed "
              "workers, or inproc://NAME for an in-process fleet",
     )
-    swp.add_argument(
+    parser.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help="with --executor tcp://... or inproc://...: raise N local "
+             "workers for it (tcp:// forks processes, inproc:// runs coroutines)",
+    )
+    parser.add_argument(
         "--dashboard", type=int, default=None, metavar="PORT",
-        help="serve the live telemetry dashboard on this port while the "
-             "sweep runs (0 picks a free port; the URL goes to stderr)",
+        help="serve the live telemetry dashboard on this port during the run "
+             "(0 picks a free port; the URL goes to stderr)",
     )
-    _add_export_arguments(swp)
-    swp.add_argument(
-        "--group-by", default=None, metavar="COLUMN",
-        help="also print per-group means of every numeric metric",
+    parser.add_argument(
+        "--record", type=Path, default=None, metavar="DIR",
+        help="attach the telemetry flight recorder: land every bus event "
+             "(forwarded worker.* spans included) in this campaign store",
     )
-    return parser
-
-
-def _add_export_arguments(parser: argparse.ArgumentParser) -> None:
-    """The unified export/store flags shared by ``run`` and ``sweep``."""
-
-    from repro.store.api import FORMATS
-
     parser.add_argument(
         "--out", type=Path, default=None, metavar="PATH",
         help="write the result rows to this file (csv/jsonl/parquet, "
@@ -153,36 +181,46 @@ def _add_export_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--campaign", default=None, metavar="NAME",
-        help="campaign label inside --store (default: 'default')",
+        help="campaign label inside --store (default: 'default') and of the "
+             "--record events (default: 'telemetry')",
     )
 
 
 def _open_store(args: argparse.Namespace) -> Optional[Any]:
     if args.store is None:
-        if args.campaign:
-            raise SpecError("--campaign needs --store DIR")
+        if args.campaign and args.record is None:
+            raise SpecError("--campaign needs --store DIR or --record DIR")
         return None
     from repro.store.columnar import CampaignStore
 
     return CampaignStore(args.store, campaign=args.campaign or "default")
 
 
-def _executor(spec: Optional[str]) -> Any:
-    """Resolve an --executor/--jobs value eagerly.
+def _executor(args: argparse.Namespace) -> Any:
+    """Resolve ``--executor``/``--jobs`` (and ``--workers``) eagerly.
 
     Resolving here (instead of letting ``run_scenario`` do it per scenario)
-    makes a malformed spec a *usage* error -- one message, exit code 2 --
-    rather than N per-scenario FAIL lines pretending the scenarios broke.
-    Raises :class:`~repro.experiments.executors.ExecutorSpecError`.
+    makes a malformed spec -- ``REPRO_JOBS`` included, when no flag is given
+    -- a *usage* error: one message, exit code 2, rather than N per-scenario
+    FAIL lines pretending the scenarios broke.  Raises :class:`ValueError`
+    (an :class:`~repro.experiments.executors.ExecutorSpecError` for a bad
+    spec).
     """
 
-    if spec is None:
-        return None
+    spec, workers = args.jobs, args.workers
+    if workers is not None:
+        if spec is None or not spec.lower().startswith(("tcp://", "inproc://")):
+            raise ValueError("--workers needs --executor tcp://HOST:PORT or inproc://NAME")
+        if workers < 1:
+            raise ValueError("--workers must be >= 1")
+        from repro.distributed.executor import DistributedExecutor
+
+        return DistributedExecutor(spec, workers=workers)
     from repro.experiments.executors import resolve_executor
 
     try:
         value: Any = int(spec)
-    except ValueError:
+    except (TypeError, ValueError):  # None (REPRO_JOBS decides) or a spec string
         value = spec
     return resolve_executor(value)
 
@@ -244,18 +282,11 @@ def _cmd_describe(args: argparse.Namespace) -> int:
     return 0
 
 
-def select_specs(
-    names: List[str],
-    use_all: bool,
-    tag: Optional[str],
-    *,
-    usage_hint: str = "give scenario names or --all",
-) -> Optional[List[ScenarioSpec]]:
-    """Resolve a CLI scenario selection (names, or ``--all`` [``--tag``]).
+def select_specs(names: List[str], use_all: bool, tag: Optional[str]) -> Optional[List[ScenarioSpec]]:
+    """Resolve the scenario selection of ``run`` (names, or ``--all`` [``--tag``]).
 
-    Shared by ``repro.scenarios run`` and the ``repro.distributed``
-    scheduler/run commands.  On a usage error (unknown name, empty
-    selection) prints the message and returns ``None`` -- callers exit 2.
+    On a usage error (unknown name, empty selection) prints the message and
+    returns ``None`` -- the caller exits 2.
     """
 
     if use_all:
@@ -266,7 +297,7 @@ def select_specs(
         except KeyError as error:
             print(error, file=sys.stderr)
             return None
-    print(f"nothing to run: {usage_hint}", file=sys.stderr)
+    print("nothing to run: give scenario names, --spec files or --all", file=sys.stderr)
     return None
 
 
@@ -276,20 +307,17 @@ def run_specs(
     smoke: bool,
     executor: Any = None,
     output: Optional[Path] = None,
-    schema: str = "repro.scenarios/1",
     sink: Any = None,
     out: Optional[Path] = None,
     out_format: Optional[str] = None,
 ) -> int:
     """Run scenario specs, print ok/FAIL summary lines, optionally write JSON.
 
-    The single implementation behind ``repro.scenarios run`` and the
-    ``repro.distributed`` scheduler/run commands, so summary format, failure
-    handling and exit codes cannot drift between the CLIs.  Every completed
-    cell streams into ``sink`` (a :class:`~repro.store.api.RowSink`, e.g. a
-    campaign store) when one is given; ``out`` additionally exports the
-    concatenated rows through :func:`repro.store.api.write_rows`.  Returns 1
-    when any scenario failed, else 0.
+    Every completed cell streams into ``sink`` (a
+    :class:`~repro.store.api.RowSink`, e.g. a campaign store) when one is
+    given; ``out`` additionally exports the concatenated rows through
+    :func:`repro.store.api.write_rows`.  Returns 1 when any scenario failed,
+    else 0.
     """
 
     tier = "smoke" if smoke else "full"
@@ -328,7 +356,7 @@ def run_specs(
     if output is not None:
         output.parent.mkdir(parents=True, exist_ok=True)
         output.write_text(json.dumps(
-            {"schema": schema, "tier": tier, "scenarios": summaries},
+            {"schema": "repro.scenarios/1", "tier": tier, "scenarios": summaries},
             indent=2, sort_keys=True,
         ) + "\n")
         print(f"summary written to {output}")
@@ -337,16 +365,13 @@ def run_specs(
 
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        executor = _executor(args.jobs)
+        executor = _executor(args)
         sink = _open_store(args)
-    except (ValueError, SpecError) as error:
+    except ValueError as error:  # SpecError and ExecutorSpecError included
         print(error, file=sys.stderr)
         return 2
     if args.all or args.names or not args.spec_files:
-        specs = select_specs(
-            args.names, args.all, args.tag,
-            usage_hint="give scenario names, --spec files or --all",
-        )
+        specs = select_specs(args.names, args.all, args.tag)
         if specs is None:
             return 2
     else:
@@ -360,7 +385,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not specs:
         print("no scenarios matched", file=sys.stderr)
         return 2
-    with serve_dashboard(args.dashboard):
+    with _observed(args, executor):
         return run_specs(
             specs, smoke=args.smoke, executor=executor, output=args.output,
             sink=sink, out=args.out, out_format=args.out_format,
@@ -373,15 +398,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         spec = registry.get(args.name)
         axes = _parse_axes(args.axis)
-        executor = _executor(args.jobs)
+        executor = _executor(args)
         sink = _open_store(args)
-    except (KeyError, SpecError, ValueError) as error:
+    except (KeyError, ValueError) as error:
         print(error, file=sys.stderr)
         return 2
     sweep = dict(spec.smoke_spec().sweep if args.smoke else spec.sweep)
     sweep.update(axes)
     try:
-        with serve_dashboard(args.dashboard):
+        with _observed(args, executor):
             result = run_scenario(
                 spec,
                 smoke=args.smoke,

@@ -613,6 +613,38 @@ MODEL_RUNNERS: Dict[str, Callable[[ScenarioSpec, int], Dict[str, Any]]] = {
     "dlt": _run_dlt,
 }
 
+#: Models whose runner has one fixed policy: the only ``policy.kind`` each
+#: accepts besides ``default`` (the :meth:`ScenarioSpec.from_dict` fallback).
+#: Their runners never read the kind, so any other name would run that one
+#: policy under a wrong label.
+FIXED_POLICY_KINDS: Dict[str, str] = {
+    "figure2": "bicriteria",
+    "dlt": "multiround",
+    "grid-centralized": "best-effort",
+    "grid-decentralized": "exchange",
+}
+
+
+def check_policy_kinds(spec: ScenarioSpec) -> None:
+    """Reject a ``policy.kind`` (or axis value) a fixed-policy model ignores.
+
+    Checks the spec's own kind and every value of a ``policy.kind`` sweep
+    axis, once per scenario, before any cell runs.  Raises
+    :class:`SpecError` naming the accepted kinds.
+    """
+
+    fixed = FIXED_POLICY_KINDS.get(spec.model)
+    if fixed is None:
+        return
+    accepted = (fixed, "default")
+    for kind in [spec.policy.kind, *spec.sweep.get("policy.kind", ())]:
+        if kind not in accepted:
+            raise SpecError(
+                f"scenario {spec.name!r}: model {spec.model!r} runs one policy; "
+                f"policy.kind {kind!r} is not one of {list(accepted)}"
+            )
+
+
 #: Models whose runner drives an event simulator and therefore has a
 #: :class:`~repro.runtime.record.SimulationRecord` to render as a Gantt.
 RECORD_MODELS = ("cluster-online", "grid-centralized", "grid-decentralized")
@@ -642,6 +674,7 @@ def build_simulation_record(
         effective = effective.with_overrides(
             {axis: values[0] for axis, values in effective.sweep.items() if values}
         )
+    check_policy_kinds(effective)
     cell_seed = effective.seed if seed is None else int(seed)
     model = effective.model
     if model == "cluster-online":
@@ -726,6 +759,7 @@ def run_scenario(
         )
     if repetitions is not None:
         effective = effective.evolve(repetitions=repetitions)
+    check_policy_kinds(effective)
     return run_experiment(
         effective.name,
         functools.partial(run_scenario_cell, _spec=effective),

@@ -114,17 +114,25 @@ class ScenarioSpec:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> "ScenarioSpec":
-        if not _NAME_RE.match(self.name or ""):
+        if not isinstance(self.name, str) or not _NAME_RE.fullmatch(self.name):
             raise SpecError(
                 f"invalid scenario name {self.name!r}: use lowercase letters, "
                 "digits, '.', '_' and '-', starting with a letter or digit"
             )
         if self.model not in MODELS:
             raise SpecError(f"unknown model {self.model!r}; known: {MODELS}")
+        if not isinstance(self.description, str):
+            raise SpecError("description must be a string")
+        _check_int(self.seed, "seed")
+        _check_int(self.repetitions, "repetitions")
         if self.repetitions < 1:
             raise SpecError("repetitions must be >= 1")
-        if not isinstance(self.seed, int):
-            raise SpecError("seed must be an integer")
+        for field_name in ("tags", "metrics"):
+            values = getattr(self, field_name)
+            if not isinstance(values, (list, tuple)) or not all(
+                isinstance(value, str) for value in values
+            ):
+                raise SpecError(f"{field_name} must be a list of strings, got {values!r}")
         for axis, values in self.sweep.items():
             _check_override_path(axis, context="sweep axis")
             if not isinstance(values, (list, tuple)) or len(values) == 0:
@@ -133,6 +141,10 @@ class ScenarioSpec:
             if key in ("repetitions", "sweep"):
                 continue
             _check_override_path(key, context="smoke override")
+        if "repetitions" in self.smoke:
+            _check_int(self.smoke["repetitions"], "smoke repetitions")
+            if self.smoke["repetitions"] < 1:
+                raise SpecError("smoke repetitions must be >= 1")
         if "sweep" in self.smoke:
             smoke_sweep = self.smoke["sweep"]
             if not isinstance(smoke_sweep, Mapping):
@@ -178,7 +190,7 @@ class ScenarioSpec:
         repetitions = overrides.pop("repetitions", 1)
         sweep = overrides.pop("sweep", None)
         spec = self.with_overrides(overrides)
-        spec.repetitions = int(repetitions)
+        spec.repetitions = repetitions
         if sweep is not None:
             spec.sweep = {axis: list(values) for axis, values in sweep.items()}
         return spec.validate()
@@ -223,19 +235,21 @@ class ScenarioSpec:
         smoke_raw = data.get("smoke", {})
         if not isinstance(smoke_raw, Mapping):
             raise SpecError("'smoke' must be a mapping")
+        # No coercion: int("7") or tuple("paper") would turn a malformed
+        # value into a wrong one; validate() rejects it with a SpecError.
         spec = cls(
             name=data["name"],
             model=data["model"],
             description=data.get("description", ""),
-            tags=tuple(data.get("tags", ())),
-            metrics=tuple(data.get("metrics", ())),
-            repetitions=int(data.get("repetitions", 3)),
-            seed=int(data.get("seed", 1234)),
+            tags=_as_tuple(data.get("tags", ())),
+            metrics=_as_tuple(data.get("metrics", ())),
+            repetitions=data.get("repetitions", 3),
+            seed=data.get("seed", 1234),
             workload=ComponentSpec.from_dict(data["workload"], section="workload"),
             arrival=ComponentSpec.from_dict(data.get("arrival", {"kind": "inherit"}), section="arrival"),
             platform=ComponentSpec.from_dict(data["platform"], section="platform"),
             policy=ComponentSpec.from_dict(data.get("policy", {"kind": "default"}), section="policy"),
-            sweep={axis: _plain(list(values)) for axis, values in sweep_raw.items()},
+            sweep={axis: _plain(values) for axis, values in sweep_raw.items()},
             smoke=_plain(dict(smoke_raw)),
         )
         return spec.validate()
@@ -276,6 +290,16 @@ class ScenarioSpec:
         return cls.from_dict(data)
 
 
+def _as_tuple(value: Any) -> Any:
+    return tuple(value) if isinstance(value, (list, tuple)) else value
+
+
+def _check_int(value: Any, what: str) -> None:
+    # bool is an int subclass, but ``seed = true`` is a typo, not a seed.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+
+
 def _copy_spec(spec: ScenarioSpec) -> ScenarioSpec:
     return ScenarioSpec.from_dict(spec.to_dict())
 
@@ -305,11 +329,25 @@ def _check_override_path(path: str, *, context: str) -> Tuple[str, str]:
 _BARE_KEY_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 
-def _toml_key(key: str) -> str:
-    if _BARE_KEY_RE.match(key):
-        return key
-    escaped = key.replace("\\", "\\\\").replace('"', '\\"')
+#: Characters a TOML basic string must escape: the quote, the backslash and
+#: every control character but tab.
+_TOML_ESCAPE_RE = re.compile(r'["\\\x00-\x08\x0a-\x1f\x7f]')
+_TOML_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\n": "\\n", "\f": "\\f", "\r": "\\r"}
+
+
+def _toml_string(text: str) -> str:
+    escaped = _TOML_ESCAPE_RE.sub(
+        lambda m: _TOML_SHORT_ESCAPES.get(m.group(), f"\\u{ord(m.group()):04x}"), text
+    )
     return f'"{escaped}"'
+
+
+def _toml_key(key: str) -> str:
+    if not isinstance(key, str):
+        raise SpecError(f"cannot serialise non-string key {key!r} to TOML")
+    if _BARE_KEY_RE.fullmatch(key):
+        return key
+    return _toml_string(key)
 
 
 def _toml_value(value: Any) -> str:
@@ -322,8 +360,7 @@ def _toml_value(value: Any) -> str:
             raise SpecError("non-finite floats cannot be serialised to TOML")
         return repr(value)
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return _toml_string(value)
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_toml_value(v) for v in value) + "]"
     if isinstance(value, Mapping):

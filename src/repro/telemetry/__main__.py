@@ -1,4 +1,4 @@
-"""``python -m repro.telemetry``: flight-recorder record / replay / report."""
+"""``python -m repro.telemetry``: flight-recorder replay / report / smoke."""
 
 import sys
 

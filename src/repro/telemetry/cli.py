@@ -1,19 +1,20 @@
-"""Command-line interface of the telemetry flight recorder.
+"""Command-line interface of the telemetry flight recorder: read and check.
 
 ::
 
-    python -m repro.telemetry record cluster.figure2 --smoke --store runs/flight
-    python -m repro.telemetry record --all --smoke --store runs/flight \\
-        --executor inproc://                       # distributed, forwarded spans
+    python -m repro.scenarios run fig2.bicriteria --smoke --record runs/flight
+    python -m repro.scenarios run --all --smoke --record runs/flight \
+        --executor inproc:// --workers 4           # distributed, forwarded spans
     python -m repro.telemetry replay --store runs/flight --topic worker. --limit 20
     python -m repro.telemetry report phase-attribution --store runs/flight
     python -m repro.telemetry report worker-occupancy --store runs/flight
     python -m repro.telemetry smoke                # CI: fleet + recorder + parity
 
-``record`` runs scenarios with a :class:`~repro.telemetry.recorder.
-TelemetryRecorder` attached to the process bus, so every event -- sweep
-lifecycle, scheduler decisions, forwarded ``worker.*`` spans -- lands in
-``telemetry.<campaign>`` partitions of the given store.  ``replay`` prints
+Recording is a flag of the scenario runner: ``repro.scenarios run|sweep
+--record DIR`` attaches a :class:`~repro.telemetry.recorder.
+TelemetryRecorder` to the process bus, so every event -- sweep lifecycle,
+scheduler decisions, forwarded ``worker.*`` spans -- lands in
+``telemetry.<campaign>`` partitions of that store.  ``replay`` prints
 recorded events back in landed order; ``report`` runs the telemetry
 queries (``span-summary``, ``worker-occupancy``, ``phase-attribution``).
 
@@ -21,8 +22,8 @@ Recording is observation only: scenario digests are bit-identical with the
 recorder on or off (``smoke`` proves exactly that against a 4-worker
 ``tcp://`` fleet).
 
-Exit codes: 0 on success, 1 when a scenario or a smoke assertion fails,
-2 on usage errors.
+Exit codes: 0 on success, 1 when a smoke assertion fails, 2 on usage
+errors.
 """
 
 from __future__ import annotations
@@ -43,35 +44,14 @@ TELEMETRY_QUERIES = ("span-summary", "worker-occupancy", "phase-attribution")
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
-        description="Flight recorder: record runs, replay events, report timings.",
+        description="Flight recorder: replay recorded events, report timings, smoke-check.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     store_arg = argparse.ArgumentParser(add_help=False)
     store_arg.add_argument(
         "--store", type=Path, required=True, metavar="DIR",
-        help="campaign store directory telemetry rows land in / are read from",
-    )
-
-    rec = sub.add_parser(
-        "record", parents=[store_arg],
-        help="run scenarios with the flight recorder attached",
-    )
-    rec.add_argument("names", nargs="*", help="scenario names (see repro.scenarios list)")
-    rec.add_argument("--all", action="store_true", help="record every registered scenario")
-    rec.add_argument("--tag", default=None, help="with --all: only scenarios with this tag")
-    rec.add_argument("--smoke", action="store_true", help="run the reduced smoke tier")
-    rec.add_argument(
-        "--campaign", default="telemetry",
-        help="campaign label for the telemetry partitions (default: telemetry)",
-    )
-    rec.add_argument(
-        "--executor", dest="jobs", default=None, metavar="SPEC",
-        help="executor spec: serial, N, process, tcp://host:port, inproc://, ...",
-    )
-    rec.add_argument(
-        "--output", type=Path, default=None, metavar="PATH",
-        help="also write the scenario summary JSON here",
+        help="campaign store directory the recorded telemetry is read from",
     )
 
     rep = sub.add_parser(
@@ -127,33 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="working directory for the store (default: a temp dir)",
     )
     return parser
-
-
-def _cmd_record(args: argparse.Namespace) -> int:
-    from repro.experiments.executors import ExecutorSpecError
-    from repro.scenarios.cli import _executor, run_specs, select_specs
-    from repro.store.columnar import CampaignStore
-
-    specs = select_specs(args.names, args.all, args.tag)
-    if not specs:
-        if specs is not None:  # an empty --all/--tag selection
-            print("no scenarios matched", file=sys.stderr)
-        return 2
-    try:
-        executor = _executor(args.jobs)
-    except (ValueError, ExecutorSpecError) as error:
-        print(error, file=sys.stderr)
-        return 2
-    store = CampaignStore(args.store, campaign=args.campaign)
-    recorder = TelemetryRecorder(store, campaign=args.campaign)
-    with recorder:
-        status = run_specs(specs, smoke=args.smoke, executor=executor, output=args.output)
-    print(
-        f"flight recorder: {recorder.recorded} event(s) -> {store.root} "
-        f"(campaign {recorder.campaign}, {recorder.dropped} dropped, "
-        f"{recorder.skipped} skipped)"
-    )
-    return status
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -277,8 +230,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv += ["--store", "."]
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "record":
-        return _cmd_record(args)
     if args.command == "replay":
         return _cmd_replay(args)
     if args.command == "report":

@@ -32,6 +32,7 @@ import pytest
 
 from repro.distributed import DistributedExecutor, Scheduler, protocol
 from repro.distributed.cli import main as distributed_main
+from repro.scenarios.cli import main as scenarios_main
 from repro.distributed.scheduler import IDLE_DELAY, _Campaign, _WorkerConn
 from repro.distributed.worker import AsyncWorker
 from repro.experiments.grid import CellFunction, expand_grid
@@ -343,25 +344,18 @@ class TestOneAttemptPerCell:
 
 
 class TestCliResume:
-    """Both CLIs resume from ``REPRO_CACHE_DIR``, across executors."""
+    """The scenario runner resumes from ``REPRO_CACHE_DIR``, across executors."""
 
     def test_distributed_rerun_then_serial_run_replay_every_cell(
         self, tmp_path, monkeypatch, capsys
     ):
-        from repro.scenarios.cli import main as scenarios_main
-
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         entries = []
-        runs = [
-            lambda out: distributed_main(["run", "fig2.bicriteria", "--smoke", "--comm",
-                                          "inproc", "--workers", "2", "--output", out]),
-        ] * 2 + [
-            lambda out: scenarios_main(["run", "fig2.bicriteria", "--smoke",
-                                        "--output", out]),
-        ]
-        for index, run in enumerate(runs):
+        fleet = ["--executor", "inproc://", "--workers", "2"]
+        for index, executor in enumerate([fleet, fleet, []]):
             out = tmp_path / f"run{index}.json"
-            assert run(str(out)) == 0
+            assert scenarios_main(["run", "fig2.bicriteria", "--smoke", *executor,
+                                   "--output", str(out)]) == 0
             (entry,) = json.loads(out.read_text())["scenarios"]
             entries.append(entry)
         first, again, serial = entries
@@ -372,13 +366,15 @@ class TestCliResume:
 
 
 class TestRemovedKnobs:
-    """Speculation, the policy switches and the journal are gone; using them
-    fails loudly.
+    """Speculation, the policy switches, the journal and the duplicate
+    runners are gone; using them fails loudly.
 
     Guided leases plus stealing is the only policy: ``steal``/``prefetch``
     and ``--no-steal``/``--prefetch`` went the way of the speculation knobs.
     The harness cell cache is the one replay store: ``journal``/``--journal``
-    and ``run_campaign(version=)`` are gone.
+    and ``run_campaign(version=)`` are gone.  ``repro.scenarios run`` is the
+    one scenario runner: ``repro.distributed run``/``scheduler`` and their
+    fault-budget and comm flags are gone too.
     """
 
     @pytest.mark.parametrize("knob", [
@@ -392,19 +388,23 @@ class TestRemovedKnobs:
         with pytest.raises(TypeError):
             Scheduler("inproc://", **knob)
 
-    @pytest.mark.parametrize("command", [
-        ["run", "fig2.bicriteria", "--smoke"],
-        ["scheduler", "fig2.bicriteria", "--smoke", "--bind", "inproc://"],
-    ])
+    @pytest.mark.parametrize("main, command, error", [
+        (scenarios_main, ["run", "fig2.bicriteria", "--smoke"], "unrecognized arguments"),
+        (scenarios_main, ["run", "fig2.bicriteria", "--smoke", "--executor", "inproc://"],
+         "unrecognized arguments"),
+        (distributed_main, ["run", "fig2.bicriteria", "--smoke"], "invalid choice"),
+        (distributed_main, ["scheduler", "fig2.bicriteria", "--smoke"], "invalid choice"),
+    ], ids=["scenarios-run", "scenarios-run-inproc", "distributed-run", "distributed-scheduler"])
     @pytest.mark.parametrize("flags", [
         ["--no-speculate"], ["--speculation-delay", "1"], ["--no-steal"], ["--prefetch", "2"],
-        ["--journal", "x"],
+        ["--journal", "x"], ["--max-retries", "1"], ["--stall-timeout", "5"],
+        ["--comm", "inproc"], ["--bind", "inproc://"], ["--record-campaign", "x"],
     ])
-    def test_removed_flags_are_usage_errors(self, command, flags, capsys):
+    def test_removed_flags_are_usage_errors(self, main, command, error, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            distributed_main(command + flags)
+            main(command + flags)
         assert excinfo.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
     def test_run_campaign_takes_no_version(self):
         cells = expand_grid({"i": [0]}, repetitions=1, base_seed=7)

@@ -17,7 +17,6 @@ import time
 import pytest
 
 from repro.distributed import ConnectionClosed, DistributedExecutor, Scheduler, protocol
-from repro.distributed.cli import main as distributed_main
 from repro.distributed.scheduler import WORKER_LOST, CampaignStalled
 from repro.experiments.grid import CellFunction, expand_grid
 from tests.distributed.wire import recv_message, send_message
@@ -312,21 +311,6 @@ class TestSchedulingSettings:
     def test_no_stall_timeout_and_no_retries_are_valid(self):
         Scheduler("inproc://", stall_timeout=None, max_retries=0)
         DistributedExecutor("inproc://", stall_timeout=None, max_retries=0)
-
-    @pytest.mark.parametrize("command", [
-        ["run", "fig2.bicriteria", "--smoke", "--comm", "inproc"],
-        ["scheduler", "fig2.bicriteria", "--smoke", "--bind", "inproc://"],
-    ])
-    @pytest.mark.parametrize("flags, message", [
-        (["--max-retries", "-1"], "max_retries must be >= 0"),
-        (["--stall-timeout", "0"], "stall_timeout must be > 0"),
-        (["--stall-timeout", "-5"], "stall_timeout must be > 0"),
-    ])
-    def test_cli_exits_2_before_any_campaign(self, command, flags, message, capsys):
-        assert distributed_main(command + flags) == 2
-        captured = capsys.readouterr()
-        assert message in captured.err
-        assert "FAIL" not in captured.out
 
 
 class TestWelcome:

@@ -201,3 +201,99 @@ class TestExportSurface:
     def test_campaign_without_store_exits_two(self, capsys):
         assert main(["run", "fig2.bicriteria", "--smoke", "--campaign", "x"]) == 2
         assert "--store" in capsys.readouterr().err
+
+
+class TestOneRunner:
+    """``run``/``sweep`` are the one scenario runner: executors, fleets,
+    recording and the dashboard are its flags, and the duplicate runners of
+    the other CLIs are gone."""
+
+    @pytest.mark.parametrize("module, argv", [
+        ("repro.distributed.cli", ["run", "fig2.bicriteria", "--smoke", "--workers", "2"]),
+        ("repro.distributed.cli", ["scheduler", "fig2.bicriteria", "--bind", "tcp://127.0.0.1:0"]),
+        ("repro.telemetry.cli", ["record", "fig2.bicriteria", "--smoke", "--store", "flight"]),
+        ("repro.dashboard.__main__", ["serve", "--port", "0", "--run", "fig2.bicriteria"]),
+    ], ids=["distributed-run", "distributed-scheduler", "telemetry-record", "dashboard-serve-run"])
+    def test_removed_runners_are_usage_errors(self, module, argv, capsys):
+        import importlib
+
+        with pytest.raises(SystemExit) as exit_info:
+            importlib.import_module(module).main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--workers", "2"], "--workers needs --executor"),
+        (["--executor", "2", "--workers", "2"], "--workers needs --executor"),
+        (["--executor", "serial", "--workers", "2"], "--workers needs --executor"),
+        (["--executor", "inproc://", "--workers", "0"], "--workers must be >= 1"),
+        (["--executor", "tcp://127.0.0.1:0", "--workers", "-1"], "--workers must be >= 1"),
+        (["--executor", "udp://x:1", "--workers", "2"], "--workers needs --executor"),
+    ])
+    def test_workers_needs_a_distributed_address(self, command, flags, message, capsys):
+        assert main([command, "fig2.bicriteria", "--smoke", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert message in err
+        assert "FAIL" not in out and "digest" not in out
+
+    def test_a_fleet_run_reports_scheduler_stats_on_stderr(self, capsys, tmp_path):
+        summary = tmp_path / "fleet.json"
+        assert main(["run", "fig2.bicriteria", "--smoke", "--executor", "inproc://",
+                     "--workers", "2", "--output", str(summary)]) == 0
+        out, err = capsys.readouterr()
+        assert "1/1 scenario(s) passed" in out
+        assert "scheduler stats:" in err and "scheduler stats:" not in out
+        assert "results=2" in err and "workers_joined=2" in err
+        report = json.loads(summary.read_text())
+        assert report["schema"] == "repro.scenarios/1"
+        (entry,) = report["scenarios"]
+        assert entry["executor"] == "distributed"
+
+        assert main(["run", "fig2.bicriteria", "--smoke", "--output", str(summary)]) == 0
+        assert "scheduler stats:" not in capsys.readouterr().err
+        (serial,) = json.loads(summary.read_text())["scenarios"]
+        assert serial["digest"] == entry["digest"]
+
+    def test_an_env_selected_fleet_reports_stats_and_a_bad_env_is_a_usage_error(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_JOBS", "inproc://")
+        assert main(["run", "fig2.bicriteria", "--smoke"]) == 0
+        assert "scheduler stats:" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_JOBS", "ten")
+        assert main(["run", "fig2.bicriteria", "--smoke"]) == 2
+        out, err = capsys.readouterr()
+        assert "REPRO_JOBS=ten" in err and "FAIL" not in out
+
+    def test_a_recorded_fleet_lands_worker_events(self, capsys, tmp_path):
+        from repro.store.columnar import CampaignStore
+        from repro.store.queries import run_query
+
+        flight = tmp_path / "flight"
+        assert main(["run", "fig2.bicriteria", "--smoke", "--executor", "inproc://",
+                     "--workers", "2", "--record", str(flight)]) == 0
+        err = capsys.readouterr().err
+        assert "flight recorder:" in err and "(campaign telemetry," in err
+        store = CampaignStore(flight)
+        topics = {json.loads(r["row_json"]).get("topic", "") for r in store.records()}
+        assert any(topic.startswith("worker.") for topic in topics)
+        assert run_query(store, "phase-attribution")
+
+    def test_sweep_takes_the_same_runner_flags(self, capsys, tmp_path):
+        from repro.store.columnar import CampaignStore
+
+        assert main(["sweep", "fig2.bicriteria", "--smoke", "--dashboard", "0",
+                     "--record", str(tmp_path / "flight"), "--campaign", "sweep",
+                     "--store", str(tmp_path / "rows")]) == 0
+        out, err = capsys.readouterr()
+        assert "digest" in out
+        assert "dashboard serving on http://" in err
+        assert "(campaign sweep," in err
+        assert CampaignStore(tmp_path / "rows").campaigns() == ["sweep"]
+
+    def test_foreign_policy_kind_axis_prints_no_rows(self, capsys):
+        assert main(["sweep", "fig2.bicriteria", "--smoke", "--axis", "policy.kind=nosuch"]) == 1
+        out, err = capsys.readouterr()
+        assert "SpecError" in err and "'nosuch'" in err
+        assert "policy.kind" not in out

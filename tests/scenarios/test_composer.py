@@ -9,9 +9,9 @@ from repro.core.criteria import CriteriaReport
 from repro.core.policies.rigid_moldable_mix import MixedScheduler
 from repro.experiments.harness import CellExecutionError, run_experiment
 from repro.metrics.ratios import schedule_ratios
-from repro.scenarios import run_scenario, rows_digest
+from repro.scenarios import composer, get, run_scenario, rows_digest
 from repro.scenarios.composer import inject_node_churn
-from repro.scenarios.spec import ComponentSpec, ScenarioSpec
+from repro.scenarios.spec import ComponentSpec, ScenarioSpec, SpecError
 from repro.workload.models import WorkloadConfig, generate_mixed_jobs
 
 MACHINES = 16
@@ -127,3 +127,44 @@ class TestNodeChurn:
     def test_zero_outages_is_a_no_op(self):
         jobs = []
         assert inject_node_churn(jobs, 8, {"n_outages": 0}, np.random.default_rng(1)) == []
+
+
+class TestFixedPolicyKinds:
+    """Models with one policy reject any other ``policy.kind`` up front."""
+
+    CASES = [
+        ("fig2.bicriteria", "figure2", "bicriteria"),
+        ("dlt.multiround-scaling", "dlt", "multiround"),
+        ("fig3.ciment.centralized", "grid-centralized", "best-effort"),
+        ("grid.decentralized.exchange", "grid-decentralized", "exchange"),
+    ]
+
+    @pytest.fixture
+    def no_cell_runs(self, monkeypatch):
+        def forbidden(spec, seed):
+            raise AssertionError("a cell ran before the policy kind was checked")
+
+        for _name, model, _kind in self.CASES:
+            monkeypatch.setitem(composer.MODEL_RUNNERS, model, forbidden)
+
+    @pytest.mark.parametrize("name, model, kind", CASES)
+    def test_foreign_kind_is_rejected_before_any_cell(self, name, model, kind, no_cell_runs):
+        spec = get(name)
+        bad = spec.evolve(policy=ComponentSpec("fifo", dict(spec.policy.params)))
+        with pytest.raises(SpecError, match=rf"not one of \['{kind}', 'default'\]"):
+            run_scenario(bad, smoke=True)
+        if model in composer.RECORD_MODELS:  # the Gantt explorer's path
+            with pytest.raises(SpecError, match="not one of"):
+                composer.build_simulation_record(bad)
+
+    @pytest.mark.parametrize("name, model, kind", CASES)
+    def test_foreign_kind_axis_is_rejected_before_any_cell(self, name, model, kind, no_cell_runs):
+        with pytest.raises(SpecError, match="'nosuch'"):
+            run_scenario(get(name), smoke=True, sweep={"policy.kind": [kind, "nosuch"]})
+
+    @pytest.mark.parametrize("name, model, kind", CASES)
+    def test_own_kind_and_default_are_accepted(self, name, model, kind):
+        spec = get(name)
+        assert spec.model == model and spec.policy.kind == kind
+        composer.check_policy_kinds(spec.evolve(sweep={"policy.kind": [kind, "default"]}))
+        composer.check_policy_kinds(spec.evolve(policy=ComponentSpec("default")))

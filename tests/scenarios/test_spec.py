@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.scenarios.spec import ComponentSpec, ScenarioSpec, SpecError
 
@@ -132,3 +134,83 @@ class TestOverrides:
     def test_evolve_validates(self):
         with pytest.raises(SpecError):
             rich_spec().evolve(sweep={"bad": [1]})
+
+
+class TestBoundary:
+    """Malformed values fail with a SpecError, never a bare error or a coercion."""
+
+    @pytest.mark.parametrize("change", [
+        {"seed": "abc"},
+        {"seed": 1.7},
+        {"seed": True},
+        {"repetitions": 2.9},
+        {"repetitions": [2]},
+        {"repetitions": False},
+        {"sweep": {"workload.n_jobs": 40}},
+        {"sweep": {"workload.n_jobs": "40"}},
+        {"smoke": {"sweep": {"workload.n_jobs": "40"}}},
+        {"smoke": {"repetitions": "1"}},
+        {"smoke": {"repetitions": 0}},
+        {"tags": "paper"},
+        {"tags": ["paper", 3]},
+        {"metrics": "makespan"},
+        {"metrics": [["makespan"]]},
+        {"name": 5},
+        {"name": "test.rich\n"},
+        {"description": 3},
+    ], ids=repr)
+    def test_malformed_value_raises_spec_error(self, change):
+        data = rich_spec().to_dict()
+        data.update(change)
+        with pytest.raises(SpecError):
+            ScenarioSpec.from_dict(data)
+
+    def test_malformed_toml_spec_file_is_a_cli_usage_error(self, tmp_path, capsys):
+        from repro.scenarios.cli import main
+
+        spec_file = tmp_path / "bad.toml"
+        spec_file.write_text(rich_spec().to_toml().replace("seed = 99", 'seed = "abc"'))
+        assert main(["run", "--spec", str(spec_file)]) == 2
+        assert "cannot load spec" in capsys.readouterr().err
+
+    def test_control_characters_survive_toml(self):
+        spec = rich_spec().evolve(description="tab\tnewline\ndel\x7fnul\x00", tags=("a\nb",))
+        assert ScenarioSpec.from_toml(spec.to_toml()) == spec
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=4), children, max_size=3),
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_mutated_builtin_spec_fails_at_the_boundary_or_round_trips(data):
+    """Replace one field (or one entry of a mapping field) of a builtin
+    spec's ``to_dict()`` by an arbitrary value: ``from_dict`` and ``to_toml``
+    either raise SpecError, or the spec survives dict and TOML unchanged."""
+
+    from repro.scenarios import all_specs
+
+    raw = data.draw(st.sampled_from(all_specs())).to_dict()
+    target = data.draw(st.sampled_from(sorted(raw)))
+    value = data.draw(_VALUES)
+    if isinstance(raw[target], dict) and raw[target] and data.draw(st.booleans()):
+        raw[target][data.draw(st.sampled_from(sorted(raw[target])))] = value
+    else:
+        raw[target] = value
+    try:
+        spec = ScenarioSpec.from_dict(raw)
+        text = spec.to_toml()
+    except SpecError:
+        return
+    assert ScenarioSpec.from_dict(spec.to_dict()) == spec
+    assert ScenarioSpec.from_toml(text) == spec

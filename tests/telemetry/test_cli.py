@@ -1,4 +1,5 @@
-"""``python -m repro.telemetry``: record, replay, report, smoke."""
+"""The flight recorder end to end: ``repro.scenarios run --record`` writes,
+``python -m repro.telemetry`` replays, reports and smoke-checks."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import json
 
 import pytest
 
+from repro.scenarios.cli import main as scenarios_main
 from repro.telemetry.cli import TELEMETRY_QUERIES, main
 
 
@@ -14,9 +16,9 @@ def recorded_store(tmp_path_factory):
     """One smoke scenario recorded serially; shared across read-only tests."""
 
     root = tmp_path_factory.mktemp("flight") / "store"
-    code = main([
-        "record", "fig2.bicriteria", "--smoke",
-        "--store", str(root), "--campaign", "demo",
+    code = scenarios_main([
+        "run", "fig2.bicriteria", "--smoke",
+        "--record", str(root), "--campaign", "demo",
     ])
     assert code == 0
     return root
@@ -26,20 +28,28 @@ class TestRecord:
     def test_record_lands_events_and_prints_a_summary(
         self, recorded_store, capsys
     ):
-        # The fixture already ran `record`; re-run to exercise the summary
+        # The fixture already recorded a run; re-run to exercise the summary
         # line and prove two sessions coexist in one store.
-        code = main([
-            "record", "fig2.bicriteria", "--smoke",
-            "--store", str(recorded_store), "--campaign", "demo",
+        code = scenarios_main([
+            "run", "fig2.bicriteria", "--smoke",
+            "--record", str(recorded_store), "--campaign", "demo",
         ])
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
         assert code == 0
-        assert "flight recorder:" in out
-        assert "0 dropped" in out
+        assert "1/1 scenario(s) passed" in out
+        assert "flight recorder:" in err and "flight recorder:" not in out
+        assert "campaign demo" in err
+        assert "0 dropped" in err
 
     def test_record_without_scenarios_is_usage_error(self, tmp_path, capsys):
-        assert main(["record", "--store", str(tmp_path / "s")]) == 2
-        assert main(["record", "no.such", "--store", str(tmp_path / "s")]) == 2
+        assert scenarios_main(["run", "--record", str(tmp_path / "s")]) == 2
+        assert scenarios_main(["run", "no.such", "--record", str(tmp_path / "s")]) == 2
+
+    def test_record_command_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["record", "fig2.bicriteria", "--smoke", "--store", str(tmp_path / "s")])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestReplay:
