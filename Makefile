@@ -48,9 +48,11 @@
 #                              recorder, assert digest parity vs serial,
 #                              forwarded worker.* rows landed and a
 #                              non-empty phase attribution (mirrors the CI job)
+#   make examples              run every examples/*.py script (figure2 in
+#                              its --quick tier, writing under a temp dir)
 #   make lint                  ruff check (byte-compilation fallback)
-#   make ci                    lint + test + scenario smoke + perfbench
-#                              digest gate (mirrors CI)
+#   make ci                    lint + test + examples + scenario smoke +
+#                              perfbench digest gate (mirrors CI)
 #   make clean                 remove caches and stale bytecode
 
 PYTHON ?= python
@@ -59,7 +61,7 @@ CACHE ?=
 
 SWEEP_ENV = $(if $(JOBS),REPRO_JOBS=$(JOBS)) $(if $(CACHE),REPRO_CACHE_DIR=$(CACHE))
 
-.PHONY: test kernel kernel-check bench perfbench scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress smoke-digest-check store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
+.PHONY: test kernel kernel-check bench perfbench examples scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress smoke-digest-check store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
 
 # Port the distributed smoke tier binds its campaign schedulers on.
 DIST_PORT ?= 7641
@@ -204,6 +206,19 @@ dashboard-smoke:
 telemetry-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.telemetry smoke --workers 4 --comm tcp
 
+# Every example end to end (only `make lint` byte-compiles them otherwise).
+# figure2_reproduction.py writes its CSV under a temp dir, so nothing
+# lands in the tree.
+examples:
+	@for example in $(filter-out examples/figure2_reproduction.py,$(wildcard examples/*.py)); do \
+		echo "examples: $$example"; \
+		PYTHONPATH=src $(PYTHON) $$example >/dev/null || exit 1; \
+	done
+	@out=$$(mktemp -d) && echo "examples: examples/figure2_reproduction.py --quick" && \
+	PYTHONPATH=src $(PYTHON) examples/figure2_reproduction.py --quick \
+		--output $$out/figure2_points.csv >/dev/null; \
+	STATUS=$$?; rm -rf $$out; exit $$STATUS
+
 # ruff when available (the CI lint job installs it); plain byte-compilation
 # otherwise so the target always catches syntax errors.
 lint:
@@ -217,10 +232,11 @@ lint:
 ci:
 	$(MAKE) lint
 	$(MAKE) test
+	$(MAKE) examples
 	$(MAKE) scenario-smoke
 	$(MAKE) perfbench
 
 clean:
-	rm -rf .pytest_cache .benchmarks .repro-cache .store-smoke .perfbench-work .smoke-digests
+	rm -rf .pytest_cache .benchmarks .repro-cache .store-smoke .perfbench-work .smoke-digests examples/out
 	find . -name __pycache__ -type d -exec rm -rf {} +
 	find . -name "*.py[co]" -delete

@@ -30,6 +30,14 @@ On-line policies (jobs have release dates):
   jobs,
 * :mod:`~repro.core.policies.reservations` -- reservation-aware scheduling
   (section 5.1).
+
+All of the above build whole schedules.  The event runtime
+(:mod:`repro.runtime`) is driven instead by the three queue policies of
+:mod:`~repro.core.policies.online` (FCFS, backfilling, smallest-first).
+:mod:`~repro.core.policies.registry` keeps one name table for each way a
+policy runs: :func:`make_policy` builds a queue policy, and
+:data:`OFFLINE_SCHEDULERS` the schedule constructors an ``offline``
+scenario names.
 """
 
 from repro.core.policies.base import (
@@ -44,11 +52,11 @@ from repro.core.policies.online import (
     SchedulingPolicy,
     SmallestFirstPolicy,
 )
-from repro.core.policies.adapter import PlannedPolicy
 from repro.core.policies.registry import (
+    OFFLINE_SCHEDULERS,
+    make_offline_scheduler,
     make_policy,
     policy_names,
-    register_policy,
     resolve_cluster_policies,
 )
 from repro.core.policies.list_scheduling import ListScheduler
@@ -69,10 +77,10 @@ __all__ = [
     "FifoPolicy",
     "BackfillPolicy",
     "SmallestFirstPolicy",
-    "PlannedPolicy",
     "make_policy",
     "policy_names",
-    "register_policy",
+    "OFFLINE_SCHEDULERS",
+    "make_offline_scheduler",
     "resolve_cluster_policies",
     "ListScheduler",
     "ShelfScheduler",

@@ -8,11 +8,12 @@ centralized best-effort grid, decentralized exchange -- is runtime
 configuration, so any policy implementing this protocol runs on every
 platform shape.
 
-The three basic queue policies (FCFS, aggressive backfilling,
-smallest-first) live here; the schedule-constructing policies of
-:mod:`repro.core.policies` are adapted to the same protocol by
-:class:`repro.core.policies.adapter.PlannedPolicy`, and every policy is
-constructible by name through :mod:`repro.core.policies.registry`.
+The three queue policies (FCFS, aggressive backfilling, smallest-first)
+live here, and :func:`repro.core.policies.registry.make_policy` builds them
+by name.  They are stateless: one instance may serve any number of runs.
+The schedule-constructing policies of :mod:`repro.core.policies` run
+off-line instead, through
+:data:`repro.core.policies.registry.OFFLINE_SCHEDULERS`.
 """
 
 from __future__ import annotations
@@ -40,15 +41,6 @@ class SchedulingPolicy:
 
     def __init__(self, allocator: Optional[MoldableAllocator] = None) -> None:
         self.allocator = allocator or MoldableAllocator("bounded_efficiency")
-
-    def reset(self) -> None:
-        """Drop any cross-run state; the runtime calls this at run start.
-
-        Queue policies are stateless, so the default is a no-op; stateful
-        adapters (e.g. :class:`~repro.core.policies.adapter.PlannedPolicy`)
-        override it so a policy instance reused across simulations never
-        applies a stale plan to a fresh workload.
-        """
 
     def allocation(self, job: Job, machine_count: int, free: int) -> int:
         """Processor count for ``job``, never exceeding the currently free count."""

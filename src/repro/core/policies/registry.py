@@ -1,85 +1,84 @@
-"""Registry: every scheduling policy constructible by name.
+"""Registry: the two ways a policy runs, each with its own name table.
 
-One flat namespace covers both the native on-line queue policies and the
-schedule-constructing policies (wrapped by
-:class:`~repro.core.policies.adapter.PlannedPolicy`), so simulators,
-scenario specs and CLIs can all say ``policy="bicriteria"`` and get a
-:class:`~repro.core.policies.online.SchedulingPolicy` for the unified
-runtime.
+* **Queue policies** drive the event runtime (single cluster, centralized
+  grid, decentralized exchange): at every scheduling point they pick which
+  waiting jobs start.  :func:`make_policy` builds one by name::
 
-    make_policy("backfill")                       # native queue policy
-    make_policy("bicriteria")                     # PlannedPolicy(BiCriteriaScheduler())
-    make_policy("mixed", strategy="a_priori")     # factory kwargs pass through
-    make_policy(existing_policy_instance)         # passed through unchanged
+      make_policy("backfill")                       # a BackfillPolicy
+      make_policy("fifo", allocator=allocator)      # custom moldable allocation
+      make_policy(existing_policy_instance)         # passed through unchanged
 
-New policies register with :func:`register_policy`; names are unique and
-collisions raise, exactly like the scenario registry.
+* **Off-line schedulers** build a whole :class:`~repro.core.schedule.Schedule`
+  from a job set (MRT, SMART shelves, the bi-criteria batches, the batch
+  transform, the section-5.1 mixes, ...).  :data:`OFFLINE_SCHEDULERS` maps
+  the ``policy.kind`` of an ``offline`` scenario to a factory of its
+  ``policy.params``::
+
+      make_offline_scheduler("bicriteria", {"mrt_inner": True})
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Type, Union
 
-from repro.core.policies.adapter import PlannedPolicy
+from repro.core.policies.backfilling import ConservativeBackfilling, EasyBackfilling
 from repro.core.policies.base import MoldableAllocator
+from repro.core.policies.batch_online import BatchOnlineScheduler
+from repro.core.policies.bicriteria import BiCriteriaScheduler
+from repro.core.policies.list_scheduling import ListScheduler
+from repro.core.policies.mrt import MRTScheduler
 from repro.core.policies.online import (
     BackfillPolicy,
     FifoPolicy,
     SchedulingPolicy,
     SmallestFirstPolicy,
 )
+from repro.core.policies.rigid_moldable_mix import MixedScheduler
+from repro.core.policies.shelf import SmartShelfScheduler
 
-PolicyFactory = Callable[..., SchedulingPolicy]
+# -- queue policies (the event runtime) ---------------------------------------
 
-_REGISTRY: Dict[str, PolicyFactory] = {}
-
-
-def register_policy(name: str, factory: PolicyFactory) -> PolicyFactory:
-    """Register ``factory`` under ``name``; raises on collisions."""
-
-    if name in _REGISTRY:
-        raise ValueError(f"policy {name!r} is already registered")
-    _REGISTRY[name] = factory
-    return factory
+QUEUE_POLICIES: Dict[str, Type[SchedulingPolicy]] = {
+    "fifo": FifoPolicy,
+    "backfill": BackfillPolicy,
+    "smallest-first": SmallestFirstPolicy,
+}
 
 
 def policy_names() -> List[str]:
-    """Sorted names of every registered policy."""
+    """Sorted names of the queue policies."""
 
-    return sorted(_REGISTRY)
+    return sorted(QUEUE_POLICIES)
 
 
 def make_policy(
     spec: Union[str, SchedulingPolicy],
     *,
     allocator: Optional[MoldableAllocator] = None,
-    **params,
 ) -> SchedulingPolicy:
-    """Build a policy from a registered name (instances pass through).
+    """Build a queue policy from its name (instances pass through).
 
-    ``allocator`` overrides the moldable->rigid allocation strategy;
-    ``params`` are forwarded to the factory (e.g. ``strategy=`` for the
-    mixed scheduler).
+    ``allocator`` overrides the moldable->rigid allocation strategy.
     """
 
     if isinstance(spec, SchedulingPolicy):
-        if allocator is not None or params:
+        if allocator is not None:
             raise ValueError(
-                "make_policy: allocator/params overrides cannot be applied to "
-                "an already-constructed policy instance; pass a registered "
-                "name, or configure the instance directly"
+                "make_policy: an allocator override cannot be applied to an "
+                "already-constructed policy instance; pass a policy name, or "
+                "configure the instance directly"
             )
         return spec
     try:
-        factory = _REGISTRY[spec]
+        policy_class = QUEUE_POLICIES[spec]
     except (KeyError, TypeError):
         raise ValueError(
             f"unknown scheduling policy {spec!r}; known: {policy_names()}"
         ) from None
-    return factory(allocator=allocator, **params)
+    return policy_class(allocator)
 
 
-#: A policy argument: a registered name or a ready policy instance.
+#: A policy argument: a queue-policy name or a ready policy instance.
 PolicySpec = Union[str, SchedulingPolicy]
 
 
@@ -97,10 +96,9 @@ def resolve_cluster_policies(
     Clusters missing from a partial mapping fall back to ``default`` -- the
     calling simulator passes its own documented default policy.
 
-    A shared *name* builds one instance per cluster, so stateful policies
-    (e.g. planned adapters) never leak state across clusters.  An explicit
+    A shared *name* builds one instance per cluster.  An explicit
     :class:`SchedulingPolicy` *instance* is shared verbatim, like the legacy
-    simulators did -- callers passing stateful instances own that risk.
+    simulators did.
     """
 
     if isinstance(policy, Mapping):
@@ -117,51 +115,30 @@ def resolve_cluster_policies(
     }
 
 
-def _planned(scheduler_factory: Callable[..., object]) -> PolicyFactory:
-    """A registry factory wrapping a schedule constructor in PlannedPolicy."""
+# -- off-line schedulers (the ``offline`` scenario model) ---------------------
 
-    def factory(*, allocator: Optional[MoldableAllocator] = None, **params) -> SchedulingPolicy:
-        return PlannedPolicy(scheduler_factory(**params), allocator)
-
-    return factory
-
-
-# -- native queue policies ---------------------------------------------------
-register_policy("fifo", lambda *, allocator=None, **p: FifoPolicy(allocator, **p))
-register_policy("backfill", lambda *, allocator=None, **p: BackfillPolicy(allocator, **p))
-register_policy(
-    "smallest-first", lambda *, allocator=None, **p: SmallestFirstPolicy(allocator, **p)
-)
-
-
-# -- schedule-constructing policies, adapted -------------------------------
-def _register_planned() -> None:
-    from repro.core.policies.backfilling import ConservativeBackfilling, EasyBackfilling
-    from repro.core.policies.batch_online import BatchOnlineScheduler
-    from repro.core.policies.bicriteria import BiCriteriaScheduler
-    from repro.core.policies.list_scheduling import ListScheduler
-    from repro.core.policies.mrt import GreedyMoldableScheduler, MRTScheduler
-    from repro.core.policies.reservations import ReservationAwareScheduler
-    from repro.core.policies.rigid_moldable_mix import MixedScheduler
-    from repro.core.policies.shelf import ShelfScheduler, SmartShelfScheduler
-
-    register_policy("lpt", _planned(lambda **p: ListScheduler("lpt", **p)))
-    register_policy("spt", _planned(lambda **p: ListScheduler("spt", **p)))
-    register_policy("wspt", _planned(lambda **p: ListScheduler("wspt", **p)))
-    register_policy("list", _planned(lambda order="lpt", **p: ListScheduler(order, **p)))
-    register_policy("shelf", _planned(lambda **p: ShelfScheduler(**p)))
-    register_policy("smart-shelves", _planned(lambda **p: SmartShelfScheduler(**p)))
-    register_policy("mrt", _planned(lambda **p: MRTScheduler(**p)))
-    register_policy("greedy-moldable", _planned(lambda **p: GreedyMoldableScheduler(**p)))
-    register_policy("batch-online", _planned(lambda **p: BatchOnlineScheduler(**p)))
-    register_policy(
-        "batch-mrt", _planned(lambda **p: BatchOnlineScheduler(MRTScheduler(), **p))
-    )
-    register_policy("bicriteria", _planned(lambda **p: BiCriteriaScheduler(**p)))
-    register_policy("conservative-bf", _planned(lambda **p: ConservativeBackfilling(**p)))
-    register_policy("easy-bf", _planned(lambda **p: EasyBackfilling(**p)))
-    register_policy("mixed", _planned(lambda **p: MixedScheduler(**p)))
-    register_policy("reservation-aware", _planned(lambda **p: ReservationAwareScheduler(**p)))
+OFFLINE_SCHEDULERS: Dict[str, Callable[[Mapping[str, Any]], Any]] = {
+    "lpt": lambda params: ListScheduler("lpt"),
+    "wspt": lambda params: ListScheduler("wspt"),
+    "smart-shelves": lambda params: SmartShelfScheduler(),
+    "mrt": lambda params: MRTScheduler(),
+    "bicriteria": lambda params: BiCriteriaScheduler(
+        MRTScheduler() if params.get("mrt_inner") else None
+    ),
+    "batch-mrt": lambda params: BatchOnlineScheduler(MRTScheduler()),
+    "conservative-bf": lambda params: ConservativeBackfilling(),
+    "easy-bf": lambda params: EasyBackfilling(),
+    "mixed": lambda params: MixedScheduler(params.get("strategy", "first_fit_batch")),
+}
 
 
-_register_planned()
+def make_offline_scheduler(kind: str, params: Mapping[str, Any]) -> Any:
+    """Build the off-line scheduler named ``kind`` (``default``: bi-criteria)."""
+
+    try:
+        factory = OFFLINE_SCHEDULERS["bicriteria" if kind == "default" else kind]
+    except (KeyError, TypeError):
+        raise ValueError(
+            f"unknown offline scheduler {kind!r}; known: {sorted(OFFLINE_SCHEDULERS)}"
+        ) from None
+    return factory(params)

@@ -19,9 +19,10 @@ on:
   stays bit-identical across refactors.
 
 Policies implement the single
-:class:`~repro.core.policies.online.SchedulingPolicy` protocol and are
-constructible by name via :func:`repro.core.policies.registry.make_policy`,
-so every registered policy runs on every platform shape.
+:class:`~repro.core.policies.online.SchedulingPolicy` protocol, so each of
+the three queue policies built by
+:func:`repro.core.policies.registry.make_policy` runs on every platform
+shape.
 """
 
 from repro.runtime.lifecycle import (

@@ -373,9 +373,6 @@ class PolicySwitchHook(RuntimeHook):
             node.policy = policy
         else:
             node.policy = make_policy(policy, allocator=node.policy.allocator)
-        # An explicit policy instance may have served a previous run; drop
-        # any cross-run state (e.g. a PlannedPolicy plan keyed by job names).
-        node.policy.reset()
         runtime.trace.record(runtime.sim.now, "policy-switch", node.policy.name,
                              cluster=node.trace_name)
         runtime.try_start(node)

@@ -205,8 +205,6 @@ class SchedulingRuntime:
         unknown = [name for name in submissions if name not in self.nodes]
         if unknown:
             raise ValueError(f"submissions reference unknown clusters: {unknown}")
-        for node in self.node_list:
-            node.policy.reset()
         # Telemetry is per-run (not per-event): two bus publishes bracket the
         # whole event loop, so the hot path stays untouched.
         job_count = sum(len(jobs) for jobs in submissions.values())

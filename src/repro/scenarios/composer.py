@@ -32,6 +32,11 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.policies.registry import (
+    OFFLINE_SCHEDULERS,
+    make_offline_scheduler,
+    policy_names,
+)
 from repro.experiments.executors import ExecutorSpec
 from repro.experiments.harness import ExperimentResult, run_experiment
 from repro.scenarios.spec import ComponentSpec, ScenarioSpec, SpecError
@@ -293,46 +298,6 @@ def apply_arrival(
 
 
 # ---------------------------------------------------------------------------
-# Off-line schedulers (policy kinds of the "offline" model)
-# ---------------------------------------------------------------------------
-
-
-def make_offline_scheduler(component: ComponentSpec) -> Any:
-    from repro.core.policies import (
-        BatchOnlineScheduler,
-        BiCriteriaScheduler,
-        ConservativeBackfilling,
-        EasyBackfilling,
-        ListScheduler,
-        MRTScheduler,
-        SmartShelfScheduler,
-    )
-    from repro.core.policies.rigid_moldable_mix import MixedScheduler
-
-    kind, params = component.kind, component.params
-    if kind == "lpt":
-        return ListScheduler("lpt")
-    if kind == "wspt":
-        return ListScheduler("wspt")
-    if kind == "smart-shelves":
-        return SmartShelfScheduler()
-    if kind == "mrt":
-        return MRTScheduler()
-    if kind in ("bicriteria", "default"):
-        inner = MRTScheduler() if params.get("mrt_inner") else None
-        return BiCriteriaScheduler(inner)
-    if kind == "batch-mrt":
-        return BatchOnlineScheduler(MRTScheduler())
-    if kind == "conservative-bf":
-        return ConservativeBackfilling()
-    if kind == "easy-bf":
-        return EasyBackfilling()
-    if kind == "mixed":
-        return MixedScheduler(params.get("strategy", "first_fit_batch"))
-    raise SpecError(f"unknown offline policy kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # Model runners: one (spec, seed) cell -> flat metrics dict
 # ---------------------------------------------------------------------------
 
@@ -365,7 +330,7 @@ def _run_offline(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:
     platform = build_platform(spec.platform, rng)
     machine_count = platform_processor_count(platform)
     jobs = _cluster_jobs(spec, machine_count, rng, seed)
-    scheduler = make_offline_scheduler(spec.policy)
+    scheduler = make_offline_scheduler(spec.policy.kind, spec.policy.params)
     if spec.policy.params.get("capture_errors"):
         try:
             schedule = scheduler.schedule(jobs, machine_count)
@@ -625,24 +590,63 @@ FIXED_POLICY_KINDS: Dict[str, str] = {
 }
 
 
-def check_policy_kinds(spec: ScenarioSpec) -> None:
-    """Reject a ``policy.kind`` (or axis value) a fixed-policy model ignores.
+def _accepted_policy_kinds(model: str) -> List[str]:
+    """The ``policy.kind`` values the runner of ``model`` reads."""
 
-    Checks the spec's own kind and every value of a ``policy.kind`` sweep
-    axis, once per scenario, before any cell runs.  Raises
-    :class:`SpecError` naming the accepted kinds.
+    if model == "offline":
+        return [*sorted(OFFLINE_SCHEDULERS), "default"]
+    if model == "cluster-online":
+        return [*policy_names(), "switch", "default"]
+    return [FIXED_POLICY_KINDS[model], "default"]
+
+
+def _queue_policy_names(param: str, value: Any) -> List[Any]:
+    """The queue-policy names one value of ``policy.<param>`` refers to."""
+
+    if param == "initial":
+        return [value]
+    if param == "switches":
+        if not isinstance(value, (list, tuple)) or not all(
+            isinstance(entry, (list, tuple)) and len(entry) == 2 for entry in value
+        ):
+            raise SpecError(
+                f"policy.switches must be a list of [time, policy] pairs, got {value!r}"
+            )
+        return [name for _time, name in value]
+    # local_policy: one name for every cluster, or a cluster -> name map.
+    return list(value.values()) if isinstance(value, Mapping) else [value]
+
+
+def check_policy_kinds(spec: ScenarioSpec) -> None:
+    """Reject a policy name the scenario's model cannot run.
+
+    Checks ``policy.kind`` against the kinds the model reads, and every
+    queue-policy name in ``policy.initial``, ``policy.switches`` and
+    ``policy.local_policy`` against :func:`policy_names`.  Both the spec's
+    own values and every sweep-axis value are checked, once per scenario,
+    before any cell runs.  Raises :class:`SpecError` naming the accepted
+    names.
     """
 
-    fixed = FIXED_POLICY_KINDS.get(spec.model)
-    if fixed is None:
-        return
-    accepted = (fixed, "default")
+    accepted = _accepted_policy_kinds(spec.model)
     for kind in [spec.policy.kind, *spec.sweep.get("policy.kind", ())]:
         if kind not in accepted:
             raise SpecError(
-                f"scenario {spec.name!r}: model {spec.model!r} runs one policy; "
-                f"policy.kind {kind!r} is not one of {list(accepted)}"
+                f"scenario {spec.name!r}: model {spec.model!r} cannot run "
+                f"policy.kind {kind!r}; not one of {accepted}"
             )
+    queue = policy_names()
+    for param in ("initial", "switches", "local_policy"):
+        values = list(spec.sweep.get(f"policy.{param}", ()))
+        if param in spec.policy.params:
+            values.append(spec.policy.params[param])
+        for value in values:
+            for name in _queue_policy_names(param, value):
+                if name not in queue:
+                    raise SpecError(
+                        f"scenario {spec.name!r}: policy.{param} names "
+                        f"{name!r}; not one of {queue}"
+                    )
 
 
 #: Models whose runner drives an event simulator and therefore has a

@@ -9,10 +9,11 @@ to start on the free processors.
 Since the unified-runtime refactor the simulator is a *configuration* of
 :class:`repro.runtime.lifecycle.SchedulingRuntime` -- one strict node, no
 hooks -- rather than its own event loop, and the result is the unified
-:class:`repro.runtime.record.SimulationRecord`.  Any policy registered in
-:mod:`repro.core.policies.registry` can drive the cluster by name::
+:class:`repro.runtime.record.SimulationRecord`.  Any queue policy of
+:func:`repro.core.policies.registry.make_policy` can drive the cluster by
+name::
 
-    ClusterSimulator(64, policy="bicriteria").run(jobs)
+    ClusterSimulator(64, policy="backfill").run(jobs)
 
 The queue-policy classes live in :mod:`repro.core.policies.online`.
 """

@@ -40,8 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     store_arg = argparse.ArgumentParser(add_help=False)
     store_arg.add_argument(
-        "--store", type=Path, required=True, metavar="DIR",
-        help="campaign store directory (manifest.json + partitions)",
+        "--store", type=Path, default=None, metavar="DIR",
+        help="campaign store directory (manifest.json + partitions); "
+             "required except for `query --list`",
     )
     out_arg = argparse.ArgumentParser(add_help=False)
     out_arg.add_argument(
@@ -226,13 +227,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # `query --list` is store-free: satisfy the --store requirement before
-    # argparse enforces it.
-    if argv[:1] == ["query"] and "--list" in argv and "--store" not in argv:
-        argv += ["--store", "."]
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.store is None and not getattr(args, "list_queries", False):
+        parser.error(f"{args.command} needs --store DIR")
     try:
         if args.command == "info":
             return _cmd_info(args)

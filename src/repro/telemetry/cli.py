@@ -50,8 +50,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     store_arg = argparse.ArgumentParser(add_help=False)
     store_arg.add_argument(
-        "--store", type=Path, required=True, metavar="DIR",
-        help="campaign store directory the recorded telemetry is read from",
+        "--store", type=Path, default=None, metavar="DIR",
+        help="campaign store directory the recorded telemetry is read from; "
+             "required except for `report --list`",
     )
 
     rep = sub.add_parser(
@@ -224,12 +225,12 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # `report --list` is store-free: satisfy --store before argparse does.
-    if argv[:1] == ["report"] and "--list" in argv and "--store" not in argv:
-        argv += ["--store", "."]
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command != "smoke" and args.store is None and not getattr(
+        args, "list_queries", False
+    ):
+        parser.error(f"{args.command} needs --store DIR")
     if args.command == "replay":
         return _cmd_replay(args)
     if args.command == "report":

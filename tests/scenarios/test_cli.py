@@ -292,8 +292,16 @@ class TestOneRunner:
         assert "(campaign sweep," in err
         assert CampaignStore(tmp_path / "rows").campaigns() == ["sweep"]
 
-    def test_foreign_policy_kind_axis_prints_no_rows(self, capsys):
-        assert main(["sweep", "fig2.bicriteria", "--smoke", "--axis", "policy.kind=nosuch"]) == 1
+    @pytest.mark.parametrize("name, axis", [
+        ("fig2.bicriteria", "policy.kind"),
+        ("cluster.offline-panel", "policy.kind"),
+        ("cluster.policy-panel", "policy.kind"),
+        ("cluster.policy-switch", "policy.initial"),
+        ("grid.decentralized.exchange", "policy.local_policy"),
+    ])
+    def test_foreign_policy_name_axis_prints_no_rows(self, capsys, name, axis):
+        assert main(["sweep", name, "--smoke", "--axis", f"{axis}=nosuch"]) == 1
         out, err = capsys.readouterr()
-        assert "SpecError" in err and "'nosuch'" in err
-        assert "policy.kind" not in out
+        assert err.count("SpecError") == 1 and "'nosuch'" in err and "not one of" in err
+        assert "CellExecutionError" not in err
+        assert axis not in out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -130,41 +132,79 @@ class TestNodeChurn:
 
 
 class TestFixedPolicyKinds:
-    """Models with one policy reject any other ``policy.kind`` up front."""
+    """Every model rejects a policy name it cannot run, before any cell."""
 
+    QUEUE = ["backfill", "fifo", "smallest-first"]
+    #: (scenario, model, the policy.kind values it accepts, a foreign kind)
     CASES = [
-        ("fig2.bicriteria", "figure2", "bicriteria"),
-        ("dlt.multiround-scaling", "dlt", "multiround"),
-        ("fig3.ciment.centralized", "grid-centralized", "best-effort"),
-        ("grid.decentralized.exchange", "grid-decentralized", "exchange"),
+        ("fig2.bicriteria", "figure2", ["bicriteria", "default"], "fifo"),
+        ("dlt.multiround-scaling", "dlt", ["multiround", "default"], "fifo"),
+        ("fig3.ciment.centralized", "grid-centralized", ["best-effort", "default"], "fifo"),
+        ("grid.decentralized.exchange", "grid-decentralized", ["exchange", "default"], "fifo"),
+        ("cluster.offline-panel", "offline", [
+            "batch-mrt", "bicriteria", "conservative-bf", "easy-bf", "lpt",
+            "mixed", "mrt", "smart-shelves", "wspt", "default",
+        ], "fifo"),
+        ("cluster.policy-panel", "cluster-online", [*QUEUE, "switch", "default"], "lpt"),
+    ]
+    #: (scenario, queue-policy parameter, a value naming a foreign policy)
+    QUEUE_CASES = [
+        ("cluster.policy-switch", "policy.initial", "nosuch"),
+        ("cluster.policy-switch", "policy.switches", [[8.0, "backfill"], [9.0, "lpt"]]),
+        ("fig3.ciment.centralized", "policy.local_policy", "mrt"),
+        ("grid.decentralized.exchange", "policy.local_policy", "nosuch"),
+        ("grid.hetero-policies", "policy.local_policy", {"xeon-cluster": "bicriteria"}),
     ]
 
     @pytest.fixture
     def no_cell_runs(self, monkeypatch):
         def forbidden(spec, seed):
-            raise AssertionError("a cell ran before the policy kind was checked")
+            raise AssertionError("a cell ran before the policy names were checked")
 
-        for _name, model, _kind in self.CASES:
+        for model in list(composer.MODEL_RUNNERS):
             monkeypatch.setitem(composer.MODEL_RUNNERS, model, forbidden)
 
-    @pytest.mark.parametrize("name, model, kind", CASES)
-    def test_foreign_kind_is_rejected_before_any_cell(self, name, model, kind, no_cell_runs):
+    @pytest.mark.parametrize("name, model, accepted, foreign", CASES)
+    def test_foreign_kind_is_rejected_before_any_cell(self, name, model, accepted, foreign, no_cell_runs):
         spec = get(name)
-        bad = spec.evolve(policy=ComponentSpec("fifo", dict(spec.policy.params)))
-        with pytest.raises(SpecError, match=rf"not one of \['{kind}', 'default'\]"):
+        bad = spec.evolve(policy=ComponentSpec(foreign, dict(spec.policy.params)))
+        with pytest.raises(SpecError, match=re.escape(f"not one of {accepted}")):
             run_scenario(bad, smoke=True)
         if model in composer.RECORD_MODELS:  # the Gantt explorer's path
+            # No sweep, so no first axis value replaces the foreign kind.
             with pytest.raises(SpecError, match="not one of"):
-                composer.build_simulation_record(bad)
+                composer.build_simulation_record(bad.evolve(sweep={}, smoke={}))
 
-    @pytest.mark.parametrize("name, model, kind", CASES)
-    def test_foreign_kind_axis_is_rejected_before_any_cell(self, name, model, kind, no_cell_runs):
+    @pytest.mark.parametrize("name, model, accepted, foreign", CASES)
+    def test_foreign_kind_axis_is_rejected_before_any_cell(self, name, model, accepted, foreign, no_cell_runs):
         with pytest.raises(SpecError, match="'nosuch'"):
-            run_scenario(get(name), smoke=True, sweep={"policy.kind": [kind, "nosuch"]})
+            run_scenario(get(name), smoke=True, sweep={"policy.kind": [accepted[0], "nosuch"]})
 
-    @pytest.mark.parametrize("name, model, kind", CASES)
-    def test_own_kind_and_default_are_accepted(self, name, model, kind):
+    @pytest.mark.parametrize("name, model, accepted, foreign", CASES)
+    def test_accepted_kinds_and_default_are_accepted(self, name, model, accepted, foreign):
         spec = get(name)
-        assert spec.model == model and spec.policy.kind == kind
-        composer.check_policy_kinds(spec.evolve(sweep={"policy.kind": [kind, "default"]}))
+        assert spec.model == model
+        composer.check_policy_kinds(spec.evolve(sweep={"policy.kind": accepted}))
         composer.check_policy_kinds(spec.evolve(policy=ComponentSpec("default")))
+
+    @pytest.mark.parametrize("name, param, value", QUEUE_CASES)
+    def test_foreign_queue_policy_is_rejected_before_any_cell(self, name, param, value, no_cell_runs):
+        spec = get(name)
+        match = re.escape(f"not one of {self.QUEUE}")
+        with pytest.raises(SpecError, match=match):
+            run_scenario(spec, smoke=True, overrides={param: value})
+        with pytest.raises(SpecError, match=match):
+            run_scenario(spec, smoke=True, sweep={param: [value]})
+
+    def test_queue_policy_params_accept_every_queue_policy(self):
+        spec = get("cluster.policy-switch")
+        composer.check_policy_kinds(spec.evolve(sweep={
+            "policy.initial": self.QUEUE,
+            "policy.switches": [[[1.0, name]] for name in self.QUEUE],
+            "policy.local_policy": [*self.QUEUE, {"any-cluster": "fifo"}],
+        }))
+
+    def test_malformed_switches_are_a_spec_error(self, no_cell_runs):
+        with pytest.raises(SpecError, match=r"\[time, policy\] pairs"):
+            run_scenario(get("cluster.policy-switch"), smoke=True,
+                         sweep={"policy.switches": [["backfill"]]})

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.grid import expand_grid
-from repro.store.cli import main
+from repro.store.cli import _build_parser, main
 from repro.store.columnar import CampaignStore
 from tests.store.legacy import write_journal
 
@@ -45,9 +45,23 @@ class TestInfo:
 
 class TestQuery:
     def test_list_needs_no_store(self, capsys):
+        assert _build_parser().parse_args(["query", "--list"]).store is None
         assert main(["query", "--list"]) == 0
         out = capsys.readouterr().out
         assert "metric-summary" in out and "compare" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["info"],
+        ["ingest", "journal.jsonl"],
+        ["query", "rows"],
+        ["compare", "--metric", "m"],
+        ["validate"],
+    ])
+    def test_store_reading_commands_need_a_store(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "needs --store DIR" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["query", "rows", "--engine", "sql"],

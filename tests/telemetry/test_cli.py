@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.scenarios.cli import main as scenarios_main
-from repro.telemetry.cli import TELEMETRY_QUERIES, main
+from repro.telemetry.cli import TELEMETRY_QUERIES, _build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -74,10 +74,18 @@ class TestReplay:
 
 class TestReport:
     def test_list_is_store_free_and_leads_with_telemetry_queries(self, capsys):
+        assert _build_parser().parse_args(["report", "--list"]).store is None
         assert main(["report", "--list"]) == 0
         lines = capsys.readouterr().out.splitlines()
         leading = [line.split()[0] for line in lines[: len(TELEMETRY_QUERIES)]]
         assert sorted(leading) == sorted(TELEMETRY_QUERIES)
+
+    @pytest.mark.parametrize("argv", [["replay"], ["report", "span-summary"]])
+    def test_store_reading_commands_need_a_store(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "needs --store DIR" in capsys.readouterr().err
 
     def test_span_summary_over_a_recording(self, recorded_store, capsys):
         assert main([

@@ -127,8 +127,6 @@ def test_every_cli_is_documented_and_collected():
 )
 def test_documented_command_parses(where, module, args, capsys):
     parser = importlib.import_module(CLI_MODULES[module])._build_parser()
-    if "--list" in args and "--store" not in args:
-        args = [*args, "--store", "."]  # what main() adds: listing queries is store-free
     try:
         namespace = parser.parse_args(args)
     except SystemExit:
