@@ -52,7 +52,8 @@
 #                              its --quick tier, writing under a temp dir)
 #   make lint                  ruff check (byte-compilation fallback)
 #   make ci                    lint + test + examples + scenario smoke +
-#                              perfbench digest gate (mirrors CI)
+#                              inproc distributed smoke + perfbench digest
+#                              gate (mirrors CI)
 #   make clean                 remove caches and stale bytecode
 
 PYTHON ?= python
@@ -234,6 +235,7 @@ ci:
 	$(MAKE) test
 	$(MAKE) examples
 	$(MAKE) scenario-smoke
+	$(MAKE) distributed-smoke-inproc
 	$(MAKE) perfbench
 
 clean:

@@ -132,6 +132,13 @@ OFFLINE_SCHEDULERS: Dict[str, Callable[[Mapping[str, Any]], Any]] = {
 }
 
 
+#: The off-line kinds that honour ``job.release_date`` -- exactly the
+#: :class:`~repro.core.policies.base.ReleaseDateScheduler` s.  The others
+#: (``lpt``, ``wspt``, ``smart-shelves``, ``mrt``) treat every job as
+#: available at time 0 and start jobs before they arrive.
+RELEASE_AWARE_OFFLINE_KINDS = ("batch-mrt", "bicriteria", "conservative-bf", "easy-bf", "mixed")
+
+
 def make_offline_scheduler(kind: str, params: Mapping[str, Any]) -> Any:
     """Build the off-line scheduler named ``kind`` (``default``: bi-criteria)."""
 

@@ -24,9 +24,9 @@ Addresses are scheme-prefixed comm addresses (``tcp://HOST:PORT``,
 through ``python -m repro.scenarios run|sweep`` only: with a distributed
 ``--executor`` it binds one campaign scheduler per scenario and prints a
 scheduler-stats line (steals, retries...) to stderr.  The runtime has one
-scheduling policy -- guided leases with work stealing always on -- and its
-fault budget (``max_retries``, ``stall_timeout``) is a
-:class:`~repro.distributed.executor.DistributedExecutor` keyword, not a flag.
+scheduling policy -- guided leases with work stealing always on -- and fixed
+timings: its heartbeat, retry budget and stall guard are the constants of
+:mod:`repro.distributed.scheduler`, not flags.
 
 Exit codes of ``worker``: 0 after a clean exit, 2 on a bad address, 130
 on Ctrl-C.
@@ -56,10 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit after this long without work or a scheduler (default: serve forever)",
     )
     worker.add_argument(
-        "--once", action="store_true",
-        help="exit after the first connection ends instead of reconnecting",
-    )
-    worker.add_argument(
         "--no-telemetry", action="store_true",
         help="never capture or forward spans, even when the scheduler asks",
     )
@@ -75,7 +71,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
             args.address,
             worker_id=args.worker_id,
             max_idle=args.max_idle,
-            once=args.once,
             log=log,
             telemetry=False if args.no_telemetry else None,
         )

@@ -1,14 +1,12 @@
-"""Pluggable communication backends for the distributed runtime.
+"""The communication layer of the distributed runtime: two built-in transports.
 
 ``tcp://HOST:PORT`` (asyncio sockets, PR-4 wire format) and
-``inproc://NAME`` (in-process channels, no sockets) ship built in; new
-backends subclass :class:`~repro.distributed.comm.core.Backend` and call
-:func:`~repro.distributed.comm.core.register_backend`.  See
-:mod:`repro.distributed.comm.core` for the interfaces and the registry.
+``inproc://NAME`` (in-process channels, no sockets) are the whole transport
+table; see :mod:`repro.distributed.comm.core` for the interfaces and
+:func:`~repro.distributed.comm.core.get_backend` for the table.
 """
 
 from repro.distributed.comm.core import (
-    Backend,
     Comm,
     CommClosedError,
     CommError,
@@ -18,15 +16,11 @@ from repro.distributed.comm.core import (
     connect,
     get_backend,
     listener,
-    register_backend,
-    registered_schemes,
     split_address,
     validate_address,
 )
-from repro.distributed.comm import inproc, tcp  # noqa: F401  (self-registering)
 
 __all__ = [
-    "Backend",
     "Comm",
     "CommClosedError",
     "CommError",
@@ -36,8 +30,6 @@ __all__ = [
     "connect",
     "get_backend",
     "listener",
-    "register_backend",
-    "registered_schemes",
     "split_address",
     "validate_address",
 ]

@@ -4,8 +4,8 @@ The scheduler and workers never touch sockets directly any more: they speak
 to each other through a :class:`Comm` (one established, message-oriented,
 bidirectional channel) obtained either by :func:`connect`-ing to an address
 or handed to a :class:`Listener`'s connection handler.  Addresses are
-``scheme://location`` strings; each scheme is served by a :class:`Backend`
-looked up in a process-global registry:
+``scheme://location`` strings, and the scheme picks one of two built-in
+backends from a fixed table (:func:`get_backend`):
 
 * ``tcp://HOST:PORT`` -- asyncio streams speaking the length-prefixed
   JSON framing of :mod:`repro.distributed.protocol` (the PR-4 wire format,
@@ -15,9 +15,9 @@ looked up in a process-global registry:
   fleet inside one process.
 
 The shape follows ``distributed/comm/core.py`` from early dask
-``distributed``: tiny abstract ``Comm``/``Listener`` surfaces, concrete
-backends registered per scheme, and every error funnelled into a small
-exception family so callers can write one ``except CommError`` clause.
+``distributed``: tiny abstract ``Comm``/``Listener`` surfaces, one concrete
+backend per scheme, and every error funnelled into a small exception family
+so callers can write one ``except CommError`` clause.
 
 All ``Comm`` methods except :meth:`Comm.send_sync` are coroutines and must
 be driven from an asyncio event loop; ``send_sync`` may be called from any
@@ -29,7 +29,11 @@ is what lets a synchronous worker join an in-process scheduler.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Awaitable, Callable, Dict, Mapping, Tuple
+from typing import TYPE_CHECKING, Any, Awaitable, Callable, Dict, Mapping, Tuple, Union
+
+if TYPE_CHECKING:
+    from repro.distributed.comm.inproc import InProcBackend
+    from repro.distributed.comm.tcp import TCPBackend
 
 
 class CommError(RuntimeError):
@@ -41,7 +45,7 @@ class CommClosedError(CommError):
 
 
 class UnknownSchemeError(CommError, ValueError):
-    """An address names a scheme no registered backend serves."""
+    """An address names a scheme neither built-in backend serves."""
 
 
 #: A listener invokes this with each freshly established server-side comm.
@@ -98,57 +102,29 @@ class Listener(ABC):
         """The contact address clients should :func:`connect` to."""
 
 
-class Backend(ABC):
-    """Everything one scheme needs: address validation, connect, listen."""
+# -- the transport table -----------------------------------------------------
 
-    #: The scheme this backend serves (lowercase, no ``://``).
-    scheme: str = ""
+#: The schemes the runtime speaks, as error messages list them.
+KNOWN_SCHEMES = "inproc://, tcp://"
 
-    @abstractmethod
-    def validate(self, location: str) -> None:
-        """Raise :class:`ValueError` when ``location`` is malformed."""
-
-    @abstractmethod
-    async def connect(self, location: str) -> Comm:
-        """Establish a client comm to ``location``."""
-
-    @abstractmethod
-    def listener(self, location: str, handler: ConnectionHandler) -> Listener:
-        """A new (unstarted) listener bound to ``location`` once started."""
+_BACKENDS: Dict[str, "Union[TCPBackend, InProcBackend]"] = {}
 
 
-# -- the scheme registry -----------------------------------------------------
-
-_REGISTRY: Dict[str, Backend] = {}
-
-
-def register_backend(backend: Backend, *, overwrite: bool = False) -> None:
-    """Make ``backend`` the handler of its scheme (collisions are errors)."""
-
-    scheme = backend.scheme.lower()
-    if not scheme:
-        raise ValueError("a comm backend must declare a non-empty scheme")
-    if not overwrite and scheme in _REGISTRY and _REGISTRY[scheme] is not backend:
-        raise ValueError(f"comm scheme {scheme!r} is already registered")
-    _REGISTRY[scheme] = backend
-
-
-def registered_schemes() -> Tuple[str, ...]:
-    """The schemes the runtime currently speaks, sorted."""
-
-    _ensure_default_backends()
-    return tuple(sorted(_REGISTRY))
-
-
-def get_backend(scheme: str) -> Backend:
+def get_backend(scheme: str) -> "Union[TCPBackend, InProcBackend]":
     """The backend serving ``scheme``; unknown schemes fail with the menu."""
 
-    _ensure_default_backends()
-    backend = _REGISTRY.get(scheme.lower())
+    if not _BACKENDS:
+        # Built on first use to keep the import graph acyclic: ``protocol``
+        # imports this module, and the tcp backend imports ``protocol`` for
+        # the framing helpers.
+        from repro.distributed.comm.inproc import InProcBackend
+        from repro.distributed.comm.tcp import TCPBackend
+
+        _BACKENDS.update(tcp=TCPBackend(), inproc=InProcBackend())
+    backend = _BACKENDS.get(scheme.lower())
     if backend is None:
-        known = ", ".join(f"{name}://" for name in sorted(_REGISTRY))
         raise UnknownSchemeError(
-            f"unknown comm scheme {scheme!r}: registered schemes are {known} "
+            f"unknown comm scheme {scheme!r}: known schemes are {KNOWN_SCHEMES} "
             f"(e.g. tcp://127.0.0.1:8765 or inproc://campaign)"
         )
     return backend
@@ -160,10 +136,9 @@ def split_address(address: str) -> Tuple[str, str]:
     text = str(address).strip()
     scheme, sep, location = text.partition("://")
     if not sep or not scheme:
-        known = ", ".join(f"{name}://" for name in registered_schemes())
         raise ValueError(
             f"bad address {address!r}: expected 'SCHEME://LOCATION' with one "
-            f"of the registered schemes {known} (e.g. tcp://127.0.0.1:8765)"
+            f"of the schemes {KNOWN_SCHEMES} (e.g. tcp://127.0.0.1:8765)"
         )
     return scheme.lower(), location
 
@@ -171,7 +146,7 @@ def split_address(address: str) -> Tuple[str, str]:
 def validate_address(address: str) -> Tuple[str, str]:
     """Parse and backend-validate an address, returning ``(scheme, location)``.
 
-    Raises :class:`UnknownSchemeError` for unregistered schemes and
+    Raises :class:`UnknownSchemeError` for unknown schemes and
     :class:`ValueError` for locations the backend rejects -- both carrying
     actionable messages, mirroring ``ExecutorSpecError``'s style.
     """
@@ -193,15 +168,3 @@ def listener(address: str, handler: ConnectionHandler) -> Listener:
 
     scheme, location = split_address(address)
     return get_backend(scheme).listener(location, handler)
-
-
-def _ensure_default_backends() -> None:
-    """Import the built-in backends so they self-register (idempotent).
-
-    Imported lazily to keep the import graph acyclic: ``protocol`` imports
-    this module for the registry, and the tcp backend imports ``protocol``
-    for the framing helpers.
-    """
-
-    if "tcp" not in _REGISTRY or "inproc" not in _REGISTRY:
-        from repro.distributed.comm import inproc, tcp  # noqa: F401

@@ -10,9 +10,9 @@ different threads (a synchronous worker joining an in-process scheduler).
 
 Fidelity is preserved on purpose: every message is round-tripped through
 :func:`repro.distributed.protocol.dump_frame` / ``load_frame``, so the
-frame-size guard, the JSON-envelope check and ``REPRO_MAX_FRAME`` behave
-exactly as they do on the wire, and nothing can accidentally leak shared
-mutable state between "processes".
+frame-size guard and the JSON-envelope check behave exactly as they do on
+the wire, and nothing can accidentally leak shared mutable state between
+"processes".
 """
 
 from __future__ import annotations
@@ -190,8 +190,8 @@ class InProcListener(core.Listener):
         return client_comm
 
 
-class InProcBackend(core.Backend):
-    scheme = "inproc"
+class InProcBackend:
+    """The ``inproc://`` scheme: address validation, connect, listen."""
 
     def validate(self, location: str) -> None:
         if "/" in location:
@@ -213,5 +213,3 @@ class InProcBackend(core.Backend):
     def listener(self, location: str, handler: core.ConnectionHandler) -> core.Listener:
         return InProcListener(location, handler)
 
-
-core.register_backend(InProcBackend())

@@ -149,8 +149,8 @@ class TCPListener(core.Listener):
         return protocol.format_address(host, self._port)
 
 
-class TCPBackend(core.Backend):
-    scheme = "tcp"
+class TCPBackend:
+    """The ``tcp://`` scheme: address validation, connect, listen."""
 
     def validate(self, location: str) -> None:
         protocol.parse_host_port(location, f"tcp://{location}")
@@ -174,5 +174,3 @@ class TCPBackend(core.Backend):
     def listener(self, location: str, handler: core.ConnectionHandler) -> core.Listener:
         return TCPListener(location, handler)
 
-
-core.register_backend(TCPBackend())

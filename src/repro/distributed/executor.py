@@ -53,7 +53,7 @@ from functools import partial
 from typing import Callable, Generator, Iterator, List, Optional, Sequence, Union
 
 from repro.distributed.comm import core as comm_core
-from repro.distributed.scheduler import Scheduler, SchedulerStats, validate_scheduling
+from repro.distributed.scheduler import Scheduler, SchedulerStats
 from repro.distributed.worker import run_worker
 from repro.experiments.executors import Executor
 from repro.experiments.grid import Cell, CellOutcome
@@ -88,18 +88,15 @@ class DistributedExecutor(Executor):
         stay picklable by reference.  Elsewhere the platform's default
         start method is used and cell functions must live in importable
         modules.
-    heartbeat_interval / heartbeat_timeout / max_retries:
-        Forwarded to the :class:`Scheduler` (see its docstring) and
-        validated here, at construction.
-    stall_timeout:
-        Abort the campaign when no worker has been connected for this long
-        (``None`` waits forever -- sensible only for interactive use).
     telemetry:
         Where each campaign scheduler publishes its events: ``None``
         (default) uses the process-wide :func:`repro.telemetry.get_bus`,
         a :class:`~repro.telemetry.TelemetryBus` targets that bus,
         ``False`` disables publishing.  Observation only -- rows are
         bit-identical either way.
+
+    The heartbeat, retry-budget and stall timings are the constants of
+    :mod:`repro.distributed.scheduler`; no campaign's rows depend on them.
     """
 
     name = "distributed"
@@ -109,28 +106,14 @@ class DistributedExecutor(Executor):
         address: str = "tcp://127.0.0.1:0",
         *,
         workers: int = 0,
-        heartbeat_interval: float = 0.5,
-        heartbeat_timeout: float = 10.0,
-        max_retries: int = 3,
-        stall_timeout: Optional[float] = 120.0,
         telemetry: Union[None, bool, TelemetryBus] = None,
     ) -> None:
         comm_core.validate_address(address)  # fail early, with the friendly message
         if workers < 0:
             raise ValueError("workers must be >= 0")
-        validate_scheduling(
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            max_retries=max_retries,
-            stall_timeout=stall_timeout,
-        )
         self.address = address
         self.scheme = comm_core.split_address(address)[0]
         self.workers = workers
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.max_retries = max_retries
-        self.stall_timeout = stall_timeout
         self.telemetry = telemetry
         #: Counters of the most recently finished campaign, and their
         #: accumulation across every campaign this executor ran.
@@ -157,14 +140,7 @@ class DistributedExecutor(Executor):
         def stream() -> Iterator[CellOutcome]:
             if not cells:
                 return
-            scheduler = Scheduler(
-                self.address,
-                heartbeat_interval=self.heartbeat_interval,
-                heartbeat_timeout=self.heartbeat_timeout,
-                max_retries=self.max_retries,
-                stall_timeout=self.stall_timeout,
-                telemetry=self.telemetry,
-            )
+            scheduler = Scheduler(self.address, telemetry=self.telemetry)
             scheduler.start()
             self.scheduler = scheduler
             stop = threading.Event()

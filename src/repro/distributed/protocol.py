@@ -9,8 +9,8 @@ instances and :class:`~repro.experiments.grid.CellOutcome` results -- are
 pickled and base64-embedded via :func:`encode_payload` /
 :func:`decode_payload`.
 
-This module owns the *format* only; transport lives in the pluggable comm
-layer (:mod:`repro.distributed.comm`): the ``tcp://`` backend frames
+This module owns the *format* only; transport lives in the comm layer
+(:mod:`repro.distributed.comm`): the ``tcp://`` backend frames
 asyncio streams with these helpers, and the ``inproc://`` backend reuses
 the same envelope checks without sockets.
 
@@ -48,16 +48,15 @@ op             direction  meaning
 ``bye``        w -> s     orderly disconnect
 =============  =========  ==================================================
 
-The frame-size guard defaults to 64 MB and is configurable through the
-``REPRO_MAX_FRAME`` environment variable (bytes); oversized frames are
-rejected with the actual size and the active limit in the message.
+Frames are capped at :data:`MAX_FRAME_BYTES` (64 MB): both the sender and
+the receiver of a frame check it, and an oversized frame is rejected with
+its actual size and the limit in the message.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import os
 import pickle
 import struct
 from typing import Any, Dict, Mapping, Tuple
@@ -69,18 +68,13 @@ from repro.distributed.comm.core import (
     split_address,
 )
 
-#: Default upper bound on a single frame; anything larger is treated as
-#: stream corruption rather than a legitimate message.  Override through
-#: :data:`MAX_FRAME_ENV_VAR`.
+#: Upper bound on a single frame; anything larger is treated as stream
+#: corruption rather than a legitimate message.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
-
-#: Environment variable overriding the frame limit (integer, bytes).
-MAX_FRAME_ENV_VAR = "REPRO_MAX_FRAME"
 
 _HEADER = struct.Struct(">I")
 
-#: The scheme of the socket transport (kept for back-compat; the comm
-#: registry in :mod:`repro.distributed.comm.core` is the source of truth).
+#: The scheme of the socket transport.
 SCHEME = "tcp"
 
 
@@ -92,29 +86,12 @@ class ConnectionClosed(ProtocolError, CommClosedError):
     """The peer closed the connection (cleanly or not) mid-conversation."""
 
 
-def max_frame_bytes() -> int:
-    """The active frame limit: ``REPRO_MAX_FRAME`` or the 64 MB default."""
-
-    raw = os.environ.get(MAX_FRAME_ENV_VAR, "").strip()
-    if not raw:
-        return MAX_FRAME_BYTES
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ProtocolError(
-            f"{MAX_FRAME_ENV_VAR}={raw!r} is not an integer byte count"
-        ) from None
-    if limit <= 0:
-        raise ProtocolError(f"{MAX_FRAME_ENV_VAR}={raw!r} must be a positive byte count")
-    return limit
-
-
 def parse_address(address: str) -> Tuple[str, int]:
     """Split a ``tcp://HOST:PORT`` address into ``(host, port)``.
 
-    Scheme-aware: an address with an unregistered scheme fails naming the
-    registered ones, and a registered-but-non-tcp address (``inproc://``)
-    explains that this API needs a socket address.  Raises
+    Scheme-aware: an address with an unknown scheme fails naming the known
+    ones, and a known non-tcp address (``inproc://``) explains that this
+    API needs a socket address.  Raises
     :class:`ValueError` in both cases, so executor-spec and CLI errors stay
     friendly.
     """
@@ -160,23 +137,21 @@ def dump_frame(message: Mapping[str, Any]) -> bytes:
     """Serialise one envelope to JSON bytes, enforcing the frame limit."""
 
     blob = json.dumps(message, separators=(",", ":")).encode("utf-8")
-    limit = max_frame_bytes()
-    if len(blob) > limit:
+    if len(blob) > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"message of {len(blob):,} bytes exceeds the {limit:,}-byte frame "
-            f"limit (set {MAX_FRAME_ENV_VAR} to raise it)"
+            f"message of {len(blob):,} bytes exceeds the {MAX_FRAME_BYTES:,}-byte "
+            f"frame limit"
         )
     return blob
 
 
 def check_frame_length(length: int) -> None:
-    """Reject an inbound frame header that exceeds the active limit."""
+    """Reject an inbound frame header that exceeds the frame limit."""
 
-    limit = max_frame_bytes()
-    if length > limit:
+    if length > MAX_FRAME_BYTES:
         raise ProtocolError(
-            f"frame of {length:,} bytes exceeds the {limit:,}-byte limit "
-            f"(corrupt stream? set {MAX_FRAME_ENV_VAR} to raise the limit)"
+            f"frame of {length:,} bytes exceeds the {MAX_FRAME_BYTES:,}-byte "
+            f"limit (corrupt stream?)"
         )
 
 

@@ -1,7 +1,7 @@
 """The campaign scheduler: a single-event-loop asyncio state machine.
 
 One :class:`Scheduler` owns the cell queue of a *campaign* (one sweep routed
-through the harness) and serves it to workers over the pluggable comm layer
+through the harness) and serves it to workers over the comm layer
 (:mod:`repro.distributed.comm`): ``tcp://`` sockets for real fleets,
 ``inproc://`` channels for simulated ones.  Everything runs on **one**
 asyncio event loop in a background thread -- one coroutine per connection,
@@ -88,6 +88,22 @@ WORKER_LOST = "WorkerLostError"
 
 #: Delay (seconds) suggested to an idle worker before its next request.
 IDLE_DELAY = 0.05
+
+#: Heartbeat interval (seconds) advertised to workers in the ``welcome``.
+HEARTBEAT_INTERVAL = 0.5
+
+#: A worker silent for longer than this (seconds) is evicted and its lease
+#: requeued.  Comfortably above :data:`HEARTBEAT_INTERVAL`.
+HEARTBEAT_TIMEOUT = 10.0
+
+#: How many times a cell may be lost with its worker -- lost while it was
+#: running, at the head of the worker's lease -- before it is failed with a
+#: ``WorkerLostError`` outcome.
+MAX_RETRIES = 3
+
+#: :meth:`Scheduler.run_campaign` raises :class:`CampaignStalled` when cells
+#: are pending but no worker has been connected for this long (seconds).
+STALL_TIMEOUT = 120.0
 
 
 @dataclass
@@ -199,51 +215,16 @@ class CampaignStalled(RuntimeError):
     """No workers were connected for longer than the stall timeout."""
 
 
-def validate_scheduling(
-    *,
-    heartbeat_interval: float,
-    heartbeat_timeout: float,
-    max_retries: int,
-    stall_timeout: Optional[float],
-) -> None:
-    """Reject scheduling settings no campaign could run with.
-
-    Shared by :class:`Scheduler` and the executor that builds one per
-    campaign, so a bad value fails at construction -- where the CLIs turn
-    it into a usage error -- instead of failing every campaign later.
-    """
-
-    if heartbeat_timeout <= heartbeat_interval:
-        raise ValueError("heartbeat_timeout must exceed heartbeat_interval")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    if stall_timeout is not None and not stall_timeout > 0:
-        raise ValueError("stall_timeout must be > 0")
-
-
 class Scheduler:
     """Serve sweep campaigns to comm-connected workers.
 
     Parameters
     ----------
     address:
-        Any registered comm address (``tcp://host:port``, ``inproc://name``);
+        A comm address (``tcp://host:port`` or ``inproc://name``);
         tcp port ``0`` picks an ephemeral port and ``inproc://`` with an
         empty location picks a fresh token -- read the bound address back
         from :attr:`address`.
-    heartbeat_interval:
-        Interval advertised to workers in the welcome message.
-    heartbeat_timeout:
-        A worker silent for longer than this is evicted and its in-flight
-        cells requeued.  Must comfortably exceed ``heartbeat_interval``.
-    max_retries:
-        How many times (``>= 0``) a cell may be lost with its worker -- lost
-        while it was running, at the head of the worker's lease -- before it
-        is failed with a ``WorkerLostError`` outcome.
-    stall_timeout:
-        When set (``> 0``), :meth:`run_campaign` raises
-        :class:`CampaignStalled` if cells are pending but no worker has been
-        connected for this long.
     telemetry:
         Where scheduling events (worker membership, assignments, steals,
         queue depth, stats snapshots) are published: ``None``
@@ -252,30 +233,20 @@ class Scheduler:
         that bus, ``False`` disables publishing entirely.  Telemetry is
         observation only and cannot change scheduling decisions or row
         contents.
+
+    The timings are module constants: :data:`HEARTBEAT_INTERVAL` (sent in
+    the ``welcome``), :data:`HEARTBEAT_TIMEOUT`, :data:`MAX_RETRIES` and
+    :data:`STALL_TIMEOUT`.
     """
 
     def __init__(
         self,
         address: str = "tcp://127.0.0.1:0",
         *,
-        heartbeat_interval: float = 1.0,
-        heartbeat_timeout: float = 10.0,
-        max_retries: int = 3,
-        stall_timeout: Optional[float] = None,
         telemetry: Union[None, bool, TelemetryBus] = None,
     ) -> None:
-        validate_scheduling(
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_timeout=heartbeat_timeout,
-            max_retries=max_retries,
-            stall_timeout=stall_timeout,
-        )
         comm_core.validate_address(address)
         self._requested_address = address
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        self.max_retries = max_retries
-        self.stall_timeout = stall_timeout
         self.stats = SchedulerStats()
         if telemetry is False:
             self._bus: Optional[TelemetryBus] = None
@@ -494,17 +465,15 @@ class Scheduler:
         Called with the lock held.
         """
 
-        if self.stall_timeout is None:
-            return
         if self._conns:
             self._last_worker_seen = time.monotonic()
             return
         outstanding = len(campaign.cells) - len(campaign.done)
-        if outstanding and time.monotonic() - self._last_worker_seen > self.stall_timeout:
+        if outstanding and time.monotonic() - self._last_worker_seen > STALL_TIMEOUT:
             raise CampaignStalled(
                 f"campaign {campaign.campaign_id} stalled: {outstanding} cell(s) "
                 f"outstanding but no worker connected to {self.address} for "
-                f"{self.stall_timeout:g}s"
+                f"{STALL_TIMEOUT:g}s"
             )
 
     # -- the heartbeat-eviction monitor (event-driven, no busy-poll) --------
@@ -527,7 +496,7 @@ class Scheduler:
                 await self._monitor_wake.wait()
                 continue
             now = time.monotonic()
-            stale = [c for c in conns if now - c.last_seen > self.heartbeat_timeout]
+            stale = [c for c in conns if now - c.last_seen > HEARTBEAT_TIMEOUT]
             if stale:
                 with self._lock:
                     for conn in stale:
@@ -542,7 +511,7 @@ class Scheduler:
                     # whose cleanup path requeues the in-flight cells.
                     await conn.comm.close()
                 continue
-            deadline = min(c.last_seen for c in conns) + self.heartbeat_timeout
+            deadline = min(c.last_seen for c in conns) + HEARTBEAT_TIMEOUT
             try:
                 await asyncio.wait_for(
                     self._monitor_wake.wait(),
@@ -602,7 +571,7 @@ class Scheduler:
             await comm.send(
                 {
                     "op": "welcome",
-                    "heartbeat_interval": self.heartbeat_interval,
+                    "heartbeat_interval": HEARTBEAT_INTERVAL,
                     # Advertise span capture + forwarding only when there is
                     # a bus to re-publish on; workers stay zero-cost otherwise.
                     "telemetry": self._bus is not None,
@@ -1017,7 +986,7 @@ class Scheduler:
                     continue
                 losses = campaign.loss_retries.get(position, 0) + 1
                 campaign.loss_retries[position] = losses
-                if losses > self.max_retries:
+                if losses > MAX_RETRIES:
                     cell = campaign.cells[position]
                     campaign.done.add(position)
                     campaign.results[position] = CellOutcome(
@@ -1027,7 +996,7 @@ class Scheduler:
                             f"{conn.worker_id!r} (connection dropped or heartbeat "
                             f"timed out) on attempt "
                             f"{campaign.attempts.get(position, losses)}; retry "
-                            f"budget of {self.max_retries} exhausted"
+                            f"budget of {MAX_RETRIES} exhausted"
                         ),
                         error_type=WORKER_LOST,
                     )

@@ -48,9 +48,8 @@ bounds how long it lingers without useful work (connection attempts
 included) before exiting -- the knob CI uses to make workers self-reap.
 
 :class:`AsyncWorker` is the state machine itself (1000 of them fit on one
-event loop -- see :meth:`Scheduler.spawn_local_worker`); :class:`Worker`
-wraps it behind the old synchronous ``run()`` surface for worker processes
-and the CLI.
+event loop -- see :meth:`Scheduler.spawn_local_worker`); :func:`run_worker`
+runs one on its own event loop, for worker processes and the CLI.
 """
 
 from __future__ import annotations
@@ -107,10 +106,7 @@ class AsyncWorker:
         *,
         worker_id: Optional[str] = None,
         max_idle: Optional[float] = None,
-        reconnect_delay: float = RECONNECT_DELAY,
-        once: bool = False,
         log: Optional[Callable[[str], None]] = None,
-        reply_timeout: float = REPLY_TIMEOUT,
         inline: bool = False,
         telemetry: Optional[bool] = None,
     ) -> None:
@@ -118,10 +114,7 @@ class AsyncWorker:
         self.address = str(address).strip()
         self.worker_id = worker_id or default_worker_id()
         self.max_idle = max_idle
-        self.reconnect_delay = reconnect_delay
-        self.once = once
         self.log = log or (lambda message: None)
-        self.reply_timeout = reply_timeout
         #: Span capture + forwarding: None follows the scheduler's welcome
         #: advertisement (on iff the scheduler has a bus), False forces off.
         self.telemetry = telemetry
@@ -155,7 +148,7 @@ class AsyncWorker:
             except (CommError, OSError):
                 if self._idled_out():
                     return self.cells_executed
-                await asyncio.sleep(self.reconnect_delay)
+                await asyncio.sleep(RECONNECT_DELAY)
                 continue
             self._mark_useful()
             try:
@@ -164,7 +157,7 @@ class AsyncWorker:
                 pass  # scheduler went away; reconnect (or idle out) below
             finally:
                 await comm.close()
-            if self.once or self._idled_out():
+            if self._idled_out():
                 return self.cells_executed
 
     def _idled_out(self) -> bool:
@@ -188,7 +181,7 @@ class AsyncWorker:
         self._telemetry_sub = None
 
         await comm.send({"op": "hello", "worker": self.worker_id})
-        welcome = await asyncio.wait_for(comm.recv(), timeout=self.reply_timeout)
+        welcome = await asyncio.wait_for(comm.recv(), timeout=REPLY_TIMEOUT)
         if welcome.get("op") != "welcome":
             raise protocol.ProtocolError(f"expected welcome, got {welcome!r}")
         heartbeat_interval = float(welcome.get("heartbeat_interval", 1.0))
@@ -247,11 +240,11 @@ class AsyncWorker:
                 return True
             await comm.send({"op": "request"})
             try:
-                await asyncio.wait_for(self._wake.wait(), timeout=self.reply_timeout)
+                await asyncio.wait_for(self._wake.wait(), timeout=REPLY_TIMEOUT)
             except asyncio.TimeoutError:
                 raise protocol.ConnectionClosed(
                     f"scheduler at {self.address} did not answer a work request "
-                    f"within {self.reply_timeout:.0f}s"
+                    f"within {REPLY_TIMEOUT:.0f}s"
                 ) from None
             self._raise_if_dead(reader)
             if self._backlog:
@@ -469,58 +462,22 @@ class AsyncWorker:
             )
 
 
-class Worker:
-    """The synchronous facade: one worker process' connect-and-serve loop."""
-
-    def __init__(
-        self,
-        address: str,
-        *,
-        worker_id: Optional[str] = None,
-        max_idle: Optional[float] = None,
-        reconnect_delay: float = RECONNECT_DELAY,
-        once: bool = False,
-        log: Optional[Callable[[str], None]] = None,
-        telemetry: Optional[bool] = None,
-    ) -> None:
-        self._worker = AsyncWorker(
-            address,
-            worker_id=worker_id,
-            max_idle=max_idle,
-            reconnect_delay=reconnect_delay,
-            once=once,
-            log=log,
-            telemetry=telemetry,
-        )
-        self.address = self._worker.address
-        self.worker_id = self._worker.worker_id
-
-    @property
-    def cells_executed(self) -> int:
-        return self._worker.cells_executed
-
-    def run(self) -> int:
-        """Serve campaigns until idle for too long; returns cells executed."""
-
-        return asyncio.run(self._worker.run())
-
-
 def run_worker(
     address: str,
     *,
     worker_id: Optional[str] = None,
     max_idle: Optional[float] = None,
-    once: bool = False,
     log: Optional[Callable[[str], None]] = None,
     telemetry: Optional[bool] = None,
 ) -> int:
-    """Module-level entry point (picklable as a ``multiprocessing`` target)."""
+    """Serve campaigns on a fresh event loop until idle for too long.
 
-    return Worker(
-        address,
-        worker_id=worker_id,
-        max_idle=max_idle,
-        once=once,
-        log=log,
-        telemetry=telemetry,
-    ).run()
+    The entry point of worker processes and the CLI (picklable as a
+    ``multiprocessing`` target); returns the number of cells executed.
+    """
+
+    return asyncio.run(
+        AsyncWorker(
+            address, worker_id=worker_id, max_idle=max_idle, log=log, telemetry=telemetry
+        ).run()
+    )

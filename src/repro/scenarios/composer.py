@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.core.policies.registry import (
     OFFLINE_SCHEDULERS,
+    RELEASE_AWARE_OFFLINE_KINDS,
     make_offline_scheduler,
     policy_names,
 )
@@ -253,6 +254,10 @@ def inject_node_churn(
 # ---------------------------------------------------------------------------
 
 
+#: Arrival kinds that leave the workload's own release dates untouched.
+NO_ARRIVAL_KINDS = ("inherit", "none", "default")
+
+
 def apply_arrival(
     jobs: List[Any],
     component: ComponentSpec,
@@ -260,7 +265,7 @@ def apply_arrival(
     rng: np.random.Generator,
 ) -> List[Any]:
     kind, params = component.kind, component.params
-    if kind in ("inherit", "none", "default"):
+    if kind in NO_ARRIVAL_KINDS:
         return jobs
     from repro.workload import arrivals
 
@@ -338,7 +343,7 @@ def _run_offline(spec: ScenarioSpec, seed: int) -> Dict[str, Any]:
             return {"policy_name": scheduler.name, "error": str(error)[:60]}
     else:
         schedule = scheduler.schedule(jobs, machine_count)
-    schedule.validate(check_release_dates=False)
+    schedule.validate()
     metrics = _ratio_metrics(schedule, jobs, machine_count)
     metrics["policy_name"] = scheduler.name
     return metrics
@@ -622,19 +627,32 @@ def check_policy_kinds(spec: ScenarioSpec) -> None:
 
     Checks ``policy.kind`` against the kinds the model reads, and every
     queue-policy name in ``policy.initial``, ``policy.switches`` and
-    ``policy.local_policy`` against :func:`policy_names`.  Both the spec's
-    own values and every sweep-axis value are checked, once per scenario,
-    before any cell runs.  Raises :class:`SpecError` naming the accepted
-    names.
+    ``policy.local_policy`` against :func:`policy_names`.  An ``offline``
+    scenario whose arrival component releases jobs over time accepts only
+    the kinds that honour release dates.  Both the spec's own values and
+    every sweep-axis value are checked, once per scenario, before any cell
+    runs.  Raises :class:`SpecError` naming the accepted names.
     """
 
     accepted = _accepted_policy_kinds(spec.model)
-    for kind in [spec.policy.kind, *spec.sweep.get("policy.kind", ())]:
+    kinds = [spec.policy.kind, *spec.sweep.get("policy.kind", ())]
+    for kind in kinds:
         if kind not in accepted:
             raise SpecError(
                 f"scenario {spec.name!r}: model {spec.model!r} cannot run "
                 f"policy.kind {kind!r}; not one of {accepted}"
             )
+    arrivals = [spec.arrival.kind, *spec.sweep.get("arrival.kind", ())]
+    released = [kind for kind in arrivals if kind not in (*NO_ARRIVAL_KINDS, "offline")]
+    if spec.model == "offline" and released:
+        release_aware = [*RELEASE_AWARE_OFFLINE_KINDS, "default"]
+        for kind in kinds:
+            if kind not in release_aware:
+                raise SpecError(
+                    f"scenario {spec.name!r}: policy.kind {kind!r} ignores release "
+                    f"dates, but arrival {released[0]!r} releases jobs over time; "
+                    f"the kinds that honour release dates are {release_aware}"
+                )
     queue = policy_names()
     for param in ("initial", "switches", "local_policy"):
         values = list(spec.sweep.get(f"policy.{param}", ()))

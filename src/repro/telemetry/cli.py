@@ -1,4 +1,4 @@
-"""Command-line interface of the telemetry flight recorder: read and check.
+"""Command-line interface of the telemetry flight recorder: replay and check.
 
 ::
 
@@ -6,8 +6,8 @@
     python -m repro.scenarios run --all --smoke --record runs/flight \
         --executor inproc:// --workers 4           # distributed, forwarded spans
     python -m repro.telemetry replay --store runs/flight --topic worker. --limit 20
-    python -m repro.telemetry report phase-attribution --store runs/flight
-    python -m repro.telemetry report worker-occupancy --store runs/flight
+    python -m repro.store query phase-attribution --store runs/flight
+    python -m repro.store query worker-occupancy --store runs/flight
     python -m repro.telemetry smoke                # CI: fleet + recorder + parity
 
 Recording is a flag of the scenario runner: ``repro.scenarios run|sweep
@@ -15,8 +15,9 @@ Recording is a flag of the scenario runner: ``repro.scenarios run|sweep
 TelemetryRecorder` to the process bus, so every event -- sweep lifecycle,
 scheduler decisions, forwarded ``worker.*`` spans -- lands in
 ``telemetry.<campaign>`` partitions of that store.  ``replay`` prints
-recorded events back in landed order; ``report`` runs the telemetry
-queries (``span-summary``, ``worker-occupancy``, ``phase-attribution``).
+recorded events back in landed order; the telemetry queries
+(``span-summary``, ``worker-occupancy``, ``phase-attribution``) run through
+``python -m repro.store query`` like every other store query.
 
 Recording is observation only: scenario digests are bit-identical with the
 recorder on or off (``smoke`` proves exactly that against a 4-worker
@@ -34,30 +35,23 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.store.queries import QUERIES, QueryError, run_query
+from repro.store.queries import run_query
 from repro.telemetry.recorder import TELEMETRY_SCENARIO_PREFIX, TelemetryRecorder
-
-#: Queries `report` lists first (any named query is accepted).
-TELEMETRY_QUERIES = ("span-summary", "worker-occupancy", "phase-attribution")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
-        description="Flight recorder: replay recorded events, report timings, smoke-check.",
+        description="Flight recorder: replay recorded events, smoke-check.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    store_arg = argparse.ArgumentParser(add_help=False)
-    store_arg.add_argument(
-        "--store", type=Path, default=None, metavar="DIR",
-        help="campaign store directory the recorded telemetry is read from; "
-             "required except for `report --list`",
-    )
-
     rep = sub.add_parser(
-        "replay", parents=[store_arg],
-        help="print recorded events back, in landed order, as JSON lines",
+        "replay", help="print recorded events back, in landed order, as JSON lines",
+    )
+    rep.add_argument(
+        "--store", type=Path, default=None, metavar="DIR",
+        help="campaign store directory the recorded telemetry is read from (required)",
     )
     rep.add_argument("--campaign", default=None, help="only this recorded campaign")
     rep.add_argument(
@@ -66,29 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     rep.add_argument("--kind", default=None, help="only events of this payload kind")
     rep.add_argument("--limit", type=int, default=None, help="stop after N events")
-
-    rpt = sub.add_parser(
-        "report",
-        parents=[store_arg],
-        help="run a named query over the recorded telemetry",
-        description="Named queries over recorded telemetry; the telemetry trio is "
-                    + ", ".join(TELEMETRY_QUERIES) + " but any store query works.",
-    )
-    rpt.add_argument("name", nargs="?", default=None, help="query name (see --list)")
-    rpt.add_argument(
-        "--param", action="append", default=[], metavar="NAME=VALUE",
-        help="query parameter (repeatable), e.g. --param campaign=fleet",
-    )
-    rpt.add_argument(
-        "--out", type=Path, default=None, metavar="PATH",
-        help="write the result rows to this file instead of printing a table",
-    )
-    rpt.add_argument(
-        "--format", default=None, dest="out_format",
-        help="output format (default: inferred from the --out suffix)",
-    )
-    rpt.add_argument("--list", action="store_true", dest="list_queries",
-                     help="list the named queries")
 
     smk = sub.add_parser(
         "smoke",
@@ -131,31 +102,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         if args.limit is not None and printed >= args.limit:
             break
     print(f"{printed} event(s) replayed from {store.root}", file=sys.stderr)
-    return 0
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.store.cli import _emit, _parse_params
-    from repro.store.columnar import CampaignStore
-
-    if args.list_queries:
-        width = max(len(name) for name in QUERIES)
-        for name in sorted(QUERIES, key=lambda n: (n not in TELEMETRY_QUERIES, n)):
-            query = QUERIES[name]
-            params = ", ".join(list(query.required) + [f"[{p}]" for p in query.optional])
-            print(f"{name:<{width}}  ({params})  {query.description}")
-        return 0
-    if args.name is None:
-        print("give a query name (or --list)", file=sys.stderr)
-        return 2
-    try:
-        params = _parse_params(args.param)
-        store = CampaignStore(args.store)
-        rows = run_query(store, args.name, params)
-    except QueryError as error:
-        print(error, file=sys.stderr)
-        return 2
-    _emit(rows, args.out, args.out_format, title=f"{args.name} ({len(rows)} rows)")
     return 0
 
 
@@ -227,14 +173,10 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command != "smoke" and args.store is None and not getattr(
-        args, "list_queries", False
-    ):
-        parser.error(f"{args.command} needs --store DIR")
     if args.command == "replay":
+        if args.store is None:
+            parser.error("replay needs --store DIR")
         return _cmd_replay(args)
-    if args.command == "report":
-        return _cmd_report(args)
     if args.command == "smoke":
         return _cmd_smoke(args)
     parser.error(f"unknown command {args.command!r}")

@@ -1,17 +1,18 @@
-"""The comm layer: scheme registry, both built-in backends, frame guard.
+"""The comm layer: the transport table, both built-in backends, frame guard.
 
 The contracts under test:
 
-* addresses are scheme-routed through a registry; unknown or malformed
-  schemes fail with messages that name the registered schemes;
+* addresses are scheme-routed through a fixed two-entry table; unknown or
+  malformed schemes fail with messages that name ``tcp://`` and
+  ``inproc://``;
 * ``tcp://`` and ``inproc://`` comms speak the same framed envelopes --
   the in-process backend round-trips every message through the real frame
   codec, so wire-level guards apply to both;
-* the 64 MB frame guard reports actual size vs. limit and is configurable
-  through ``REPRO_MAX_FRAME``;
+* the 64 MB frame guard reports actual size vs. limit, and no environment
+  variable moves it;
 * :func:`repro.distributed.protocol.parse_address` stays the socket-only
-  convenience: scheme-aware, friendly about both unregistered schemes and
-  registered-but-not-tcp ones.
+  convenience: scheme-aware, friendly about both unknown schemes and known
+  non-tcp ones.
 """
 
 from __future__ import annotations
@@ -29,17 +30,20 @@ from repro.distributed.comm import (
     connect,
     get_backend,
     listener,
-    registered_schemes,
     split_address,
     validate_address,
 )
+from tests.distributed.timings import fast_timings
 
 
 class TestRegistry:
     def test_built_in_schemes_are_registered(self):
-        schemes = registered_schemes()
-        assert "tcp" in schemes
-        assert "inproc" in schemes
+        from repro.distributed.comm.inproc import InProcBackend
+        from repro.distributed.comm.tcp import TCPBackend
+
+        assert isinstance(get_backend("tcp"), TCPBackend)
+        assert isinstance(get_backend("TCP"), TCPBackend)
+        assert isinstance(get_backend("inproc"), InProcBackend)
 
     def test_unknown_scheme_names_the_registered_ones(self):
         with pytest.raises(UnknownSchemeError) as excinfo:
@@ -193,43 +197,32 @@ class TestBackendsEndToEnd:
 
 class TestFrameGuard:
     def test_oversized_frame_reports_size_and_limit(self, monkeypatch):
-        monkeypatch.setenv(protocol.MAX_FRAME_ENV_VAR, "1024")
+        fast_timings(monkeypatch, max_frame_bytes=1024)
         with pytest.raises(protocol.ProtocolError) as excinfo:
             protocol.dump_frame({"op": "result", "blob": "x" * 2048})
         message = str(excinfo.value)
-        assert "1,024" in message           # the active limit
-        assert protocol.MAX_FRAME_ENV_VAR in message  # how to raise it
+        assert "1,024" in message           # the limit
         assert "2," in message              # the actual offending size
+        assert "REPRO_" not in message      # no knob to point at
 
-    def test_env_var_raises_the_limit(self, monkeypatch):
+    def test_env_var_no_longer_moves_the_limit(self, monkeypatch):
+        monkeypatch.setenv("REPRO_MAX_FRAME", "1024")
         payload = {"op": "result", "blob": "x" * (2 * 1024)}
-        monkeypatch.setenv(protocol.MAX_FRAME_ENV_VAR, "1024")
-        with pytest.raises(protocol.ProtocolError):
-            protocol.dump_frame(payload)
-        monkeypatch.setenv(protocol.MAX_FRAME_ENV_VAR, str(1024 * 1024))
         assert protocol.load_frame(protocol.dump_frame(payload)) == payload
-
-    def test_unset_env_means_64_mb_default(self, monkeypatch):
-        monkeypatch.delenv(protocol.MAX_FRAME_ENV_VAR, raising=False)
-        assert protocol.max_frame_bytes() == protocol.MAX_FRAME_BYTES
-
-    def test_garbage_env_value_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv(protocol.MAX_FRAME_ENV_VAR, "a-lot")
-        with pytest.raises(protocol.ProtocolError, match=protocol.MAX_FRAME_ENV_VAR):
-            protocol.max_frame_bytes()
-        monkeypatch.setenv(protocol.MAX_FRAME_ENV_VAR, "-5")
-        with pytest.raises(protocol.ProtocolError, match="positive"):
-            protocol.max_frame_bytes()
+        protocol.check_frame_length(protocol.MAX_FRAME_BYTES)
+        with pytest.raises(protocol.ProtocolError, match="67,108,864"):
+            protocol.check_frame_length(protocol.MAX_FRAME_BYTES + 1)
+        assert protocol.MAX_FRAME_BYTES == 64 * 1024 * 1024
 
     def test_inbound_guard_checks_the_same_limit(self, monkeypatch):
-        monkeypatch.setenv(protocol.MAX_FRAME_ENV_VAR, "512")
+        fast_timings(monkeypatch, max_frame_bytes=512)
         with pytest.raises(protocol.ProtocolError, match="512"):
             protocol.check_frame_length(4096)
 
     def test_inproc_comms_enforce_the_guard_too(self, monkeypatch):
         """The in-process backend is wire-faithful: same codec, same guard."""
 
-        monkeypatch.setenv(protocol.MAX_FRAME_ENV_VAR, "1024")
+        fast_timings(monkeypatch, max_frame_bytes=1024)
 
         async def scenario():
             lst = listener("inproc://", run_echo_listener("g"))

@@ -30,6 +30,7 @@ from repro.experiments.grid import CellFunction, expand_grid
 from repro.experiments.harness import CellExecutionError, run_experiment
 from repro.scenarios.composer import rows_digest
 from tests.distributed.resume import KillAfterRows, KilledCampaign
+from tests.distributed.timings import fast_timings
 
 GRID_4x4 = {"a": [1, 2, 3, 4], "b": [10, 20, 30, 40]}  # x4 reps = 64 cells
 
@@ -39,14 +40,18 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def fast_executor(**kwargs):
-    """A mini-cluster tuned for tests: tight heartbeats, finite stall guard."""
+@pytest.fixture(autouse=True)
+def finite_stall_guard(monkeypatch):
+    """Every campaign here gives up after 30 s without a worker."""
 
-    defaults = dict(
-        workers=4, heartbeat_interval=0.1, heartbeat_timeout=1.5, stall_timeout=30.0
-    )
-    defaults.update(kwargs)
-    return DistributedExecutor(**defaults)
+    fast_timings(monkeypatch, stall_timeout=30.0)
+
+
+def fast_executor(monkeypatch, workers=4):
+    """A ``tcp://`` mini-cluster tuned for tests: tight heartbeats."""
+
+    fast_timings(monkeypatch, heartbeat_interval=0.1, heartbeat_timeout=1.5)
+    return DistributedExecutor(workers=workers)
 
 
 def seeded_metrics(seed, a, b):
@@ -84,20 +89,20 @@ def worker_killing_cell(seed, n):
 
 
 class TestBitIdentity:
-    def test_64_cells_4_workers_identical_to_serial(self):
+    def test_64_cells_4_workers_identical_to_serial(self, monkeypatch):
         serial = run_experiment("identity", seeded_metrics, GRID_4x4,
                                 repetitions=4, base_seed=42, executor="serial")
         distributed = run_experiment("identity", seeded_metrics, GRID_4x4,
                                      repetitions=4, base_seed=42,
-                                     executor=fast_executor())
+                                     executor=fast_executor(monkeypatch))
         assert len(serial) == 64
         assert distributed.rows == serial.rows  # same values, same order
         assert rows_digest(distributed.rows) == rows_digest(serial.rows)
         assert distributed.executor == "distributed"
 
-    def test_empty_sweep_runs_without_binding_anything(self):
+    def test_empty_sweep_runs_without_binding_anything(self, monkeypatch):
         result = run_experiment("empty", seeded_metrics, {"a": [], "b": [1]},
-                                repetitions=2, executor=fast_executor())
+                                repetitions=2, executor=fast_executor(monkeypatch))
         assert result.rows == []
 
 
@@ -129,11 +134,11 @@ def _holds_a_cell(scheduler, pid):
 
 
 class TestWorkerLoss:
-    def test_sigkilled_worker_mid_sweep_is_retried(self):
+    def test_sigkilled_worker_mid_sweep_is_retried(self, monkeypatch):
         grid = {"slot": list(range(16))}  # x4 reps = 64 cells, ~50ms each
         serial = run_experiment("kill", slow_cell, grid,
                                 repetitions=4, executor="serial")
-        executor = fast_executor()
+        executor = fast_executor(monkeypatch)
         cells = expand_grid(grid, repetitions=4, base_seed=1234)
         stream = executor.map(CellFunction(slow_cell), cells)
         outcomes = []
@@ -160,8 +165,9 @@ class TestWorkerLoss:
         assert stats.worker_lost_failures == 0
         assert executor.scheduler is None  # torn down once the stream ends
 
-    def test_retry_budget_exhaustion_surfaces_failing_config(self):
-        executor = fast_executor(workers=2, max_retries=2)
+    def test_retry_budget_exhaustion_surfaces_failing_config(self, monkeypatch):
+        executor = fast_executor(monkeypatch, workers=2)
+        fast_timings(monkeypatch, max_retries=2)
         with pytest.raises(CellExecutionError) as excinfo:
             run_experiment("poison", worker_killing_cell, {"n": [1, 2, 3, 4]},
                            repetitions=1, base_seed=77, executor=executor)
@@ -171,10 +177,11 @@ class TestWorkerLoss:
         assert error.error_type == "WorkerLostError"
         assert "retry budget" in str(error)
 
-    def test_cell_leased_behind_a_worker_killer_is_not_charged(self):
+    def test_cell_leased_behind_a_worker_killer_is_not_charged(self, monkeypatch):
         # n=4 may sit in the lease of every worker n=3 kills; only the cell
         # a worker was running when it died may spend the retry budget.
-        executor = fast_executor(workers=2, max_retries=2)
+        executor = fast_executor(monkeypatch, workers=2)
+        fast_timings(monkeypatch, max_retries=2)
         result = run_experiment("poison", worker_killing_cell, {"n": [1, 2, 3, 4]},
                                 repetitions=1, base_seed=77, executor=executor,
                                 capture_errors=True)
@@ -200,14 +207,14 @@ class TestCampaignRegistration:
         for campaign in range(20):
             cells = expand_grid({"a": [1, 2], "b": [campaign]}, repetitions=1,
                                 base_seed=campaign)
-            executor = DistributedExecutor("inproc://", workers=2, stall_timeout=30.0)
+            executor = DistributedExecutor("inproc://", workers=2)
             outcomes = list(executor.map(fn, cells))
             assert [o.metrics for o in outcomes] == [fn(cell).metrics for cell in cells]
         assert len(registered) >= 40 and all(registered)
 
 
 class TestCacheResume:
-    def test_killed_campaign_resumes_re_running_only_incomplete_cells(self, tmp_path):
+    def test_killed_campaign_resumes_re_running_only_incomplete_cells(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         log = tmp_path / "executions.log"
         log.touch()
@@ -218,7 +225,7 @@ class TestCacheResume:
         # have run cells past the 30th; only the 30 streamed ones are cached.
         with pytest.raises(KilledCampaign):
             run_experiment("resume", run, grid, repetitions=4, base_seed=1234,
-                           executor=fast_executor(workers=2), cache=cache,
+                           executor=fast_executor(monkeypatch, workers=2), cache=cache,
                            listener=KillAfterRows(30))
         assert len(list(cache.rglob("*.json"))) == 30
         before = executions(log)
@@ -226,23 +233,23 @@ class TestCacheResume:
 
         # Restart on a tcp:// fleet: exactly the 34 uncached cells run.
         resumed = run_experiment("resume", run, grid, repetitions=4, base_seed=1234,
-                                 executor=fast_executor(workers=2), cache=cache)
+                                 executor=fast_executor(monkeypatch, workers=2), cache=cache)
         assert resumed.cache_hits == 30
         assert executions(log) - before == 34
         serial = run_experiment("resume", run, grid, repetitions=4,
                                 base_seed=1234, executor="serial")
         assert resumed.rows == serial.rows
 
-    def test_changed_run_function_replays_nothing(self, tmp_path):
+    def test_changed_run_function_replays_nothing(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         log = tmp_path / "executions.log"
         log.touch()
         grid = {"x": [1, 2, 3]}
         run_experiment("vers", functools.partial(logging_cell, log_path=str(log)), grid,
-                       repetitions=1, executor=fast_executor(workers=2), cache=cache)
+                       repetitions=1, executor=fast_executor(monkeypatch, workers=2), cache=cache)
         # Same cache, same experiment and grid, different run function.
         other = run_experiment("vers", functools.partial(other_logging_cell, log_path=str(log)),
-                               grid, repetitions=1, executor=fast_executor(workers=2),
+                               grid, repetitions=1, executor=fast_executor(monkeypatch, workers=2),
                                cache=cache)
         assert other.cache_hits == 0
         assert executions(log) == 6
@@ -264,7 +271,7 @@ class TestCrossExecutorResume:
         grid = {"x": list(range(8))}  # x2 reps = 16 cells
         backends = {
             "serial": lambda: "serial",
-            "inproc": lambda: DistributedExecutor("inproc://", workers=4, stall_timeout=30.0),
+            "inproc": lambda: DistributedExecutor("inproc://", workers=4),
         }
 
         with pytest.raises(KilledCampaign):
@@ -285,15 +292,15 @@ class TestCrossExecutorResume:
 
 class TestScenarioDigests:
     @pytest.mark.parametrize("backend", ["tcp", "inproc"])
-    def test_registered_scenario_smoke_digest_matches_serial(self, backend):
+    def test_registered_scenario_smoke_digest_matches_serial(self, backend, monkeypatch):
         from repro.scenarios import get, run_scenario
 
         spec = get("fig2.bicriteria")
         serial = run_scenario(spec, smoke=True, executor="serial")
         if backend == "tcp":
-            executor = fast_executor(workers=2)
+            executor = fast_executor(monkeypatch, workers=2)
         else:
-            executor = DistributedExecutor("inproc://", workers=4, stall_timeout=30.0)
+            executor = DistributedExecutor("inproc://", workers=4)
         # Stealing is always on -- the digest must not depend on which
         # worker ends up running a cell.
         distributed = run_scenario(spec, smoke=True, executor=executor)

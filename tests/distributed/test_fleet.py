@@ -33,11 +33,13 @@ import pytest
 from repro.distributed import DistributedExecutor, Scheduler, protocol
 from repro.distributed.cli import main as distributed_main
 from repro.scenarios.cli import main as scenarios_main
+from repro.distributed import scheduler as scheduler_module
 from repro.distributed.scheduler import IDLE_DELAY, _Campaign, _WorkerConn
 from repro.distributed.worker import AsyncWorker
 from repro.experiments.grid import CellFunction, expand_grid
 from repro.experiments.harness import run_experiment
 from tests.distributed.resume import KillAfterRows, KilledCampaign
+from tests.distributed.timings import fast_timings
 
 
 def fleet_metrics(seed, i):
@@ -47,12 +49,13 @@ def fleet_metrics(seed, i):
 
 
 class TestThousandWorkerFleet:
-    def test_1000_workers_drain_3000_cells_bit_identically(self):
+    def test_1000_workers_drain_3000_cells_bit_identically(self, monkeypatch):
+        fast_timings(monkeypatch, stall_timeout=60.0)
         cells = expand_grid({"i": list(range(750))}, repetitions=4, base_seed=4242)
         fn = CellFunction(fleet_metrics)
         serial = [fn(cell) for cell in cells]
 
-        with Scheduler("inproc://", stall_timeout=60.0) as scheduler:
+        with Scheduler("inproc://") as scheduler:
             # Built here rather than by spawn_local_worker so the test can
             # read each worker's execution count afterwards.
             workers = [AsyncWorker(scheduler.address, inline=True) for _ in range(1000)]
@@ -83,9 +86,10 @@ class TestThousandWorkerFleet:
         assert stats.evictions == 0
         assert stats.worker_lost_failures == 0
 
-    def test_cache_resume_re_executes_only_incomplete_cells(self, tmp_path):
+    def test_cache_resume_re_executes_only_incomplete_cells(self, tmp_path, monkeypatch):
         grid = {"i": list(range(150))}  # x4 reps = 600 cells
-        fleet = lambda: DistributedExecutor("inproc://", workers=50, stall_timeout=60.0)
+        fast_timings(monkeypatch, stall_timeout=60.0)
+        fleet = lambda: DistributedExecutor("inproc://", workers=50)
 
         # First campaign "dies" after 450 of 600 cells: the harness stores
         # each outcome before it notifies, so the 450th is cached too.
@@ -296,10 +300,11 @@ class TestGuidedLeases:
         assert list(early.assignments) == [0, 1, 2, 3]
         assert scheduler.stats.steals == 4
 
-    def test_stealing_rebalances_a_slow_lease_end_to_end(self):
+    def test_stealing_rebalances_a_slow_lease_end_to_end(self, monkeypatch):
         cells = expand_grid({"i": list(range(8))}, repetitions=1, base_seed=11)
         fn = CellFunction(slow_first_metrics)
-        executor = DistributedExecutor("inproc://", workers=2, stall_timeout=30.0)
+        fast_timings(monkeypatch, stall_timeout=30.0)
+        executor = DistributedExecutor("inproc://", workers=2)
         EXECUTIONS.clear()
         outcomes = list(executor.map(fn, cells))
         # Stealing moved cells, yet every cell ran exactly once.
@@ -374,19 +379,37 @@ class TestRemovedKnobs:
     The harness cell cache is the one replay store: ``journal``/``--journal``
     and ``run_campaign(version=)`` are gone.  ``repro.scenarios run`` is the
     one scenario runner: ``repro.distributed run``/``scheduler`` and their
-    fault-budget and comm flags are gone too.
+    fault-budget and comm flags are gone too.  The runtime's timings are
+    module constants: the keywords that set them are gone.
     """
 
     @pytest.mark.parametrize("knob", [
         {"speculate": True}, {"speculation_delay": 1.0}, {"max_speculative": 1},
         {"steal": False}, {"steal": True}, {"prefetch": 2}, {"prefetch": None},
         {"journal": "campaign.jsonl"}, {"journal": None},
+        {"heartbeat_interval": 0.5}, {"heartbeat_timeout": 10.0},
+        {"max_retries": 3}, {"stall_timeout": 120.0}, {"stall_timeout": None},
     ])
     def test_removed_knobs_are_type_errors(self, knob):
         with pytest.raises(TypeError):
             DistributedExecutor("inproc://", workers=1, **knob)
         with pytest.raises(TypeError):
             Scheduler("inproc://", **knob)
+
+    @pytest.mark.parametrize("knob", [
+        {"reconnect_delay": 0.2}, {"reply_timeout": 30.0}, {"once": True},
+    ])
+    def test_removed_worker_knobs_are_type_errors(self, knob):
+        with pytest.raises(TypeError):
+            AsyncWorker("inproc://", **knob)
+
+    def test_timings_are_the_former_executor_defaults(self):
+        # Production campaigns keep the timings they ran with as keywords.
+        assert scheduler_module.HEARTBEAT_INTERVAL == 0.5
+        assert scheduler_module.HEARTBEAT_TIMEOUT == 10.0
+        assert scheduler_module.MAX_RETRIES == 3
+        assert scheduler_module.STALL_TIMEOUT == 120.0
+        assert protocol.MAX_FRAME_BYTES == 64 * 1024 * 1024
 
     @pytest.mark.parametrize("main, command, error", [
         (scenarios_main, ["run", "fig2.bicriteria", "--smoke"], "unrecognized arguments"),

@@ -19,6 +19,7 @@ import pytest
 from repro.distributed import ConnectionClosed, DistributedExecutor, Scheduler, protocol
 from repro.distributed.scheduler import WORKER_LOST, CampaignStalled
 from repro.experiments.grid import CellFunction, expand_grid
+from tests.distributed.timings import fast_timings
 from tests.distributed.wire import recv_message, send_message
 
 
@@ -86,11 +87,11 @@ def collect_campaign(scheduler, cells, results, errors):
 
 
 class TestHeartbeatEviction:
-    def test_silent_worker_is_evicted_and_its_lease_requeued(self):
+    def test_silent_worker_is_evicted_and_its_lease_requeued(self, monkeypatch):
         cells = expand_grid({"x": list(range(8))}, repetitions=1)
-        scheduler = Scheduler(
-            heartbeat_interval=0.1, heartbeat_timeout=0.6, max_retries=3
-        ).start()
+        fast_timings(monkeypatch, heartbeat_interval=0.1, heartbeat_timeout=0.6,
+                     max_retries=3)
+        scheduler = Scheduler().start()
         results, errors = [], []
         consumer = threading.Thread(
             target=collect_campaign, args=(scheduler, cells, results, errors)
@@ -134,11 +135,11 @@ class TestHeartbeatEviction:
             scheduler.close()
             consumer.join(timeout=5.0)
 
-    def test_retry_budget_exhaustion_yields_worker_lost_outcome(self):
+    def test_retry_budget_exhaustion_yields_worker_lost_outcome(self, monkeypatch):
         cells = expand_grid({}, repetitions=1)  # a single cell
-        scheduler = Scheduler(
-            heartbeat_interval=0.1, heartbeat_timeout=5.0, max_retries=1
-        ).start()
+        fast_timings(monkeypatch, heartbeat_interval=0.1, heartbeat_timeout=5.0,
+                     max_retries=1)
+        scheduler = Scheduler().start()
         results, errors = [], []
         consumer = threading.Thread(
             target=collect_campaign, args=(scheduler, cells, results, errors)
@@ -163,9 +164,10 @@ class TestHeartbeatEviction:
 
 
 class TestRemovedFrames:
-    def test_discarded_frame_drops_the_connection_and_requeues_its_lease(self):
+    def test_discarded_frame_drops_the_connection_and_requeues_its_lease(self, monkeypatch):
         cells = expand_grid({"x": list(range(4))}, repetitions=1)
-        scheduler = Scheduler(heartbeat_interval=0.1, heartbeat_timeout=5.0).start()
+        fast_timings(monkeypatch, heartbeat_interval=0.1, heartbeat_timeout=5.0)
+        scheduler = Scheduler().start()
         results, errors = [], []
         consumer = threading.Thread(
             target=collect_campaign, args=(scheduler, cells, results, errors)
@@ -212,9 +214,10 @@ class TestRemovedFrames:
 
 
 class TestDuplicateAndLateResults:
-    def test_duplicate_result_for_a_done_cell_is_ignored(self):
+    def test_duplicate_result_for_a_done_cell_is_ignored(self, monkeypatch):
         cells = expand_grid({"x": [1]}, repetitions=1)
-        scheduler = Scheduler(heartbeat_interval=0.1, heartbeat_timeout=5.0).start()
+        fast_timings(monkeypatch, heartbeat_interval=0.1, heartbeat_timeout=5.0)
+        scheduler = Scheduler().start()
         results, errors = [], []
         consumer = threading.Thread(
             target=collect_campaign, args=(scheduler, cells, results, errors)
@@ -244,21 +247,19 @@ class TestDuplicateAndLateResults:
 
 
 class TestStallGuard:
-    def test_campaign_with_no_workers_raises_campaign_stalled(self):
-        executor = DistributedExecutor(
-            workers=0, stall_timeout=0.5, heartbeat_interval=0.1,
-            heartbeat_timeout=1.0,
-        )
+    def test_campaign_with_no_workers_raises_campaign_stalled(self, monkeypatch):
+        fast_timings(monkeypatch, stall_timeout=0.5, heartbeat_interval=0.1,
+                     heartbeat_timeout=1.0)
+        executor = DistributedExecutor(workers=0)
         cells = expand_grid({"x": [1, 2]}, repetitions=1)
         with pytest.raises(CampaignStalled):
             list(executor.map(CellFunction(plain_cell), cells))
 
     @pytest.mark.parametrize("timeout, shown", [(0.4, "0.4s"), (1.0, "1s")])
-    def test_stall_message_shows_the_timeout_as_given(self, timeout, shown):
-        executor = DistributedExecutor(
-            "inproc://", workers=0, stall_timeout=timeout,
-            heartbeat_interval=0.1, heartbeat_timeout=1.0,
-        )
+    def test_stall_message_shows_the_timeout_as_given(self, timeout, shown, monkeypatch):
+        fast_timings(monkeypatch, stall_timeout=timeout, heartbeat_interval=0.1,
+                     heartbeat_timeout=1.0)
+        executor = DistributedExecutor("inproc://", workers=0)
         cells = expand_grid({"x": [1, 2]}, repetitions=1)
         with pytest.raises(CampaignStalled) as excinfo:
             list(executor.map(CellFunction(plain_cell), cells))
@@ -266,8 +267,9 @@ class TestStallGuard:
         assert "2 cell(s) outstanding" in message
         assert message.endswith(f"for {shown}")
 
-    def test_concurrent_campaigns_on_one_scheduler_are_rejected(self):
-        scheduler = Scheduler(heartbeat_interval=0.1, heartbeat_timeout=5.0).start()
+    def test_concurrent_campaigns_on_one_scheduler_are_rejected(self, monkeypatch):
+        fast_timings(monkeypatch, heartbeat_interval=0.1, heartbeat_timeout=5.0)
+        scheduler = Scheduler().start()
         cells = expand_grid({"x": [1]}, repetitions=1)
         results, errors = [], []
         consumer = threading.Thread(
@@ -290,41 +292,21 @@ class TestStallGuard:
             consumer.join(timeout=5.0)
 
 
-class TestSchedulingSettings:
-    """Settings no campaign could run with fail at construction."""
-
-    @pytest.mark.parametrize("settings, message", [
-        ({"max_retries": -1}, "max_retries must be >= 0"),
-        ({"stall_timeout": 0}, "stall_timeout must be > 0"),
-        ({"stall_timeout": -5.0}, "stall_timeout must be > 0"),
-        (
-            {"heartbeat_interval": 1.0, "heartbeat_timeout": 1.0},
-            "heartbeat_timeout must exceed heartbeat_interval",
-        ),
-    ])
-    def test_both_constructors_reject_an_unrunnable_setting(self, settings, message):
-        with pytest.raises(ValueError, match=message):
-            Scheduler("inproc://", **settings)
-        with pytest.raises(ValueError, match=message):
-            DistributedExecutor("inproc://", workers=1, **settings)
-
-    def test_no_stall_timeout_and_no_retries_are_valid(self):
-        Scheduler("inproc://", stall_timeout=None, max_retries=0)
-        DistributedExecutor("inproc://", stall_timeout=None, max_retries=0)
-
-
 class TestWelcome:
-    def test_welcome_advertises_no_lease_cap(self):
-        with Scheduler(heartbeat_interval=0.1, heartbeat_timeout=5.0) as scheduler:
+    def test_welcome_advertises_no_lease_cap(self, monkeypatch):
+        fast_timings(monkeypatch, heartbeat_interval=0.1, heartbeat_timeout=5.0)
+        with Scheduler() as scheduler:
             worker = FakeWorker(scheduler.address, "greeted")
             try:
                 assert set(worker.welcome) == {"op", "heartbeat_interval", "telemetry"}
+                # The interval is the (patched) module constant.
+                assert worker.welcome["heartbeat_interval"] == 0.1
             finally:
                 worker.close()
 
 
 class TestWorkerReconnectPromptness:
-    def test_connection_closed_mid_request_does_not_wedge_the_worker(self):
+    def test_connection_closed_mid_request_does_not_wedge_the_worker(self, monkeypatch):
         """A scheduler vanishing between campaigns must not cost reply_timeout.
 
         Regression: the worker sends ``request`` and the scheduler closes the
@@ -339,6 +321,8 @@ class TestWorkerReconnectPromptness:
 
         from repro.distributed.comm import core as comm_core
         from repro.distributed.worker import AsyncWorker
+
+        fast_timings(monkeypatch, reconnect_delay=0.05, reply_timeout=5.0)
 
         async def scenario():
             slammed = asyncio.Event()
@@ -356,12 +340,7 @@ class TestWorkerReconnectPromptness:
 
             lst = comm_core.listener("inproc://", slam_after_request)
             await lst.start()
-            worker = AsyncWorker(
-                lst.address,
-                max_idle=0.5,
-                reconnect_delay=0.05,
-                reply_timeout=5.0,
-            )
+            worker = AsyncWorker(lst.address, max_idle=0.5)
             run = asyncio.create_task(worker.run())
             await asyncio.wait_for(slammed.wait(), timeout=5.0)
             started = time.monotonic()

@@ -30,7 +30,7 @@ def metrics(seed, i):
 def run_fleet(address, *, telemetry, workers=3, cells_n=24, worker_kwargs=None):
     cells = expand_grid({"i": list(range(cells_n))}, repetitions=1, base_seed=99)
     fn = CellFunction(metrics)
-    with Scheduler(address, telemetry=telemetry, stall_timeout=30.0) as scheduler:
+    with Scheduler(address, telemetry=telemetry) as scheduler:
         for _ in range(workers):
             scheduler.spawn_local_worker(inline=True, **(worker_kwargs or {}))
         outcomes = list(scheduler.run_campaign(fn, cells))

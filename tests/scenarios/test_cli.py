@@ -213,7 +213,10 @@ class TestOneRunner:
         ("repro.distributed.cli", ["scheduler", "fig2.bicriteria", "--bind", "tcp://127.0.0.1:0"]),
         ("repro.telemetry.cli", ["record", "fig2.bicriteria", "--smoke", "--store", "flight"]),
         ("repro.dashboard.__main__", ["serve", "--port", "0", "--run", "fig2.bicriteria"]),
-    ], ids=["distributed-run", "distributed-scheduler", "telemetry-record", "dashboard-serve-run"])
+        ("repro.telemetry.cli", ["report", "phase-attribution", "--store", "flight"]),
+        ("repro.distributed.cli", ["worker", "tcp://127.0.0.1:1", "--once"]),
+    ], ids=["distributed-run", "distributed-scheduler", "telemetry-record", "dashboard-serve-run",
+            "telemetry-report", "worker-once"])
     def test_removed_runners_are_usage_errors(self, module, argv, capsys):
         import importlib
 

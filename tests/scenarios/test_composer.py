@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from repro.core.criteria import CriteriaReport
+from repro.core.policies.base import ReleaseDateScheduler
+from repro.core.policies.registry import (
+    OFFLINE_SCHEDULERS,
+    RELEASE_AWARE_OFFLINE_KINDS,
+    make_offline_scheduler,
+)
 from repro.core.policies.rigid_moldable_mix import MixedScheduler
+from repro.scenarios.registry import all_specs
 from repro.experiments.harness import CellExecutionError, run_experiment
 from repro.metrics.ratios import schedule_ratios
 from repro.scenarios import composer, get, run_scenario, rows_digest
@@ -208,3 +215,64 @@ class TestFixedPolicyKinds:
         with pytest.raises(SpecError, match=r"\[time, policy\] pairs"):
             run_scenario(get("cluster.policy-switch"), smoke=True,
                          sweep={"policy.switches": [["backfill"]]})
+
+
+#: An ``offline`` scenario over a Poisson stream: jobs arrive over time.
+STREAM_SPEC = ScenarioSpec(
+    name="test.released-stream",
+    model="offline",
+    platform=ComponentSpec("count", {"machine_count": MACHINES}),
+    workload=ComponentSpec("mixed", {"n_jobs": 24}),
+    arrival=ComponentSpec("poisson", {"rate": 2.0}),
+    policy=ComponentSpec("bicriteria"),
+    repetitions=2,
+    seed=11,
+)
+RELEASE_BLIND = sorted(set(OFFLINE_SCHEDULERS) - set(RELEASE_AWARE_OFFLINE_KINDS))
+
+
+class TestReleaseDates:
+    """An ``offline`` scenario over a released stream runs only the kinds
+    that honour release dates, and its schedules are checked for it."""
+
+    @pytest.mark.parametrize("kind", sorted(OFFLINE_SCHEDULERS))
+    def test_kind_honours_a_released_stream_iff_listed(self, kind):
+        jobs = composer._cluster_jobs(STREAM_SPEC, MACHINES, np.random.default_rng(11), 11)
+        assert any(job.release_date > 0 for job in jobs)
+        scheduler = make_offline_scheduler(kind, {})
+        listed = kind in RELEASE_AWARE_OFFLINE_KINDS
+        assert isinstance(scheduler, ReleaseDateScheduler) == listed
+        assert scheduler.schedule(jobs, MACHINES).is_valid() == listed
+
+    @pytest.mark.parametrize("kind", RELEASE_BLIND)
+    def test_release_blind_kind_is_rejected_before_any_cell(self, kind, monkeypatch):
+        def forbidden(spec, seed):
+            raise AssertionError("a cell ran before the release check")
+
+        monkeypatch.setitem(composer.MODEL_RUNNERS, "offline", forbidden)
+        accepted = [*RELEASE_AWARE_OFFLINE_KINDS, "default"]
+        message = re.escape(f"honour release dates are {accepted}")
+        with pytest.raises(SpecError, match=message):
+            run_scenario(STREAM_SPEC.evolve(policy=ComponentSpec(kind)))
+        with pytest.raises(SpecError, match=message):
+            run_scenario(STREAM_SPEC, sweep={"policy.kind": ["bicriteria", kind]})
+        with pytest.raises(SpecError, match=message):
+            run_scenario(STREAM_SPEC.evolve(arrival=ComponentSpec("inherit"),
+                                            policy=ComponentSpec(kind)),
+                         sweep={"arrival.kind": ["offline", "poisson"]})
+
+    @pytest.mark.parametrize("kind", RELEASE_BLIND)
+    def test_release_blind_kind_runs_a_time_zero_batch(self, kind):
+        spec = STREAM_SPEC.evolve(arrival=ComponentSpec("offline"), policy=ComponentSpec(kind))
+        assert len(run_scenario(spec).rows) == 2
+
+    def test_release_aware_kinds_run_a_released_stream(self):
+        result = run_scenario(STREAM_SPEC, sweep={"policy.kind": list(RELEASE_AWARE_OFFLINE_KINDS)})
+        assert len(result.rows) == 2 * len(RELEASE_AWARE_OFFLINE_KINDS)
+        assert all(row["mean_stretch"] >= 1.0 - 1e-9 for row in result.rows)
+
+    def test_no_builtin_offline_scenario_releases_jobs_over_time(self):
+        offline = [spec for spec in all_specs() if spec.model == "offline"]
+        assert offline
+        for spec in offline:
+            assert spec.arrival.kind in (*composer.NO_ARRIVAL_KINDS, "offline"), spec.name

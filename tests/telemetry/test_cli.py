@@ -1,5 +1,6 @@
 """The flight recorder end to end: ``repro.scenarios run --record`` writes,
-``python -m repro.telemetry`` replays, reports and smoke-checks."""
+``python -m repro.telemetry`` replays and smoke-checks, and
+``python -m repro.store query`` reports."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import json
 import pytest
 
 from repro.scenarios.cli import main as scenarios_main
-from repro.telemetry.cli import TELEMETRY_QUERIES, _build_parser, main
+from repro.store.cli import main as store_main
+from repro.telemetry.cli import main
 
 
 @pytest.fixture(scope="module")
@@ -73,14 +75,14 @@ class TestReplay:
 
 
 class TestReport:
-    def test_list_is_store_free_and_leads_with_telemetry_queries(self, capsys):
-        assert _build_parser().parse_args(["report", "--list"]).store is None
-        assert main(["report", "--list"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        leading = [line.split()[0] for line in lines[: len(TELEMETRY_QUERIES)]]
-        assert sorted(leading) == sorted(TELEMETRY_QUERIES)
+    """Recorded telemetry is read with ``repro.store query``, like any store."""
 
-    @pytest.mark.parametrize("argv", [["replay"], ["report", "span-summary"]])
+    def test_store_query_lists_the_telemetry_queries(self, capsys):
+        assert store_main(["query", "--list"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+        assert {"span-summary", "worker-occupancy", "phase-attribution"} <= set(listed)
+
+    @pytest.mark.parametrize("argv", [["replay"]])
     def test_store_reading_commands_need_a_store(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
@@ -88,8 +90,8 @@ class TestReport:
         assert "needs --store DIR" in capsys.readouterr().err
 
     def test_span_summary_over_a_recording(self, recorded_store, capsys):
-        assert main([
-            "report", "span-summary", "--store", str(recorded_store),
+        assert store_main([
+            "query", "span-summary", "--store", str(recorded_store),
             "--param", "campaign=demo",
         ]) == 0
         out = capsys.readouterr().out
@@ -99,25 +101,12 @@ class TestReport:
         self, recorded_store, tmp_path
     ):
         target = tmp_path / "phases.jsonl"
-        assert main([
-            "report", "phase-attribution", "--store", str(recorded_store),
+        assert store_main([
+            "query", "phase-attribution", "--store", str(recorded_store),
             "--out", str(target),
         ]) == 0
         rows = [json.loads(line) for line in target.read_text().splitlines()]
         assert rows and all(row["total_seconds"] > 0 for row in rows)
-
-    def test_bad_query_and_missing_name_are_usage_errors(
-        self, recorded_store, capsys
-    ):
-        assert main(["report", "no-such", "--store", str(recorded_store)]) == 2
-        assert main(["report", "--store", str(recorded_store)]) == 2
-
-    def test_removed_engine_flag_is_a_usage_error(self, recorded_store, capsys):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["report", "span-summary", "--store", str(recorded_store),
-                  "--engine", "py"])
-        assert exit_info.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSmoke:
