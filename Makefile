@@ -27,6 +27,9 @@
 #                              with 2 local workers (mirrors the CI job)
 #   make distributed-smoke-inproc   same smoke tier over inproc:// comms
 #                              (coroutine fleet, no sockets or forks)
+#   make distributed-smoke-forked   same smoke tier on the forked fleet
+#                              --jobs 2 raises (one scheduler, two worker
+#                              processes for the whole run)
 #   make distributed-stress    every smoke digest on a 32-worker inproc
 #                              fleet (--executor inproc:// --workers 32;
 #                              stealing is always on, but whether a steal
@@ -62,7 +65,7 @@ CACHE ?=
 
 SWEEP_ENV = $(if $(JOBS),REPRO_JOBS=$(JOBS)) $(if $(CACHE),REPRO_CACHE_DIR=$(CACHE))
 
-.PHONY: test kernel kernel-check bench perfbench examples scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-stress smoke-digest-check store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
+.PHONY: test kernel kernel-check bench perfbench examples scenarios scenario-smoke distributed-smoke distributed-smoke-inproc distributed-smoke-forked distributed-stress smoke-digest-check store-smoke dashboard-smoke telemetry-smoke lint ci clean runtime-check runtime-goldens
 
 # Port the distributed smoke tier binds its campaign schedulers on.
 DIST_PORT ?= 7641
@@ -122,10 +125,10 @@ scenario-smoke:
 	PYTHONPATH=src $(PYTHON) -m repro.scenarios run --all --smoke
 
 # The same smoke tier scheduled over the tcp:// distributed runtime:
-# two long-lived local workers serve every campaign in turn (they retry
-# until each per-scenario scheduler binds, and self-reap via --max-idle
-# once the run is over). Mirrors the CI distributed-smoke job; digests
-# must match a plain `make scenario-smoke`.
+# two long-lived local workers serve every campaign of the run's one
+# scheduler in turn (they retry until it binds, and self-reap via
+# --max-idle once the run is over). Mirrors the CI distributed-smoke job;
+# digests must match a plain `make scenario-smoke`.
 distributed-smoke:
 	@PYTHONPATH=src $(PYTHON) -m repro.distributed worker tcp://127.0.0.1:$(DIST_PORT) --max-idle 10 & \
 	PYTHONPATH=src $(PYTHON) -m repro.distributed worker tcp://127.0.0.1:$(DIST_PORT) --max-idle 10 & \
@@ -142,6 +145,15 @@ distributed-smoke-inproc:
 	PYTHONPATH=src $(PYTHON) -m repro.scenarios run --all --smoke \
 		--executor inproc:// --output $(SMOKE_DIR)/inproc.json
 	$(MAKE) smoke-digest-check SUMMARY=$(SMOKE_DIR)/inproc.json
+
+# The same smoke tier on the fleet `--jobs N` (and REPRO_JOBS=N) raises:
+# the executor forks its two workers at the first campaign and keeps them
+# and its scheduler until the run ends.  Mirrors the CI distributed-smoke
+# forked matrix leg.
+distributed-smoke-forked:
+	PYTHONPATH=src $(PYTHON) -m repro.scenarios run --all --smoke --jobs 2 \
+		--output $(SMOKE_DIR)/forked.json
+	$(MAKE) smoke-digest-check SUMMARY=$(SMOKE_DIR)/forked.json
 
 # Stress leg: every scenario's smoke tier on a 32-worker inproc fleet
 # (--workers sizes the fleet the inproc:// executor raises), then every
@@ -236,6 +248,7 @@ ci:
 	$(MAKE) examples
 	$(MAKE) scenario-smoke
 	$(MAKE) distributed-smoke-inproc
+	$(MAKE) distributed-smoke-forked
 	$(MAKE) perfbench
 
 clean:

@@ -34,9 +34,13 @@ from repro.scenarios import run_scenario                  # noqa: E402
 
 @pytest.fixture(scope="session")
 def bench_executor():
-    """Executor shared by every benchmark sweep (selected by REPRO_JOBS)."""
+    """Executor shared by every benchmark sweep (selected by REPRO_JOBS).
 
-    return resolve_executor(None)
+    One fleet serves the whole session and is closed at its end.
+    """
+
+    with resolve_executor(None) as executor:
+        yield executor
 
 
 @pytest.fixture

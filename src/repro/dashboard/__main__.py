@@ -138,8 +138,8 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         ]
         for thread in pollers:
             thread.start()
-        executor = DistributedExecutor("inproc://", workers=args.workers)
-        observed = run_scenario(spec, smoke=True, executor=executor)
+        with DistributedExecutor("inproc://", workers=args.workers) as executor:
+            observed = run_scenario(spec, smoke=True, executor=executor)
         stop.set()
         for thread in pollers:
             thread.join(timeout=5.0)

@@ -28,6 +28,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.telemetry import TelemetryBus, get_bus
+from repro.telemetry.bus import Subscription
 
 
 def _scenario_index() -> Dict[str, Any]:
@@ -166,6 +167,12 @@ class DashboardServer:
 
     Also usable as a context manager.  The server thread and every handler
     thread are daemons: an exiting CLI never hangs on a connected poller.
+
+    While it serves, the server holds a subscription to its bus that takes
+    no events (the views read the bus history).  It marks the bus as
+    observed, so span-gated instrumentation -- the harness spans and the
+    distributed workers' forwarded ``worker.*`` spans -- is on for every
+    campaign that starts under the dashboard.
     """
 
     def __init__(
@@ -180,6 +187,7 @@ class DashboardServer:
         self.bus = bus if bus is not None else get_bus()
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
+        self._observer: Optional[Subscription] = None
 
     def start(self) -> "DashboardServer":
         if self._httpd is not None:
@@ -195,11 +203,15 @@ class DashboardServer:
             daemon=True,
         )
         self._thread.start()
+        self._observer = self.bus.subscribe(topics=(), buffer=1)
         return self
 
     def stop(self) -> None:
         if self._httpd is None:
             return
+        if self._observer is not None:
+            self._observer.close()
+            self._observer = None
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:

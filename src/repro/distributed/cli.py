@@ -22,8 +22,9 @@
 Addresses are scheme-prefixed comm addresses (``tcp://HOST:PORT``,
 ``inproc://NAME``; see :mod:`repro.distributed.comm`).  Scenarios run
 through ``python -m repro.scenarios run|sweep`` only: with a distributed
-``--executor`` it binds one campaign scheduler per scenario and prints a
-scheduler-stats line (steals, retries...) to stderr.  The runtime has one
+``--executor`` it binds one scheduler for the whole run -- every scenario
+is one campaign on it -- and prints a scheduler-stats line (steals,
+retries...) to stderr.  The runtime has one
 scheduling policy -- guided leases with work stealing always on -- and fixed
 timings: its heartbeat, retry budget and stall guard are the constants of
 :mod:`repro.distributed.scheduler`, not flags.

@@ -21,15 +21,17 @@ op             direction  meaning
 =============  =========  ==================================================
 ``hello``      w -> s     register; carries ``worker`` (the worker's id)
 ``welcome``    s -> w     registration ack; carries ``heartbeat_interval``
-                          and ``telemetry`` (whether the scheduler wants
-                          span capture + forwarding)
-``request``    w -> s     pull work (also refreshes the heartbeat)
+``request``    w -> s     pull work (also refreshes the heartbeat); with
+                          nothing to give or steal the scheduler *parks* it
+                          and answers once work arrives (or ``idle`` after
+                          half the worker's reply timeout)
 ``task``       s -> w     a lease: the first assignment's ``campaign``,
                           ``index``, ``attempt``, ``cell`` payload, then
                           optional ``extra`` assignments -- ``ceil(pending /
-                          connected workers)`` in all -- plus ``fn``
-                          payload the first time this connection sees the
-                          campaign
+                          connected workers)`` in all -- plus the ``fn``
+                          payload and the boolean ``telemetry`` (capture and
+                          forward spans for this campaign) the first time
+                          this connection sees the campaign
 ``idle``       s -> w     no work right now; retry after ``delay`` seconds
 ``result``     w -> s     a finished cell: ``campaign``, ``index``,
                           ``attempt``, ``outcome`` payload (no ack); sent
@@ -50,7 +52,9 @@ op             direction  meaning
 
 Frames are capped at :data:`MAX_FRAME_BYTES` (64 MB): both the sender and
 the receiver of a frame check it, and an oversized frame is rejected with
-its actual size and the limit in the message.
+its actual size and the limit in the message.  A well-formed frame whose
+field has the wrong type (:func:`int_field`, :func:`int_list_field`) is a
+:class:`ProtocolError` too, which drops only the connection that sent it.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import base64
 import json
 import pickle
 import struct
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.distributed.comm.core import (
     CommClosedError,
@@ -165,6 +169,34 @@ def load_frame(blob: bytes) -> Dict[str, Any]:
     if not isinstance(message, dict) or "op" not in message:
         raise ProtocolError(f"frame is not an op envelope: {message!r}")
     return message
+
+
+def int_field(message: Mapping[str, Any], name: str) -> int:
+    """The integer field ``name`` of ``message``, or a :class:`ProtocolError`.
+
+    A well-formed frame can still carry a malformed value; failing here
+    drops only the connection that sent it.
+    """
+
+    value = message.get(name)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ProtocolError(
+            f"{message.get('op')!r} frame: {name!r} must be an integer, got {value!r}"
+        )
+    return value
+
+
+def int_list_field(message: Mapping[str, Any], name: str) -> List[int]:
+    """The integer-list field ``name`` (empty when absent), or a :class:`ProtocolError`."""
+
+    value = message.get(name, [])
+    if not isinstance(value, list) or any(
+        isinstance(item, bool) or not isinstance(item, int) for item in value
+    ):
+        raise ProtocolError(
+            f"{message.get('op')!r} frame: {name!r} must be a list of integers, got {value!r}"
+        )
+    return value
 
 
 def pack_header(length: int) -> bytes:

@@ -1,9 +1,9 @@
 """The campaign scheduler: a single-event-loop asyncio state machine.
 
-One :class:`Scheduler` owns the cell queue of a *campaign* (one sweep routed
-through the harness) and serves it to workers over the comm layer
-(:mod:`repro.distributed.comm`): ``tcp://`` sockets for real fleets,
-``inproc://`` channels for simulated ones.  Everything runs on **one**
+One :class:`Scheduler` serves *campaigns* (one sweep routed through the
+harness each), one at a time and any number in a row, to workers over the
+comm layer (:mod:`repro.distributed.comm`): ``tcp://`` sockets for real
+fleets, ``inproc://`` channels for simulated ones.  Everything runs on **one**
 asyncio event loop in a background thread -- one coroutine per connection,
 one monitor task -- so a thousand workers cost a thousand small coroutines,
 not a thousand OS threads.
@@ -20,6 +20,13 @@ by work stealing:
   worker's insertion-ordered assignments: the first is the cell the worker
   is running, the rest its unstarted tail, and an entry leaves only when
   the worker's frame for it (``result`` or ``revoked``) arrives.
+* **parked requests**: a request with nothing to give and nothing to steal
+  is not answered ``idle`` at once.  It is parked and answered as soon as a
+  campaign registers or cells are requeued (a worker loss, a confirmed
+  steal), so the fleet moves from one campaign to the next without an
+  :data:`IDLE_DELAY` sleep.  A request parked for :func:`park_timeout`
+  (half the worker's reply timeout) is answered ``idle``, which keeps the
+  worker's ``max_idle`` self-reaping working;
 * **work stealing**: when the global queue is dry, an idle worker's request
   triggers a steal of the larger half of the most-loaded worker's lease
   tail.  This is what corrects a lease after it went out -- a lone early
@@ -44,6 +51,13 @@ by work stealing:
   the cell is failed with a ``WorkerLostError`` outcome that the harness
   surfaces as :class:`~repro.experiments.harness.CellExecutionError`.
 
+Span forwarding is decided once per campaign: at registration the
+scheduler evaluates the span-gating rule on its bus
+(:meth:`SpanRecorder.for_bus <repro.telemetry.spans.SpanRecorder.for_bus>`:
+a live subscriber, or ``REPRO_SPANS``) and sends the answer as the
+``telemetry`` flag of each worker's first ``task`` of the campaign, so an
+unobserved campaign's workers record and forward nothing.
+
 The scheduler keeps no record of finished cells across campaigns: resuming
 a killed campaign is the harness' job, whose cell cache
 (:class:`~repro.experiments.cache.ResultCache`, ``REPRO_CACHE_DIR``) replays
@@ -67,6 +81,7 @@ from itertools import islice
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.distributed import protocol
+from repro.distributed import worker as worker_module
 from repro.distributed.comm import core as comm_core
 from repro.distributed.comm.core import Comm, CommError
 from repro.experiments.grid import Cell, CellOutcome
@@ -81,6 +96,7 @@ from repro.telemetry import (
     get_bus,
 )
 from repro.telemetry.events import SCHEMA_VERSION, worker_topic
+from repro.telemetry.spans import SpanRecorder
 
 #: ``error_type`` recorded on a cell whose retry budget was exhausted by
 #: worker deaths (connection drops / heartbeat timeouts).
@@ -104,6 +120,17 @@ MAX_RETRIES = 3
 #: :meth:`Scheduler.run_campaign` raises :class:`CampaignStalled` when cells
 #: are pending but no worker has been connected for this long (seconds).
 STALL_TIMEOUT = 120.0
+
+
+def park_timeout() -> float:
+    """How long a parked ``request`` waits before it is answered ``idle``.
+
+    Half the worker's reply timeout, read at call time: a parked worker
+    always hears back before it would declare the scheduler dead, and its
+    ``max_idle`` self-reaping still runs between two parks.
+    """
+
+    return worker_module.REPLY_TIMEOUT / 2
 
 
 @dataclass
@@ -157,6 +184,12 @@ class SchedulerStats:
         for key, value in other.counters().items():
             setattr(self, key, getattr(self, key) + value)
 
+    def since(self, earlier: "SchedulerStats") -> "SchedulerStats":
+        """The counters accrued after the snapshot ``earlier`` was taken."""
+
+        before = earlier.counters()
+        return SchedulerStats(**{k: v - before[k] for k, v in self.counters().items()})
+
 
 @dataclass
 class _Assignment:
@@ -184,6 +217,9 @@ class _WorkerConn:
     assignments: Dict[int, _Assignment] = field(default_factory=dict)
     fn_campaign: Optional[str] = None  # campaign the fn payload was sent for
     evicted: bool = False
+    #: Set while this worker's ``request`` is parked: the timer that answers
+    #: it ``idle`` if no work shows up first.
+    park_timer: Optional[asyncio.TimerHandle] = None
     #: Monotonic stamp of the last ``revoke`` push, for steal round-trip spans.
     revoke_sent_at: Optional[float] = None
     # Aggregated from forwarded ``telemetry`` frames (span payloads); feeds
@@ -203,6 +239,9 @@ class _Campaign:
     campaign_id: str
     cells: Sequence[Cell]
     fn_payload: str
+    #: Whether the workers capture and forward their spans for this campaign
+    #: (the span-gating rule, evaluated once at registration).
+    telemetry: bool = False
     pending: Deque[int] = field(default_factory=deque)  # positions awaiting a worker
     done: set = field(default_factory=set)              # positions with a result
     results: Dict[int, CellOutcome] = field(default_factory=dict)
@@ -230,9 +269,10 @@ class Scheduler:
         queue depth, stats snapshots) are published: ``None``
         (default) uses the process-wide bus from
         :func:`repro.telemetry.get_bus`, a :class:`TelemetryBus` targets
-        that bus, ``False`` disables publishing entirely.  Telemetry is
-        observation only and cannot change scheduling decisions or row
-        contents.
+        that bus, ``False`` disables publishing entirely.  Workers capture
+        and forward their spans only for campaigns registered while this
+        bus is observed.  Telemetry is observation only and cannot change
+        scheduling decisions or row contents.
 
     The timings are module constants: :data:`HEARTBEAT_INTERVAL` (sent in
     the ``welcome``), :data:`HEARTBEAT_TIMEOUT`, :data:`MAX_RETRIES` and
@@ -257,6 +297,10 @@ class Scheduler:
 
         self._lock = threading.Condition()
         self._conns: Dict[str, _WorkerConn] = {}
+        #: Workers whose ``request`` found nothing to give and nothing to
+        #: steal, by id, in parking order (event-loop thread only).
+        self._parked: Dict[str, _WorkerConn] = {}
+        self._waking = False
         self._campaign: Optional[_Campaign] = None
         self._closed = False
         self._last_worker_seen = time.monotonic()
@@ -376,11 +420,9 @@ class Scheduler:
         ``concurrent.futures.Future`` of the worker's ``run()``.
         """
 
-        from repro.distributed.worker import AsyncWorker
-
         if self._loop is None:
             raise RuntimeError("scheduler is not started")
-        worker = AsyncWorker(self.address, **worker_kwargs)  # type: ignore[arg-type]
+        worker = worker_module.AsyncWorker(self.address, **worker_kwargs)  # type: ignore[arg-type]
         return asyncio.run_coroutine_threadsafe(worker.run(), self._loop)
 
     # -- campaign execution -------------------------------------------------
@@ -414,6 +456,7 @@ class Scheduler:
             campaign_id=uuid.uuid4().hex[:12],
             cells=cells,
             fn_payload=protocol.encode_payload(fn),
+            telemetry=SpanRecorder.for_bus(self._bus).enabled,
             pending=deque(range(len(cells))),
         )
 
@@ -425,6 +468,12 @@ class Scheduler:
             self._campaign = campaign
             self._last_worker_seen = time.monotonic()
             self._lock.notify_all()
+        loop = self._loop
+        if loop is not None:
+            try:
+                loop.call_soon_threadsafe(self._wake_parked)
+            except RuntimeError:
+                pass  # loop already gone; the stream reports the closed scheduler
         started_at = time.monotonic()
         self._emit(
             TOPIC_SCHEDULER, "campaign-start", campaign=campaign.campaign_id,
@@ -568,15 +617,7 @@ class Scheduler:
             )
             if previous is not None:
                 await previous.comm.close()
-            await comm.send(
-                {
-                    "op": "welcome",
-                    "heartbeat_interval": HEARTBEAT_INTERVAL,
-                    # Advertise span capture + forwarding only when there is
-                    # a bus to re-publish on; workers stay zero-cost otherwise.
-                    "telemetry": self._bus is not None,
-                }
-            )
+            await comm.send({"op": "welcome", "heartbeat_interval": HEARTBEAT_INTERVAL})
             while True:
                 message = await comm.recv()
                 op = message.get("op")
@@ -639,6 +680,9 @@ class Scheduler:
         the per-worker occupancy aggregates.
         """
 
+        dropped = message.get("dropped")
+        if dropped is not None:
+            dropped = protocol.int_field(message, "dropped")
         entries = message.get("events")
         if not isinstance(entries, list):
             return
@@ -672,14 +716,13 @@ class Scheduler:
             if bus is not None:
                 topic = str(entry.get("topic") or "events")
                 bus.publish(worker_topic(conn.worker_id, topic), dict(body))
-        dropped = message.get("dropped")
         with self._lock:
             conn.busy_seconds += busy
             conn.idle_seconds += idle
             conn.overhead_seconds += overhead
             conn.cells_reported += cells
             conn.events_forwarded += accepted
-            if isinstance(dropped, int):
+            if dropped is not None:
                 conn.forward_dropped = dropped
         if truncated:
             self._emit(
@@ -801,12 +844,12 @@ class Scheduler:
         stolen: List[int] = []
         campaign_id = ""
         round_trip: Optional[float] = None
+        removed = protocol.int_list_field(message, "indices")
+        kept = protocol.int_list_field(message, "kept")
         with self._lock:
             if conn.revoke_sent_at is not None:
                 round_trip = time.monotonic() - conn.revoke_sent_at
                 conn.revoke_sent_at = None
-            removed = [int(i) for i in (message.get("indices") or [])]  # type: ignore[union-attr]
-            kept = [int(i) for i in (message.get("kept") or [])]  # type: ignore[union-attr]
             for position in kept:
                 assignment = conn.assignments.get(position)
                 if assignment is not None:
@@ -828,13 +871,15 @@ class Scheduler:
                     requeue.append(position)
                     self.stats.steals += 1
             # Front of the queue, oldest first: stolen cells are older than
-            # anything still pending, and idle workers re-request within
-            # IDLE_DELAY, so they move immediately.
+            # anything still pending; the thief re-requests within
+            # IDLE_DELAY and parked workers are woken, so they move at once.
             for position in reversed(requeue):
                 campaign.pending.appendleft(position)
             stolen = requeue
             campaign_id = campaign.campaign_id
             self._lock.notify_all()
+        if stolen:
+            self._wake_parked()
         if round_trip is not None:
             # Two-phase steal round trip: revoke pushed -> revoked received.
             self._emit(
@@ -848,11 +893,21 @@ class Scheduler:
             )
 
     async def _handle_request(self, conn: _WorkerConn) -> None:
+        """Answer a work request: a lease, a steal (``idle``), or a park.
+
+        A request with nothing to give and nothing to steal is *parked*
+        rather than answered ``idle``: :meth:`_wake_parked` answers it as
+        soon as a campaign registers or cells are requeued, so no
+        :data:`IDLE_DELAY` sleep sits between two campaigns, and
+        :func:`park_timeout` bounds the wait.
+        """
+
         pushes: List[Tuple[_WorkerConn, Dict[str, object]]] = []
         assigned: List[Tuple[int, int]] = []  # (position, attempt)
         steal_victim: Optional[str] = None
         queue_sample: Optional[Dict[str, Any]] = None
         assign_started = time.monotonic() if self._bus is not None else None
+        reply: Optional[Dict[str, object]] = None
         with self._lock:
             campaign = self._campaign
             batch: List[Dict[str, object]] = []
@@ -881,9 +936,12 @@ class Scheduler:
                     reply["extra"] = batch[1:]
                 if conn.fn_campaign != campaign.campaign_id:
                     reply["fn"] = campaign.fn_payload
+                    reply["telemetry"] = campaign.telemetry
                     conn.fn_campaign = campaign.campaign_id
-            else:
+            elif pushes or conn.evicted:
                 reply = {"op": "idle", "delay": IDLE_DELAY}
+            else:
+                self._park(conn)
         if assign_started is not None and assigned:
             # Lock-held selection latency: how long building this worker's
             # batch took (queue pops + steal scan + wire entries).
@@ -909,13 +967,68 @@ class Scheduler:
                 await victim.comm.send(message)
             except (CommError, OSError):
                 pass  # the victim is dying; its cleanup path covers the cells
-        await conn.comm.send(reply)
+        if reply is not None:
+            await conn.comm.send(reply)
+
+    # -- parked requests (event-loop thread only) ----------------------------
+
+    def _park(self, conn: _WorkerConn) -> None:
+        loop = asyncio.get_running_loop()
+        self._unpark(conn)
+        conn.park_timer = loop.call_later(park_timeout(), self._expire_park, conn)
+        self._parked[conn.worker_id] = conn
+
+    def _unpark(self, conn: _WorkerConn) -> bool:
+        """Forget ``conn``'s parked request; True if it had one."""
+
+        if self._parked.get(conn.worker_id) is conn:
+            del self._parked[conn.worker_id]
+        timer, conn.park_timer = conn.park_timer, None
+        if timer is None:
+            return False
+        timer.cancel()
+        return True
+
+    def _expire_park(self, conn: _WorkerConn) -> None:
+        """The park bound passed with no work: answer ``idle``."""
+
+        if self._unpark(conn):
+            asyncio.ensure_future(
+                self._send_quietly(conn.comm, {"op": "idle", "delay": IDLE_DELAY})
+            )
+
+    @staticmethod
+    async def _send_quietly(comm: Comm, message: Dict[str, object]) -> None:
+        try:
+            await comm.send(message)
+        except (CommError, OSError):
+            pass  # the connection is dying; its serve task cleans up
+
+    def _wake_parked(self) -> None:
+        """Re-run every parked request: work was registered or requeued."""
+
+        if self._parked and not self._waking:
+            self._waking = True
+            asyncio.ensure_future(self._serve_parked())
+
+    async def _serve_parked(self) -> None:
+        self._waking = False
+        for conn in list(self._parked.values()):
+            if self._unpark(conn):
+                try:
+                    await self._handle_request(conn)  # may park it again
+                except (CommError, OSError):
+                    pass  # the connection is dying; its serve task cleans up
 
     # -- results ------------------------------------------------------------
 
     async def _handle_result(self, conn: _WorkerConn, message: Dict[str, object]) -> None:
+        position = protocol.int_field(message, "index")
         outcome = protocol.decode_payload(str(message.get("outcome")))
-        position = int(message.get("index", -1))  # type: ignore[arg-type]
+        if not isinstance(outcome, CellOutcome):
+            raise protocol.ProtocolError(
+                f"'result' frame: outcome is a {type(outcome).__name__}, not a CellOutcome"
+            )
         queue_sample: Optional[Dict[str, Any]] = None
         with self._lock:
             campaign = self._campaign
@@ -959,6 +1072,7 @@ class Scheduler:
         started and goes back to the queue free.
         """
 
+        self._unpark(conn)
         with self._lock:
             if self._conns.get(conn.worker_id) is conn:
                 del self._conns[conn.worker_id]
@@ -1015,3 +1129,5 @@ class Scheduler:
                 TOPIC_WORKERS, "worker-left", worker=conn.worker_id,
                 workers=workers, requeued=len(requeue), failed=failed,
             )
+        if requeue:
+            self._wake_parked()

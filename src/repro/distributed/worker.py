@@ -7,7 +7,9 @@ scheduler (:mod:`repro.distributed.scheduler`):
   heartbeat interval);
 * loop: ``request`` work; a ``task`` reply may carry several assignments
   (the *lease*, a guided share of the scheduler's queue), an ``idle`` reply
-  means sleep briefly and re-request;
+  means sleep briefly and re-request.  With nothing to give the scheduler
+  holds the request until work arrives, so a worker between two campaigns
+  waits without polling;
 * a lease is run by one *drain loop* in one thread hop (``run_in_executor``;
   ``inline=True`` runs the same loop on the event loop thread).  It pops
   each entry under a lock, runs the cell, and sends the result (telemetry
@@ -24,14 +26,16 @@ scheduler (:mod:`repro.distributed.scheduler`):
 * a heartbeat task keeps ``heartbeat`` frames flowing on the same comm
   while the drain runs (the event loop -- and with it heartbeats and
   revokes -- stays live during long cells);
-* when the ``welcome`` advertises ``telemetry``, the worker times each
-  cell's deserialize / execute / serialize phases plus its own idle waits
-  with monotonic spans on a private local bus; the drain forwards them in
-  an additive ``telemetry`` frame before each result, and a pump task
-  covers idle periods.  The scheduler re-publishes them under
-  ``worker.<id>.*`` topics; see :meth:`Scheduler._handle_telemetry`.
-  Telemetry frames are fire-and-forget metadata: results and digests are
-  identical with them on or off.
+* when a campaign's first ``task`` sets ``telemetry`` (the scheduler's
+  bus has a live subscriber, or ``REPRO_SPANS`` is set), the worker times
+  each cell's deserialize / execute / serialize phases plus its own idle
+  waits with monotonic spans on a private local bus; the drain forwards
+  them in an additive ``telemetry`` frame before each result, and a pump
+  task covers idle periods.  The scheduler re-publishes them under
+  ``worker.<id>.*`` topics; see :meth:`Scheduler._handle_telemetry`.  An
+  unobserved campaign reads no clock and sends no such frame.  Telemetry
+  frames are fire-and-forget metadata: results and digests are identical
+  with them on or off.
 
 The cell function travels pickled inside the first ``task`` of each
 campaign and is cached for the campaign's duration, so it must either be
@@ -115,8 +119,9 @@ class AsyncWorker:
         self.worker_id = worker_id or default_worker_id()
         self.max_idle = max_idle
         self.log = log or (lambda message: None)
-        #: Span capture + forwarding: None follows the scheduler's welcome
-        #: advertisement (on iff the scheduler has a bus), False forces off.
+        #: Span capture + forwarding: None follows the flag of each campaign's
+        #: first ``task`` (on iff the scheduler's bus is observed), False
+        #: forces it off.
         self.telemetry = telemetry
         #: Drain leases inline on the event loop instead of a thread.  Only
         #: sensible for simulated fleets with cheap cells: it skips the
@@ -134,8 +139,10 @@ class AsyncWorker:
         self._fn: Tuple[Optional[str], Optional[Callable[[Cell], CellOutcome]]] = (None, None)
         self._idle_delay: Optional[float] = None
         self._wake: Optional[asyncio.Event] = None
+        self._heartbeat_interval = 1.0
         self._spans = SpanRecorder(None)
         self._telemetry_sub: Optional[Subscription] = None
+        self._pump: Optional["asyncio.Task"] = None
 
     # -- outer loop ---------------------------------------------------------
 
@@ -179,20 +186,17 @@ class AsyncWorker:
         self._wake = asyncio.Event()
         self._spans = SpanRecorder(None)
         self._telemetry_sub = None
+        self._pump = None
 
         await comm.send({"op": "hello", "worker": self.worker_id})
-        welcome = await asyncio.wait_for(comm.recv(), timeout=REPLY_TIMEOUT)
+        welcome = await self._recv_within(comm, REPLY_TIMEOUT)
         if welcome.get("op") != "welcome":
             raise protocol.ProtocolError(f"expected welcome, got {welcome!r}")
-        heartbeat_interval = float(welcome.get("heartbeat_interval", 1.0))
-        telemetry_on = bool(welcome.get("telemetry")) and self.telemetry is not False
-        if telemetry_on:
-            # A private local bus: spans land here first, the pump batches
-            # them into telemetry frames.  Bounded everywhere -- a burst
-            # beyond the buffer drops oldest events, never blocks a cell.
-            local_bus = TelemetryBus(history=64, subscriber_buffer=TELEMETRY_BUFFER)
-            self._telemetry_sub = local_bus.subscribe()
-            self._spans = SpanRecorder(local_bus, worker=self.worker_id)
+        try:
+            heartbeat_interval = float(welcome.get("heartbeat_interval", 1.0))
+        except (TypeError, ValueError):
+            raise protocol.ProtocolError(f"bad heartbeat interval in {welcome!r}") from None
+        self._heartbeat_interval = heartbeat_interval
         self.log(f"worker {self.worker_id} connected to {self.address}")
 
         reader = asyncio.create_task(self._reader(comm))
@@ -203,12 +207,6 @@ class AsyncWorker:
         wake = self._wake
         reader.add_done_callback(lambda _task: wake.set())
         beat = asyncio.create_task(self._heartbeat(comm, heartbeat_interval))
-        pump: Optional["asyncio.Task"] = None
-        if telemetry_on:
-            pump = asyncio.create_task(
-                self._telemetry_pump(comm, max(heartbeat_interval, 0.1))
-            )
-        tasks = tuple(task for task in (reader, beat, pump) if task is not None)
         try:
             while True:
                 if self._backlog:
@@ -221,40 +219,72 @@ class AsyncWorker:
                 if not pulled:
                     return  # idled out; bye already sent
         finally:
+            tasks = [task for task in (reader, beat, self._pump) if task is not None]
             for task in tasks:
                 task.cancel()
-            for task in tasks:
-                try:
-                    await task
-                except (asyncio.CancelledError, CommError, OSError):
-                    pass
+            # gather, not a try/except per task: a cancellation of this
+            # worker arriving meanwhile must propagate, not be swallowed.
+            await asyncio.gather(*tasks, return_exceptions=True)
+
+    @staticmethod
+    async def _recv_within(comm: Comm, timeout: float) -> Dict[str, Any]:
+        """``comm.recv()`` bounded by ``timeout``.
+
+        Not ``asyncio.wait_for``: on Python < 3.12 it swallows a
+        cancellation that lands as the frame arrives, and a worker that
+        survives its cancellation keeps a closing fleet waiting.
+        """
+
+        recv = asyncio.ensure_future(comm.recv())
+        try:
+            done, _ = await asyncio.wait({recv}, timeout=timeout)
+        finally:
+            recv.cancel()
+        if not done:
+            raise asyncio.TimeoutError
+        return recv.result()
 
     async def _pull(self, comm: Comm, reader: "asyncio.Task") -> bool:
         """Request work until the backlog is non-empty; False = disconnect."""
 
-        assert self._wake is not None
+        wake = self._wake
+        assert wake is not None
+        loop = asyncio.get_running_loop()
         while not self._backlog:
             self._raise_if_dead(reader)
-            self._wake.clear()
+            wake.clear()
             if self._backlog:  # arrived between the check and the clear
                 return True
             await comm.send({"op": "request"})
+            # A timer rather than asyncio.wait_for (see _recv_within): no
+            # task per request, and no swallowed cancellation.
+            expired = False
+
+            def expire() -> None:
+                nonlocal expired
+                expired = True
+                wake.set()
+
+            timer = loop.call_later(REPLY_TIMEOUT, expire)
             try:
-                await asyncio.wait_for(self._wake.wait(), timeout=REPLY_TIMEOUT)
-            except asyncio.TimeoutError:
-                raise protocol.ConnectionClosed(
-                    f"scheduler at {self.address} did not answer a work request "
-                    f"within {REPLY_TIMEOUT:.0f}s"
-                ) from None
+                while not (self._backlog or self._idle_delay is not None or reader.done()):
+                    if expired:
+                        raise protocol.ConnectionClosed(
+                            f"scheduler at {self.address} did not answer a work "
+                            f"request within {REPLY_TIMEOUT:g}s"
+                        )
+                    wake.clear()
+                    await wake.wait()
+            finally:
+                timer.cancel()
             self._raise_if_dead(reader)
             if self._backlog:
                 return True
-            if self._idle_delay is not None:
-                delay, self._idle_delay = self._idle_delay, None
-                if self._idled_out():
-                    await comm.send({"op": "bye", "worker": self.worker_id})
-                    return False
-                await asyncio.sleep(delay)
+            delay, self._idle_delay = self._idle_delay, None
+            if self._idled_out():
+                await comm.send({"op": "bye", "worker": self.worker_id})
+                return False
+            await asyncio.sleep(delay)
         return True
 
     @staticmethod
@@ -275,21 +305,33 @@ class AsyncWorker:
             if op == "task":
                 campaign = str(message.get("campaign"))
                 if "fn" in message:
+                    telemetry = message.get("telemetry")
+                    if not isinstance(telemetry, bool):
+                        raise protocol.ProtocolError(
+                            f"'task' frame: 'telemetry' must be a boolean, got {telemetry!r}"
+                        )
                     self._fn = (campaign, protocol.decode_payload(str(message["fn"])))
-                entries = [message] + list(message.get("extra") or [])
+                    self._campaign_telemetry(comm, telemetry)
+                extra = message.get("extra", [])
+                if not isinstance(extra, list) or not all(isinstance(e, dict) for e in extra):
+                    raise protocol.ProtocolError(f"'task' frame: bad 'extra' {extra!r}")
+                entries = [
+                    {
+                        "campaign": campaign,
+                        "index": protocol.int_field(entry, "index"),
+                        "attempt": protocol.int_field(entry, "attempt"),
+                        "cell": entry.get("cell"),
+                    }
+                    for entry in [message] + extra
+                ]
                 with self._backlog_lock:
-                    self._backlog.extend(
-                        {
-                            "campaign": campaign,
-                            "index": int(entry.get("index", -1)),
-                            "attempt": int(entry.get("attempt", 0)),
-                            "cell": entry.get("cell"),
-                        }
-                        for entry in entries
-                    )
+                    self._backlog.extend(entries)
                 self._wake.set()
             elif op == "idle":
-                self._idle_delay = float(message.get("delay", 0.05))
+                delay = message.get("delay", 0.05)
+                if isinstance(delay, bool) or not isinstance(delay, (int, float)):
+                    raise protocol.ProtocolError(f"'idle' frame: bad 'delay' {delay!r}")
+                self._idle_delay = float(delay)
                 self._wake.set()
             elif op == "revoke":
                 await comm.send(self._revoke(message))
@@ -300,7 +342,7 @@ class AsyncWorker:
         """Drop the revoked entries not yet popped; build the confirmation."""
 
         campaign = str(message.get("campaign"))
-        requested = [int(index) for index in (message.get("indices") or [])]
+        requested = protocol.int_list_field(message, "indices")
         drop = set(requested)
         removed: Set[int] = set()
         with self._backlog_lock:  # the drain cannot pop meanwhile
@@ -332,6 +374,34 @@ class AsyncWorker:
             return  # main loop will observe the dead comm itself
 
     # -- telemetry forwarding ------------------------------------------------
+
+    def _campaign_telemetry(self, comm: Comm, enabled: bool) -> None:
+        """Capture and forward spans for the campaign that starts now, or not.
+
+        The scheduler decides once per campaign (its bus is observed or
+        ``REPRO_SPANS`` is set); an unobserved campaign reads no clock and
+        sends no ``telemetry`` frame.  Called on the event loop, between
+        leases, so no drain is reading the recorder meanwhile.
+        """
+
+        if not enabled or self.telemetry is False:
+            self._spans = SpanRecorder(None)
+            self._telemetry_sub = None
+            if self._pump is not None:
+                self._pump.cancel()
+                self._pump = None
+            return
+        if self._telemetry_sub is None:
+            # A private local bus: spans land here first, the pump batches
+            # them into telemetry frames.  Bounded everywhere -- a burst
+            # beyond the buffer drops oldest events, never blocks a cell.
+            local_bus = TelemetryBus(history=64, subscriber_buffer=TELEMETRY_BUFFER)
+            self._telemetry_sub = local_bus.subscribe()
+            self._spans = SpanRecorder(local_bus, worker=self.worker_id)
+        if self._pump is None:
+            self._pump = asyncio.create_task(
+                self._telemetry_pump(comm, max(self._heartbeat_interval, 0.1))
+            )
 
     async def _telemetry_pump(self, comm: Comm, interval: float) -> None:
         """Periodically relay locally-buffered telemetry to the scheduler.

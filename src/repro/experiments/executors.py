@@ -54,7 +54,13 @@ class ExecutorSpecError(ValueError):
 
 
 class Executor:
-    """Maps a cell function over cells, yielding outcomes in order."""
+    """Maps a cell function over cells, yielding outcomes in order.
+
+    Whoever opens an executor closes it: :meth:`close` (or leaving a
+    ``with`` block) releases what the backend keeps between ``map`` calls
+    -- nothing for the serial one, a scheduler and a worker fleet for the
+    distributed one.
+    """
 
     name = "executor"
 
@@ -64,6 +70,15 @@ class Executor:
         cells: Sequence[Cell],
     ) -> Iterator[CellOutcome]:
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release the backend's resources (a no-op unless it keeps any)."""
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.experiments.cache import ResultCache
-from repro.experiments.executors import ExecutorSpec, resolve_executor
+from repro.experiments.executors import Executor, ExecutorSpec, resolve_executor
 from repro.experiments.grid import Cell, CellFunction, CellOutcome, RunFunction, expand_grid
 from repro.metrics.aggregate import StreamingAggregator, Summary, aggregate_runs, group_by
 
@@ -235,7 +235,10 @@ def run_experiment(
         integer worker count (``N > 1`` forks a local fleet), ``"auto"``
         (one worker per CPU), a ``tcp://host:port`` distributed-scheduler
         bind address, an ``inproc://name`` address, or an
-        :class:`~repro.experiments.executors.Executor` instance.
+        :class:`~repro.experiments.executors.Executor` instance.  An
+        executor resolved here (from a spec or ``REPRO_JOBS``) is closed
+        when the sweep ends; an instance stays open for its owner to reuse
+        and close.
     cache:
         ``None`` (use ``REPRO_CACHE_DIR``, default no cache), a directory
         path or a :class:`~repro.experiments.cache.ResultCache`.  Cached
@@ -272,6 +275,7 @@ def run_experiment(
     with spans.span("harness.expand"):
         cells = expand_grid(parameters, repetitions=repetitions, base_seed=base_seed)
     backend = resolve_executor(executor)
+    owned = not isinstance(executor, Executor)
     store = ResultCache.coerce(cache) if cache is not None else ResultCache.from_env()
     row_sink = coerce_sink(sink)
     notify = FanoutListener([get_bus(), listener])
@@ -331,16 +335,15 @@ def run_experiment(
                     row_sink.write(name, cell, outcome, version)
                 notify.on_row(name, cell, row, outcome)
     finally:
-        # Release the executor deterministically: generator-based backends
-        # hold real resources at their final yield (a bound TCP port and
-        # forked workers for the distributed executor), and an abandoned
-        # suspended generator only tears them down whenever
-        # reference-counting happens to collect it -- too late for the next
-        # campaign re-binding the same port, and never while a
-        # CellExecutionError traceback keeps the frame alive.
+        # End the campaign deterministically: an abandoned suspended stream
+        # only ends it whenever reference-counting happens to collect it --
+        # never while a CellExecutionError traceback keeps the frame alive,
+        # so the executor's next map would find it still streaming.
         close = getattr(live, "close", None)
         if close is not None:
             close()
+        if owned:
+            backend.close()  # a fleet resolved here dies with the sweep
         if row_sink is not None:
             row_sink.flush()
         spans.flush()

@@ -385,7 +385,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if not specs:
         print("no scenarios matched", file=sys.stderr)
         return 2
-    with _observed(args, executor):
+    with executor, _observed(args, executor):
         return run_specs(
             specs, smoke=args.smoke, executor=executor, output=args.output,
             sink=sink, out=args.out, out_format=args.out_format,
@@ -406,7 +406,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     sweep = dict(spec.smoke_spec().sweep if args.smoke else spec.sweep)
     sweep.update(axes)
     try:
-        with _observed(args, executor):
+        with executor, _observed(args, executor):
             result = run_scenario(
                 spec,
                 smoke=args.smoke,

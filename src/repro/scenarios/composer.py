@@ -628,10 +628,13 @@ def check_policy_kinds(spec: ScenarioSpec) -> None:
     Checks ``policy.kind`` against the kinds the model reads, and every
     queue-policy name in ``policy.initial``, ``policy.switches`` and
     ``policy.local_policy`` against :func:`policy_names`.  An ``offline``
-    scenario whose arrival component releases jobs over time accepts only
-    the kinds that honour release dates.  Both the spec's own values and
-    every sweep-axis value are checked, once per scenario, before any cell
-    runs.  Raises :class:`SpecError` naming the accepted names.
+    scenario that releases jobs over time -- through its arrival component
+    or through a workload that carries release dates (``swf``,
+    ``swf-roundtrip``, and ``community`` unless ``online`` is false) --
+    accepts only the kinds that honour release dates.  Both the spec's own
+    values and every sweep-axis value are checked, once per scenario,
+    before any cell runs.  Raises :class:`SpecError` naming the accepted
+    names.
     """
 
     accepted = _accepted_policy_kinds(spec.model)
@@ -642,15 +645,14 @@ def check_policy_kinds(spec: ScenarioSpec) -> None:
                 f"scenario {spec.name!r}: model {spec.model!r} cannot run "
                 f"policy.kind {kind!r}; not one of {accepted}"
             )
-    arrivals = [spec.arrival.kind, *spec.sweep.get("arrival.kind", ())]
-    released = [kind for kind in arrivals if kind not in (*NO_ARRIVAL_KINDS, "offline")]
+    released = _release_sources(spec)
     if spec.model == "offline" and released:
         release_aware = [*RELEASE_AWARE_OFFLINE_KINDS, "default"]
         for kind in kinds:
             if kind not in release_aware:
                 raise SpecError(
                     f"scenario {spec.name!r}: policy.kind {kind!r} ignores release "
-                    f"dates, but arrival {released[0]!r} releases jobs over time; "
+                    f"dates, but {released[0]} releases jobs over time; "
                     f"the kinds that honour release dates are {release_aware}"
                 )
     queue = policy_names()
@@ -665,6 +667,25 @@ def check_policy_kinds(spec: ScenarioSpec) -> None:
                         f"scenario {spec.name!r}: policy.{param} names "
                         f"{name!r}; not one of {queue}"
                     )
+
+
+#: Workload kinds whose jobs always carry their own release dates.
+RELEASING_WORKLOAD_KINDS = ("swf", "swf-roundtrip")
+
+
+def _release_sources(spec: ScenarioSpec) -> List[str]:
+    """What releases the scenario's jobs over time, spec values and axes alike."""
+
+    arrivals = [spec.arrival.kind, *spec.sweep.get("arrival.kind", ())]
+    sources = [
+        f"arrival {kind!r}" for kind in arrivals if kind not in (*NO_ARRIVAL_KINDS, "offline")
+    ]
+    workloads = [spec.workload.kind, *spec.sweep.get("workload.kind", ())]
+    online = [spec.workload.params.get("online", True), *spec.sweep.get("workload.online", ())]
+    for kind in workloads:
+        if kind in RELEASING_WORKLOAD_KINDS or (kind == "community" and any(map(bool, online))):
+            sources.append(f"workload {kind!r}")
+    return sources
 
 
 #: Models whose runner drives an event simulator and therefore has a

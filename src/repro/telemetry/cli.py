@@ -135,8 +135,7 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
     store = CampaignStore(store_dir, campaign="fleet")
     recorder = TelemetryRecorder(store, campaign="fleet")
     address = "tcp://127.0.0.1:0" if args.comm == "tcp" else "inproc://"
-    with recorder:
-        executor = DistributedExecutor(address, workers=args.workers)
+    with recorder, DistributedExecutor(address, workers=args.workers) as executor:
         recorded = run_scenario(spec, smoke=True, executor=executor)
     recorded_digest = rows_digest(recorded.rows)
     print(

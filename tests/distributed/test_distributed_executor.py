@@ -305,3 +305,117 @@ class TestScenarioDigests:
         # worker ends up running a cell.
         distributed = run_scenario(spec, smoke=True, executor=executor)
         assert rows_digest(distributed.rows) == rows_digest(serial.rows)
+
+
+def _fleet_cell(seed, x):
+    return {"y": float(x * 7 + seed % 11)}
+
+
+class TestOneFleetPerExecutor:
+    """The scheduler and fleet outlive a campaign; ``close`` ends them."""
+
+    def test_one_fleet_serves_five_consecutive_maps(self, monkeypatch):
+        executor = fast_executor(monkeypatch, workers=2)
+        with executor:
+            pids = None
+            for campaign in range(5):
+                grid = {"x": list(range(campaign * 3, campaign * 3 + 6))}
+                serial = run_experiment("fleet", _fleet_cell, grid, repetitions=2,
+                                        base_seed=campaign, executor="serial")
+                result = run_experiment("fleet", _fleet_cell, grid, repetitions=2,
+                                        base_seed=campaign, executor=executor)
+                assert result.rows == serial.rows
+                current = [process.pid for process in executor.processes]
+                assert len(current) == 2
+                assert pids is None or current == pids  # nothing was re-forked
+                pids = current
+            assert executor.stats.workers_joined == 2
+            assert executor.stats.results == 5 * 12
+        assert executor.processes == []
+
+    def test_last_stats_counts_only_its_own_campaign(self):
+        fn = CellFunction(_fleet_cell)
+        with DistributedExecutor("inproc://", workers=2) as executor:
+            for size in (4, 7, 3):
+                cells = expand_grid({"x": list(range(size))}, repetitions=1)
+                assert len(list(executor.map(fn, cells))) == size
+                assert executor.last_stats.results == size
+                assert executor.last_stats.duplicates == 0
+            assert executor.stats.results == 14
+
+    def test_a_second_map_while_one_streams_is_refused(self):
+        fn = CellFunction(_fleet_cell)
+        cells = expand_grid({"x": [1, 2, 3]}, repetitions=1)
+        with DistributedExecutor("inproc://", workers=1) as executor:
+            stream = executor.map(fn, cells)
+            next(stream)
+            with pytest.raises(RuntimeError, match="still streaming"):
+                executor.map(fn, cells)
+            stream.close()
+            assert [o.metrics for o in executor.map(fn, cells)] == [fn(c).metrics for c in cells]
+
+    @pytest.mark.parametrize("address", ["tcp://127.0.0.1:0", "inproc://"])
+    def test_an_idle_fleet_serves_the_next_map_at_full_size(self, address, monkeypatch):
+        # Parked requests are answered idle after half the reply timeout,
+        # so the workers self-reap after max_idle; the next map raises them
+        # again without spending the crash-respawn budget.
+        fast_timings(monkeypatch, worker_max_idle=0.5, reply_timeout=2.0)
+        fn = CellFunction(_fleet_cell)
+        cells = expand_grid({"x": list(range(8))}, repetitions=1)
+        expected = [fn(cell).metrics for cell in cells]
+        with DistributedExecutor(address, workers=2) as executor:
+            assert [o.metrics for o in executor.map(fn, cells)] == expected
+            fleet = executor._fleet
+            budget = fleet.respawns_left
+            assert _wait_for(lambda: not any(fleet._alive(h) for h in fleet.handles))
+            assert not any(fleet._crashed(handle) for handle in fleet.handles)
+            assert [o.metrics for o in executor.map(fn, cells)] == expected
+            # Two fresh workers joined for the second map (a loaded host may
+            # reap and replace one more mid-campaign), and none was charged.
+            assert executor.last_stats.workers_joined >= 2
+            assert len(fleet.handles) == 2
+            assert fleet.respawns_left == budget
+
+    def test_run_experiment_closes_the_fleet_it_resolved(self):
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
+        result = run_experiment("owned", _fleet_cell, {"x": [1, 2, 3, 4]},
+                                repetitions=2, executor=2)
+        assert len(result.rows) == 8
+        assert set(multiprocessing.active_children()) - before == set()
+
+    def test_an_unclosed_tcp_fleet_exits_with_its_process(self, tmp_path):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = tmp_path / "unclosed.py"
+        script.write_text(
+            "from repro.distributed import DistributedExecutor\n"
+            "from repro.experiments.grid import CellFunction, expand_grid\n"
+            "def cell(seed, x):\n"
+            "    return {'y': x}\n"
+            "executor = DistributedExecutor(workers=2)\n"
+            "cells = expand_grid({'x': [1, 2, 3]}, repetitions=1)\n"
+            "assert len(list(executor.map(CellFunction(cell), cells))) == 3\n"
+            "print(' '.join(str(p.pid) for p in executor.processes), flush=True)\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        started = time.monotonic()
+        done = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert time.monotonic() - started < 15.0
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 2
+
+        def live(pid):
+            try:
+                state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            except (OSError, IndexError):
+                return False
+            return state != "Z"
+
+        assert _wait_for(lambda: not any(live(pid) for pid in pids), timeout=5.0)

@@ -10,14 +10,17 @@ socket and the scheduler notices immediately).
 
 from __future__ import annotations
 
+import logging
 import socket
 import threading
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import ConnectionClosed, DistributedExecutor, Scheduler, protocol
-from repro.distributed.scheduler import WORKER_LOST, CampaignStalled
+from repro.distributed.scheduler import IDLE_DELAY, WORKER_LOST, CampaignStalled
 from repro.experiments.grid import CellFunction, expand_grid
 from tests.distributed.timings import fast_timings
 from tests.distributed.wire import recv_message, send_message
@@ -298,7 +301,8 @@ class TestWelcome:
         with Scheduler() as scheduler:
             worker = FakeWorker(scheduler.address, "greeted")
             try:
-                assert set(worker.welcome) == {"op", "heartbeat_interval", "telemetry"}
+                # The span flag travels per campaign, in the first task.
+                assert set(worker.welcome) == {"op", "heartbeat_interval"}
                 # The interval is the (patched) module constant.
                 assert worker.welcome["heartbeat_interval"] == 0.1
             finally:
@@ -353,3 +357,176 @@ class TestWorkerReconnectPromptness:
         elapsed = asyncio.run(scenario())
         # max_idle (0.5s) plus slack; a wedge would take reply_timeout (5s).
         assert elapsed < 3.0, f"worker wedged on a dead connection ({elapsed:.1f}s)"
+
+
+class TestParkedRequests:
+    """A request with nothing to give or steal waits for work, bounded."""
+
+    def test_a_request_before_any_campaign_is_answered_when_one_registers(self, monkeypatch):
+        fast_timings(monkeypatch, heartbeat_interval=0.1, heartbeat_timeout=5.0)
+        cells = expand_grid({"x": [1, 2]}, repetitions=1)
+        results, errors = [], []
+        with Scheduler(telemetry=False) as scheduler:
+            worker = FakeWorker(scheduler.address, "early")
+            consumer = threading.Thread(
+                target=collect_campaign, args=(scheduler, cells, results, errors)
+            )
+            try:
+                send_message(worker.sock, {"op": "request"})
+                worker.sock.settimeout(0.3)
+                with pytest.raises(socket.timeout):
+                    recv_message(worker.sock)  # parked: no idle reply, no sleep
+                worker.sock.settimeout(5.0)
+                consumer.start()
+                task = recv_message(worker.sock)
+                assert task["op"] == "task" and "fn" in task
+                assert task["telemetry"] is False  # nobody observes this campaign
+                assert lease_indices(task) == [0, 1]
+                finish_lease(worker, task)
+                consumer.join(timeout=10.0)
+                assert not consumer.is_alive() and not errors and len(results) == 2
+            finally:
+                worker.close()
+
+    def test_a_parked_request_is_answered_idle_within_the_reply_timeout(self, monkeypatch):
+        fast_timings(monkeypatch, heartbeat_interval=0.1, heartbeat_timeout=5.0,
+                     reply_timeout=0.4)
+        with Scheduler(telemetry=False) as scheduler:
+            worker = FakeWorker(scheduler.address, "waiting")
+            try:
+                started = time.monotonic()
+                send_message(worker.sock, {"op": "request"})
+                assert recv_message(worker.sock) == {"op": "idle", "delay": IDLE_DELAY}
+                assert 0.1 < time.monotonic() - started < 0.4
+            finally:
+                worker.close()
+
+
+def _bad_scalars():
+    return st.one_of(
+        st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    )
+
+
+def _bad_int_lists():
+    return st.one_of(
+        _bad_scalars().filter(lambda value: value is not None),
+        st.lists(_bad_scalars(), min_size=1, max_size=3),
+        st.lists(st.integers(0, 3), max_size=2).flatmap(
+            lambda good: _bad_scalars().map(lambda bad: good + [bad])
+        ),
+    )
+
+
+def malformed_frames():
+    """Well-formed envelopes whose field values have the wrong type."""
+
+    return st.one_of(
+        _bad_scalars().map(lambda value: {"op": "result", "index": value, "outcome": ""}),
+        _bad_int_lists().map(lambda value: {"op": "revoked", "indices": value}),
+        _bad_int_lists().map(lambda value: {"op": "revoked", "indices": [], "kept": value}),
+        _bad_scalars().filter(lambda value: value is not None).map(
+            lambda value: {"op": "telemetry", "events": [], "dropped": value}
+        ),
+    )
+
+
+class _ErrorLog(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+class TestMalformedFieldValues:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(frame=malformed_frames())
+    def test_a_bad_field_drops_only_its_connection(self, frame, monkeypatch):
+        fast_timings(monkeypatch, heartbeat_interval=0.1, heartbeat_timeout=5.0)
+        errors_logged = _ErrorLog()
+        logging.getLogger("asyncio").addHandler(errors_logged)
+        cells = expand_grid({"x": [1, 2]}, repetitions=1)
+        results, errors = [], []
+        scheduler = Scheduler(telemetry=False).start()
+        consumer = threading.Thread(
+            target=collect_campaign, args=(scheduler, cells, results, errors)
+        )
+        consumer.start()
+        bad = good = None
+        try:
+            bad = FakeWorker(scheduler.address, "bad")
+            lease = bad.take_cell()
+            assert lease_indices(lease) == [0, 1]
+            send_message(bad.sock, {**frame, "campaign": lease["campaign"]})
+            bad.sock.settimeout(5.0)
+            with pytest.raises(ConnectionClosed):
+                recv_message(bad.sock)  # dropped by the scheduler
+
+            good = FakeWorker(scheduler.address, "good")
+            finish_lease(good, good.take_cell())
+            consumer.join(timeout=10.0)
+            assert not consumer.is_alive() and not errors
+            assert [outcome.metrics for outcome in results] == [
+                CellFunction(plain_cell)(cell).metrics for cell in cells
+            ]
+            assert scheduler.stats.retries == 1  # the lease came back, head charged
+        finally:
+            for worker in (bad, good):
+                if worker is not None:
+                    worker.close()
+            scheduler.close()
+            consumer.join(timeout=5.0)
+            logging.getLogger("asyncio").removeHandler(errors_logged)
+        assert not errors_logged.records, [r.getMessage() for r in errors_logged.records]
+
+    @pytest.mark.parametrize("flag", ["yes", 1, None, [True]])
+    def test_a_worker_drops_a_task_whose_span_flag_is_not_a_boolean(self, flag, monkeypatch):
+        import asyncio
+
+        from repro.distributed.comm import core as comm_core
+        from repro.distributed.worker import AsyncWorker
+
+        fast_timings(monkeypatch, reconnect_delay=0.05, reply_timeout=5.0)
+        cell = expand_grid({"x": [1]}, repetitions=1)[0]
+        task = {
+            "op": "task", "campaign": "c1", "index": 0, "attempt": 1,
+            "cell": protocol.encode_payload(cell),
+            "fn": protocol.encode_payload(CellFunction(plain_cell)),
+            "telemetry": flag,
+        }
+
+        async def scenario():
+            hellos = []
+
+            async def serve(comm):
+                message = await comm.recv()
+                hellos.append(message["op"])
+                await comm.send({"op": "welcome", "heartbeat_interval": 0.2})
+                try:
+                    while True:
+                        message = await comm.recv()
+                        if message["op"] == "request":
+                            await comm.send(task)
+                        assert message["op"] != "result", "ran a malformed task"
+                except Exception:
+                    await comm.close()
+
+            listener = comm_core.listener("inproc://", serve)
+            await listener.start()
+            worker = AsyncWorker(listener.address, max_idle=30.0)
+            run = asyncio.create_task(worker.run())
+            deadline = time.monotonic() + 5.0
+            while len(hellos) < 2 and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            run.cancel()
+            await asyncio.gather(run, return_exceptions=True)
+            await listener.stop()
+            return hellos, worker.cells_executed
+
+        hellos, executed = asyncio.run(scenario())
+        assert hellos[:2] == ["hello", "hello"]  # dropped the comm, reconnected
+        assert executed == 0

@@ -2,8 +2,9 @@
 
 The contracts pinned here:
 
-* a worker serving a bus-backed scheduler forwards its local span events,
-  which reappear on the scheduler bus under ``worker.<id>.*`` topics;
+* a worker serving a scheduler whose bus is observed (it has a live
+  subscriber) forwards its local span events, which reappear on the
+  scheduler bus under ``worker.<id>.*`` topics;
 * the scheduler aggregates forwarded spans into per-worker busy/idle/
   overhead seconds and an occupancy ratio in ``telemetry_snapshot``;
 * forwarding is additive: result rows are bit-identical with telemetry
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.distributed import Scheduler
+from repro.distributed import DistributedExecutor, Scheduler
 from repro.distributed.scheduler import _WorkerConn
 from repro.experiments.grid import CellFunction, expand_grid
 from repro.telemetry import TelemetryBus, WORKER_TOPIC_PREFIX, worker_topic
@@ -38,6 +39,14 @@ def run_fleet(address, *, telemetry, workers=3, cells_n=24, worker_kwargs=None):
     return outcomes, snapshot
 
 
+def observed_bus():
+    """A bus with a live subscriber: campaigns on it forward worker spans."""
+
+    bus = TelemetryBus()
+    bus.subscribe()
+    return bus
+
+
 def serial_metrics(cells_n=24):
     cells = expand_grid({"i": list(range(cells_n))}, repetitions=1, base_seed=99)
     fn = CellFunction(metrics)
@@ -47,7 +56,7 @@ def serial_metrics(cells_n=24):
 class TestForwarding:
     @pytest.mark.parametrize("address", ["inproc://", "tcp://127.0.0.1:0"])
     def test_worker_spans_reach_the_scheduler_bus(self, address):
-        bus = TelemetryBus()
+        bus = observed_bus()
         outcomes, snapshot = run_fleet(address, telemetry=bus)
         assert [o.metrics for o in outcomes] == serial_metrics()
 
@@ -79,7 +88,7 @@ class TestForwarding:
             assert entry["events_forwarded"] == 0
 
     def test_worker_refusal_forwards_nothing(self):
-        bus = TelemetryBus()
+        bus = observed_bus()
         outcomes, _ = run_fleet("inproc://", telemetry=bus, workers=2,
                                 worker_kwargs={"telemetry": False})
         assert [o.metrics for o in outcomes] == serial_metrics()
@@ -135,3 +144,52 @@ class TestFrameHandling:
         scheduler._handle_telemetry(conn, {"events": [None, 7, {"payload": []}]})
         assert conn.events_forwarded == 0
         assert bus.published == 0
+
+
+class TestSpanGatingPerCampaign:
+    """Workers forward spans only for campaigns registered while observed."""
+
+    @staticmethod
+    def forwarded(bus):
+        (source,) = bus.snapshot()["sources"].values()
+        return sum(entry["events_forwarded"] for entry in source["workers"].values())
+
+    @staticmethod
+    def worker_topics(bus):
+        return {topic for topic in bus.topics() if topic.startswith(WORKER_TOPIC_PREFIX)}
+
+    def campaign(self, executor):
+        cells = expand_grid({"i": list(range(24))}, repetitions=1, base_seed=99)
+        outcomes = list(executor.map(CellFunction(metrics), cells))
+        assert [o.metrics for o in outcomes] == serial_metrics()
+
+    def test_an_unobserved_campaign_forwards_nothing(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SPANS", raising=False)
+        bus = TelemetryBus()
+        with DistributedExecutor("inproc://", workers=3, telemetry=bus) as executor:
+            self.campaign(executor)
+            assert self.forwarded(bus) == 0
+        assert not self.worker_topics(bus)
+
+    def test_a_subscriber_attached_between_maps_turns_forwarding_on(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SPANS", raising=False)
+        bus = TelemetryBus()
+        with DistributedExecutor("inproc://", workers=3, telemetry=bus) as executor:
+            self.campaign(executor)
+            assert not self.worker_topics(bus)
+            with bus.subscribe():
+                self.campaign(executor)
+                names = {
+                    event.payload.get("name")
+                    for topic in self.worker_topics(bus)
+                    for event in bus.events(topic)
+                }
+                assert "cell.execute" in names
+                assert self.forwarded(bus) > 0
+
+    def test_repro_spans_forces_forwarding_without_a_subscriber(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SPANS", "1")
+        bus = TelemetryBus()
+        with DistributedExecutor("inproc://", workers=2, telemetry=bus) as executor:
+            self.campaign(executor)
+        assert self.worker_topics(bus)

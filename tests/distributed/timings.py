@@ -8,7 +8,7 @@ heartbeat interval from the scheduler's ``welcome`` frame.
 
 from __future__ import annotations
 
-from repro.distributed import protocol, scheduler, worker
+from repro.distributed import executor, protocol, scheduler, worker
 
 #: keyword -> (module, constant) of each timing a test may shorten.
 CONSTANTS = {
@@ -19,6 +19,7 @@ CONSTANTS = {
     "max_frame_bytes": (protocol, "MAX_FRAME_BYTES"),
     "reconnect_delay": (worker, "RECONNECT_DELAY"),
     "reply_timeout": (worker, "REPLY_TIMEOUT"),
+    "worker_max_idle": (executor, "WORKER_MAX_IDLE"),
 }
 
 

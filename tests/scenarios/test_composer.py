@@ -229,6 +229,8 @@ STREAM_SPEC = ScenarioSpec(
     seed=11,
 )
 RELEASE_BLIND = sorted(set(OFFLINE_SCHEDULERS) - set(RELEASE_AWARE_OFFLINE_KINDS))
+#: One SWF job (18 fields), submitted at t=30: a trace carries release dates.
+SWF_LINE = "1 30 0 10 4 -1 -1 4 10 -1 1 1 1 -1 1 -1 -1 -1\n"
 
 
 class TestReleaseDates:
@@ -270,6 +272,51 @@ class TestReleaseDates:
         result = run_scenario(STREAM_SPEC, sweep={"policy.kind": list(RELEASE_AWARE_OFFLINE_KINDS)})
         assert len(result.rows) == 2 * len(RELEASE_AWARE_OFFLINE_KINDS)
         assert all(row["mean_stretch"] >= 1.0 - 1e-9 for row in result.rows)
+
+    @pytest.mark.parametrize("workload", [
+        ComponentSpec("community", {"n_jobs": 20}),
+        ComponentSpec("swf", {"text": SWF_LINE}),
+        ComponentSpec("swf-roundtrip", {"n_jobs": 20}),
+    ], ids=lambda workload: workload.kind)
+    @pytest.mark.parametrize("kind", RELEASE_BLIND)
+    def test_workload_release_dates_reject_a_blind_kind_before_any_cell(
+        self, workload, kind, monkeypatch
+    ):
+        def forbidden(spec, seed):
+            raise AssertionError("a cell ran before the release check")
+
+        monkeypatch.setitem(composer.MODEL_RUNNERS, "offline", forbidden)
+        spec = STREAM_SPEC.evolve(workload=workload, arrival=ComponentSpec("inherit"))
+        message = re.escape(f"workload {workload.kind!r} releases jobs over time")
+        with pytest.raises(SpecError, match=message):
+            run_scenario(spec.evolve(policy=ComponentSpec(kind)))
+        with pytest.raises(SpecError, match=message):
+            run_scenario(spec, sweep={"policy.kind": ["bicriteria", kind]})
+        with pytest.raises(SpecError, match=message):
+            run_scenario(STREAM_SPEC.evolve(arrival=ComponentSpec("inherit"),
+                                            policy=ComponentSpec(kind)),
+                         sweep={"workload.kind": ["mixed", workload.kind]})
+
+    @pytest.mark.parametrize("kind", RELEASE_BLIND)
+    def test_community_online_axis_is_checked_before_any_cell(self, kind, monkeypatch):
+        def forbidden(spec, seed):
+            raise AssertionError("a cell ran before the release check")
+
+        monkeypatch.setitem(composer.MODEL_RUNNERS, "offline", forbidden)
+        spec = STREAM_SPEC.evolve(
+            workload=ComponentSpec("community", {"n_jobs": 20, "online": False}),
+            arrival=ComponentSpec("inherit"), policy=ComponentSpec(kind),
+        )
+        with pytest.raises(SpecError, match="workload 'community' releases jobs"):
+            run_scenario(spec, sweep={"workload.online": [False, True]})
+
+    @pytest.mark.parametrize("kind", RELEASE_BLIND)
+    def test_release_blind_kind_runs_an_offline_community_batch(self, kind):
+        spec = STREAM_SPEC.evolve(
+            workload=ComponentSpec("community", {"n_jobs": 20, "online": False}),
+            arrival=ComponentSpec("inherit"), policy=ComponentSpec(kind),
+        )
+        assert len(run_scenario(spec).rows) == 2
 
     def test_no_builtin_offline_scenario_releases_jobs_over_time(self):
         offline = [spec for spec in all_specs() if spec.model == "offline"]

@@ -8,6 +8,10 @@ and ``#`` comments are stripped.  Each command is parsed by its module's
 positional (``run``/``sweep``/``describe``/``gantt``) must be registered,
 so a renamed command, a deleted flag or an unknown scenario in the docs
 fails here instead of in a reader's shell.
+
+A case is named by its file and its command text (plus ``#2``, ``#3``...
+for a repeated command), never by its line number, so editing a document
+renames only the cases whose commands changed.
 """
 
 from __future__ import annotations
@@ -118,13 +122,22 @@ def _documented_commands() -> List[Tuple[str, str, List[str]]]:
 COMMANDS = _documented_commands()
 
 
+def _case_ids(commands: List[Tuple[str, str, List[str]]]) -> List[str]:
+    """``FILE python -m MODULE ARGS``, with an ordinal for repeats."""
+
+    ids, seen = [], {}
+    for where, module, args in commands:
+        base = f"{where.rsplit(':', 1)[0]} python -m {module} {shlex.join(args)}".rstrip()
+        seen[base] = seen.get(base, 0) + 1
+        ids.append(base if seen[base] == 1 else f"{base} #{seen[base]}")
+    return ids
+
+
 def test_every_cli_is_documented_and_collected():
     assert {module for _where, module, _args in COMMANDS} == set(CLI_MODULES)
 
 
-@pytest.mark.parametrize(
-    "where, module, args", COMMANDS, ids=[f"{where} {module}" for where, module, _ in COMMANDS]
-)
+@pytest.mark.parametrize("where, module, args", COMMANDS, ids=_case_ids(COMMANDS))
 def test_documented_command_parses(where, module, args, capsys):
     parser = importlib.import_module(CLI_MODULES[module])._build_parser()
     try:
