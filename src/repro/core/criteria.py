@@ -72,13 +72,6 @@ def weighted_completion_time(schedule: Schedule) -> float:
     return sum([job.weight * end for job, end in zip(cols.jobs, cols.ends)])
 
 
-def flow_times(schedule: Schedule) -> Dict[str, float]:
-    """Per-job flow time (a.k.a. response time) ``C_j - r_j``."""
-
-    cols = schedule.columns
-    return {job.name: flow for job, flow in zip(cols.jobs, _flows(cols))}
-
-
 def mean_stretch(schedule: Schedule) -> float:
     """Mean of ``C_j - r_j`` -- what the paper calls the *mean stretch*.
 
@@ -141,13 +134,6 @@ def throughput(schedule: Schedule, horizon: Optional[float] = None) -> float:
         return 0.0
     done = sum(1 for end in schedule.columns.ends if end <= horizon + 1e-12)
     return done / horizon
-
-
-def tardiness(schedule: Schedule) -> Dict[str, float]:
-    """Per-job tardiness ``max(0, C_j - d_j)`` (0 when no due date is set)."""
-
-    cols = schedule.columns
-    return {job.name: late for job, late in zip(cols.jobs, _tardiness(cols))}
 
 
 def total_tardiness(schedule: Schedule) -> float:

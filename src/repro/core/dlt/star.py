@@ -135,14 +135,6 @@ def star_single_round(
     raise ValueError("no feasible single-round distribution (all workers excluded)")
 
 
-def star_makespan_for_order(
-    total_load: float, platform: DLTPlatform, order: Sequence[str]
-) -> float:
-    """Makespan of the optimal-fraction distribution for an explicit order."""
-
-    return star_single_round(total_load, platform, order=order).makespan
-
-
 def best_participating_subset(
     total_load: float, platform: DLTPlatform, *, max_workers: Optional[int] = None
 ) -> StarDistribution:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.dlt.platform import DLTPlatform, DLTWorker
+from repro.core.dlt.platform import DLTPlatform
 
 
 @dataclass(frozen=True)
@@ -87,32 +87,3 @@ def steady_state_lower_bound_makespan(total_load: float, platform: DLTPlatform) 
     if solution.throughput <= 0:
         raise ValueError("platform has zero throughput")
     return total_load / solution.throughput
-
-
-def parametric_completion_rate(
-    run_time: float,
-    platform: DLTPlatform,
-    *,
-    data_per_run: float = 0.0,
-) -> float:
-    """Steady-state rate (runs per time unit) for a multi-parametric bag.
-
-    Each run takes ``run_time`` on a reference processor and requires
-    ``data_per_run`` units of input data.  This is the quantity the grid
-    benchmarks compare against the measured best-effort throughput.
-    """
-
-    if run_time <= 0:
-        raise ValueError("run_time must be > 0")
-    scaled = DLTPlatform(
-        [
-            DLTWorker(
-                name=w.name,
-                compute_time=w.compute_time * run_time,
-                comm_time=w.comm_time * data_per_run,
-                latency=w.latency,
-            )
-            for w in platform.workers
-        ]
-    )
-    return steady_state_throughput(scaled).throughput

@@ -100,26 +100,3 @@ def work_stealing_distribution(
         per_worker_chunks=per_chunks,
         chunk_size=chunk_size,
     )
-
-
-def sweep_chunk_sizes(
-    total_load: float,
-    platform: DLTPlatform,
-    *,
-    candidates: Optional[List[float]] = None,
-) -> Tuple[float, WorkStealingResult]:
-    """Try several chunk sizes and return the best (chunk_size, result) pair."""
-
-    m = len(platform.workers)
-    if candidates is None:
-        candidates = [total_load / (k * m) for k in (1, 2, 4, 8, 16, 32)]
-    best_size = None
-    best_result = None
-    for size in candidates:
-        if size <= 0:
-            continue
-        result = work_stealing_distribution(total_load, platform, chunk_size=size)
-        if best_result is None or result.makespan < best_result.makespan - 1e-12:
-            best_size, best_result = size, result
-    assert best_size is not None and best_result is not None
-    return best_size, best_result

@@ -123,8 +123,11 @@ class RigidJob(Job):
         super().__post_init__()
         if self.nbproc < 1:
             raise ValueError(f"job {self.name!r}: nbproc must be >= 1")
-        if self.duration <= 0:
-            raise ValueError(f"job {self.name!r}: duration must be > 0")
+        # One chained comparison on the valid path; NaN fails it too.
+        if not 0 < self.duration < math.inf:
+            if self.duration <= 0:
+                raise ValueError(f"job {self.name!r}: duration must be > 0")
+            raise ValueError(f"job {self.name!r}: duration must be finite")
 
     @property
     def kind(self) -> JobKind:
@@ -523,21 +526,3 @@ def validate_jobs(jobs: Iterable[Job]) -> List[Job]:
             raise ValueError(f"duplicate job name {job.name!r}")
         seen[job.name] = job
     return jobs
-
-
-def total_min_work(jobs: Iterable[Job], machine_count: Optional[int] = None) -> float:
-    """Sum of the minimal works of the jobs (used by area lower bounds)."""
-
-    total = 0.0
-    for job in jobs:
-        if isinstance(job, MoldableJob):
-            total += job.min_work()
-        elif isinstance(job, RigidJob):
-            total += job.work(job.nbproc)
-        elif isinstance(job, ParametricSweep):
-            total += job.total_work
-        elif isinstance(job, DivisibleJob):
-            total += job.load
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unsupported job type {type(job)!r}")
-    return total

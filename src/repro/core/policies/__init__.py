@@ -27,9 +27,7 @@ On-line policies (jobs have release dates):
   production-style baselines used by the local cluster schedulers,
 * :class:`~repro.core.policies.rigid_moldable_mix.MixedScheduler` -- the
   three strategies of section 5.1 for handling a mix of rigid and moldable
-  jobs,
-* :mod:`~repro.core.policies.reservations` -- reservation-aware scheduling
-  (section 5.1).
+  jobs.
 
 All of the above build whole schedules.  The event runtime
 (:mod:`repro.runtime`) is driven instead by the three queue policies of
@@ -66,7 +64,6 @@ from repro.core.policies.batch_online import BatchOnlineScheduler
 from repro.core.policies.bicriteria import BiCriteriaScheduler
 from repro.core.policies.backfilling import ConservativeBackfilling, EasyBackfilling
 from repro.core.policies.rigid_moldable_mix import MixedScheduler
-from repro.core.policies.reservations import ReservationAwareScheduler
 
 __all__ = [
     "OfflineScheduler",
@@ -92,5 +89,4 @@ __all__ = [
     "ConservativeBackfilling",
     "EasyBackfilling",
     "MixedScheduler",
-    "ReservationAwareScheduler",
 ]

@@ -56,32 +56,3 @@ class ListScheduler(OfflineScheduler):
         ordered = sort_jobs(jobs, self.order)
         allocations = self.allocator.freeze(ordered, machine_count)
         return list_schedule_rigid(allocations, machine_count, start_time=start_time)
-
-
-class OnlineListScheduler(ListScheduler):
-    """List scheduling that also respects release dates (FCFS queue discipline).
-
-    It is the simplest possible on-line policy: jobs are considered in FCFS
-    order and started as soon as enough processors are free after their
-    release date.  The grid simulators use it as the default local-cluster
-    policy when no backfilling is requested.
-    """
-
-    def __init__(self, allocator: Optional[MoldableAllocator] = None) -> None:
-        super().__init__(order="fcfs", allocator=allocator)
-        self.name = "online-fcfs"
-
-    def schedule(
-        self, jobs: Sequence[Job], machine_count: int, *, start_time: float = 0.0
-    ) -> Schedule:
-        jobs = validate_jobs(jobs)
-        if not jobs:
-            return Schedule(machine_count)
-        ordered = sort_jobs(jobs, self.order)
-        allocations = self.allocator.freeze(ordered, machine_count)
-        return list_schedule_rigid(
-            allocations,
-            machine_count,
-            start_time=start_time,
-            respect_release_dates=True,
-        )

@@ -248,13 +248,3 @@ def efficiency(model: SpeedupModel, nbproc: int) -> float:
     if nbproc < 1:
         raise ValueError("nbproc must be >= 1")
     return model(nbproc) / nbproc
-
-
-def optimal_allocation(
-    sequential_time: float, max_procs: int, model: SpeedupModel
-) -> int:
-    """Processor count minimising the runtime of a job under ``model``."""
-
-    table = make_runtime_table(sequential_time, max_procs, model, repair_monotony=False)
-    best = min(range(max_procs), key=lambda k: (table[k], k))
-    return best + 1

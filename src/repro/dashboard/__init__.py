@@ -16,15 +16,10 @@ simulator-backed scenario as SVG, on demand.
 """
 
 from repro.dashboard.app import DashboardServer
-from repro.dashboard.gantt import (
-    render_gantt_svg,
-    render_scenario_gantt,
-    schedule_from_trace,
-)
+from repro.dashboard.gantt import render_gantt_svg, render_scenario_gantt
 
 __all__ = [
     "DashboardServer",
     "render_gantt_svg",
     "render_scenario_gantt",
-    "schedule_from_trace",
 ]

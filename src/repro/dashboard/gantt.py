@@ -15,10 +15,9 @@ output embeds cleanly in the dashboard page or an ``<img>`` tag.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 from xml.sax.saxutils import escape
 
-from repro.core.allocation import Schedule
 
 #: Fixed categorical hue order (light-mode steps); never cycled -- the 9th
 #: cluster onward folds into :data:`FOLD_COLOR`.
@@ -50,42 +49,6 @@ def cluster_color(index: int) -> str:
     if 0 <= index < len(CATEGORICAL):
         return CATEGORICAL[index]
     return FOLD_COLOR
-
-
-def schedule_from_trace(trace: Any, machine_count: int) -> Schedule:
-    """Reconstruct a :class:`Schedule` from start/complete/kill trace events.
-
-    Jobs that run more than once (killed and resubmitted best-effort runs,
-    migrated jobs) get ``#2``, ``#3``... name suffixes so every execution
-    keeps its own rectangle -- :meth:`Schedule.add` rejects duplicates.
-    Start events without processor indices cannot be placed and are skipped.
-    """
-
-    from repro.core.job import RigidJob
-
-    schedule = Schedule(machine_count)
-    open_runs: Dict[Tuple[str, Optional[str]], Tuple[float, Tuple[int, ...]]] = {}
-    seen: Dict[str, int] = {}
-    for event in trace:
-        key = (event.job, event.cluster)
-        if event.kind == "start":
-            if event.processors:
-                open_runs[key] = (event.time, event.processors)
-        elif event.kind in ("complete", "kill") and key in open_runs:
-            start, processors = open_runs.pop(key)
-            count = seen.get(event.job, 0)
-            seen[event.job] = count + 1
-            name = event.job if count == 0 else f"{event.job}#{count + 1}"
-            duration = max(event.time - start, 1e-9)
-            job = RigidJob(
-                name=name,
-                release_date=0.0,
-                nbproc=len(processors),
-                duration=duration,
-                owner="trace",
-            )
-            schedule.add(job, start, processors, runtime=duration)
-    return schedule
 
 
 def _contiguous_groups(processors: Sequence[int]) -> List[Tuple[int, int]]:

@@ -406,11 +406,6 @@ class Scheduler:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    @property
-    def worker_count(self) -> int:
-        with self._lock:
-            return len(self._conns)
-
     def spawn_local_worker(self, **worker_kwargs: object) -> "asyncio.Future":
         """Run an :class:`~repro.distributed.worker.AsyncWorker` on this
         scheduler's own event loop, connected to :attr:`address`.

@@ -21,7 +21,7 @@ clusters the slowest.  Each node is a bi-processor (2 cores).
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.platform.cluster import Cluster, Interconnect
 from repro.platform.grid import GridLink, LightGrid
@@ -101,9 +101,3 @@ def ciment_grid(
         for b in names[i + 1 :]
     ]
     return LightGrid("ciment", clusters, links)
-
-
-def ciment_processor_counts() -> Dict[str, int]:
-    """Processor count of each Figure-3 cluster (documentation helper)."""
-
-    return {spec[0]: spec[1] * spec[2] for spec in CIMENT_CLUSTERS}

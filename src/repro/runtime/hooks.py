@@ -195,13 +195,13 @@ class BestEffortHook(RuntimeHook):
         server = self.server
         pool = node.pool
         now = sim.now
-        while pool.free_count(now) > 0:
+        while pool.free_count() > 0:
             run = server.next_run()
             if run is None:
                 return
             launch = _BestEffortLaunch(self, node, run)
             processors = pool.try_acquire(
-                launch.lease_name, 1, now=now, preemptible=True,
+                launch.lease_name, 1, preemptible=True,
                 on_preempt=launch.kill,
             )
             if processors is None:

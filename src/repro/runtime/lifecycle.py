@@ -268,7 +268,7 @@ class SchedulingRuntime:
                 hook.after_try_start(node)
             return
         pool = node.pool
-        free = pool.free_count(now)
+        free = pool.free_count()
         if self._preempt:
             free += len(pool.preemptible_processors())
         elif free == 0:
@@ -289,7 +289,7 @@ class SchedulingRuntime:
         trace = self.trace
         for job, nbproc in decisions:
             processors = pool.try_acquire(
-                job.name, nbproc, now=now, allow_preemption=self._preempt
+                job.name, nbproc, allow_preemption=self._preempt
             )
             if processors is None:
                 assert not self._strict

@@ -9,7 +9,7 @@ from scratch for this reproduction:
 * :mod:`repro.simulation.engine` -- the simulation kernel (clock, event loop,
   callback scheduling),
 * :mod:`repro.simulation.resources` -- a processor-pool resource with
-  reservations and preemption (needed to kill best-effort jobs),
+  preemption (needed to kill best-effort jobs),
 * :mod:`repro.simulation.tracing` -- execution traces and Gantt recording,
 * :mod:`repro.simulation.cluster_sim` -- on-line simulation of one cluster
   driven by any scheduling policy,
@@ -27,7 +27,7 @@ here because the runtime itself builds on this package's kernel modules.
 from repro.simulation.engine import Simulator
 from repro.simulation.events import Event, EventQueue
 from repro.simulation.kernel import compiled_available, resolve_kernel
-from repro.simulation.resources import ProcessorPool, AllocationRequest
+from repro.simulation.resources import ProcessorPool
 from repro.simulation.tracing import Trace, TraceEvent
 
 #: Simulator names resolved lazily (they import repro.runtime, which imports
@@ -36,7 +36,6 @@ _LAZY = {
     "ClusterSimulator": "repro.simulation.cluster_sim",
     "compare_policies": "repro.simulation.cluster_sim",
     "CentralizedGridSimulator": "repro.simulation.grid_sim",
-    "GridServer": "repro.simulation.grid_sim",
     "DecentralizedGridSimulator": "repro.simulation.decentralized",
 }
 
@@ -47,7 +46,6 @@ __all__ = [
     "compiled_available",
     "resolve_kernel",
     "ProcessorPool",
-    "AllocationRequest",
     "Trace",
     "TraceEvent",
     "ClusterSimulator",

@@ -103,10 +103,7 @@ class DecentralizedGridSimulator:
 
         criteria: Dict[str, CriteriaReport] = {}
         for node in nodes:
-            # Migrated jobs may start before their *local* release date on the
-            # remote schedule clock; validation of release dates is therefore
-            # done against the recorded submission times, not job.release_date.
-            node.schedule.validate(check_release_dates=False)
+            node.schedule.validate()
             criteria[node.name] = CriteriaReport.from_schedule(node.schedule)
 
         # Fairness is computed on the union of the per-cluster schedules on a

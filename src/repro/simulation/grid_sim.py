@@ -38,8 +38,7 @@ from repro.core.policies.registry import (
     resolve_cluster_policies,
 )
 from repro.platform.grid import LightGrid
-from repro.runtime.hooks import BestEffortHook
-from repro.runtime.hooks import GridServer  # noqa: F401  (compat re-export)
+from repro.runtime.hooks import BestEffortHook, GridServer
 from repro.runtime.lifecycle import ClusterNode, RuntimeConfig, SchedulingRuntime
 from repro.runtime.record import MODE_CENTRALIZED, SimulationRecord
 

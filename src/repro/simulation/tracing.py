@@ -58,10 +58,6 @@ def set_trace_tap(tap: Optional[Callable[["TraceEvent"], None]]) -> Optional[Cal
     return previous
 
 
-def get_trace_tap() -> Optional[Callable[["TraceEvent"], None]]:
-    return _TRACE_TAP
-
-
 def _check(time: float, kind: str) -> None:
     if kind not in _EVENT_KIND_SET:
         raise ValueError(f"unknown trace event kind {kind!r}")

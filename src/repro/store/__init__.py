@@ -10,7 +10,8 @@ The package has four layers, importable a la carte:
 * :mod:`repro.store.queries` -- named pure-python queries over the stored
   records.
 * :mod:`repro.store.validate` -- the paper's ratio bounds as validation
-  rules; :mod:`repro.store.ingest` -- legacy JSONL/CSV import.
+  rules; :mod:`repro.store.ingest` -- lands a CSV/JSONL/Parquet row
+  export (any ``--out`` file) in a store.
 
 Only the standard library and numpy are required; pyarrow is the optional
 ``[analytics]`` extra, needed only to export or import ``.parquet`` files.

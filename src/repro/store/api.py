@@ -254,39 +254,3 @@ def read_rows(path: Union[str, Path], *, fmt: Optional[str] = None) -> List[Dict
 
     with io.StringIO(path.read_text(encoding="utf-8")) as handle:
         return [dict(row) for row in _csv.DictReader(handle)]
-
-
-def store_trace(
-    trace: Any,
-    store: Any,
-    *,
-    scenario: str,
-    label: str = "",
-    campaign: Optional[str] = None,
-) -> int:
-    """Land a simulation trace in a campaign store, next to result rows.
-
-    Each :class:`~repro.simulation.tracing.TraceEvent` becomes one flat row
-    (:meth:`Trace.flat_records` shape) in a ``trace.<scenario>`` partition,
-    so the named queries can read schedules next to the result rows of the
-    same campaign.  ``store`` is a :class:`~repro.store.columnar.CampaignStore`
-    or a store directory path; ``label`` distinguishes multiple traces of
-    one scenario (e.g. a policy or seed tag).  Row keys are explicit
-    (position-based) because identical events are legitimate in a trace and
-    must not be deduplicated away.  Returns the number of rows written.
-    """
-
-    from repro.store.columnar import CampaignStore
-
-    target = store if hasattr(store, "append_row") else CampaignStore(store)
-    rows = trace.flat_records()
-    for index, row in enumerate(rows):
-        target.append_row(
-            row,
-            scenario=f"trace.{scenario}",
-            key=f"trace:{scenario}:{label}:{index}",
-            campaign=campaign,
-            fingerprint=label or "trace",
-        )
-    target.flush()
-    return len(rows)

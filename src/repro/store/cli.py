@@ -3,8 +3,8 @@
 ::
 
     python -m repro.store info --store results/        # manifest overview
-    python -m repro.store ingest old-campaign.jsonl --store results/
-    python -m repro.store ingest legacy.csv --store results/ --scenario fig2.bicriteria
+    python -m repro.store ingest rows.jsonl --store results/   # a --out export
+    python -m repro.store ingest points.csv --store results/ --scenario fig2.bicriteria
     python -m repro.store query --list                 # named queries
     python -m repro.store query metric-summary --store results/ --param metric=cmax_ratio
     python -m repro.store query rows --store results/ --param scenario=fig2.bicriteria \\
@@ -59,13 +59,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ing = sub.add_parser(
         "ingest", parents=[store_arg],
-        help="ingest a legacy campaign journal (JSONL) or CSV export",
+        help="ingest a CSV, JSONL or Parquet row export (any --out file)",
     )
-    ing.add_argument("source", type=Path, help="journal .jsonl or .csv file")
-    ing.add_argument(
-        "--input-format", choices=("journal", "csv"), default=None,
-        help="source encoding (default: inferred from the suffix)",
-    )
+    ing.add_argument("source", type=Path,
+                     help=".csv, .jsonl/.ndjson or .parquet/.pq file (format from the suffix)")
     ing.add_argument("--campaign", default=None, help="campaign label (default: store's)")
     ing.add_argument("--scenario", default=None, help="scenario label for the rows")
 
@@ -140,16 +137,15 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    from repro.store.ingest import ingest
+    from repro.store.ingest import ingest_file
 
     store = CampaignStore(args.store, campaign=args.campaign or "default")
     try:
-        appended = ingest(
-            args.source, store,
-            fmt=args.input_format, scenario=args.scenario, campaign=args.campaign,
+        appended = ingest_file(
+            args.source, store, scenario=args.scenario, campaign=args.campaign,
         )
-    except OSError as error:
-        print(f"cannot read {args.source}: {error}", file=sys.stderr)
+    except (OSError, ValueError) as error:
+        print(f"cannot ingest {args.source}: {error}", file=sys.stderr)
         return 2
     store.flush()
     print(

@@ -173,26 +173,3 @@ def grid_workload(
         random_state=rng,
         name_prefix=f"{profile.name}-sweep",
     )
-
-
-def full_ciment_workload(
-    jobs_per_community: int,
-    machine_count: int,
-    *,
-    random_state: RandomState = None,
-) -> Tuple[Dict[str, List[Job]], List[ParametricSweep]]:
-    """Local jobs of every community plus the pooled grid bags.
-
-    Returns ``(local_jobs_by_community, grid_bags)``; the grid simulators map
-    each community to its cluster (see :mod:`repro.platform.ciment`).
-    """
-
-    rng = _rng(random_state)
-    local: Dict[str, List[Job]] = {}
-    bags: List[ParametricSweep] = []
-    for name, profile in sorted(COMMUNITY_PROFILES.items()):
-        local[name] = community_workload(
-            profile, jobs_per_community, machine_count, random_state=rng
-        )
-        bags.extend(grid_workload(profile, random_state=rng))
-    return local, bags

@@ -82,12 +82,6 @@ def generate_parametric_bags(
     return bags
 
 
-def total_runs(bags: Sequence[ParametricSweep]) -> int:
-    """Total number of elementary runs across the bags."""
-
-    return sum(bag.n_runs for bag in bags)
-
-
 def total_work(bags: Sequence[ParametricSweep]) -> float:
     """Total processor-time of the bags on a reference processor."""
 

@@ -24,6 +24,7 @@ generated workloads for inspection with external tools.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, TextIO, Union
 
@@ -178,9 +179,12 @@ def swf_to_jobs(text: Union[str, TextIO], *, strict: bool = False) -> List[Rigid
     Comment lines (``;`` / ``#``) are skipped -- use :func:`parse_swf_header`
     to interpret them.  Archive traces are frequently truncated mid-file or
     carry header lines that lost their comment marker, so by default
-    malformed data lines (too few fields, non-numeric values) are skipped
-    instead of raising; pass ``strict=True`` to turn them into
-    :class:`ValueError` again.
+    malformed data lines (too few fields; a non-numeric, NaN, infinite or
+    overflowing submit time, run time or processor count) are skipped
+    instead of raising; pass ``strict=True`` to turn them into a
+    :class:`ValueError` naming the line.  Jobs with a non-positive run time
+    or processor count (the archive writes ``-1`` for unknown) are skipped
+    in both modes.
     """
 
     if hasattr(text, "read"):
@@ -202,11 +206,14 @@ def swf_to_jobs(text: Union[str, TextIO], *, strict: bool = False) -> List[Rigid
         try:
             submit = float(parts[1])
             runtime = float(parts[3])
+            # int() raises ValueError on NaN and OverflowError on inf.
             nbproc = int(float(parts[4]))
-        except ValueError:
+            if not (math.isfinite(submit) and math.isfinite(runtime)):
+                raise ValueError
+        except (ValueError, OverflowError):
             if strict:
                 raise ValueError(
-                    f"SWF line {line_number}: non-numeric job fields: {line!r}"
+                    f"SWF line {line_number}: non-numeric or non-finite job fields: {line!r}"
                 ) from None
             continue
         if runtime <= 0 or nbproc <= 0:
@@ -216,7 +223,7 @@ def swf_to_jobs(text: Union[str, TextIO], *, strict: bool = False) -> List[Rigid
         if len(parts) > 11:
             try:
                 candidate = float(parts[11])
-                if candidate > 0:
+                if 0 < candidate < math.inf:
                     weight = candidate
             except ValueError:
                 pass

@@ -8,7 +8,6 @@ from repro.core.dlt.bus import bus_single_round
 from repro.core.dlt.platform import DLTPlatform, DLTWorker
 from repro.core.dlt.star import (
     best_participating_subset,
-    star_makespan_for_order,
     star_single_round,
 )
 
@@ -36,8 +35,8 @@ class TestStarSingleRound:
         workers = [DLTWorker("a", 1.0, 0.01), DLTWorker("b", 1.0, 0.2),
                    DLTWorker("c", 1.0, 0.4)]
         platform = DLTPlatform(workers)
-        good = star_makespan_for_order(30.0, platform, ["a", "b", "c"])
-        bad = star_makespan_for_order(30.0, platform, ["c", "b", "a"])
+        good = star_single_round(30.0, platform, order=["a", "b", "c"]).makespan
+        bad = star_single_round(30.0, platform, order=["c", "b", "a"]).makespan
         assert good <= bad + 1e-9
 
     def test_explicit_order_with_unknown_worker_rejected(self):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.core.dlt.platform import DLTPlatform, DLTWorker
 from repro.core.dlt.steady_state import (
-    parametric_completion_rate,
     steady_state_lower_bound_makespan,
     steady_state_throughput,
 )
@@ -50,23 +49,6 @@ class TestSteadyStateThroughput:
         assert steady_state_lower_bound_makespan(100.0, platform) == pytest.approx(25.0)
         with pytest.raises(ValueError):
             steady_state_lower_bound_makespan(-1.0, platform)
-
-
-class TestParametricCompletionRate:
-    def test_matches_manual_scaling(self):
-        platform = DLTPlatform.homogeneous(4, compute_time=1.0, comm_time=0.0)
-        # Each run takes 2 time units -> 4 workers complete 2 runs per time unit.
-        assert parametric_completion_rate(2.0, platform) == pytest.approx(2.0)
-
-    def test_data_volume_throttles_rate(self):
-        platform = DLTPlatform.homogeneous(8, compute_time=1.0, comm_time=1.0)
-        unthrottled = parametric_completion_rate(1.0, platform, data_per_run=0.0)
-        throttled = parametric_completion_rate(1.0, platform, data_per_run=1.0)
-        assert throttled < unthrottled
-
-    def test_invalid_run_time(self):
-        with pytest.raises(ValueError):
-            parametric_completion_rate(0.0, DLTPlatform.homogeneous(2))
 
 
 @settings(max_examples=40, deadline=None)

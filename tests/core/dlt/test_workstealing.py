@@ -4,10 +4,7 @@ import pytest
 
 from repro.core.dlt.bus import bus_single_round
 from repro.core.dlt.platform import DLTPlatform, DLTWorker
-from repro.core.dlt.workstealing import (
-    sweep_chunk_sizes,
-    work_stealing_distribution,
-)
+from repro.core.dlt.workstealing import work_stealing_distribution
 
 
 class TestWorkStealing:
@@ -52,13 +49,3 @@ class TestWorkStealing:
             work_stealing_distribution(0.0, platform)
         with pytest.raises(ValueError):
             work_stealing_distribution(10.0, platform, chunk_size=0.0)
-
-
-class TestSweepChunkSizes:
-    def test_returns_the_best_candidate(self):
-        platform = DLTPlatform.homogeneous(4, compute_time=1.0, comm_time=0.05, latency=0.5)
-        best_size, best_result = sweep_chunk_sizes(100.0, platform)
-        for k in (1, 2, 4, 8, 16, 32):
-            candidate = work_stealing_distribution(100.0, platform, chunk_size=100.0 / (k * 4))
-            assert best_result.makespan <= candidate.makespan + 1e-9
-        assert best_size > 0

@@ -104,12 +104,13 @@ def test_moldable_profiles_and_fractional_times():
 
 
 def test_nan_completion_times_sort_last_like_the_argsort():
-    # A NaN duration passes the rigid-job checks; argsort puts NaN free
-    # times after every number, ties by index, and so must the runs.
+    # A NaN runtime passes the moldable-profile checks (a rigid job now
+    # refuses one); argsort puts NaN free times after every number, ties by
+    # index, and so must the runs.
     durations = [2.0, float("nan"), 1.0, float("nan"), 3.0, 1.0, 2.0, 5.0]
     widths = [2, 1, 3, 2, 4, 5, 1, 6]
     allocations = [
-        (RigidJob(name=f"n{i}", nbproc=k, duration=d), k)
+        (MoldableJob(name=f"n{i}", runtimes=[d] * k), k)
         for i, (d, k) in enumerate(zip(durations, widths))
     ]
     got = list_schedule_rigid(allocations, 6)

@@ -2,9 +2,8 @@
 
 
 from repro.core.criteria import makespan, weighted_completion_time
-from repro.core.job import RigidJob
 from repro.core.policies.base import MoldableAllocator
-from repro.core.policies.list_scheduling import ListScheduler, OnlineListScheduler
+from repro.core.policies.list_scheduling import ListScheduler
 from repro.workload.models import generate_mixed_jobs, generate_rigid_jobs
 
 
@@ -52,17 +51,3 @@ class TestListScheduler:
 
     def test_policy_name(self):
         assert ListScheduler("spt").name == "list-spt"
-
-
-class TestOnlineListScheduler:
-    def test_release_dates_respected(self):
-        jobs = [
-            RigidJob(name="a", nbproc=1, duration=5.0, release_date=0.0),
-            RigidJob(name="b", nbproc=1, duration=5.0, release_date=100.0),
-        ]
-        schedule = OnlineListScheduler().schedule(jobs, 4)
-        schedule.validate()
-        assert schedule["b"].start >= 100.0
-
-    def test_empty(self):
-        assert len(OnlineListScheduler().schedule([], 2)) == 0

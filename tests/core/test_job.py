@@ -11,7 +11,6 @@ from repro.core.job import (
     MoldableJob,
     ParametricSweep,
     RigidJob,
-    total_min_work,
     validate_jobs,
 )
 
@@ -52,8 +51,23 @@ class TestRigidJob:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             RigidJob(name="r", nbproc=0, duration=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duration must be > 0"):
             RigidJob(name="r", nbproc=1, duration=0.0)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        # ``nan <= 0`` is False: a NaN duration used to reach the event
+        # kernel, which refuses the completion at a non-finite time.
+        with pytest.raises(ValueError, match="duration must be finite"):
+            RigidJob(name="r", nbproc=1, duration=duration)
+
+    def test_negative_infinite_duration_keeps_the_positive_message(self):
+        with pytest.raises(ValueError, match="duration must be > 0"):
+            RigidJob(name="r", nbproc=1, duration=-math.inf)
+
+    def test_largest_finite_duration_accepted(self):
+        job = RigidJob(name="r", nbproc=2, duration=1e308)
+        assert job.runtime(2) == 1e308
 
 
 class TestMoldableJob:
@@ -203,12 +217,3 @@ class TestHelpers:
                 RigidJob(name="x", nbproc=2, duration=2.0)]
         with pytest.raises(ValueError):
             validate_jobs(jobs)
-
-    def test_total_min_work(self):
-        jobs = [
-            RigidJob(name="r", nbproc=2, duration=3.0),
-            MoldableJob(name="m", runtimes=[10.0, 6.0]),
-            ParametricSweep(name="s", n_runs=5, run_time=2.0),
-            DivisibleJob(name="d", load=7.0),
-        ]
-        assert total_min_work(jobs) == pytest.approx(6.0 + 10.0 + 10.0 + 7.0)

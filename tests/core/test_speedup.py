@@ -13,7 +13,6 @@ from repro.core.speedup import (
     RooflineSpeedup,
     efficiency,
     make_runtime_table,
-    optimal_allocation,
 )
 
 
@@ -123,12 +122,6 @@ class TestHelpers:
     def test_efficiency(self):
         assert efficiency(LinearSpeedup(), 8) == pytest.approx(1.0)
         assert efficiency(AmdahlSpeedup(0.5), 4) < 0.5
-
-    def test_optimal_allocation_roofline(self):
-        assert optimal_allocation(10.0, 16, RooflineSpeedup(4)) == 4
-
-    def test_optimal_allocation_linear(self):
-        assert optimal_allocation(10.0, 16, LinearSpeedup()) == 16
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,4 +1,4 @@
-"""The Gantt explorer: record rendering and trace-to-schedule conversion."""
+"""The Gantt explorer: record rendering."""
 
 from __future__ import annotations
 
@@ -11,11 +11,9 @@ from repro.dashboard.gantt import (
     cluster_color,
     render_gantt_svg,
     render_scenario_gantt,
-    schedule_from_trace,
 )
 from repro.scenarios import registry
 from repro.scenarios.composer import RECORD_MODELS, build_simulation_record
-from repro.simulation.tracing import Trace
 
 
 class TestHelpers:
@@ -28,29 +26,6 @@ class TestHelpers:
         assert [cluster_color(i) for i in range(8)] == list(CATEGORICAL)
         assert cluster_color(8) == FOLD_COLOR
         assert cluster_color(23) == FOLD_COLOR
-
-
-class TestScheduleFromTrace:
-    def test_round_trip_from_simulator_trace(self):
-        record = build_simulation_record(registry.get("cluster.policy-panel"))
-        schedule = schedule_from_trace(record.trace, record.machine_count)
-        assert len(schedule) == len(record.trace.events("complete"))
-        schedule.validate(check_release_dates=False)
-
-    def test_killed_and_resubmitted_jobs_get_suffixed_names(self):
-        trace = Trace()
-        trace.record(0.0, "start", "run", cluster="c", processors=(0,))
-        trace.record(1.0, "kill", "run", cluster="c")
-        trace.record(2.0, "start", "run", cluster="c", processors=(1,))
-        trace.record(3.0, "complete", "run", cluster="c")
-        schedule = schedule_from_trace(trace, 2)
-        assert sorted(entry.job.name for entry in schedule) == ["run", "run#2"]
-
-    def test_starts_without_processors_are_skipped(self):
-        trace = Trace()
-        trace.record(0.0, "start", "ghost", cluster="c")
-        trace.record(1.0, "complete", "ghost", cluster="c")
-        assert len(schedule_from_trace(trace, 4)) == 0
 
 
 class TestRenderers:

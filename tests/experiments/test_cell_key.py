@@ -1,7 +1,7 @@
 """Byte-identity of the precomputed :class:`CellKeyer` against the reference.
 
-``cell_key`` hashes key on-disk caches, store partitions and legacy
-campaign journals: the optimized keyer must produce the *same JSON blob bytes*
+``cell_key`` hashes key on-disk caches and store partitions: the
+optimized keyer must produce the *same JSON blob bytes*
 (hence the same SHA-256) as the reference implementation for every cell,
 including adversarial parameter values -- unicode, floats, negative seeds,
 tuples, and unhashable values that defeat the params memo.

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.platform.ciment import ciment_grid, ciment_processor_counts
+from repro.platform.ciment import ciment_grid
 from repro.platform.cluster import Cluster, Interconnect
 from repro.platform.generators import (
     heterogeneous_cluster,
@@ -137,11 +137,6 @@ class TestCimentGrid:
         # All nodes are bi-processors: 216 nodes, 432 processors.
         assert grid.node_count == 216
         assert grid.processor_count == 432
-
-    def test_processor_counts_helper(self):
-        counts = ciment_processor_counts()
-        assert counts["icluster-itanium"] == 208
-        assert sum(counts.values()) == 432
 
     def test_extra_workstations_reach_the_600_machine_scale(self):
         grid = ciment_grid(extra_workstations=400)

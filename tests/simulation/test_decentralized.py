@@ -44,7 +44,7 @@ class TestDecentralizedGridSimulator:
         total = sum(len(s) for s in result.schedules.values())
         assert total == 16
         for schedule in result.schedules.values():
-            schedule.validate(check_release_dates=False)
+            schedule.validate()
 
     def test_exchange_migrates_jobs_to_the_idle_cluster(self):
         grid = two_cluster_grid()
@@ -53,6 +53,17 @@ class TestDecentralizedGridSimulator:
         assert result.migrations > 0
         assert len(result.schedules["idle"]) > 0
         assert result.trace.count("migrate") == result.migrations
+
+    def test_migrated_jobs_start_no_earlier_than_their_release_date(self):
+        grid = two_cluster_grid()
+        result = DecentralizedGridSimulator(grid, imbalance_threshold=1.0).run(
+            overloaded_submissions(24, seed=2)
+        )
+        assert result.migrations > 0
+        for schedule in result.schedules.values():
+            schedule.validate()  # release dates included
+            for entry in schedule:
+                assert entry.start >= entry.job.release_date - 1e-9
 
     def test_compute_rates_summed_once_per_node_per_run(self, monkeypatch):
         summed = []

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.allocation import Reservation
 from repro.simulation.engine import Simulator
 from repro.simulation.events import EventQueue
 from repro.simulation.resources import ProcessorPool
@@ -151,12 +150,26 @@ class TestProcessorPool:
         procs = pool.try_acquire("a", 3)
         assert procs == (0, 1, 2)
         assert pool.free_count() == 1
-        assert pool.holder_of(1) == "a"
         assert pool.try_acquire("b", 2) is None
         pool.release("a")
         assert pool.free_count() == 4
         with pytest.raises(KeyError):
             pool.release("ghost")
+
+    def test_released_processors_are_reused_lowest_index_first(self):
+        pool = ProcessorPool(5)
+        assert pool.try_acquire("a", 2) == (0, 1)
+        assert pool.try_acquire("b", 2) == (2, 3)
+        assert pool.release("a") == (0, 1)
+        assert pool.try_acquire("c", 3) == (0, 1, 4)
+        assert pool.free_count() == 0
+
+    def test_non_positive_request_rejected(self):
+        pool = ProcessorPool(2)
+        with pytest.raises(ValueError, match="nbproc must be >= 1"):
+            pool.try_acquire("a", 0)
+        with pytest.raises(ValueError, match="machine_count must be >= 1"):
+            ProcessorPool(0)
 
     def test_duplicate_lease_rejected(self):
         pool = ProcessorPool(2)
@@ -176,27 +189,22 @@ class TestProcessorPool:
         procs = pool.try_acquire("local", 3, allow_preemption=True)
         assert procs is not None and len(procs) == 3
         assert len(killed) >= 1
-        assert pool.is_held("local")
+        assert pool.release("local") == procs
+
+    def test_preemption_kills_nobody_when_it_cannot_make_room(self):
+        pool = ProcessorPool(4)
+        killed = []
+        pool.try_acquire("local-1", 3)
+        pool.try_acquire("be", 1, preemptible=True, on_preempt=killed.append)
+        # Killing the one best-effort lease frees 1 processor, not the 2 asked.
+        assert pool.try_acquire("local-2", 2, allow_preemption=True) is None
+        assert killed == []
+        assert pool.preemptible_processors() == [3]
 
     def test_preemptible_lease_cannot_preempt_others(self):
         pool = ProcessorPool(2)
         pool.try_acquire("be-1", 2, preemptible=True)
         assert pool.try_acquire("be-2", 1, preemptible=True, allow_preemption=True) is None
-
-    def test_reservations_block_processors(self):
-        reservation = Reservation(processors=(0, 1), start=0.0, end=10.0)
-        pool = ProcessorPool(4, reservations=[reservation])
-        assert pool.free_count(now=5.0) == 2
-        assert pool.free_count(now=20.0) == 4
-
-    def test_acquire_specific(self):
-        pool = ProcessorPool(4)
-        pool.acquire_specific("res", [1, 3])
-        assert pool.holder_of(3) == "res"
-        with pytest.raises(ValueError):
-            pool.acquire_specific("other", [3])
-        with pytest.raises(ValueError):
-            pool.acquire_specific("oob", [9])
 
 
 class TestTrace:

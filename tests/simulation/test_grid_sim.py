@@ -6,7 +6,8 @@ from repro.core.job import ParametricSweep, RigidJob
 from repro.platform.ciment import ciment_grid
 from repro.platform.generators import homogeneous_cluster
 from repro.platform.grid import LightGrid
-from repro.simulation.grid_sim import CentralizedGridSimulator, GridServer
+from repro.runtime.hooks import GridServer
+from repro.simulation.grid_sim import CentralizedGridSimulator
 from repro.workload.communities import community_workload
 from repro.workload.parametric import generate_parametric_bags
 

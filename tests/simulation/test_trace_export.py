@@ -1,10 +1,9 @@
-"""Trace export rides the unified results API: flat rows, files, stores."""
+"""Trace export rides the unified results API: flat rows and files."""
 
 from __future__ import annotations
 
 from repro.simulation.tracing import Trace
-from repro.store.api import read_rows, store_trace
-from repro.store.columnar import CampaignStore
+from repro.store.api import read_rows
 
 
 def sample_trace() -> Trace:
@@ -47,29 +46,3 @@ class TestWrite:
                 "submit", "start", "complete", "start", "kill",
             ]
             assert rows[1]["processors"] == "0 1 2"
-
-
-class TestStoreTrace:
-    def test_trace_lands_in_a_campaign_store_partition(self, tmp_path):
-        trace = sample_trace()
-        store = CampaignStore(tmp_path / "store")
-        written = store_trace(trace, store, scenario="demo", label="seed-1")
-        assert written == 5
-        assert "trace.demo" in store.scenarios()
-        rows = store.rows(scenario="trace.demo")
-        assert [row["kind"] for row in rows] == [
-            "submit", "start", "complete", "start", "kill",
-        ]
-
-    def test_identical_events_are_not_deduplicated(self, tmp_path):
-        trace = Trace()
-        for _ in range(3):  # legitimate duplicates (e.g. periodic samples)
-            trace.record(1.0, "reserve", "slot", cluster="c0")
-        store = CampaignStore(tmp_path / "store")
-        assert store_trace(trace, store, scenario="dup") == 3
-        assert len(store.rows(scenario="trace.dup")) == 3
-
-    def test_store_accepts_a_bare_directory_path(self, tmp_path):
-        written = store_trace(sample_trace(), tmp_path / "bare", scenario="p")
-        assert written == 5
-        assert len(CampaignStore(tmp_path / "bare").rows(scenario="trace.p")) == 5

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
-from repro.experiments.grid import expand_grid
+from repro.store.api import write_rows
 from repro.store.cli import _build_parser, main
 from repro.store.columnar import CampaignStore
-from tests.store.legacy import write_journal
 
 
 def seed_store(root, campaigns=("serial", "rerun")):
@@ -159,17 +160,36 @@ class TestValidate:
 
 
 class TestIngest:
-    def test_journal_ingest_via_cli(self, tmp_path, capsys):
-        write_journal(tmp_path / "j.jsonl", expand_grid({"x": [1, 2]}, repetitions=1))
-        assert main(["ingest", str(tmp_path / "j.jsonl"),
-                     "--store", str(tmp_path / "s"), "--campaign", "legacy",
+    def test_labels_via_cli(self, tmp_path, capsys):
+        write_rows([{"experiment": "e", "seed": 1, "x": 1},
+                    {"experiment": "e", "seed": 2, "x": 2}], tmp_path / "rows.jsonl")
+        assert main(["ingest", str(tmp_path / "rows.jsonl"),
+                     "--store", str(tmp_path / "s"), "--campaign", "old",
                      "--scenario", "old-sweep"]) == 0
         assert "ingested 2 row(s)" in capsys.readouterr().out
         store = CampaignStore(tmp_path / "s")
-        assert store.campaigns() == ["legacy"]
+        assert store.campaigns() == ["old"]
         assert store.scenarios() == ["old-sweep"]
 
     def test_missing_source_exits_2(self, tmp_path, capsys):
         assert main(["ingest", str(tmp_path / "missing.jsonl"),
-                     "--store", str(tmp_path / "s"), "--input-format", "csv"]) == 2
-        assert "cannot read" in capsys.readouterr().err
+                     "--store", str(tmp_path / "s")]) == 2
+        assert "cannot ingest" in capsys.readouterr().err
+
+    def test_unknown_suffix_exits_2(self, tmp_path, capsys):
+        (tmp_path / "rows.txt").write_text("experiment,seed\ne,1\n", encoding="utf-8")
+        assert main(["ingest", str(tmp_path / "rows.txt"),
+                     "--store", str(tmp_path / "s")]) == 2
+        assert "cannot infer a format" in capsys.readouterr().err
+        assert len(CampaignStore(tmp_path / "s")) == 0
+
+    def test_parquet_without_pyarrow_exits_2(self, tmp_path, capsys, monkeypatch):
+        # A ``None`` entry makes ``import pyarrow`` raise ImportError whether
+        # or not the optional dependency is installed.
+        monkeypatch.setitem(sys.modules, "pyarrow", None)
+        monkeypatch.setitem(sys.modules, "pyarrow.parquet", None)
+        (tmp_path / "rows.parquet").write_bytes(b"PAR1")
+        assert main(["ingest", str(tmp_path / "rows.parquet"),
+                     "--store", str(tmp_path / "s")]) == 2
+        assert "pyarrow" in capsys.readouterr().err
+        assert len(CampaignStore(tmp_path / "s")) == 0

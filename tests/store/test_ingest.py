@@ -1,116 +1,34 @@
-"""Ingest: legacy journal -> store equivalence (crash-truncated included), CSV import."""
+"""Ingest: row exports (CSV and JSONL ``--out`` files) into a campaign store."""
 
 from __future__ import annotations
 
-import json
+import pytest
 
-from repro.experiments.grid import cell_key, expand_grid
 from repro.experiments.reporting import to_csv
+from repro.scenarios.cli import main as scenarios_main
+from repro.store.api import read_rows
+from repro.store.cli import main as store_main
 from repro.store.columnar import CampaignStore
-from repro.store.ingest import (
-    JOURNAL_LABEL,
-    ingest,
-    ingest_csv,
-    ingest_journal,
-    load_journal_entries,
-)
-from tests.store.legacy import write_journal
+from repro.store.ingest import _coerce_csv_value, ingest_file
 
 
-class TestLoadJournalEntries:
-    def test_entries_are_keyed_plain_json_lines(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        (cell,) = expand_grid({"x": [7]}, repetitions=1)
-        write_journal(path, [cell])
-        entry = json.loads(path.read_text().splitlines()[0])
-        assert entry["key"] == cell_key(JOURNAL_LABEL, cell, "v1")
-        assert load_journal_entries(path) == {entry["key"]: entry}
-        assert entry["params"] == {"x": 7}
-        assert entry["seed"] == cell.seed
-
-    def test_truncated_trailing_line_is_skipped(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        cells = expand_grid({"x": [1, 2]}, repetitions=1)
-        written = write_journal(path, cells)
-        # Simulate a campaign killed mid-append: a half-written final line.
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "abcd", "metrics": {"v":')
-        recovered = load_journal_entries(path)
-        assert set(recovered) == {entry["key"] for entry in written}
-
-    def test_blank_and_keyless_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        (cell,) = expand_grid({}, repetitions=1)
-        path.write_text('\n[1, 2]\n{"metrics": {"v": 1}}\n{"key": 3}\n', encoding="utf-8")
-        (entry,) = write_journal(path, [cell])
-        assert list(load_journal_entries(path)) == [entry["key"]]
-
-    def test_later_entry_of_a_key_wins(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        (cell,) = expand_grid({}, repetitions=1)
-        write_journal(path, [cell])
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"key": cell_key(JOURNAL_LABEL, cell, "v1"),
-                                     "metrics": {"v": 9.0}}) + "\n")
-        (entry,) = load_journal_entries(path).values()
-        assert entry["metrics"] == {"v": 9.0}
-
-
-class TestJournalIngest:
-    def test_equivalent_to_the_journal_entries(self, tmp_path):
-        cells = expand_grid({"x": [1, 2]}, repetitions=2, base_seed=11)
-        write_journal(tmp_path / "j.jsonl", cells)
-        store = CampaignStore(tmp_path / "store", campaign="c")
-        appended = ingest_journal(tmp_path / "j.jsonl", store, scenario="sweep")
-        store.flush()
-        assert appended == 4
-        # Same dedup keys, same metrics, same elapsed as the journal holds.
-        entries = load_journal_entries(tmp_path / "j.jsonl")
-        records = CampaignStore(tmp_path / "store").records()
-        assert {r["key"] for r in records} == set(entries)
-        for record in records:
-            entry = entries[record["key"]]
-            assert record["elapsed_seconds"] == entry["elapsed_seconds"]
-            assert record["replayed"] is True
-            assert json.loads(record["row_json"])["v"] == entry["metrics"]["v"]
-            assert record["seed"] == entry["seed"]
-
-    def test_rows_default_to_the_journal_label(self, tmp_path):
-        write_journal(tmp_path / "j.jsonl", expand_grid({"x": [1]}, repetitions=1))
-        store = CampaignStore(tmp_path / "store")
-        assert ingest(tmp_path / "j.jsonl", store) == 1
-        store.flush()
-        assert store.scenarios() == [JOURNAL_LABEL]
-        (row,) = store.rows()
-        assert row["experiment"] == JOURNAL_LABEL
-
-    def test_crash_truncated_journal_recovers_complete_entries(self, tmp_path):
-        cells = expand_grid({"x": [1, 2, 3]}, repetitions=1)
-        path = tmp_path / "j.jsonl"
-        write_journal(path, cells)
-        # A campaign killed mid-append leaves a half-written trailing line.
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write('{"key": "half-written", "metrics": {"v":')
-        assert len(load_journal_entries(path)) == 3
-        store = CampaignStore(tmp_path / "store")
-        assert ingest(path, store) == 3
-        store.flush()
-        assert len(store) == 3
-
-    def test_reingest_is_idempotent(self, tmp_path):
-        cells = expand_grid({"x": [1, 2]}, repetitions=1)
-        path = tmp_path / "j.jsonl"
-        write_journal(path, cells)
-        store = CampaignStore(tmp_path / "store")
-        assert ingest_journal(path, store) == 2
-        assert ingest_journal(path, store) == 0  # journal keys dedup the rerun
-        store.flush()
-        assert len(store) == 2
-        assert store.stats.duplicates == 2
-
-    def test_missing_journal_is_empty_not_an_error(self, tmp_path):
-        store = CampaignStore(tmp_path / "store")
-        assert ingest_journal(tmp_path / "missing.jsonl", store) == 0
+class TestExportIngest:
+    @pytest.mark.parametrize("suffix", ["csv", "jsonl", "ndjson"])
+    def test_scenario_export_lands_exactly_the_written_rows(self, tmp_path, capsys, suffix):
+        out, reference = tmp_path / f"rows.{suffix}", tmp_path / "reference.jsonl"
+        for path in (out, reference):
+            assert scenarios_main(["run", "fig2.bicriteria", "--smoke", "--out", str(path)]) == 0
+        written = read_rows(reference)  # typed values, whatever the export format
+        assert written
+        capsys.readouterr()
+        store = str(tmp_path / "st")
+        assert store_main(["ingest", str(out), "--store", store]) == 0
+        assert f"ingested {len(written)} row(s)" in capsys.readouterr().out
+        assert CampaignStore(store).rows() == written
+        # Content-derived keys: a second ingest of the same file appends 0.
+        assert store_main(["ingest", str(out), "--store", store]) == 0
+        assert "ingested 0 row(s)" in capsys.readouterr().out
+        assert len(CampaignStore(store)) == len(written)
 
 
 class TestCsvIngest:
@@ -122,7 +40,7 @@ class TestCsvIngest:
         path = tmp_path / "rows.csv"
         path.write_text(to_csv(rows), encoding="utf-8")
         store = CampaignStore(tmp_path / "store")
-        assert ingest_csv(path, store) == 2
+        assert ingest_file(path, store) == 2
         store.flush()
         assert CampaignStore(tmp_path / "store").rows() == rows
 
@@ -131,16 +49,32 @@ class TestCsvIngest:
         path = tmp_path / "rows.csv"
         path.write_text(to_csv(rows), encoding="utf-8")
         store = CampaignStore(tmp_path / "store")
-        assert ingest(path, store) == 1
-        assert ingest(path, store) == 0  # content-derived keys dedup the rerun
+        assert ingest_file(path, store) == 1
+        assert ingest_file(path, store) == 0  # content-derived keys dedup the rerun
         store.flush()
         assert len(store) == 1
 
-    def test_suffix_dispatch_and_bad_format(self, tmp_path):
+    def test_cells_are_retyped_int_then_float_then_bool(self):
+        assert _coerce_csv_value("7") == 7 and isinstance(_coerce_csv_value("7"), int)
+        assert _coerce_csv_value("1e3") == 1000.0
+        assert _coerce_csv_value("True") is True
+        assert _coerce_csv_value("False") is False
+        # Only Python's own spelling is a bool; anything else stays a string.
+        assert _coerce_csv_value("true") == "true"
+        assert _coerce_csv_value("") == ""
+
+
+class TestIngestErrors:
+    def test_missing_file_raises_oserror(self, tmp_path):
         store = CampaignStore(tmp_path / "store")
-        try:
-            ingest(tmp_path / "x.csv", store, fmt="xml")
-        except ValueError as error:
-            assert "xml" in str(error)
-        else:
-            raise AssertionError("expected ValueError for unknown format")
+        with pytest.raises(OSError):
+            ingest_file(tmp_path / "missing.jsonl", store)
+        assert len(store) == 0
+
+    def test_unknown_suffix_raises_valueerror(self, tmp_path):
+        path = tmp_path / "rows.txt"
+        path.write_text("experiment,seed\ne,1\n", encoding="utf-8")
+        store = CampaignStore(tmp_path / "store")
+        with pytest.raises(ValueError, match="cannot infer a format"):
+            ingest_file(path, store)
+        assert len(store) == 0

@@ -15,11 +15,10 @@ from repro.workload.arrivals import (
 from repro.workload.communities import (
     COMMUNITY_PROFILES,
     community_workload,
-    full_ciment_workload,
     grid_workload,
 )
 from repro.workload.models import generate_rigid_jobs
-from repro.workload.parametric import generate_parametric_bags, total_runs, total_work
+from repro.workload.parametric import generate_parametric_bags, total_work
 from repro.workload.swf import jobs_to_swf, swf_to_jobs
 
 
@@ -79,7 +78,6 @@ class TestParametricBags:
         assert len(bags) == 20
         assert all(10 <= b.n_runs <= 100 for b in bags)
         assert all(0.5 <= b.run_time <= 1.5 for b in bags)
-        assert total_runs(bags) == sum(b.n_runs for b in bags)
         assert total_work(bags) == pytest.approx(sum(b.n_runs * b.run_time for b in bags))
 
     def test_release_spread(self):
@@ -127,12 +125,6 @@ class TestCommunities:
         bags = grid_workload("medical-research", random_state=3)
         assert all(isinstance(b, ParametricSweep) for b in bags)
         assert all(b.owner == "medical-research" for b in bags)
-
-    def test_full_ciment_workload(self):
-        local, bags = full_ciment_workload(5, 64, random_state=4)
-        assert set(local) == set(COMMUNITY_PROFILES)
-        assert all(len(jobs) == 5 for jobs in local.values())
-        assert len(bags) == sum(p.parametric_bags for p in COMMUNITY_PROFILES.values())
 
 
 class TestSWF:

@@ -349,8 +349,8 @@ def _assert_same_state(job, ref):
 
 
 def test_community_workload_shares_the_rng_stream_like_before():
-    """A shared generator ends in the same state (full_ciment_workload relies
-    on the per-community draws chaining through one stream)."""
+    """A shared generator ends in the same state, so per-community draws
+    can chain through one stream as before."""
 
     from repro.workload.communities import COMMUNITY_PROFILES, community_workload
 
