@@ -68,10 +68,15 @@ class Job:
     owner: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.release_date < 0:
-            raise ValueError(f"job {self.name!r}: negative release date")
-        if self.weight < 0:
-            raise ValueError(f"job {self.name!r}: negative weight")
+        # One chained comparison per field on the valid path; NaN fails it.
+        if not 0 <= self.release_date < math.inf:
+            if self.release_date < 0:
+                raise ValueError(f"job {self.name!r}: negative release date")
+            raise ValueError(f"job {self.name!r}: release date must be finite")
+        if not 0 <= self.weight < math.inf:
+            if self.weight < 0:
+                raise ValueError(f"job {self.name!r}: negative weight")
+            raise ValueError(f"job {self.name!r}: weight must be finite")
         self._check_due(self.release_date)
 
     def _check_due(self, release: float) -> None:

@@ -165,16 +165,15 @@ def list_schedule_rigid(
     machine_count: int,
     *,
     start_time: float = 0.0,
-    respect_release_dates: bool = False,
 ) -> Schedule:
     """Greedy list scheduling of (job, nbproc) pairs, in the given order.
 
     Jobs are started as early as possible in list order: the algorithm keeps
     the availability time of every processor and starts the next job of the
     list at the earliest instant where ``nbproc`` processors are
-    simultaneously free (and, optionally, after its release date).  This is
-    the classical Graham-style list algorithm generalised to multiprocessor
-    tasks; it is the packing backend of most policies in this package.
+    simultaneously free; release dates are not read.  This is the classical
+    Graham-style list algorithm generalised to multiprocessor tasks; it is
+    the packing backend of most policies in this package.
 
     Each job takes the ``nbproc`` processors that come first in
     ``(free time, index)`` order, and its ``processors`` tuple lists them in
@@ -222,8 +221,6 @@ def list_schedule_rigid(
             del times[:taken]
             del runs[:taken]
         start = max(ready, start_time)
-        if respect_release_dates:
-            start = max(start, job.release_date)
         end = float(start + runtime)
         freed = sorted(chosen)
         if end == end:

@@ -56,7 +56,11 @@ scheduler evaluates the span-gating rule on its bus
 (:meth:`SpanRecorder.for_bus <repro.telemetry.spans.SpanRecorder.for_bus>`:
 a live subscriber, or ``REPRO_SPANS``) and sends the answer as the
 ``telemetry`` flag of each worker's first ``task`` of the campaign, so an
-unobserved campaign's workers record and forward nothing.
+unobserved campaign's workers record and forward nothing.  The scheduler's
+own per-cell events (``assign``, ``result``, ``queue-sample`` and the
+``scheduler.assign`` span) follow the same flag; campaign start and end,
+the stats payload and the steal, membership and lag events are published
+whatever it says.
 
 The scheduler keeps no record of finished cells across campaigns: resuming
 a killed campaign is the harness' job, whose cell cache
@@ -239,8 +243,9 @@ class _Campaign:
     campaign_id: str
     cells: Sequence[Cell]
     fn_payload: str
-    #: Whether the workers capture and forward their spans for this campaign
-    #: (the span-gating rule, evaluated once at registration).
+    #: Whether the campaign is observed (the span-gating rule, evaluated
+    #: once at registration): its workers capture and forward their spans,
+    #: and the scheduler publishes its per-cell events.
     telemetry: bool = False
     pending: Deque[int] = field(default_factory=deque)  # positions awaiting a worker
     done: set = field(default_factory=set)              # positions with a result
@@ -903,6 +908,7 @@ class Scheduler:
         queue_sample: Optional[Dict[str, Any]] = None
         assign_started = time.monotonic() if self._bus is not None else None
         reply: Optional[Dict[str, object]] = None
+        observed = False
         with self._lock:
             campaign = self._campaign
             batch: List[Dict[str, object]] = []
@@ -919,7 +925,8 @@ class Scheduler:
                     if push is not None:
                         pushes.append(push)
                         steal_victim = push[0].worker_id
-                if assigned:
+                observed = campaign.telemetry
+                if assigned and observed:
                     queue_sample = self._queue_sample(campaign)
             if batch:
                 reply = {
@@ -937,7 +944,7 @@ class Scheduler:
                 reply = {"op": "idle", "delay": IDLE_DELAY}
             else:
                 self._park(conn)
-        if assign_started is not None and assigned:
+        if observed and assign_started is not None and assigned:
             # Lock-held selection latency: how long building this worker's
             # batch took (queue pops + steal scan + wire entries).
             self._emit(
@@ -945,11 +952,11 @@ class Scheduler:
                 seconds=time.monotonic() - assign_started,
                 worker=conn.worker_id, cells=len(assigned),
             )
-        for position, attempt in assigned:
-            self._emit(
-                TOPIC_ASSIGNMENTS, "assign", campaign=campaign.campaign_id,
-                position=position, attempt=attempt, worker=conn.worker_id,
-            )
+            for position, attempt in assigned:
+                self._emit(
+                    TOPIC_ASSIGNMENTS, "assign", campaign=campaign.campaign_id,
+                    position=position, attempt=attempt, worker=conn.worker_id,
+                )
         if steal_victim is not None:
             self._emit(
                 TOPIC_ASSIGNMENTS, "steal-requested", campaign=campaign.campaign_id,
@@ -1046,14 +1053,15 @@ class Scheduler:
             campaign.results[position] = outcome
             self.stats.results += 1
             campaign.running.pop(position, None)
-            queue_sample = self._queue_sample(campaign)
+            if campaign.telemetry:
+                queue_sample = self._queue_sample(campaign)
             self._lock.notify_all()
-        self._emit(
-            TOPIC_ASSIGNMENTS, "result", campaign=campaign.campaign_id,
-            position=position, worker=conn.worker_id,
-            failed=bool(outcome.failed),
-        )
         if queue_sample is not None:
+            self._emit(
+                TOPIC_ASSIGNMENTS, "result", campaign=campaign.campaign_id,
+                position=position, worker=conn.worker_id,
+                failed=bool(outcome.failed),
+            )
             self._emit(TOPIC_QUEUE, "queue-sample", **queue_sample)
 
     # -- connection loss ----------------------------------------------------

@@ -108,6 +108,13 @@ class _BestEffortLaunch:
     costs one small object instead of a state dict and two closures.  A
     kill only sets ``cancelled``: the completion event still fires, as a
     no-op, so the kernel's event count does not depend on kills.
+
+    On a busy grid most completions free the only free processor of their
+    cluster, and :meth:`BestEffortHook.fill` would give that processor to
+    the server's next run.  :meth:`complete` then hands the lease over
+    (:meth:`~repro.simulation.resources.ProcessorPool.hand_over`) instead
+    of releasing and re-acquiring it; any other completion releases its
+    processor and calls ``fill``.
     """
 
     __slots__ = ("hook", "node", "run", "lease_name", "duration", "cancelled")
@@ -147,12 +154,32 @@ class _BestEffortLaunch:
         node = self.node
         runtime = hook.runtime
         now = runtime.sim.now
-        node.pool.release(self.lease_name)
+        server = hook.server
+        trace = runtime.trace
         node.work += self.duration
-        runtime.trace.record(now, "complete", self.run.name,
-                             cluster=node.trace_name, info="best-effort")
-        hook.server.complete(self.run, now)
-        hook.fill(node)
+        trace.record(now, "complete", self.run.name,
+                     cluster=node.trace_name, info="best-effort")
+        server.complete(self.run, now)
+        pool = node.pool
+        if pool.free_count():
+            pool.release(self.lease_name)
+            hook.fill(node)
+            return
+        # Hand-off: the freed processor is the only free one, so ``fill``
+        # would give it to the server's next run.  Pass the lease straight
+        # on instead; the trace, the kernel events and ``launches`` are
+        # those of the release + fill path.
+        run = server.next_run()
+        if run is None:
+            pool.release(self.lease_name)
+            return
+        launch = _BestEffortLaunch(hook, node, run)
+        processors = pool.hand_over(self.lease_name, launch.lease_name, launch.kill)
+        server.launches += 1
+        trace.record(now, "start", run.name, cluster=node.trace_name,
+                     processors=processors, info="best-effort")
+        runtime.sim.schedule(launch.duration, launch.complete,
+                             label=f"complete {run.name}" if runtime.trace_labels else "")
 
 
 class BestEffortHook(RuntimeHook):

@@ -33,7 +33,13 @@ class _Lease:
 
 
 class ProcessorPool:
-    """Tracks busy/free processors of a cluster at the current simulation time."""
+    """Tracks busy/free processors of a cluster at the current simulation time.
+
+    Leases are kept in grant order, and preemption kills preemptible leases
+    in that order.  :meth:`hand_over` passes a lease's processors straight
+    to a new holder without freeing them, which keeps that order exactly as
+    a :meth:`release` followed by a :meth:`try_acquire` would.
+    """
 
     def __init__(self, machine_count: int) -> None:
         if machine_count < 1:
@@ -119,6 +125,34 @@ class ProcessorPool:
         free = self._free
         for p in lease.processors:
             insort(free, p)
+        return lease.processors
+
+    def hand_over(
+        self,
+        name: str,
+        new_name: str,
+        on_preempt: Optional[Callable[[Tuple[int, ...]], None]] = None,
+    ) -> Tuple[int, ...]:
+        """Move the processors of lease ``name`` to a new lease ``new_name``.
+
+        The same as ``release(name)`` followed by a ``try_acquire`` of the
+        same processors under ``new_name`` when nothing else is free: the
+        lease keeps its processors and its preemptibility, takes the new
+        name and callback, and moves to the end of the lease order (the
+        order preemption picks its victims in).  Raises ``ValueError`` if
+        ``new_name`` is already active and ``KeyError`` if ``name`` is not.
+        """
+
+        leases = self._leases
+        if new_name in leases:
+            raise ValueError(f"lease {new_name!r} already active")
+        try:
+            lease = leases.pop(name)
+        except KeyError:
+            raise KeyError(f"no active lease named {name!r}") from None
+        lease.name = new_name
+        lease.on_preempt = on_preempt
+        leases[new_name] = lease
         return lease.processors
 
     def __repr__(self) -> str:

@@ -116,8 +116,14 @@ _SUFFIXES = {
 }
 
 
-def infer_format(path: Union[str, Path], fmt: Optional[str] = None) -> str:
-    """Resolve an export format from an explicit flag or the file suffix."""
+def infer_format(
+    path: Union[str, Path], fmt: Optional[str] = None, *, format_flag: bool = True
+) -> str:
+    """Resolve an export format from an explicit flag or the file suffix.
+
+    ``format_flag=False`` leaves ``--format`` out of the error for callers
+    whose command has no such flag (``repro.store ingest``).
+    """
 
     if fmt is not None:
         if fmt not in FORMATS:
@@ -128,7 +134,8 @@ def infer_format(path: Union[str, Path], fmt: Optional[str] = None) -> str:
     if resolved is None:
         raise ValueError(
             f"cannot infer a format from {str(path)!r} (suffix {suffix!r}); "
-            f"use a {'/'.join(sorted(set(_SUFFIXES)))} suffix or pass --format"
+            f"use a {'/'.join(sorted(set(_SUFFIXES)))} suffix"
+            + (" or pass --format" if format_flag else "")
         )
     return resolved
 

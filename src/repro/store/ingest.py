@@ -46,8 +46,9 @@ def ingest_file(
     """
 
     path = Path(path)
-    rows = read_rows(path)
-    if infer_format(path) == "csv":
+    fmt = infer_format(path, format_flag=False)
+    rows = read_rows(path, fmt=fmt)
+    if fmt == "csv":
         rows = [
             {
                 column: _coerce_csv_value(value)

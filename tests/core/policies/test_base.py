@@ -83,11 +83,6 @@ class TestListScheduleRigid:
         schedule = list_schedule_rigid([(job, 1)], 2, start_time=10.0)
         assert schedule["a"].start == 10.0
 
-    def test_release_dates_respected_when_requested(self):
-        job = RigidJob(name="a", nbproc=1, duration=2.0, release_date=7.0)
-        schedule = list_schedule_rigid([(job, 1)], 2, respect_release_dates=True)
-        assert schedule["a"].start == pytest.approx(7.0)
-
     def test_infeasible_allocation_rejected(self):
         job = RigidJob(name="a", nbproc=8, duration=1.0)
         with pytest.raises(SchedulerError):

@@ -24,6 +24,33 @@ class TestJobBase:
         with pytest.raises(ValueError):
             RigidJob(name="x", weight=-0.5, nbproc=1, duration=1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), math.inf])
+    def test_non_finite_release_date_rejected(self, value):
+        with pytest.raises(ValueError, match="job 'x': release date must be finite"):
+            RigidJob(name="x", release_date=value, nbproc=1, duration=1.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), math.inf])
+    def test_non_finite_weight_rejected(self, value):
+        with pytest.raises(ValueError, match="job 'x': weight must be finite"):
+            RigidJob(name="x", weight=value, nbproc=1, duration=1.0)
+
+    @pytest.mark.parametrize("field", ["release_date", "weight"])
+    def test_negative_values_keep_their_messages(self, field):
+        with pytest.raises(ValueError, match=f"job 'x': negative {field.replace('_date', ' date')}"):
+            RigidJob(name="x", nbproc=1, duration=1.0, **{field: -math.inf})
+
+    def test_non_finite_release_fails_at_construction_not_in_the_kernel(self):
+        for make in (
+            lambda: MoldableJob(name="m", runtimes=[1.0], release_date=float("nan")),
+            lambda: ParametricSweep(name="p", n_runs=2, run_time=1.0, weight=math.inf),
+        ):
+            with pytest.raises(ValueError, match="must be finite"):
+                make()
+
+    def test_zero_release_date_and_weight_stay_valid(self):
+        job = RigidJob(name="x", release_date=0.0, weight=0.0, nbproc=1, duration=1.0)
+        assert (job.release_date, job.weight) == (0.0, 0.0)
+
     def test_due_date_before_release_rejected(self):
         with pytest.raises(ValueError):
             RigidJob(name="x", release_date=10.0, due_date=5.0, nbproc=1, duration=1.0)

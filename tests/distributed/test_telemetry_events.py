@@ -20,6 +20,7 @@ from repro.telemetry import (
     TOPIC_ASSIGNMENTS,
     TOPIC_QUEUE,
     TOPIC_SCHEDULER,
+    TOPIC_SCHEDULER_SPANS,
     TOPIC_STATS,
     TOPIC_SWEEP,
     TOPIC_WORKERS,
@@ -76,11 +77,14 @@ class TestStatsPayload:
 class TestCampaignEventStream:
     def test_inproc_campaign_narrates_itself_onto_the_bus(self):
         bus = TelemetryBus()
+        # An observed campaign: the per-cell events follow the span gate.
+        subscription = bus.subscribe()
         executor = DistributedExecutor("inproc://", workers=2, telemetry=bus)
         result = run_experiment(
             "tel", waiting_seeded_value, {"k": [1, 2, 3]},
             repetitions=2, executor=executor,
         )
+        subscription.close()
         assert len(result.rows) == 6
 
         scheduler_kinds = [e.payload["kind"] for e in bus.events(TOPIC_SCHEDULER)]
@@ -108,6 +112,27 @@ class TestCampaignEventStream:
         assert body["schema_version"] == SCHEMA_VERSION
         assert body["counters"]["results"] == 6
         assert body["rates"]["results_per_second"] > 0
+
+    def test_unobserved_campaign_publishes_no_per_cell_events(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SPANS", raising=False)
+        bus = TelemetryBus()
+        executor = DistributedExecutor("inproc://", workers=1, telemetry=bus)
+        result = run_experiment(
+            "quiet-cells", seeded_value, {"k": [1, 2, 3]},
+            repetitions=2, executor=executor,
+        )
+        assert len(result.rows) == 6
+        # Nobody subscribed: no assign/result events, no queue samples and
+        # no scheduler.assign spans, but the campaign still brackets itself
+        # and publishes its stats.
+        assert bus.events(TOPIC_ASSIGNMENTS) == []
+        assert bus.events(TOPIC_QUEUE) == []
+        spans = [e.payload.get("name") for e in bus.events(TOPIC_SCHEDULER_SPANS)]
+        assert "scheduler.assign" not in spans
+        kinds = [e.payload["kind"] for e in bus.events(TOPIC_SCHEDULER)]
+        assert kinds == ["campaign-start", "campaign-end"]
+        (stats_event,) = bus.events(TOPIC_STATS)
+        assert stats_event.payload["counters"]["results"] == 6
 
     def test_telemetry_false_keeps_scheduler_topics_silent(self):
         from repro.telemetry import set_bus

@@ -183,6 +183,24 @@ class TestIngest:
         assert "cannot infer a format" in capsys.readouterr().err
         assert len(CampaignStore(tmp_path / "s")) == 0
 
+    def test_unknown_suffix_names_only_the_accepted_suffixes(self, tmp_path, capsys):
+        # ``ingest`` has no --format flag, so its error must not point to one.
+        source = tmp_path / "rows.txt"
+        source.write_text("experiment,seed\ne,1\n", encoding="utf-8")
+        assert main(["ingest", str(source), "--store", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == (
+            f"cannot ingest {source}: cannot infer a format from {str(source)!r} "
+            "(suffix '.txt'); use a .csv/.jsonl/.ndjson/.parquet/.pq suffix"
+        )
+        assert "--format" not in err
+
+    def test_writers_keep_pointing_to_their_format_flag(self, tmp_path):
+        from repro.store.api import write_rows
+
+        with pytest.raises(ValueError, match=r"\.pq suffix or pass --format$"):
+            write_rows([{"a": 1}], tmp_path / "rows.txt")
+
     def test_parquet_without_pyarrow_exits_2(self, tmp_path, capsys, monkeypatch):
         # A ``None`` entry makes ``import pyarrow`` raise ImportError whether
         # or not the optional dependency is installed.
